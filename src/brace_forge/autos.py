@@ -1,9 +1,10 @@
-"""Automorphisms of skew braces and homomorphism enumeration.
+"""Automorphisms of groups and skew braces, and homomorphism enumeration.
 
-A skew brace automorphism preserves both tables at once.  Orders here
-stay small (the search cap is 9), so identity-fixing permutation brute
-force is the whole strategy; anything smarter would be untestable
-gold-plating at these sizes.
+Group automorphisms are found by brute force over the (n-1)! permutations
+that fix the identity 0, so orders above ``AUTOMORPHISM_MAX_ORDER`` (9)
+raise ``SizeCapExceeded``.  A skew brace automorphism is an automorphism
+of the additive group that also preserves circ, so ``skew_automorphisms``
+filters ``group_automorphisms(add)`` and keeps its lexicographic order.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import itertools
 
 import numpy as np
 
-from .core import FiniteSkewBrace, SizeCapExceeded, closure_generators, table_dtype
+from .core import FiniteSkewBrace, SizeCapExceeded, closure_generators
 from .products import SigmaAction
 
 __all__ = [
+    "group_automorphisms",
     "skew_automorphisms",
     "perm_composition",
     "group_homomorphisms",
@@ -27,21 +29,27 @@ AUTOMORPHISM_MAX_ORDER = 9
 _HOM_SPACE_LIMIT = 2_000_000
 
 
-def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
-    """All permutations preserving add and circ, identity first."""
-    n = brace.order
+def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
+    """All automorphisms of a group table, as permutation arrays sorted
+    lexicographically (identity first).  Brute force over identity-fixing
+    permutations, capped at ``AUTOMORPHISM_MAX_ORDER``."""
+    n = table.shape[0]
     if n > AUTOMORPHISM_MAX_ORDER:
         raise SizeCapExceeded(
-            f"automorphism search brute-forces orders up to {AUTOMORPHISM_MAX_ORDER}, "
-            f"got {n}")
-    add, circ = brace.add, brace.circ
+            f"automorphism brute force capped at order {AUTOMORPHISM_MAX_ORDER}, got {n}")
     out = []
     for rest in itertools.permutations(range(1, n)):
-        p = np.array((0,) + rest, dtype=table_dtype(n))
-        if (np.array_equal(p[add], add[np.ix_(p, p)])
-                and np.array_equal(p[circ], circ[np.ix_(p, p)])):
+        p = np.array((0,) + rest, dtype=table.dtype)
+        if np.array_equal(p[table], table[np.ix_(p, p)]):
             out.append(p)
     return out
+
+
+def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
+    """All permutations preserving add and circ, identity first."""
+    circ = brace.circ
+    return [p for p in group_automorphisms(brace.add)
+            if np.array_equal(p[circ], circ[np.ix_(p, p)])]
 
 
 def perm_composition(perms: list[np.ndarray]) -> np.ndarray:

@@ -29,7 +29,10 @@ __all__ = [
     "validate",
     "brace_from_tables",
     "table_eval",
+    "frontier_closure",
+    "seeded_closure",
     "generated_subbrace",
+    "star_block",
     "star_product",
     "normalize_members",
     "fmt_members",
@@ -188,27 +191,42 @@ def _inverse_violation_full(t: np.ndarray, prefix: str) -> list[Violation]:
     return []
 
 
+def frontier_closure(mask: np.ndarray, frontier: np.ndarray, families,
+                     abort=None) -> np.ndarray | None:
+    """Grow ``mask`` in place to a fixed point, expanding only from ``frontier``.
+
+    Members already set in ``mask`` count as processed unless they are in
+    ``frontier``.  Each round ``families(F, M)`` returns the candidate
+    arrays generated by the frontier F against all members M, and the
+    candidates not yet in ``mask`` form the next frontier.  Returns
+    ``mask``, or None as soon as ``abort(F, M)`` is true at the start of a
+    round (``mask`` is then partly grown).
+    """
+    while frontier.size:
+        members = np.flatnonzero(mask)
+        if abort is not None and abort(frontier, members):
+            return None
+        cand = np.unique(np.concatenate(families(frontier, members)))
+        new = cand[~mask[cand]]
+        mask[new] = True
+        frontier = new
+    return mask
+
+
 def closure_generators(t: np.ndarray) -> list[int]:
     """Greedy generating set of the magma closure of ``t`` starting at {0}."""
-    n = t.shape[0]
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros(t.shape[0], dtype=bool)
     mask[0] = True
     gens: list[int] = []
+
+    def families(F, M):
+        return [t[np.ix_(F, M)].ravel(), t[np.ix_(M, F)].ravel()]
+
     while not mask.all():
         g = int(np.flatnonzero(~mask)[0])
         gens.append(g)
         mask[g] = True
-        frontier = np.array([g])
-        while frontier.size:
-            members = np.flatnonzero(mask)
-            cand = np.concatenate([
-                t[np.ix_(frontier, members)].ravel(),
-                t[np.ix_(members, frontier)].ravel(),
-            ])
-            cand = np.unique(cand)
-            new = cand[~mask[cand]]
-            mask[new] = True
-            frontier = new
+        frontier_closure(mask, np.array([g]), families)
     return gens
 
 
@@ -451,21 +469,12 @@ def table_eval(brace: FiniteSkewBrace, kind: str, a: int, b: int | None = None) 
     return brace.star(a, b)
 
 
-def _closure(brace: FiniteSkewBrace, seed: Iterable[int], families) -> frozenset[int]:
-    """Generic frontier-based fixed point.  ``families(F, M)`` yields
-    candidate arrays generated by the frontier F against members M."""
-    n = brace.order
+def seeded_closure(n: int, seed: Iterable[int], families) -> frozenset[int]:
+    """Fixed point of ``families`` (see ``frontier_closure``) over {0} and ``seed``."""
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
-    seed_arr = normalize_members(n, seed)
-    mask[seed_arr] = True
-    frontier = np.flatnonzero(mask)
-    while frontier.size:
-        members = np.flatnonzero(mask)
-        cand = np.unique(np.concatenate(families(frontier, members)))
-        new = cand[~mask[cand]]
-        mask[new] = True
-        frontier = new
+    mask[normalize_members(n, seed)] = True
+    frontier_closure(mask, np.flatnonzero(mask), families)
     return frozenset(int(x) for x in np.flatnonzero(mask))
 
 
@@ -481,7 +490,12 @@ def generated_subbrace(brace: FiniteSkewBrace, seed: Iterable[int]) -> frozenset
             neg[F], inv[F],
         ]
 
-    return _closure(brace, seed, families)
+    return seeded_closure(brace.order, seed, families)
+
+
+def star_block(brace: FiniteSkewBrace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The |rows| x |cols| array of stars b * c = lambda_b(c) - c."""
+    return brace.add[brace.lam[np.ix_(rows, cols)], brace.neg[cols]]
 
 
 def star_set(brace: FiniteSkewBrace, bs: Iterable[int], cs: Iterable[int]) -> frozenset[int]:
@@ -491,8 +505,7 @@ def star_set(brace: FiniteSkewBrace, bs: Iterable[int], cs: Iterable[int]) -> fr
     C = normalize_members(n, cs)
     if not B.size or not C.size:
         return frozenset()
-    vals = brace.add[brace.lam[np.ix_(B, C)], np.broadcast_to(brace.neg[C], (B.size, C.size))]
-    return frozenset(int(x) for x in np.unique(vals))
+    return frozenset(int(x) for x in np.unique(star_block(brace, B, C)))
 
 
 def star_product(brace: FiniteSkewBrace, bs: Iterable[int], cs: Iterable[int]) -> frozenset[int]:

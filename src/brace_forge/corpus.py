@@ -10,7 +10,6 @@ lambda-values with forward propagation of that closure law.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -22,6 +21,7 @@ from .core import (
     brace_from_tables,
     table_dtype,
 )
+from .autos import group_automorphisms
 from .groups import GroupSpec, group_table, parse_group_spec
 
 __all__ = [
@@ -92,21 +92,6 @@ def radical_ring_brace(modulus: int, generator: int, name: str | None = None) ->
     return brace
 
 
-def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
-    """All automorphisms of a group table, as permutation arrays sorted
-    lexicographically (identity first).  Brute force over identity-fixing
-    permutations; intended for small orders."""
-    n = table.shape[0]
-    if n > 9:
-        raise SizeCapExceeded(f"automorphism brute force capped at order 9, got {n}")
-    out = []
-    for rest in itertools.permutations(range(1, n)):
-        p = np.array((0,) + rest, dtype=table.dtype)
-        if np.array_equal(p[table], table[np.ix_(p, p)]):
-            out.append(p)
-    return out
-
-
 def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.ndarray]:
     """All total maps a -> aut index with lambda_0 = id and
     lambda_{a + lambda_a(b)} = lambda_a . lambda_b; returns circ tables."""
@@ -167,43 +152,33 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
     return results
 
 
-@functools.lru_cache(maxsize=None)
-def _holomorph_enumerate_cached(canonical: str, limit: int) -> tuple[FiniteSkewBrace, ...]:
-    add = group_table(canonical)
+def _holomorph_braces(add: np.ndarray, limit: int, prefix: str) -> list[FiniteSkewBrace]:
     n = add.shape[0]
     if n > limit:
         raise SizeCapExceeded(f"group order {n} exceeds the enumeration limit {limit}")
-    auts = group_automorphisms(add)
-    tables = _lambda_system_search(add, auts)
+    tables = _lambda_system_search(add, group_automorphisms(add))
     seen: dict[bytes, np.ndarray] = {}
     for circ in tables:
         seen.setdefault(circ.tobytes(), circ)
     ordered = sorted(seen.values(), key=lambda t: tuple(t.ravel()))
-    braces = []
-    for i, circ in enumerate(ordered):
-        braces.append(brace_from_tables(add, circ, f"{canonical}#{i}"))
-    return tuple(braces)
+    return [brace_from_tables(add, circ, f"{prefix}#{i}") for i, circ in enumerate(ordered)]
+
+
+@functools.lru_cache(maxsize=None)
+def _holomorph_enumerate_cached(canonical: str, limit: int) -> tuple[FiniteSkewBrace, ...]:
+    return tuple(_holomorph_braces(group_table(canonical), limit, canonical))
 
 
 def holomorph_enumerate(spec, limit: int = 8) -> list[FiniteSkewBrace]:
     """Every skew brace whose additive group is the given table, listed as
-    circle tables on the same carrier, deduplicated, in a fixed order."""
+    circle tables on the same carrier, deduplicated, in a fixed order.
+    Named groups are cached; a raw table is named ``table<n>#<i>``."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if isinstance(spec, GroupSpec):
         return list(_holomorph_enumerate_cached(spec.canonical, limit))
-    # raw table: no cache
     add = np.asarray(spec)
-    n = add.shape[0]
-    if n > limit:
-        raise SizeCapExceeded(f"group order {n} exceeds the enumeration limit {limit}")
-    auts = group_automorphisms(add)
-    tables = _lambda_system_search(add, auts)
-    seen: dict[bytes, np.ndarray] = {}
-    for circ in tables:
-        seen.setdefault(circ.tobytes(), circ)
-    ordered = sorted(seen.values(), key=lambda t: tuple(t.ravel()))
-    return [brace_from_tables(add, circ, f"table{n}#{i}") for i, circ in enumerate(ordered)]
+    return _holomorph_braces(add, limit, f"table{add.shape[0]}")
 
 
 def _named_examples(max_order: int) -> list[FiniteSkewBrace]:

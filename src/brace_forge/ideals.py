@@ -19,8 +19,10 @@ from .core import (
     SizeCapExceeded,
     brace_from_tables,
     fmt_members,
+    frontier_closure,
     normalize_members,
-    star_set,
+    seeded_closure,
+    star_block,
 )
 
 __all__ = [
@@ -96,37 +98,30 @@ def as_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> Ideal:
     return Ideal(brace, S)
 
 
-def _closure_mask(brace: FiniteSkewBrace, mask: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """Grow ``mask`` to the ideal fixed point, treating everything already
-    set as processed and expanding only from ``frontier``."""
+def _ideal_families(brace: FiniteSkewBrace):
+    """Candidate generators of the least ideal for ``frontier_closure``:
+    circle products with the members and circle inverses, circle and
+    additive conjugates by every element, and every lambda_x image."""
     add, circ, neg, inv, lam = brace.add, brace.circ, brace.neg, brace.inv, brace.lam
-    while frontier.size:
-        members = np.flatnonzero(mask)
-        F = frontier
-        cand = np.unique(np.concatenate([
-            circ[np.ix_(F, members)].ravel(),
-            circ[np.ix_(members, F)].ravel(),
+
+    def families(F, M):
+        return [
+            circ[np.ix_(F, M)].ravel(),
+            circ[np.ix_(M, F)].ravel(),
             inv[F],
             circ[circ[:, F], inv[:, None]].ravel(),   # x o f o x^-1
             add[add[:, F], neg[:, None]].ravel(),     # x + f - x
             lam[:, F].ravel(),
-        ]))
-        new = cand[~mask[cand]]
-        mask[new] = True
-        frontier = new
-    return mask
+        ]
+
+    return families
 
 
 def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
     """Least ideal containing ``seed``: fixed point under circle products and
     inverses, circle and additive conjugation by every element, and every
     lambda_a image."""
-    n = brace.order
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = True
-    mask[normalize_members(n, seed)] = True
-    mask = _closure_mask(brace, mask, np.flatnonzero(mask))
-    return Ideal(brace, frozenset(int(x) for x in np.flatnonzero(mask)))
+    return Ideal(brace, seeded_closure(brace.order, seed, _ideal_families(brace)))
 
 
 def enumerate_ideals(brace: FiniteSkewBrace, cap: int = DEFAULT_IDEAL_CAP) -> list[Ideal]:
@@ -138,6 +133,7 @@ def enumerate_ideals(brace: FiniteSkewBrace, cap: int = DEFAULT_IDEAL_CAP) -> li
     n = brace.order
     if n > cap:
         raise SizeCapExceeded(f"order {n} exceeds the ideal enumeration cap {cap}")
+    families = _ideal_families(brace)
 
     def key_of(mask: np.ndarray) -> bytes:
         return np.packbits(mask).tobytes()
@@ -148,7 +144,7 @@ def enumerate_ideals(brace: FiniteSkewBrace, cap: int = DEFAULT_IDEAL_CAP) -> li
         mask = np.zeros(n, dtype=bool)
         mask[0] = True
         mask[a] = True
-        mask = _closure_mask(brace, mask, np.array([a]) if a else np.array([0]))
+        frontier_closure(mask, np.array([a]), families)
         principal.setdefault(key_of(mask), (mask, a))
 
     # joins of an ideal with one principal generator; incremental closure
@@ -163,7 +159,7 @@ def enumerate_ideals(brace: FiniteSkewBrace, cap: int = DEFAULT_IDEAL_CAP) -> li
                 continue
             mask = base.copy()
             mask[a] = True
-            mask = _closure_mask(brace, mask, np.array([a]))
+            frontier_closure(mask, np.array([a]), families)
             k = key_of(mask)
             if k not in known:
                 known[k] = mask
@@ -237,49 +233,25 @@ class SemiprimeVerdict:
                 f"method={self.method!r})")
 
 
-def _stars_vanish(brace: FiniteSkewBrace, members: np.ndarray) -> bool:
-    vals = brace.add[brace.lam[np.ix_(members, members)],
-                     np.broadcast_to(brace.neg[members], (members.size, members.size))]
-    return not vals.any()
-
-
 def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
     """First a (ascending) whose principal ideal has all-zero pairwise stars.
 
     The closure of {a} is grown incrementally; as soon as a nonzero star
     shows up between known members the candidate is discarded, which keeps
-    the scan cheap on semiprime braces.
+    the scan cheap on semiprime braces.  In the round where a member is in
+    the frontier, its stars with every member so far are checked both
+    ways, so a closure that completes has vanishing stars.
     """
     n = brace.order
-    add, circ, neg, inv, lam = brace.add, brace.circ, brace.neg, brace.inv, brace.lam
+    families = _ideal_families(brace)
+
+    def stars_appear(F, M):
+        return star_block(brace, F, M).any() or star_block(brace, M, F).any()
+
     for a in range(1, n):
         mask = np.zeros(n, dtype=bool)
-        mask[0] = True
-        mask[a] = True
-        frontier = np.array([a])
-        aborted = False
-        while frontier.size:
-            members = np.flatnonzero(mask)
-            F = frontier
-            s1 = add[lam[np.ix_(F, members)],
-                     np.broadcast_to(neg[members], (F.size, members.size))]
-            s2 = add[lam[np.ix_(members, F)],
-                     np.broadcast_to(neg[F], (members.size, F.size))]
-            if s1.any() or s2.any():
-                aborted = True
-                break
-            cand = np.unique(np.concatenate([
-                circ[np.ix_(F, members)].ravel(),
-                circ[np.ix_(members, F)].ravel(),
-                inv[F],
-                circ[circ[:, F], inv[:, None]].ravel(),
-                add[add[:, F], neg[:, None]].ravel(),
-                lam[:, F].ravel(),
-            ]))
-            new = cand[~mask[cand]]
-            mask[new] = True
-            frontier = new
-        if not aborted:
+        mask[[0, a]] = True
+        if frontier_closure(mask, np.array([a]), families, abort=stars_appear) is not None:
             return Ideal(brace, frozenset(int(x) for x in np.flatnonzero(mask)))
     return None
 
@@ -298,7 +270,7 @@ def is_semiprime(brace: FiniteSkewBrace, method: str = "fast",
     if method == "exhaustive":
         for ideal in enumerate_ideals(brace, cap=cap):
             members = np.fromiter(sorted(ideal.members), dtype=np.int64)
-            if members.size > 1 and _stars_vanish(brace, members):
+            if members.size > 1 and not star_block(brace, members, members).any():
                 return SemiprimeVerdict(False, ideal, "exhaustive")
         return SemiprimeVerdict(True, None, "exhaustive")
     raise PreconditionError(f"unknown method {method!r}, expected 'fast' or 'exhaustive'")

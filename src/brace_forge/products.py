@@ -27,6 +27,7 @@ from .core import (
     max_order,
     table_dtype,
 )
+from .groups import direct_product_table
 
 __all__ = [
     "SigmaAction",
@@ -175,21 +176,12 @@ class WreathContext:
 
 def wreath_base(G: FiniteSkewBrace, H: FiniteSkewBrace) -> tuple[FiniteSkewBrace, WreathContext]:
     """The direct power brace of functions H -> G under pointwise
-    operations, plus its codec."""
+    operations, plus its codec.  ``direct_product_table`` puts the first
+    factor most significant, which is the codec's digit order."""
     ctx = WreathContext(G.order, H.order)
-    D = ctx.digit_matrix()
-    n = ctx.order
-    dt = table_dtype(n)
-    add = np.zeros((n, n), dtype=np.int64)
-    circ = np.zeros((n, n), dtype=np.int64)
-    for k in range(ctx.positions):
-        w = int(ctx.weights[k])
-        col_i = D[:, k][:, None]
-        col_j = D[:, k][None, :]
-        add += G.add[col_i, col_j].astype(np.int64) * w
-        circ += G.circ[col_i, col_j].astype(np.int64) * w
-    base = brace_from_tables(add.astype(dt), circ.astype(dt),
-                             f"({G.name}^{H.order})")
+    add = direct_product_table(*[G.add] * H.order)
+    circ = direct_product_table(*[G.circ] * H.order)
+    base = brace_from_tables(add, circ, f"({G.name}^{H.order})")
     return base, ctx
 
 

@@ -132,6 +132,14 @@ def test_holomorph_limit_and_cache():
     # raw tables work too, without the cache
     raw = holomorph_enumerate(group_table("c4"))
     assert len(raw) == 2
+    for spec in CORPUS_GROUPS:
+        table = group_table(spec)
+        if table.shape[0] <= 6:
+            raw = holomorph_enumerate(table)
+            named = holomorph_enumerate(spec)
+            assert [b.circ.tobytes() for b in raw] == [b.circ.tobytes() for b in named], spec
+            assert [b.name for b in raw] == [f"table{table.shape[0]}#{i}"
+                                            for i in range(len(raw))]
 
 
 def test_standard_corpus_shape(corpus8):

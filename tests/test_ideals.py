@@ -192,6 +192,25 @@ def test_semiprime_fast_exhaustive_agree(corpus8):
                 assert stars == {0}
 
 
+def test_fast_witness_is_least_principal_witness(corpus8):
+    # the scan aborts a closure at the first nonzero star; recompute its
+    # witness without it: the smallest enumerated ideal containing a is
+    # the principal ideal of a, tested on the cached full star table
+    for brace in corpus8:
+        stars = brace.star_table()
+        ideals = [np.fromiter(i.sorted(), dtype=np.int64) for i in enumerate_ideals(brace)]
+        expected = None
+        for a in range(1, brace.order):
+            principal = next(m for m in ideals if a in m)
+            if not stars[np.ix_(principal, principal)].any():
+                expected = tuple(int(x) for x in principal)
+                break
+        fast = is_semiprime(brace, "fast")
+        assert fast.semiprime == (expected is None), brace.name
+        if expected is not None:
+            assert fast.witness.sorted() == expected, brace.name
+
+
 def test_exhaustive_witness_is_smallest(S3at):
     verdict = is_semiprime(S3at, "exhaustive")
     assert not verdict.semiprime

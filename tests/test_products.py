@@ -7,6 +7,7 @@ from brace_forge import (
     SizeCapExceeded,
     WreathContext,
     delta_function,
+    group_brace,
     is_trivial,
     pointwise_lift,
     rho_projection,
@@ -138,6 +139,13 @@ def test_wreath_base_is_pointwise_power(T2, R4):
         for y in (1, 5, 14):
             z = int(base.add[x, y])
             assert all(D[z][k] == R4.add[D[x][k], D[y][k]] for k in range(2))
+    # every pair, both tables, two and three positions: digit k of x op y
+    # is the op of digit k of x and digit k of y (big-endian codec order)
+    for G, H in ((R4, T2), (T2, R4), (R4, group_brace("c3", "trivial"))):
+        base, ctx = wreath_base(G, H)
+        D = ctx.digit_matrix()
+        for op, table in ((base.add, G.add), (base.circ, G.circ)):
+            assert np.array_equal(D[op], table[D[:, None, :], D[None, :, :]])
 
 
 def test_wreath_t2_t2_pinned(T2):

@@ -1,4 +1,7 @@
 import io
+import os
+import types
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,8 +18,10 @@ from brace_forge import (
     verify_lemma31,
     verify_lemma32,
 )
+from brace_forge import verify
 from brace_forge.docio import parse_int_grid
 from brace_forge.verify import (
+    CaseResult,
     Counterexample,
     STATEMENTS,
     _assemble,
@@ -50,6 +55,36 @@ class TestLemma31:
         assert one.attempted == 628
         assert one.counterexamples == ()
         assert _render(one) == _render(par)
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records max_workers and runs each chunk in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+        one = verify_lemma31(base_cap=4, jobs=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        many = verify_lemma31(base_cap=4, jobs=500)
+        assert pools == [2]
+        assert _render(many) == _render(one)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _render(verify_lemma31(base_cap=4, jobs=500)) == _render(one)
+        assert pools == [2]  # an unknown CPU count runs in-process
 
     def test_max_g_filter(self):
         report = verify_lemma31(max_g=2)
@@ -130,6 +165,28 @@ class TestCor28Thm33:
         thm = reports["thm33"]
         assert thm.attempted == 1
         assert thm.cases[0].ok
+
+    def test_elapsed_per_statement(self, monkeypatch):
+        # a fake clock: set-up takes 1 s, the cor28 cases 10 s, thm33 100 s
+        now = [50.0]
+        monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        real_corpus = verify.standard_corpus
+
+        def slow_corpus(max_order):
+            now[0] += 1.0
+            return real_corpus(max_order)
+
+        run_costs = iter([10.0, 100.0])
+
+        def fake_run_items(items, jobs):
+            now[0] += next(run_costs)
+            return [CaseResult(it[1], True, "") for it in items]
+
+        monkeypatch.setattr(verify, "standard_corpus", slow_corpus)
+        monkeypatch.setattr(verify, "_run_items", fake_run_items)
+        reports = verify_cor28_thm33(corpus_max=2)
+        assert reports["cor28"].elapsed == 11.0
+        assert reports["thm33"].elapsed == 101.0
 
     def test_unknown_statement(self):
         with pytest.raises(PreconditionError):
