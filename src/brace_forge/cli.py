@@ -202,6 +202,17 @@ def _cmd_search(args) -> int:
     return _report_exit([report])
 
 
+def _jobs_count(text: str) -> int:
+    """argparse type for --jobs: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brace-forge",
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sweep_flags(p):
         p.add_argument("--max-order", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_jobs_count, default=1)
         p.add_argument("--sigma-budget", type=int, default=DEFAULT_SIGMA_BUDGET)
         p.add_argument("--only", default=None, help="run a single case by id")
 

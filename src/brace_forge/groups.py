@@ -84,8 +84,10 @@ def direct_product_table(*tables: np.ndarray) -> np.ndarray:
         size = n1 * n2
         a = np.arange(size)
         a1, a2 = a // n2, a % n2
-        combined = result[np.ix_(a1, a1)].astype(np.int64) * n2
-        result = (combined + t[np.ix_(a2, a2)]).astype(table_dtype(size))
+        # every entry is below size, so table_dtype(size) holds each step
+        result = result.astype(table_dtype(size), copy=False)[np.ix_(a1, a1)]
+        result *= n2
+        result += t[np.ix_(a2, a2)]
     return result
 
 

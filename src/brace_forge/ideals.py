@@ -127,8 +127,21 @@ def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
 def enumerate_ideals(brace: FiniteSkewBrace, cap: int = DEFAULT_IDEAL_CAP) -> list[Ideal]:
     """All ideals, ascending by size then lexicographic membership.
 
-    Every ideal is a join of principal ideals, so the list is the closure
-    of the principal ideals under single-generator joins.
+    Every ideal is the join of the principal ideals of its members, so the
+    list is the closure of the principal ideals under joins with one
+    principal ideal at a time.  The join of ideals I and J is the sum
+    I + J = {i + j}, one table gather (Guarnieri and Vendramin, "Skew
+    braces and the Yang-Baxter equation", Math. Comp. 86 (2017)):
+
+    - I + J is an ideal.  The quotient map p: A -> A/I is an onto skew
+      brace morphism, so p(J) is an ideal of A/I, and its preimage
+      J + I = I + J (I is additively normal) is an ideal of A.
+    - It contains I and J, since both contain 0.
+    - Every ideal K that contains I and J is an additive subgroup, so it
+      contains I + J.
+
+    So I + J is the least ideal containing I and J, the same set as
+    ``ideal_closure(I | J)``.
     """
     n = brace.order
     if n > cap:
@@ -147,19 +160,17 @@ def enumerate_ideals(brace: FiniteSkewBrace, cap: int = DEFAULT_IDEAL_CAP) -> li
         frontier_closure(mask, np.array([a]), families)
         principal.setdefault(key_of(mask), (mask, a))
 
-    # joins of an ideal with one principal generator; incremental closure
-    # from the already-closed ideal keeps each join cheap
     known: dict[bytes, np.ndarray] = {k: m for k, (m, _) in principal.items()}
-    generators = [a for _, a in principal.values()]
+    generators = [(np.flatnonzero(m), a) for m, a in principal.values()]
     queue = list(known.values())
     while queue:
         base = queue.pop()
-        for a in generators:
+        members = np.flatnonzero(base)
+        for P, a in generators:
             if base[a]:
-                continue
-            mask = base.copy()
-            mask[a] = True
-            frontier_closure(mask, np.array([a]), families)
+                continue  # an ideal holding a holds its principal ideal P
+            mask = np.zeros(n, dtype=bool)
+            mask[brace.add[np.ix_(members, P)]] = True
             k = key_of(mask)
             if k not in known:
                 known[k] = mask

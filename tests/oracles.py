@@ -200,3 +200,24 @@ def naive_generated_subbrace(brace, seed) -> set[int]:
         if new <= S:
             return S
         S |= new
+
+
+def join_closure(generators, join) -> list[frozenset[int]]:
+    """Least family of sets that holds ``generators`` and is closed under
+    ``join``, a lattice join on sets ordered by inclusion.  Every join of
+    members is a join of generators, so joining each member with each
+    generator reaches the whole family; a generator already inside a
+    member leaves it unchanged.  Sorted by size, then members."""
+    generators = {frozenset(g) for g in generators}
+    family = set(generators)
+    todo = list(family)
+    while todo:
+        member = todo.pop()
+        for g in generators:
+            if g <= member:
+                continue
+            joined = frozenset(join(member, g))
+            if joined not in family:
+                family.add(joined)
+                todo.append(joined)
+    return sorted(family, key=lambda s: (len(s), sorted(s)))

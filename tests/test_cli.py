@@ -232,6 +232,15 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs, capsys):
+    assert main(["verify", "lemma31", "--only", "lemma31:R4:T2", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --jobs: must be at least 1, got {int(jobs)}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "brace-forge" in capsys.readouterr().out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from brace_forge import PreconditionError
+from brace_forge.core import table_dtype
 from brace_forge.groups import (
     GroupSpec,
     alternating_table,
@@ -75,6 +76,32 @@ def test_direct_product():
     assert oracles.tables_isomorphic(z6.tolist(), cyclic_table(6).tolist())
     with pytest.raises(PreconditionError):
         direct_product_table()
+
+
+def _direct_product_int64(*tables):
+    """The former build: each step widened to int64, then narrowed."""
+    result = tables[0]
+    for t in tables[1:]:
+        n1, n2 = result.shape[0], t.shape[0]
+        size = n1 * n2
+        a = np.arange(size)
+        a1, a2 = a // n2, a % n2
+        combined = result[np.ix_(a1, a1)].astype(np.int64) * n2
+        result = (combined + t[np.ix_(a2, a2)]).astype(table_dtype(size))
+    return result
+
+
+@pytest.mark.parametrize("factors", [
+    (alternating_table(5), cyclic_table(3)),
+    (cyclic_table(3).astype(np.int64), symmetric_table(3)),
+    (cyclic_table(2), dihedral_table(3), cyclic_table(4)),
+    (symmetric_table(3), cyclic_table(5).astype(np.int64), cyclic_table(2)),
+])
+def test_direct_product_matches_int64_build(factors):
+    got = direct_product_table(*factors)
+    want = _direct_product_int64(*factors)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_parse_group_spec():

@@ -17,6 +17,7 @@ from brace_forge import (
     restrict,
     semidirect,
     trivial_sigma,
+    wreath_base,
 )
 from brace_forge.ideals import IDEAL_RULES
 
@@ -84,6 +85,31 @@ def test_enumerate_matches_powerset(R4, S3at, corpus8):
         got = sorted(i.sorted() for i in enumerate_ideals(brace))
         want = sorted(oracles.powerset_ideals(brace))
         assert got == want, brace.name
+
+
+def test_sum_of_ideals_is_their_join(corpus8):
+    # the lemma enumerate_ideals joins by: I + J is the least ideal
+    # containing I and J, so it is enumerated
+    for brace in corpus8:
+        ideals = [np.fromiter(i.sorted(), dtype=np.int64) for i in enumerate_ideals(brace)]
+        listed = {tuple(I.tolist()) for I in ideals}
+        for I in ideals:
+            for J in ideals:
+                total = tuple(np.unique(brace.add[np.ix_(I, J)]).tolist())
+                assert total == ideal_closure(brace, [*I, *J]).sorted(), brace.name
+                assert total in listed, brace.name
+
+
+@pytest.mark.parametrize("g_name,h_name,count", [("T2", "c5#0", 374), ("c2xc4#1", "T2", 91)])
+def test_enumeration_is_join_closure_of_principals(corpus8, g_name, h_name, count):
+    # the reference joins by closure, never by sums
+    named = {b.name: b for b in corpus8}
+    W, _ = wreath_base(named[g_name], named[h_name])
+    principals = [ideal_closure(W, [a]).members for a in range(W.order)]
+    want = oracles.join_closure(principals, lambda X, Y: ideal_closure(W, X | Y).members)
+    got = [i.members for i in enumerate_ideals(W)]
+    assert len(got) == count
+    assert got == want
 
 
 def test_enumeration_order_is_size_then_lex(corpus8):

@@ -10,6 +10,7 @@ from brace_forge import (
     PreconditionError,
     SweepReport,
     group_brace,
+    is_ideal,
     is_semiprime,
     parse_documents,
     render_report,
@@ -19,6 +20,7 @@ from brace_forge import (
     verify_lemma32,
 )
 from brace_forge import verify
+from brace_forge.cli import main as cli_main
 from brace_forge.docio import parse_int_grid
 from brace_forge.verify import (
     CaseResult,
@@ -35,6 +37,28 @@ def _render(report):
     buf = io.StringIO()
     render_report(report, buf)
     return buf.getvalue()
+
+
+def _inline_pool(pools):
+    """A ProcessPoolExecutor stand-in that records max_workers in
+    ``pools`` and runs each chunk in this process."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    return InlinePool
 
 
 def test_statements_constant():
@@ -58,25 +82,7 @@ class TestLemma31:
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         pools = []
-
-        class InlinePool:
-            """Records max_workers and runs each chunk in this process."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _inline_pool(pools))
         one = verify_lemma31(base_cap=4, jobs=1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         many = verify_lemma31(base_cap=4, jobs=500)
@@ -85,6 +91,47 @@ class TestLemma31:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _render(verify_lemma31(base_cap=4, jobs=500)) == _render(one)
         assert pools == [2]  # an unknown CPU count runs in-process
+
+    def test_raising_case_is_a_failed_case(self, monkeypatch, capsys, T2):
+        real = verify._CASE_FUNCS["lemma31"]
+
+        def flaky(case_id, G, H):
+            if case_id == "lemma31:T2:T2":
+                raise RuntimeError("boom")
+            return real(case_id, G, H)
+
+        monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", flaky)
+        pools = []
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _inline_pool(pools))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        outs = []
+        for jobs in ("1", "2"):
+            assert cli_main(["verify", "lemma31", "--max-order", "4", "--jobs", jobs]) == 1
+            captured = capsys.readouterr()
+            assert "RuntimeError: boom" in captured.err
+            outs.append(captured.out)
+        assert pools == [2]
+        assert outs[0] == outs[1]
+        assert "CASE lemma31:T2:T2 FAIL raised RuntimeError: boom\n" in outs[0]
+        assert "lemma31: 316 cases, 1 counterexamples\n" in outs[0]
+        # the REPLAY block carries both input braces, ready to re-parse
+        replay = outs[0].split("REPLAY lemma31:T2:T2 witness={}\n", 1)[1]
+        assert [d.to_brace() == T2 for d in parse_documents(replay)] == [True, True]
+
+    def test_miss_names_the_is_ideal_rule(self, monkeypatch, R4, T2):
+        # a base "ideal" whose first projection {0,1} is no ideal of R4
+        hit = verify._base_ideals(R4, T2)
+        key = next(k for k, v in verify._BASE_MEMO.items() if v is hit)
+        digits, members = hit
+        w = int(np.flatnonzero((digits == [1, 0]).all(axis=1))[0])
+        bad = np.array([0, w])
+        monkeypatch.setitem(verify._BASE_MEMO, key, (digits, members + [bad]))
+        result = verify._case_lemma31("lemma31:R4:T2", R4, T2)
+        ok, rule = is_ideal(R4, [0, 1])
+        assert not ok
+        assert not result.ok
+        assert result.info == f"ideal={{0,{w}}} h=0 fails {rule}"
+        assert result.witness == (0, 1)
 
     def test_max_g_filter(self):
         report = verify_lemma31(max_g=2)
@@ -228,6 +275,18 @@ class TestFailurePaths:
         result = _case_lemma32_lift("lemma32:lift:A5at:m2", A5at, T2)
         assert not result.ok
         assert result.info == "expected a non-semiprime bottom brace"
+
+    def test_raising_case_replays_sigma(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("bad action")
+
+        monkeypatch.setitem(verify._CASE_FUNCS, "q34", broken)
+        one = group_brace("c1", "trivial", name="c1#0")
+        result = verify._dispatch(("q34", "q34:c1#0:c1#0:s0", one, one, np.array([[0]]), 0))
+        assert not result.ok
+        assert result.info == "raised ValueError: bad action"
+        assert len(result.documents) == 3
+        assert parse_int_grid(result.documents[2], rows=1, cols=1, limit=1).tolist() == [[0]]
 
     def test_q34_counterexample_path(self):
         # an order-1 product is semiprime, which this case must flag as a
