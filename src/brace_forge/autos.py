@@ -1,10 +1,10 @@
 """Automorphisms of groups and skew braces, and homomorphism enumeration.
 
-Group automorphisms are found by brute force over the (n-1)! permutations
-that fix the identity 0, so orders above ``AUTOMORPHISM_MAX_ORDER`` (9)
-raise ``SizeCapExceeded``.  A skew brace automorphism is an automorphism
-of the additive group that also preserves circ, so ``skew_automorphisms``
-filters ``group_automorphisms(add)`` and keeps its lexicographic order.
+``_homomorphisms`` is the one search: it tries each choice of images of the
+closure generators (at most 2,000,000 choices, checked before any is tried),
+extends it along a BFS expression of every element and keeps the maps that
+respect both tables.  Group automorphisms are its bijective endomorphisms;
+skew brace automorphisms are the additive ones that also preserve circ.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .core import FiniteSkewBrace, SizeCapExceeded, closure_generators
+from .core import FiniteSkewBrace, PreconditionError, SizeCapExceeded, closure_generators
 from .products import SigmaAction
 
 __all__ = [
@@ -22,27 +22,17 @@ __all__ = [
     "perm_composition",
     "group_homomorphisms",
     "sigma_actions",
-    "AUTOMORPHISM_MAX_ORDER",
 ]
 
-AUTOMORPHISM_MAX_ORDER = 9
 _HOM_SPACE_LIMIT = 2_000_000
 
 
 def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
-    """All automorphisms of a group table, as permutation arrays sorted
-    lexicographically (identity first).  Brute force over identity-fixing
-    permutations, capped at ``AUTOMORPHISM_MAX_ORDER``."""
-    n = table.shape[0]
-    if n > AUTOMORPHISM_MAX_ORDER:
-        raise SizeCapExceeded(
-            f"automorphism brute force capped at order {AUTOMORPHISM_MAX_ORDER}, got {n}")
-    out = []
-    for rest in itertools.permutations(range(1, n)):
-        p = np.array((0,) + rest, dtype=table.dtype)
-        if np.array_equal(p[table], table[np.ix_(p, p)]):
-            out.append(p)
-    return out
+    """All automorphisms of a group table: the endomorphisms that hit
+    every element, as permutation arrays of the table's dtype in
+    lexicographic order (identity first)."""
+    return [phi.astype(table.dtype) for phi in _homomorphisms(table, table)
+            if np.unique(phi).size == table.shape[0]]
 
 
 def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
@@ -55,13 +45,11 @@ def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
 def perm_composition(perms: list[np.ndarray]) -> np.ndarray:
     """Composition table of a closed set of permutations:
     entry [i, j] = index of perms[i] after perms[j]."""
-    index = {p.tobytes(): i for i, p in enumerate(perms)}
-    k = len(perms)
-    comp = np.zeros((k, k), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            comp[i, j] = index[p[q].astype(p.dtype).tobytes()]
-    return comp
+    stacked = np.stack(perms)
+    index = {p.tobytes(): i for i, p in enumerate(stacked)}
+    k, n = stacked.shape
+    composed = stacked[:, stacked].reshape(k * k, n)   # row i*k + j is p_i[p_j]
+    return np.array([index[c.tobytes()] for c in composed], dtype=np.int64).reshape(k, k)
 
 
 def group_homomorphisms(table: np.ndarray, perms: list[np.ndarray],
@@ -73,9 +61,23 @@ def group_homomorphisms(table: np.ndarray, perms: list[np.ndarray],
     Deterministic order: generator images ascend lexicographically.  At
     most ``budget`` maps are returned when a budget is given.
     """
+    return _homomorphisms(table, perm_composition(perms), budget)
+
+
+def _homomorphisms(table: np.ndarray, target: np.ndarray,
+                   budget: int | None = None) -> list[np.ndarray]:
+    """``group_homomorphisms`` into the group whose Cayley table is
+    ``target`` (identity 0), as int64 image arrays; a budget must be >= 1.
+
+    The maps come out in lexicographic order.  ``closure_generators`` is
+    greedy, so every element below a generator g lies in the subgroup of
+    the earlier generators; two maps whose generator images first differ
+    at g agree below g, and their order is that of their images of g.
+    """
+    if budget is not None and budget < 1:
+        raise PreconditionError(f"homomorphism budget must be at least 1, got {budget}")
     m = table.shape[0]
-    k = len(perms)
-    comp = perm_composition(perms)
+    k = target.shape[0]
     gens = closure_generators(np.asarray(table))
     if gens and k ** len(gens) > _HOM_SPACE_LIMIT:
         raise SizeCapExceeded(
@@ -107,8 +109,8 @@ def group_homomorphisms(table: np.ndarray, perms: list[np.ndarray],
             phi[g] = im
         for x in order_reached[1:]:
             parent, g = expr[x]
-            phi[x] = comp[phi[parent], phi[g]]
-        if np.array_equal(comp[phi[:, None], phi[None, :]], phi[table]):
+            phi[x] = target[phi[parent], phi[g]]
+        if np.array_equal(target[phi[:, None], phi[None, :]], phi[table]):
             out.append(phi)
             if budget is not None and len(out) >= budget:
                 break

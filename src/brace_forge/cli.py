@@ -202,15 +202,15 @@ def _cmd_search(args) -> int:
     return _report_exit([report])
 
 
-def _jobs_count(text: str) -> int:
-    """argparse type for --jobs: an integer of at least 1."""
+def _positive_int(text: str) -> int:
+    """argparse type for --jobs and --sigma-budget: an integer of at least 1."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sweep_flags(p):
         p.add_argument("--max-order", type=int, default=None)
-        p.add_argument("--jobs", type=_jobs_count, default=1)
-        p.add_argument("--sigma-budget", type=int, default=DEFAULT_SIGMA_BUDGET)
+        p.add_argument("--jobs", type=_positive_int, default=1)
+        p.add_argument("--sigma-budget", type=_positive_int, default=DEFAULT_SIGMA_BUDGET)
         p.add_argument("--only", default=None, help="run a single case by id")
 
     p = sub.add_parser("verify", help="run a statement verification sweep")

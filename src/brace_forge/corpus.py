@@ -21,7 +21,7 @@ from .core import (
     brace_from_tables,
     table_dtype,
 )
-from .autos import group_automorphisms
+from .autos import group_automorphisms, perm_composition
 from .groups import GroupSpec, group_table, parse_group_spec
 
 __all__ = [
@@ -98,9 +98,7 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
     n = add.shape[0]
     k = len(auts)
     aut_rows = [tuple(int(x) for x in p) for p in auts]
-    index_of = {p: i for i, p in enumerate(aut_rows)}
-    comp = [[index_of[tuple(aut_rows[i][x] for x in aut_rows[j])] for j in range(k)]
-            for i in range(k)]
+    comp = perm_composition(auts).tolist()
     addl = [tuple(int(x) for x in row) for row in add]
 
     alpha = [-1] * n

@@ -184,6 +184,21 @@ def tables_isomorphic(t1, t2) -> bool:
     return False
 
 
+def brute_force_automorphisms(table) -> list[np.ndarray]:
+    """Automorphisms of a group table of order <= 8 by brute force over
+    the identity-fixing permutations, as arrays of the table's dtype in
+    lexicographic order (identity first)."""
+    n = table.shape[0]
+    if n > 8:
+        raise ValueError("brute force capped at order 8")
+    out = []
+    for rest in itertools.permutations(range(1, n)):
+        p = np.array((0,) + rest, dtype=table.dtype)
+        if np.array_equal(p[table], table[np.ix_(p, p)]):
+            out.append(p)
+    return out
+
+
 def naive_generated_subbrace(brace, seed) -> set[int]:
     """Closure of seed under add, circ, and both kinds of inverses."""
     add = brace.add.tolist()

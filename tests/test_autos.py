@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from brace_forge import (
+    PreconditionError,
     SizeCapExceeded,
+    group_automorphisms,
     group_brace,
     group_homomorphisms,
     perm_composition,
@@ -11,8 +15,8 @@ from brace_forge import (
     skew_automorphisms,
     validate_sigma,
 )
-from brace_forge.autos import AUTOMORPHISM_MAX_ORDER
-from brace_forge.groups import cyclic_table, group_table
+from brace_forge import autos
+from brace_forge.groups import cyclic_table, direct_product_table, group_table
 
 
 def test_skew_automorphism_counts(T2, R4, S3at):
@@ -36,10 +40,30 @@ def test_automorphisms_preserve_both_tables(R4, S3at):
             assert np.array_equal(p[brace.circ], brace.circ[np.ix_(p, p)])
 
 
-def test_automorphism_cap(A4at):
-    assert A4at.order > AUTOMORPHISM_MAX_ORDER
-    with pytest.raises(SizeCapExceeded):
-        skew_automorphisms(A4at)
+def test_automorphism_space_capped_before_search(monkeypatch):
+    a5 = group_table("a5")
+    table = direct_product_table(a5, a5)
+    assert table.shape == (3600, 3600)
+
+    def no_candidates(*args, **kwargs):
+        raise AssertionError("a candidate was tried")
+
+    monkeypatch.setattr(autos, "itertools", SimpleNamespace(product=no_candidates))
+    with pytest.raises(SizeCapExceeded, match=r"3600\^\d+ exceeds"):
+        group_automorphisms(table)
+
+
+def test_skew_automorphisms_above_order_nine(A4at):
+    # A4 almost trivial: every automorphism of A4 also preserves the
+    # opposite product, so the skew automorphisms are Aut(A4) = S4
+    auts = skew_automorphisms(A4at)
+    rows = [p.tolist() for p in auts]
+    assert len(auts) == 24
+    assert rows == sorted(rows) and len(set(map(tuple, rows))) == 24
+    for p in auts:
+        assert sorted(p.tolist()) == list(range(12))
+        assert np.array_equal(p[A4at.add], A4at.add[np.ix_(p, p)])
+        assert np.array_equal(p[A4at.circ], A4at.circ[np.ix_(p, p)])
 
 
 def test_perm_composition():
@@ -81,6 +105,16 @@ def test_group_homomorphisms_budget(T2):
     assert [h.tolist() for h in homs] == [h.tolist() for h in full[:2]]
 
 
+def test_homomorphisms_in_lexicographic_order():
+    # greedy closure generators make generator-image order the
+    # lexicographic order of the whole image arrays
+    for target in ("d4", "s4"):
+        auts = group_automorphisms(group_table(target))
+        for source in ("c2xc2", "s3", "c4", "c2xc4"):
+            rows = [phi.tolist() for phi in group_homomorphisms(group_table(source), auts)]
+            assert len(rows) > 1 and rows == sorted(rows), (source, target)
+
+
 def test_homomorphism_property(S3at):
     auts = skew_automorphisms(S3at)
     comp = perm_composition(auts)
@@ -108,3 +142,12 @@ def test_sigma_actions_all_valid(R4, T2, S3at):
 
 def test_sigma_actions_budget(R4, T2):
     assert len(sigma_actions(R4, T2, budget=1)) == 1
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_rejected(R4, T2, budget):
+    auts = skew_automorphisms(R4)
+    with pytest.raises(PreconditionError, match="at least 1"):
+        group_homomorphisms(T2.circ, auts, budget=budget)
+    with pytest.raises(PreconditionError, match="at least 1"):
+        sigma_actions(R4, T2, budget=budget)

@@ -241,6 +241,16 @@ def test_jobs_below_one_rejected(jobs, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [["search", "q34", "--sigma-budget", "0"],
+                                  ["verify", "cor28", "--sigma-budget", "-3"]])
+def test_sigma_budget_below_one_rejected(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --sigma-budget: must be at least 1, got {int(argv[-1])}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "brace-forge" in capsys.readouterr().out

@@ -17,7 +17,7 @@ from brace_forge import (
     standard_corpus,
     validate,
 )
-from brace_forge.groups import group_table, symmetric_table
+from brace_forge.groups import group_table
 
 import oracles
 
@@ -86,9 +86,26 @@ def test_group_automorphism_counts():
             assert np.array_equal(p[table], table[np.ix_(p, p)])
 
 
-def test_group_automorphism_cap():
-    with pytest.raises(SizeCapExceeded):
-        group_automorphisms(symmetric_table(4))
+def test_group_automorphisms_above_order_nine():
+    # S4 is complete: Aut(S4) = Inn(S4) = S4
+    auts = group_automorphisms(group_table("s4"))
+    assert len(auts) == 24
+    assert auts[0].tolist() == list(range(24))
+
+
+def test_group_automorphisms_match_brute_force(corpus8):
+    """Same list, order and dtype as the permutation brute force on every
+    CORPUS_GROUPS table and on the add table of every corpus brace (each
+    distinct table once)."""
+    tables = {}
+    for table in [group_table(spec) for spec in CORPUS_GROUPS] + [b.add for b in corpus8]:
+        tables.setdefault((table.dtype.str, table.tobytes()), table)
+    assert len(tables) >= len(CORPUS_GROUPS)
+    for table in tables.values():
+        got = group_automorphisms(table)
+        want = oracles.brute_force_automorphisms(table)
+        assert [p.tolist() for p in got] == [p.tolist() for p in want]
+        assert all(p.dtype == table.dtype for p in got)
 
 
 def test_holomorph_counts_frozen():
