@@ -1,10 +1,11 @@
 """Finite skew brace carriers, axiom validation, and the lambda/star calculus.
 
 A brace lives on the carrier {0..n-1} with the shared identity of both
-group operations pinned at index 0.  Construction always goes through
-validation; the per-element inverse tables and the full lambda table are
-materialized as read-only numpy arrays so that downstream closure sweeps
-are pure table gathers.
+group operations pinned at index 0.  Construction goes through
+validation, except for direct powers of a validated brace
+(``products.wreath_base``).  The per-element inverse tables and the full
+lambda table are materialized as read-only numpy arrays so that
+downstream closure sweeps are pure table gathers.
 """
 
 from __future__ import annotations
@@ -230,7 +231,9 @@ def closure_generators(t: np.ndarray) -> list[int]:
     return gens
 
 
-def _group_violations_fast(t: np.ndarray, prefix: str) -> list[Violation]:
+def _group_violations_fast(t: np.ndarray, prefix: str, gens: list[int]) -> list[Violation]:
+    """Latin square and associativity with the middle factor in ``gens``,
+    a generating set of the closure of ``t``."""
     out = _identity_violation(t, prefix)
     n = t.shape[0]
     ar = np.arange(n)
@@ -251,7 +254,7 @@ def _group_violations_fast(t: np.ndarray, prefix: str) -> list[Violation]:
         b, c = sorted((int(order[dup]), int(order[dup + 1])))
         out.append((f"{prefix}-inverses", (a, b, c)))
         return out
-    for g in closure_generators(t):
+    for g in gens:
         lhs = t[:, t[g]]       # t[a, t[g,c]]
         rhs = t[t[:, g]]       # t[t[a,g], c]
         if not np.array_equal(lhs, rhs):
@@ -279,10 +282,10 @@ def _brace_relation_violation_full(add, circ, neg) -> list[Violation]:
     return []
 
 
-def _brace_relation_violation_fast(add, circ, neg, lam) -> list[Violation]:
+def _brace_relation_violation_fast(add, lam, add_gens) -> list[Violation]:
     # lambda_a is additive for all (b,c) iff it is additive for b in a
     # generating set of (A,+) and all c; checked for every a at once.
-    for g in closure_generators(add):
+    for g in add_gens:
         lhs = lam[:, add[g]]                       # lambda_a(g+c)
         rhs = add[lam[:, g][:, None], lam]         # lambda_a(g) + lambda_a(c)
         if not np.array_equal(lhs, rhs):
@@ -322,8 +325,12 @@ def validate(add, circ, name: str = "", mode: str | None = None,
     if mode not in ("exhaustive", "fast"):
         raise PreconditionError(f"unknown validation mode {mode!r}")
 
-    group_check = _group_violations_full if mode == "exhaustive" else _group_violations_fast
-    violations = group_check(add, "add") + group_check(circ, "circ")
+    if mode == "exhaustive":
+        violations = _group_violations_full(add, "add") + _group_violations_full(circ, "circ")
+    else:
+        add_gens = closure_generators(add)   # shared by both checks on add
+        violations = (_group_violations_fast(add, "add", add_gens)
+                      + _group_violations_fast(circ, "circ", closure_generators(circ)))
     if violations:
         return ValidationReport(n, violations, mode)
 
@@ -333,7 +340,7 @@ def validate(add, circ, name: str = "", mode: str | None = None,
     if mode == "exhaustive":
         violations = _brace_relation_violation_full(add, circ, neg)
     else:
-        violations = _brace_relation_violation_fast(add, circ, neg, lam)
+        violations = _brace_relation_violation_fast(add, lam, add_gens)
     if violations:
         return ValidationReport(n, violations, mode)
 
@@ -345,7 +352,9 @@ class FiniteSkewBrace:
     """Immutable finite skew brace on {0..n-1} with identity 0.
 
     Do not call the constructor directly on unchecked tables; use
-    ``brace_from_tables`` or ``validate``.
+    ``brace_from_tables`` or ``validate``.  The one exception is
+    ``products.wreath_base``, whose direct power of a validated brace is
+    a brace by the argument in its docstring.
     """
 
     __slots__ = ("order", "add", "circ", "neg", "inv", "lam", "name", "_star")

@@ -98,21 +98,32 @@ def as_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> Ideal:
     return Ideal(brace, S)
 
 
-def _ideal_families(brace: FiniteSkewBrace):
-    """Candidate generators of the least ideal for ``frontier_closure``:
-    circle products with the members and circle inverses, circle and
-    additive conjugates by every element, and every lambda_x image."""
+def _orbit_families(brace: FiniteSkewBrace):
+    """The element maps of ``_ideal_families`` for ``frontier_closure``:
+    circle inverses, circle and additive conjugates by every element, and
+    every lambda_x image.  The members M are not used."""
     add, circ, neg, inv, lam = brace.add, brace.circ, brace.neg, brace.inv, brace.lam
 
     def families(F, M):
         return [
-            circ[np.ix_(F, M)].ravel(),
-            circ[np.ix_(M, F)].ravel(),
             inv[F],
             circ[circ[:, F], inv[:, None]].ravel(),   # x o f o x^-1
             add[add[:, F], neg[:, None]].ravel(),     # x + f - x
             lam[:, F].ravel(),
         ]
+
+    return families
+
+
+def _ideal_families(brace: FiniteSkewBrace):
+    """Candidate generators of the least ideal for ``frontier_closure``:
+    circle products with the members, and the maps of ``_orbit_families``."""
+    circ = brace.circ
+    element_maps = _orbit_families(brace)
+
+    def families(F, M):
+        return [circ[np.ix_(F, M)].ravel(), circ[np.ix_(M, F)].ravel(),
+                *element_maps(F, M)]
 
     return families
 
@@ -244,8 +255,38 @@ class SemiprimeVerdict:
                 f"method={self.method!r})")
 
 
+def _orbit_representatives(brace: FiniteSkewBrace):
+    """Yield the least label of each orbit under the maps lambda_x,
+    a -> x o a o x', a -> x + a - x, a -> a' and a -> -a, ascending,
+    except the orbit {0} (every map fixes 0).  The orbit of a label is
+    found after the label is yielded, so a scan that stops at a label
+    finds no orbit for it.
+
+    The orbits come from ``frontier_closure`` over ``_orbit_families``.
+    That closure has no a -> -a, but -a = lambda_a(a') is already in the
+    orbit of a.  Every map is a permutation of the carrier, so the
+    closure of {a} is the orbit of a under the group they generate, and
+    it meets no orbit found before.
+    """
+    families = _orbit_families(brace)
+    seen = np.zeros(brace.order, dtype=bool)
+    for a in range(1, brace.order):
+        if not seen[a]:
+            yield a
+            seen[a] = True
+            frontier_closure(seen, np.array([a]), families)
+
+
 def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
     """First a (ascending) whose principal ideal has all-zero pairwise stars.
+
+    Only the least label of each orbit (``_orbit_representatives``) is
+    scanned, in ascending order.  Each map sends a into every ideal that holds a, and
+    its inverse is a map of the same kind (lambda_x by lambda_x',
+    conjugation by x by conjugation by x' or -x, and the two inversions
+    by themselves), so all of an orbit has one principal ideal.  The
+    least label r of the orbit of the first witness a is then a witness
+    no larger than a, so r = a and the ideal is the same.
 
     The closure of {a} is grown incrementally; as soon as a nonzero star
     shows up between known members the candidate is discarded, which keeps
@@ -259,7 +300,7 @@ def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
     def stars_appear(F, M):
         return star_block(brace, F, M).any() or star_block(brace, M, F).any()
 
-    for a in range(1, n):
+    for a in _orbit_representatives(brace):
         mask = np.zeros(n, dtype=bool)
         mask[[0, a]] = True
         if frontier_closure(mask, np.array([a]), families, abort=stars_appear) is not None:

@@ -177,12 +177,31 @@ class WreathContext:
 def wreath_base(G: FiniteSkewBrace, H: FiniteSkewBrace) -> tuple[FiniteSkewBrace, WreathContext]:
     """The direct power brace of functions H -> G under pointwise
     operations, plus its codec.  ``direct_product_table`` puts the first
-    factor most significant, which is the codec's digit order."""
+    factor most significant, which is the codec's digit order.
+
+    G is a validated brace, so the power is a brace without validating
+    it again: both operations act coordinatewise, so every axiom holds
+    coordinatewise.  Associativity and a o (b+c) = (a o b) - a + (a o c)
+    hold in G^m because they hold in each coordinate.  Label 0 has every
+    digit 0, the identity of G, so it is the shared identity.  The
+    coordinatewise -a and circle inverse a' are inverses in G^m, and
+    lambda_a(b) = -a + a o b is coordinatewise too, so the neg, inv and
+    lambda tables are G's applied digit by digit.
+    """
     ctx = WreathContext(G.order, H.order)
-    add = direct_product_table(*[G.add] * H.order)
-    circ = direct_product_table(*[G.circ] * H.order)
-    base = brace_from_tables(add, circ, f"({G.name}^{H.order})")
-    return base, ctx
+    m = H.order
+    dt = table_dtype(ctx.order)
+    D = ctx.digit_matrix()
+    power = FiniteSkewBrace(
+        ctx.order,
+        direct_product_table(*[G.add] * m),
+        direct_product_table(*[G.circ] * m),
+        (G.neg[D] @ ctx.weights).astype(dt),
+        (G.inv[D] @ ctx.weights).astype(dt),
+        direct_product_table(*[G.lam] * m),
+        f"({G.name}^{m})",
+    )
+    return power, ctx
 
 
 def _shift_perms(ctx: WreathContext, H: FiniteSkewBrace) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from brace_forge import group_brace, radical_ring_brace, standard_corpus
+from brace_forge import group_brace, radical_ring_brace, standard_corpus, wreath_base
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +31,12 @@ def A4at():
 @pytest.fixture(scope="session")
 def A5at():
     return group_brace("a5", "almost_trivial", name="A5at")
+
+
+@pytest.fixture(scope="session")
+def A5at_square(A5at, T2):
+    """The order-3600 function-space base of the lemma32 sweep."""
+    return wreath_base(A5at, T2)[0]
 
 
 @pytest.fixture(scope="session")

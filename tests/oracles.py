@@ -2,7 +2,9 @@
 
 Everything here is written from the definitions with plain loops, no
 shortcuts shared with the package, so a bug in the fast paths cannot
-cancel itself out in the comparison.
+cancel itself out in the comparison.  The one exception is
+``ascending_principal_scan``, a former fast path kept as the reference
+for the one that replaced it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from brace_forge.core import frontier_closure, star_block
+from brace_forge.ideals import _ideal_families
 
 
 def is_group_table(t) -> bool:
@@ -236,3 +241,74 @@ def join_closure(generators, join) -> list[frozenset[int]]:
                 family.add(joined)
                 todo.append(joined)
     return sorted(family, key=lambda s: (len(s), sorted(s)))
+
+
+def element_orbits(brace) -> list[set[int]]:
+    """Orbits of the carrier under the maps lambda_x, a -> x o a o x^-1,
+    a -> x + a - x, a -> a^-1 and a -> -a, ordered by least element."""
+    add = brace.add.tolist()
+    circ = brace.circ.tolist()
+    n = brace.order
+    neg = [neg_of(add, a) for a in range(n)]
+    inv = [inv_of(circ, a) for a in range(n)]
+
+    def images(a):
+        yield inv[a]
+        yield neg[a]
+        for x in range(n):
+            yield circ[circ[x][a]][inv[x]]
+            yield add[add[x][a]][neg[x]]
+            yield add[neg[x]][circ[x][a]]
+
+    orbits = []
+    done: set[int] = set()
+    for a in range(n):
+        if a in done:
+            continue
+        orbit = {a}
+        todo = [a]
+        while todo:
+            for b in images(todo.pop()):
+                if b not in orbit:
+                    orbit.add(b)
+                    todo.append(b)
+        done |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def ascending_principal_scan(brace):
+    """The principal-ideal star scan over every label 1..n-1 in ascending
+    order, the reference for the orbit-reduced ``_principal_star_scan``.
+    It grows each closure with the package's ideal maps and stops it at
+    the first nonzero star, so it shares those maps with the fast path;
+    ``test_fast_witness_is_least_principal_witness`` checks them apart
+    from it.  Returns the first witness's sorted members, or None."""
+    n = brace.order
+    families = _ideal_families(brace)
+
+    def stars_appear(F, M):
+        return star_block(brace, F, M).any() or star_block(brace, M, F).any()
+
+    for a in range(1, n):
+        mask = np.zeros(n, dtype=bool)
+        mask[[0, a]] = True
+        if frontier_closure(mask, np.array([a]), families, abort=stars_appear) is not None:
+            return tuple(int(x) for x in np.flatnonzero(mask))
+    return None
+
+
+def generated_by(table, gens) -> set[int]:
+    """Closure of {0} under right multiplication by ``gens``: for a finite
+    group table, the subgroup the elements of ``gens`` generate."""
+    table = np.asarray(table)
+    seen = {0}
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = int(table[x, g])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen

@@ -19,7 +19,8 @@ from brace_forge import (
     table_eval,
     validate,
 )
-from brace_forge.core import FAST_VALIDATE_THRESHOLD, fmt_members
+from brace_forge import core
+from brace_forge.core import FAST_VALIDATE_THRESHOLD, closure_generators, fmt_members
 
 import oracles
 
@@ -74,6 +75,29 @@ def test_auto_mode_picks_by_order(A5at):
     big = (idx[:, None] + idx) % n
     report = validate(big, big, size_cap=n)
     assert report.ok and report.mode == "fast"
+
+
+def test_greedy_generators_generate_the_additive_group(corpus8, A5at_square):
+    # fast validate checks associativity and the brace relation only on
+    # these generators, so they must generate (A, +)
+    for brace in [*corpus8, A5at_square]:
+        gens = closure_generators(brace.add)
+        assert oracles.generated_by(brace.add, gens) == set(range(brace.order)), brace.name
+
+
+def test_fast_validate_finds_additive_generators_once(corpus8, monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return closure_generators(t)
+
+    monkeypatch.setattr(core, "closure_generators", counting)
+    for brace in corpus8[-5:]:
+        calls.clear()
+        assert validate(brace.add, brace.circ, mode="fast").ok
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], brace.add) and np.array_equal(calls[1], brace.circ)
 
 
 def _mutate(table, a, b, v):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brace_forge import (
     BraceDocument,
@@ -157,3 +158,67 @@ def test_parse_int_grid():
         parse_int_grid("0 3\n1 0\n", rows=2, cols=2, limit=2)  # out of range
     with pytest.raises(DocumentSyntaxError):
         parse_int_grid("0 x\n1 0\n", rows=2, cols=2, limit=2)
+
+
+# Fuzzing: well-formed documents with a few lines replaced, inserted or
+# deleted reach every state of the parser; lines drawn from the grammar's
+# own words, numbers and junk, and raw text, cover the rest.
+_LINE = st.one_of(
+    st.sampled_from(["brace", "brace x", "add", "circ", "end", "# note", "", "  "]),
+    st.integers(-2, 4).map(lambda k: f"order {k}"),
+    st.lists(st.integers(-1, 3).map(str), max_size=4).map(" ".join),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _document_text(draw):
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, n - 1).map(str), min_size=n, max_size=n).map(" ".join)
+    table = st.lists(row, min_size=n, max_size=n)
+    lines = [draw(st.sampled_from(["brace", "brace x"])), f"order {n}",
+             "add", *draw(table), "circ", *draw(table), "end"]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "delete":
+            del lines[i]
+        else:
+            lines[i:i + (edit == "replace")] = [draw(_LINE)]
+    return "\n".join(lines)
+
+
+_TEXT = st.one_of(st.text(), st.lists(_LINE, max_size=30).map("\n".join),
+                  st.lists(_document_text(), max_size=3).map("\n".join))
+
+
+def _parse_or_syntax_error(call, text):
+    """``call(text)``, or None after a DocumentSyntaxError that names a
+    line of ``text``; any other exception fails the test."""
+    try:
+        return call(text)
+    except DocumentSyntaxError as exc:
+        assert isinstance(exc.line, int), exc
+        assert 1 <= exc.line <= text.count("\n") + 1, exc
+        return None
+
+
+@given(_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_fuzz_parse_documents(text):
+    docs = _parse_or_syntax_error(lambda t: parse_documents(t, check=False), text)
+    for doc in docs or []:
+        assert parse_document(serialize_document(doc), check=False) == doc
+    try:
+        parse_documents(text)
+    except (DocumentSyntaxError, ValidationFailure):
+        pass
+
+
+@given(_TEXT, st.integers(1, 3), st.integers(1, 3), st.integers(1, 4))
+@settings(max_examples=400, deadline=None)
+def test_fuzz_parse_int_grid(text, rows, cols, limit):
+    grid = _parse_or_syntax_error(lambda t: parse_int_grid(t, rows, cols, limit), text)
+    if grid is not None:
+        assert grid.shape == (rows, cols)
+        assert grid.min() >= 0 and grid.max() < limit

@@ -19,7 +19,7 @@ from brace_forge import (
     trivial_sigma,
     wreath_base,
 )
-from brace_forge.ideals import IDEAL_RULES
+from brace_forge.ideals import IDEAL_RULES, _orbit_representatives
 
 import oracles
 
@@ -235,6 +235,33 @@ def test_fast_witness_is_least_principal_witness(corpus8):
         assert fast.semiprime == (expected is None), brace.name
         if expected is not None:
             assert fast.witness.sorted() == expected, brace.name
+
+
+def test_orbits_share_their_principal_ideal(corpus8):
+    for brace in corpus8:
+        orbits = oracles.element_orbits(brace)
+        assert list(_orbit_representatives(brace)) == [min(o) for o in orbits[1:]], brace.name
+        for orbit in orbits:
+            principal = ideal_closure(brace, [min(orbit)]).members
+            for x in orbit:
+                assert ideal_closure(brace, [x]).members == principal, (brace.name, x)
+
+
+def _lemma31_bases(corpus8):
+    bases = []
+    for G in corpus8:
+        for m in (2, 3, 4, 6):
+            if G.order ** m in (16, 36, 64):
+                bases.append(wreath_base(G, group_brace(f"c{m}", "trivial"))[0])
+    return bases
+
+
+def test_fast_witness_is_the_ascending_scan_witness(corpus8, A5at):
+    # every corpus brace but c1 and every base has a witness; A5at has none
+    for brace in [*corpus8, *_lemma31_bases(corpus8), A5at]:
+        fast = is_semiprime(brace, "fast")
+        expected = oracles.ascending_principal_scan(brace)
+        assert (None if fast.semiprime else fast.witness.sorted()) == expected, brace.name
 
 
 def test_exhaustive_witness_is_smallest(S3at):

@@ -216,3 +216,28 @@ def test_pointwise_lift(R4, T2):
     assert full.tolist() == list(range(16))
     with pytest.raises(PreconditionError):
         pointwise_lift(ctx, [4])
+
+
+def _assert_matches_validate(power):
+    reference = validate(power.add, power.circ).brace
+    assert reference is not None, power.name
+    for table in ("add", "circ", "neg", "inv", "lam"):
+        got, want = getattr(power, table), getattr(reference, table)
+        assert got.dtype == want.dtype, (power.name, table)
+        assert np.array_equal(got, want), (power.name, table)
+        assert not got.flags.writeable, (power.name, table)
+
+
+def test_wreath_base_is_the_validated_power(corpus8):
+    # wreath_base builds G^m without validating it; validate must accept
+    # its tables and derive the same neg, inv and lambda tables
+    positions = [group_brace(f"c{m}", "trivial") for m in (1, 2, 3)]
+    for G in corpus8:
+        for H in positions:
+            if G.order ** H.order <= 729:
+                _assert_matches_validate(wreath_base(G, H)[0])
+
+
+def test_wreath_base_a5at_square_is_the_validated_power(A5at_square):
+    assert A5at_square.order == 3600
+    _assert_matches_validate(A5at_square)
