@@ -424,9 +424,9 @@ class FiniteSkewBrace:
         object.__setattr__(self, "_star", None)
 
 
-def brace_from_tables(add, circ, name: str = "", mode: str | None = None) -> FiniteSkewBrace:
+def brace_from_tables(add, circ, name: str = "") -> FiniteSkewBrace:
     """Validate and construct; raises ValidationFailure on axiom violations."""
-    report = validate(add, circ, name, mode=mode)
+    report = validate(add, circ, name)
     if not report.ok:
         raise ValidationFailure(report)
     assert report.brace is not None

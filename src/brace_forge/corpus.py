@@ -195,14 +195,15 @@ def _named_examples(max_order: int) -> list[FiniteSkewBrace]:
     return [b for b in out if b.order <= max_order]
 
 
-def standard_corpus(max_order: int = 8, holomorph_limit: int = 8) -> list[FiniteSkewBrace]:
+def standard_corpus(max_order: int = 8) -> list[FiniteSkewBrace]:
     """The named examples plus every holomorph-enumerated brace on the
-    canonical group list, deduplicated by exact tables (first name wins)."""
+    canonical group list up to order min(max_order, 8), deduplicated by
+    exact tables (first name wins)."""
     braces = _named_examples(max_order)
     for spec in CORPUS_GROUPS:
         g = parse_group_spec(spec)
-        if g.order <= min(max_order, holomorph_limit):
-            braces.extend(holomorph_enumerate(g, limit=holomorph_limit))
+        if g.order <= min(max_order, 8):
+            braces.extend(holomorph_enumerate(g))
     seen: set[tuple] = set()
     out = []
     for b in braces:

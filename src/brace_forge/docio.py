@@ -10,7 +10,8 @@ Grammar, one item per line, UTF-8:
     <n rows>
     end
 
-Lines starting with ``#`` are comments; blank lines are ignored.  A file
+Any whitespace separates a keyword or an entry from the next.  Lines
+starting with ``#`` are comments; blank lines are ignored.  A file
 may hold several documents back to back.  Serialization always emits the
 canonical form above, so serialize(parse(text)) normalizes and
 parse(serialize(doc)) is the identity.
@@ -89,35 +90,40 @@ class _Lines:
         return item
 
 
-def _parse_row(lineno: int, line: str, n: int) -> list[int]:
+def _parse_row(lineno: int, line: str, cols: int, limit: int) -> list[int]:
     parts = line.split()
-    if len(parts) != n:
-        raise DocumentSyntaxError(f"expected {n} entries, got {len(parts)}", line=lineno)
+    if len(parts) != cols:
+        raise DocumentSyntaxError(f"expected {cols} entries, got {len(parts)}", line=lineno)
     row = []
     for p in parts:
         try:
             v = int(p)
         except ValueError:
             raise DocumentSyntaxError(f"bad table entry {p!r}", line=lineno) from None
-        if not 0 <= v < n:
-            raise DocumentSyntaxError(f"entry {v} out of range for order {n}", line=lineno)
+        if not 0 <= v < limit:
+            raise DocumentSyntaxError(f"entry {v} out of range for order {limit}", line=lineno)
         row.append(v)
     return row
 
 
-def _parse_one(stream: _Lines, check: bool) -> BraceDocument:
-    lineno, line = stream.expect("'brace <name>'")
-    if line != "brace" and not line.startswith("brace "):
-        raise DocumentSyntaxError(f"expected 'brace <name>', got {line!r}", line=lineno)
-    name = line[6:].strip() if line.startswith("brace ") else ""
+def _header(stream: _Lines, keyword: str, what: str) -> tuple[int, str]:
+    """The number and the value of a ``<keyword> <value>`` line: any
+    whitespace may follow the keyword, and a bare keyword has value ""."""
+    lineno, line = stream.expect(what)
+    parts = line.split(None, 1)
+    if parts[0] != keyword:
+        raise DocumentSyntaxError(f"expected {what}, got {line!r}", line=lineno)
+    return lineno, parts[1] if len(parts) > 1 else ""
 
-    lineno, line = stream.expect("'order <n>'")
-    if not line.startswith("order "):
-        raise DocumentSyntaxError(f"expected 'order <n>', got {line!r}", line=lineno)
+
+def _parse_one(stream: _Lines, check: bool) -> BraceDocument:
+    lineno, name = _header(stream, "brace", "'brace <name>'")
+
+    lineno, value = _header(stream, "order", "'order <n>'")
     try:
-        n = int(line[6:].strip())
+        n = int(value)
     except ValueError:
-        raise DocumentSyntaxError(f"bad order {line[6:].strip()!r}", line=lineno) from None
+        raise DocumentSyntaxError(f"bad order {value!r}", line=lineno) from None
     if n < 1:
         raise DocumentSyntaxError(f"order must be positive, got {n}", line=lineno)
 
@@ -126,7 +132,7 @@ def _parse_one(stream: _Lines, check: bool) -> BraceDocument:
         lineno, line = stream.expect(f"'{label}'")
         if line != label:
             raise DocumentSyntaxError(f"expected {label!r}, got {line!r}", line=lineno)
-        rows = [_parse_row(*stream.expect("a table row"), n) for _ in range(n)]
+        rows = [_parse_row(*stream.expect("a table row"), n, n) for _ in range(n)]
         tables[label] = np.array(rows, dtype=table_dtype(n))
 
     lineno, line = stream.expect("'end'")
@@ -179,23 +185,7 @@ def parse_int_grid(text: str, rows: int, cols: int, limit: int) -> np.ndarray:
     """Parse a bare grid of indices (comments and blank lines allowed),
     e.g. an action table with one row per acting element."""
     stream = _Lines(text)
-    out = []
-    for _ in range(rows):
-        lineno, line = stream.expect("a table row")
-        parts = line.split()
-        if len(parts) != cols:
-            raise DocumentSyntaxError(f"expected {cols} entries, got {len(parts)}",
-                                      line=lineno)
-        row = []
-        for p in parts:
-            try:
-                v = int(p)
-            except ValueError:
-                raise DocumentSyntaxError(f"bad entry {p!r}", line=lineno) from None
-            if not 0 <= v < limit:
-                raise DocumentSyntaxError(f"entry {v} out of range", line=lineno)
-            row.append(v)
-        out.append(row)
+    out = [_parse_row(*stream.expect("a table row"), cols, limit) for _ in range(rows)]
     extra = stream.peek()
     if extra is not None:
         raise DocumentSyntaxError(f"trailing content {extra[1]!r}", line=extra[0])

@@ -135,7 +135,7 @@ def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
     return Ideal(brace, seeded_closure(brace.order, seed, _ideal_families(brace)))
 
 
-def enumerate_ideals(brace: FiniteSkewBrace, cap: int = DEFAULT_IDEAL_CAP) -> list[Ideal]:
+def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
     """All ideals, ascending by size then lexicographic membership.
 
     Every ideal is the join of the principal ideals of its members, so the
@@ -155,8 +155,8 @@ def enumerate_ideals(brace: FiniteSkewBrace, cap: int = DEFAULT_IDEAL_CAP) -> li
     ``ideal_closure(I | J)``.
     """
     n = brace.order
-    if n > cap:
-        raise SizeCapExceeded(f"order {n} exceeds the ideal enumeration cap {cap}")
+    if n > DEFAULT_IDEAL_CAP:
+        raise SizeCapExceeded(f"order {n} exceeds the ideal enumeration cap {DEFAULT_IDEAL_CAP}")
     families = _ideal_families(brace)
 
     def key_of(mask: np.ndarray) -> bytes:
@@ -308,8 +308,7 @@ def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
     return None
 
 
-def is_semiprime(brace: FiniteSkewBrace, method: str = "fast",
-                 cap: int = DEFAULT_IDEAL_CAP) -> SemiprimeVerdict:
+def is_semiprime(brace: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdict:
     """Decide semiprimality: no nonzero ideal I with I * I = 0.
 
     fast: scans principal ideals (the closure of each single element); any
@@ -320,7 +319,7 @@ def is_semiprime(brace: FiniteSkewBrace, method: str = "fast",
         witness = _principal_star_scan(brace)
         return SemiprimeVerdict(witness is None, witness, "fast")
     if method == "exhaustive":
-        for ideal in enumerate_ideals(brace, cap=cap):
+        for ideal in enumerate_ideals(brace):
             members = np.fromiter(sorted(ideal.members), dtype=np.int64)
             if members.size > 1 and not star_block(brace, members, members).any():
                 return SemiprimeVerdict(False, ideal, "exhaustive")
@@ -345,24 +344,23 @@ class ExtensionReport:
     containment_failures: tuple[tuple[int, ...], ...]
 
 
-def check_semiprime_extension(brace: FiniteSkewBrace, ideal,
-                              cap: int = DEFAULT_IDEAL_CAP) -> ExtensionReport:
+def check_semiprime_extension(brace: FiniteSkewBrace, ideal) -> ExtensionReport:
     """Evaluate the three semiprimality verdicts around an ideal and check
     the implication plus its supporting containment over all ideals J."""
     I = _coerce_ideal(brace, ideal)
     I_sorted = np.fromiter(sorted(I.members), dtype=np.int64)
     sub = restrict(brace, I.members)
     q, _ = quotient(brace, I)
-    v_ideal = is_semiprime(sub, "exhaustive", cap=cap)
-    v_quot = is_semiprime(q, "exhaustive", cap=cap)
-    v_parent = is_semiprime(brace, "exhaustive", cap=cap)
+    v_ideal = is_semiprime(sub, "exhaustive")
+    v_quot = is_semiprime(q, "exhaustive")
+    v_parent = is_semiprime(brace, "exhaustive")
     implication_ok = not (v_ideal.semiprime and v_quot.semiprime) or v_parent.semiprime
 
     from .core import star_product  # local import to keep module load light
     containment_failures = []
     imask = np.zeros(brace.order, dtype=bool)
     imask[I_sorted] = True
-    for J in enumerate_ideals(brace, cap=cap):
+    for J in enumerate_ideals(brace):
         J_sorted = np.fromiter(sorted(J.members), dtype=np.int64)
         ji = np.unique(brace.add[np.ix_(J_sorted, I_sorted)])
         lhs = star_product(brace, ji, ji)

@@ -9,6 +9,8 @@ counterexamples carry the serialized inputs needed to replay them.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import sys
 import time
@@ -22,12 +24,7 @@ from .autos import sigma_actions
 from .core import FiniteSkewBrace, PreconditionError, fmt_members, max_order, star_block
 from .corpus import group_brace, standard_corpus
 from .docio import serialize_document
-from .ideals import (
-    DEFAULT_IDEAL_CAP,
-    enumerate_ideals,
-    is_ideal,
-    is_semiprime,
-)
+from .ideals import DEFAULT_IDEAL_CAP, SemiprimeVerdict, enumerate_ideals, is_ideal, is_semiprime
 from .products import SigmaAction, pointwise_lift, semidirect, wreath, wreath_base
 
 __all__ = [
@@ -108,23 +105,28 @@ def render_report(report: SweepReport, stream) -> None:
 # ---------------------------------------------------------------------------
 # case execution
 
+def _sigma_text(perms: np.ndarray) -> str:
+    lines = [" ".join(str(int(x)) for x in row) for row in perms]
+    return "# sigma action table, one row per acting element\n" + "\n".join(lines) + "\n"
+
+
 def _dispatch(item: tuple) -> CaseResult:
-    """Run one case.  A case that raises is a failed case, not an aborted
-    sweep: it carries the exception and the item's braces and sigma
-    tables as REPLAY documents, and its traceback goes to stderr."""
+    """Run one case.  A failed case, whether its function returned a
+    failure or raised, carries the item's braces and sigma tables as
+    REPLAY documents, in item order; a passing case carries none.  A case
+    that raises is a failed case, not an aborted sweep: its info names the
+    exception and its traceback goes to stderr."""
     kind, case_id = item[0], item[1]
     try:
-        return _CASE_FUNCS[kind](*item[1:])
+        result = _CASE_FUNCS[kind](*item[1:])
     except Exception as exc:
         print(f"# case {case_id} raised:\n{traceback.format_exc()}", end="", file=sys.stderr)
-        docs = []
-        for arg in item[2:]:
-            if isinstance(arg, FiniteSkewBrace):
-                docs.append(serialize_document(arg))
-            elif isinstance(arg, np.ndarray):
-                docs.append(_sigma_text(arg))
-        return CaseResult(case_id, False, f"raised {type(exc).__name__}: {exc}",
-                          documents=tuple(docs))
+        result = CaseResult(case_id, False, f"raised {type(exc).__name__}: {exc}")
+    if result.ok:
+        return result
+    docs = tuple(serialize_document(arg) if isinstance(arg, FiniteSkewBrace) else _sigma_text(arg)
+                 for arg in item[2:] if isinstance(arg, (FiniteSkewBrace, np.ndarray)))
+    return dataclasses.replace(result, documents=docs)
 
 
 def _run_chunk(items: list[tuple]) -> list[CaseResult]:
@@ -144,13 +146,23 @@ def _run_items(items: list[tuple], jobs: int) -> list[CaseResult]:
         return [r for f in futures for r in f.result()]
 
 
-def _filter_items(items: list[tuple], only: str | None) -> list[tuple]:
-    if only is None:
-        return items
-    kept = [it for it in items if it[1] == only]
-    if not kept:
-        raise PreconditionError(f"no case matches id {only!r}")
-    return kept
+def _sweep(statement: str, items: list[tuple], only: str | None, jobs: int,
+           t0: float, notes: list[str] | tuple[str, ...]) -> SweepReport:
+    """Run the cases (only the one whose id is ``only``, if given) and
+    report them; ``elapsed`` is measured from ``t0``."""
+    if only is not None:
+        items = [it for it in items if it[1] == only]
+        if not items:
+            raise PreconditionError(f"no case matches id {only!r}")
+    results = _run_items(items, jobs)
+    return _assemble(statement, results, time.perf_counter() - t0, tuple(notes))
+
+
+@functools.lru_cache(maxsize=None)
+def _fast_verdict(B: FiniteSkewBrace) -> SemiprimeVerdict:
+    """Fast semiprimality of a corpus brace, computed once per process
+    (braces hash and compare by their tables)."""
+    return is_semiprime(B, method="fast")
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +170,24 @@ def _filter_items(items: list[tuple], only: str | None) -> list[tuple]:
 # to an ideal of the bottom brace
 
 # base tables and their ideal lists depend only on (G, positions), and the
-# ideals of G only on G; cache per process so repeated pairs are free
-_BASE_MEMO: dict[tuple[bytes, bytes, int], tuple[np.ndarray, list[np.ndarray]]] = {}
-_G_IDEALS_MEMO: dict[tuple[bytes, bytes], frozenset[tuple[int, ...]]] = {}
+# ideals of G only on G; cache per process so repeated pairs are free.
+# Braces hash and compare by their tables.
+_BASE_MEMO: dict[tuple[FiniteSkewBrace, int], tuple[np.ndarray, list[np.ndarray]]] = {}
 
 
 def _base_ideals(G: FiniteSkewBrace, H: FiniteSkewBrace):
-    key = (G.add.tobytes(), G.circ.tobytes(), H.order)
+    key = (G, H.order)
     hit = _BASE_MEMO.get(key)
     if hit is None:
         W, ctx = wreath_base(G, H)
-        digits = ctx.digit_matrix()
-        members = [np.fromiter(i.sorted(), dtype=np.int64)
-                   for i in enumerate_ideals(W, cap=DEFAULT_IDEAL_CAP)]
-        hit = (digits, members)
-        _BASE_MEMO[key] = hit
+        members = [np.fromiter(i.sorted(), dtype=np.int64) for i in enumerate_ideals(W)]
+        hit = _BASE_MEMO[key] = (ctx.digit_matrix(), members)
     return hit
 
 
+@functools.lru_cache(maxsize=None)
 def _g_ideals(G: FiniteSkewBrace) -> frozenset[tuple[int, ...]]:
-    key = (G.add.tobytes(), G.circ.tobytes())
-    hit = _G_IDEALS_MEMO.get(key)
-    if hit is None:
-        hit = frozenset(i.sorted() for i in enumerate_ideals(G, cap=DEFAULT_IDEAL_CAP))
-        _G_IDEALS_MEMO[key] = hit
-    return hit
+    return frozenset(i.sorted() for i in enumerate_ideals(G))
 
 
 def _case_lemma31(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
@@ -202,7 +207,6 @@ def _case_lemma31(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseR
                     case_id, False,
                     f"ideal={fmt_members(members)} h={h} fails {rule}",
                     witness=tuple(int(x) for x in proj),
-                    documents=(serialize_document(G), serialize_document(H)),
                 )
     return CaseResult(case_id, True,
                       f"ideals={len(ideal_members)} positions={H.order}")
@@ -227,9 +231,7 @@ def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_
         for H in hs:
             if G.order ** H.order <= base_cap:
                 items.append(("lemma31", f"lemma31:{G.name}:{H.name}", G, H))
-    items = _filter_items(items, only)
-    results = _run_items(items, jobs)
-    return _assemble("lemma31", results, time.perf_counter() - t0, tuple(notes))
+    return _sweep("lemma31", items, only, jobs, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +243,24 @@ def _case_lemma32_base(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> 
     verdict = is_semiprime(W, method="fast")
     if verdict.semiprime:
         return CaseResult(case_id, True, f"order={W.order} semiprime")
-    return CaseResult(
-        case_id, False, f"order={W.order} unexpectedly not semiprime",
-        witness=verdict.witness.sorted(),
-        documents=(serialize_document(G), serialize_document(H)),
-    )
+    return CaseResult(case_id, False, f"order={W.order} unexpectedly not semiprime",
+                      witness=verdict.witness.sorted())
 
 
 def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    verdict = is_semiprime(G, method="fast")
-    docs = (serialize_document(G), serialize_document(H))
+    verdict = _fast_verdict(G)
     if verdict.semiprime:
-        return CaseResult(case_id, False, "expected a non-semiprime bottom brace",
-                          documents=docs)
+        return CaseResult(case_id, False, "expected a non-semiprime bottom brace")
     W, ctx = wreath_base(G, H)
     lifted = pointwise_lift(ctx, verdict.witness.sorted())
     wit = tuple(int(x) for x in lifted)
     if lifted.size <= 1:
-        return CaseResult(case_id, False, "lift is zero", witness=wit, documents=docs)
+        return CaseResult(case_id, False, "lift is zero", witness=wit)
     ok, rule = is_ideal(W, lifted)
     if not ok:
-        return CaseResult(case_id, False, f"lift fails {rule}", witness=wit,
-                          documents=docs)
+        return CaseResult(case_id, False, f"lift fails {rule}", witness=wit)
     if star_block(W, lifted, lifted).any():
-        return CaseResult(case_id, False, "lifted stars do not vanish", witness=wit,
-                          documents=docs)
+        return CaseResult(case_id, False, "lifted stars do not vanish", witness=wit)
     return CaseResult(
         case_id, True,
         f"witness={fmt_members(verdict.witness.members)} lift_size={lifted.size} "
@@ -285,7 +280,7 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
         H = group_brace("c2", "trivial", name="T2")
     if base_max is None:
         base_max = max_order()
-    if not is_semiprime(G, method="fast").semiprime:
+    if not _fast_verdict(G).semiprime:
         raise PreconditionError(f"{G.name or 'G'} is not semiprime")
     notes = []
     items = []
@@ -296,11 +291,9 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
     for B in standard_corpus(corpus_max):
         if B.order ** H.order > base_max:
             continue
-        if not is_semiprime(B, method="fast").semiprime:
+        if not _fast_verdict(B).semiprime:
             items.append(("lemma32-lift", f"lemma32:lift:{B.name}:m{H.order}", B, H))
-    items = _filter_items(items, only)
-    results = _run_items(items, jobs)
-    return _assemble("lemma32", results, time.perf_counter() - t0, tuple(notes))
+    return _sweep("lemma32", items, only, jobs, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +301,10 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
 # semiprime pairs, on top of a corpus-wide classification
 
 def _case_classify(case_id: str, B: FiniteSkewBrace) -> CaseResult:
-    fast = is_semiprime(B, method="fast")
+    fast = _fast_verdict(B)
     exhaustive = is_semiprime(B, method="exhaustive")
-    docs = (serialize_document(B),)
     if fast.semiprime != exhaustive.semiprime:
-        return CaseResult(case_id, False, "fast and exhaustive verdicts disagree",
-                          documents=docs)
+        return CaseResult(case_id, False, "fast and exhaustive verdicts disagree")
     if exhaustive.semiprime:
         return CaseResult(case_id, True, "semiprime=yes")
     # both witnesses must actually be vanishing-star ideals
@@ -322,7 +313,7 @@ def _case_classify(case_id: str, B: FiniteSkewBrace) -> CaseResult:
         ok, rule = is_ideal(B, members)
         if not ok or star_block(B, members, members).any():
             return CaseResult(case_id, False, f"invalid witness via {v.method}",
-                              witness=v.witness.sorted(), documents=docs)
+                              witness=v.witness.sorted())
     return CaseResult(case_id, True,
                       f"semiprime=no witness={fmt_members(exhaustive.witness.members)}")
 
@@ -333,11 +324,8 @@ def _case_cor28(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
     verdict = is_semiprime(sd, method="fast")
     if verdict.semiprime:
         return CaseResult(case_id, True, f"order={sd.order} semiprime")
-    return CaseResult(
-        case_id, False, f"order={sd.order} not semiprime under sigma {tag}",
-        witness=verdict.witness.sorted(),
-        documents=(serialize_document(G), serialize_document(H), _sigma_text(perms)),
-    )
+    return CaseResult(case_id, False, f"order={sd.order} not semiprime under sigma {tag}",
+                      witness=verdict.witness.sorted())
 
 
 def _case_thm33(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
@@ -345,16 +333,8 @@ def _case_thm33(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseRes
     verdict = is_semiprime(W, method="fast")
     if verdict.semiprime:
         return CaseResult(case_id, True, f"order={W.order} semiprime")
-    return CaseResult(
-        case_id, False, f"order={W.order} not semiprime",
-        witness=verdict.witness.sorted(),
-        documents=(serialize_document(G), serialize_document(H)),
-    )
-
-
-def _sigma_text(perms: np.ndarray) -> str:
-    lines = [" ".join(str(int(x)) for x in row) for row in perms]
-    return "# sigma action table, one row per acting element\n" + "\n".join(lines) + "\n"
+    return CaseResult(case_id, False, f"order={W.order} not semiprime",
+                      witness=verdict.witness.sorted())
 
 
 def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
@@ -370,7 +350,7 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
     t0 = time.perf_counter()
     corpus = standard_corpus(corpus_max)
     classify_items = [("classify", f"classify:{B.name}", B) for B in corpus]
-    semiprime_braces = [B for B in corpus if is_semiprime(B, method="fast").semiprime]
+    semiprime_braces = [B for B in corpus if _fast_verdict(B).semiprime]
 
     notes = []
     cap = max_order()
@@ -405,10 +385,7 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
             items = classify_items + thm_items
         else:
             raise PreconditionError(f"unknown statement {statement!r}")
-        kept = _filter_items(items, only)
-        results = _run_items(kept, jobs)
-        reports[statement] = _assemble(statement, results,
-                                       setup + time.perf_counter() - start, tuple(notes))
+        reports[statement] = _sweep(statement, items, only, jobs, start - setup, notes)
     return reports
 
 
@@ -423,18 +400,11 @@ def _case_q34(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
         return CaseResult(case_id, True,
                           f"order={sd.order} not semiprime "
                           f"witness={fmt_members(fast.witness.members)}")
-    confirm = is_semiprime(sd, method="exhaustive")
-    if not confirm.semiprime:
+    if not is_semiprime(sd, method="exhaustive").semiprime:
         # methods must agree; this would be an implementation bug
-        return CaseResult(
-            case_id, False, "fast and exhaustive verdicts disagree",
-            documents=(serialize_document(G), serialize_document(H), _sigma_text(perms)),
-        )
-    return CaseResult(
-        case_id, False,
-        f"order={sd.order} SEMIPRIME (exhaustively confirmed) - counterexample",
-        documents=(serialize_document(G), serialize_document(H), _sigma_text(perms)),
-    )
+        return CaseResult(case_id, False, "fast and exhaustive verdicts disagree")
+    return CaseResult(case_id, False,
+                      f"order={sd.order} SEMIPRIME (exhaustively confirmed) - counterexample")
 
 
 def search_q34(max_g: int = 6, max_h: int = 4,
@@ -446,7 +416,7 @@ def search_q34(max_g: int = 6, max_h: int = 4,
     t0 = time.perf_counter()
     corpus = standard_corpus(DEFAULT_CORPUS_MAX)
     gs = [B for B in corpus
-          if B.order <= max_g and not is_semiprime(B, method="fast").semiprime]
+          if B.order <= max_g and not _fast_verdict(B).semiprime]
     hs = [B for B in corpus if B.order <= max_h]
     cap = max_order()
     items = []
@@ -457,9 +427,7 @@ def search_q34(max_g: int = 6, max_h: int = 4,
             for i, act in enumerate(sigma_actions(G, H, budget=sigma_budget)):
                 items.append(("q34", f"q34:{G.name}:{H.name}:s{i}",
                               G, H, np.asarray(act.perms), i))
-    items = _filter_items(items, only)
-    results = _run_items(items, jobs)
-    return _assemble("q34", results, time.perf_counter() - t0, ())
+    return _sweep("q34", items, only, jobs, t0, ())
 
 
 _CASE_FUNCS = {

@@ -62,6 +62,21 @@ def test_unnamed_brace():
     assert serialize_document(doc).splitlines()[0] == "brace"
 
 
+def test_header_keyword_then_any_whitespace():
+    tabbed = R4_TEXT.replace("brace R4", "brace\tR4").replace("order 4", "order \t4")
+    assert parse_document(tabbed) == parse_document(R4_TEXT)
+    doc = parse_document("brace\t\norder\t1\nadd\n0\ncirc\n0\nend\n")
+    assert (doc.name, doc.order) == ("", 1)
+    assert parse_document("brace\tx y\norder 1\nadd\n0\ncirc\n0\nend\n").name == "x y"
+    # the keyword must still stand alone
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_document("bracex\norder 1\n")
+    assert exc.value.line == 1 and "expected 'brace <name>'" in str(exc.value)
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_document("brace x\norder1\n")
+    assert exc.value.line == 2 and "expected 'order <n>'" in str(exc.value)
+
+
 def test_multi_document():
     docs = parse_documents(R4_TEXT + "\n# separator\n" + R4_TEXT.replace("R4", "copy"))
     assert [d.name for d in docs] == ["R4", "copy"]
@@ -158,6 +173,19 @@ def test_parse_int_grid():
         parse_int_grid("0 3\n1 0\n", rows=2, cols=2, limit=2)  # out of range
     with pytest.raises(DocumentSyntaxError):
         parse_int_grid("0 x\n1 0\n", rows=2, cols=2, limit=2)
+
+
+def test_int_grid_rows_parse_like_table_rows():
+    assert parse_int_grid("0\t1\n1  0\n", rows=2, cols=2, limit=2).tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_int_grid("0 1\n1 2\n", rows=2, cols=2, limit=2)
+    assert exc.value.line == 2 and "entry 2 out of range for order 2" in str(exc.value)
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_int_grid("0 a\n1 0\n", rows=2, cols=2, limit=2)
+    assert exc.value.line == 1 and "bad table entry 'a'" in str(exc.value)
+    # rows and columns may differ from the entry limit
+    grid = parse_int_grid("0 1 2\n", rows=1, cols=3, limit=3)
+    assert grid.tolist() == [[0, 1, 2]]
 
 
 # Fuzzing: well-formed documents with a few lines replaced, inserted or

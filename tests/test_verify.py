@@ -1,12 +1,14 @@
 import io
 import os
 import types
+from collections import Counter
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from brace_forge import (
+    FiniteSkewBrace,
     PreconditionError,
     SweepReport,
     group_brace,
@@ -15,11 +17,12 @@ from brace_forge import (
     parse_documents,
     render_report,
     search_q34,
+    standard_corpus,
     verify_cor28_thm33,
     verify_lemma31,
     verify_lemma32,
 )
-from brace_forge import verify
+from brace_forge import ideals, verify
 from brace_forge.cli import main as cli_main
 from brace_forge.docio import parse_int_grid
 from brace_forge.verify import (
@@ -27,9 +30,7 @@ from brace_forge.verify import (
     Counterexample,
     STATEMENTS,
     _assemble,
-    _case_lemma32_base,
     _case_lemma32_lift,
-    _case_q34,
 )
 
 
@@ -259,7 +260,7 @@ class TestQ34:
 class TestFailurePaths:
     def test_base_case_failure_renders_replay(self, T2):
         # a non-semiprime bottom makes the base claim fail honestly
-        result = _case_lemma32_base("lemma32:base:T2:m2", T2, T2)
+        result = verify._dispatch(("lemma32-base", "lemma32:base:T2:m2", T2, T2))
         assert not result.ok
         assert result.witness  # the vanishing ideal of the base
         report = _assemble("lemma32", [result], 0.0, ())
@@ -292,8 +293,8 @@ class TestFailurePaths:
         # an order-1 product is semiprime, which this case must flag as a
         # finding (exhaustively confirmed), not hide
         one = group_brace("c1", "trivial", name="c1#0")
-        result = _case_q34("q34:c1#0:c1#0:s0", one, one,
-                           np.array([[0]]), 0)
+        result = verify._dispatch(("q34", "q34:c1#0:c1#0:s0", one, one,
+                                   np.array([[0]]), 0))
         assert not result.ok
         assert "SEMIPRIME (exhaustively confirmed) - counterexample" in result.info
         assert len(result.documents) == 3
@@ -301,6 +302,97 @@ class TestFailurePaths:
         assert len(braces) == 2
         grid = parse_int_grid(result.documents[2], rows=1, cols=1, limit=1)
         assert grid.tolist() == [[0]]
+
+
+def _case_items(R4, T2):
+    """One item of every case kind, in the layout its sweep builds."""
+    perms = np.array([[0, 1, 2, 3], [0, 3, 2, 1]])
+    return {
+        "lemma31": ("lemma31", "lemma31:R4:T2", R4, T2),
+        "lemma32-base": ("lemma32-base", "lemma32:base:R4:m2", R4, T2),
+        "lemma32-lift": ("lemma32-lift", "lemma32:lift:R4:m2", R4, T2),
+        "classify": ("classify", "classify:R4", R4),
+        "cor28": ("cor28", "cor28:R4:T2:s1", R4, T2, perms, 1),
+        "thm33": ("thm33", "thm33:R4:T2", R4, T2),
+        "q34": ("q34", "q34:R4:T2:s1", R4, T2, perms, 1),
+    }
+
+
+@pytest.mark.parametrize("outcome", ["fails", "raises", "passes"])
+@pytest.mark.parametrize("kind", sorted(verify._CASE_FUNCS))
+def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
+    # only _dispatch attaches REPLAY documents: the item's braces, then its
+    # sigma table, for a failed case of any kind, and none for a pass
+    item = _case_items(R4, T2)[kind]
+
+    def case(case_id, *args):
+        assert case_id == item[1] and len(args) == len(item) - 2
+        if outcome == "raises":
+            raise RuntimeError("boom")
+        return CaseResult(case_id, outcome == "passes", "stub", witness=(0, 2))
+
+    monkeypatch.setitem(verify._CASE_FUNCS, kind, case)
+    result = verify._dispatch(item)
+    assert result.case_id == item[1]
+    if outcome == "passes":
+        assert result == CaseResult(item[1], True, "stub", witness=(0, 2))
+        return
+    assert not result.ok
+    if outcome == "raises":
+        assert (result.info, result.witness) == ("raised RuntimeError: boom", ())
+    else:
+        assert (result.info, result.witness) == ("stub", (0, 2))
+    braces = [a for a in item[2:] if isinstance(a, FiniteSkewBrace)]
+    tables = [a for a in item[2:] if isinstance(a, np.ndarray)]
+    assert len(result.documents) == len(braces) + len(tables)
+    docs = parse_documents("".join(result.documents[:len(braces)]))
+    assert [(d.name, d.to_brace()) for d in docs] == [(b.name, b) for b in braces]
+    for text, perms in zip(result.documents[len(braces):], tables):
+        grid = parse_int_grid(text, rows=T2.order, cols=R4.order, limit=R4.order)
+        assert np.array_equal(grid, perms)
+
+
+def _tables(brace):
+    return brace.order, brace.add.tobytes(), brace.circ.tobytes()
+
+
+def _count_fast_scans(monkeypatch) -> Counter:
+    """Count fast semiprimality scans by the tables they scan, starting
+    from an empty per-process verdict cache."""
+    scanned = Counter()
+    real = ideals._principal_star_scan
+
+    def counting(brace):
+        scanned[_tables(brace)] += 1
+        return real(brace)
+
+    monkeypatch.setattr(ideals, "_principal_star_scan", counting)
+    verify._fast_verdict.cache_clear()
+    return scanned
+
+
+def test_cor28_scans_each_corpus_brace_once(monkeypatch):
+    scanned = _count_fast_scans(monkeypatch)
+    report = verify_cor28_thm33(corpus_max=4, statements=("cor28",))["cor28"]
+    # the set-up and the classify cases share one scan per corpus brace;
+    # each product case scans its own product, of order 1 here
+    products = [c for c in report.cases if c.case_id.startswith("cor28:")]
+    assert products and all(c.info == "order=1 semiprime" for c in products)
+    expected = Counter(_tables(B) for B in standard_corpus(4))
+    expected[_tables(group_brace("c1", "trivial"))] += len(products)
+    assert scanned == expected
+
+
+def test_lemma32_scans_each_corpus_brace_once(monkeypatch):
+    scanned = _count_fast_scans(monkeypatch)
+    one = group_brace("c1", "trivial")
+    report = verify_lemma32(G=one, corpus_max=4)
+    assert report.attempted == 9 and not report.counterexamples
+    # the set-up and the lift cases share one scan per corpus brace (the
+    # bottom c1 is one of them); the base case scans the order-1 base
+    expected = Counter(_tables(B) for B in standard_corpus(4))
+    expected[_tables(one)] += 1
+    assert scanned == expected
 
 
 def test_report_invariant_enforced():
