@@ -23,6 +23,7 @@ from .core import (
     normalize_members,
     seeded_closure,
     star_block,
+    star_product,
 )
 
 __all__ = [
@@ -138,11 +139,18 @@ def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
 def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
     """All ideals, ascending by size then lexicographic membership.
 
-    Every ideal is the join of the principal ideals of its members, so the
-    list is the closure of the principal ideals under joins with one
-    principal ideal at a time.  The join of ideals I and J is the sum
-    I + J = {i + j}, one table gather (Guarnieri and Vendramin, "Skew
-    braces and the Yang-Baxter equation", Math. Comp. 86 (2017)):
+    One pass over ``_orbit_representatives``, starting from {0}: the
+    principal ideal P_t of the t-th representative is closed once and
+    summed with every ideal found so far.  After P_1..P_t the list holds
+    every sum of a subset of them, since a sum that uses P_t is S + P_t for
+    an earlier sum S (and S + P_t = S when S holds the representative).
+    That is every ideal: each ideal is the sum of the principal ideals of
+    its members, and every nonzero label has its orbit representative's
+    principal ideal (the argument is in ``_principal_star_scan``).
+
+    The join of ideals I and J is the sum I + J = {i + j}, one table gather
+    (Guarnieri and Vendramin, "Skew braces and the Yang-Baxter equation",
+    Math. Comp. 86 (2017)):
 
     - I + J is an ideal.  The quotient map p: A -> A/I is an onto skew
       brace morphism, so p(J) is an ideal of A/I, and its preimage
@@ -157,35 +165,17 @@ def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
     n = brace.order
     if n > DEFAULT_IDEAL_CAP:
         raise SizeCapExceeded(f"order {n} exceeds the ideal enumeration cap {DEFAULT_IDEAL_CAP}")
-    families = _ideal_families(brace)
-
-    def key_of(mask: np.ndarray) -> bytes:
-        return np.packbits(mask).tobytes()
-
-    # distinct principal ideals, each tagged with a generating element
-    principal: dict[bytes, tuple[np.ndarray, int]] = {}
-    for a in range(n):
-        mask = np.zeros(n, dtype=bool)
-        mask[0] = True
-        mask[a] = True
-        frontier_closure(mask, np.array([a]), families)
-        principal.setdefault(key_of(mask), (mask, a))
-
-    known: dict[bytes, np.ndarray] = {k: m for k, (m, _) in principal.items()}
-    generators = [(np.flatnonzero(m), a) for m, a in principal.values()]
-    queue = list(known.values())
-    while queue:
-        base = queue.pop()
-        members = np.flatnonzero(base)
-        for P, a in generators:
+    zero = np.zeros(n, dtype=bool)
+    zero[0] = True
+    known: dict[bytes, np.ndarray] = {np.packbits(zero).tobytes(): zero}
+    for a in _orbit_representatives(brace):
+        P = np.flatnonzero(_principal_closure(brace, a))
+        for base in list(known.values()):
             if base[a]:
-                continue  # an ideal holding a holds its principal ideal P
+                continue  # an ideal holding a holds its principal ideal
             mask = np.zeros(n, dtype=bool)
-            mask[brace.add[np.ix_(members, P)]] = True
-            k = key_of(mask)
-            if k not in known:
-                known[k] = mask
-                queue.append(mask)
+            mask[brace.add[np.ix_(np.flatnonzero(base), P)]] = True
+            known.setdefault(np.packbits(mask).tobytes(), mask)
     sets = sorted((frozenset(int(x) for x in np.flatnonzero(m)) for m in known.values()),
                   key=lambda s: (len(s), tuple(sorted(s))))
     return [Ideal(brace, s) for s in sets]
@@ -277,6 +267,14 @@ def _orbit_representatives(brace: FiniteSkewBrace):
             frontier_closure(seen, np.array([a]), families)
 
 
+def _principal_closure(brace: FiniteSkewBrace, a: int, abort=None) -> np.ndarray | None:
+    """Mask of the principal ideal of ``a``: seed {0, a}, then
+    ``frontier_closure`` over ``_ideal_families``; None if ``abort`` stops it."""
+    mask = np.zeros(brace.order, dtype=bool)
+    mask[[0, a]] = True
+    return frontier_closure(mask, np.array([a]), _ideal_families(brace), abort)
+
+
 def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
     """First a (ascending) whose principal ideal has all-zero pairwise stars.
 
@@ -294,16 +292,12 @@ def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
     the frontier, its stars with every member so far are checked both
     ways, so a closure that completes has vanishing stars.
     """
-    n = brace.order
-    families = _ideal_families(brace)
-
     def stars_appear(F, M):
         return star_block(brace, F, M).any() or star_block(brace, M, F).any()
 
     for a in _orbit_representatives(brace):
-        mask = np.zeros(n, dtype=bool)
-        mask[[0, a]] = True
-        if frontier_closure(mask, np.array([a]), families, abort=stars_appear) is not None:
+        mask = _principal_closure(brace, a, abort=stars_appear)
+        if mask is not None:
             return Ideal(brace, frozenset(int(x) for x in np.flatnonzero(mask)))
     return None
 
@@ -356,7 +350,6 @@ def check_semiprime_extension(brace: FiniteSkewBrace, ideal) -> ExtensionReport:
     v_parent = is_semiprime(brace, "exhaustive")
     implication_ok = not (v_ideal.semiprime and v_quot.semiprime) or v_parent.semiprime
 
-    from .core import star_product  # local import to keep module load light
     containment_failures = []
     imask = np.zeros(brace.order, dtype=bool)
     imask[I_sorted] = True

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brace_forge import serialize_document
+from brace_forge import core, serialize_document
 from brace_forge.cli import main
 from brace_forge.docio import parse_document, parse_documents
 from brace_forge.groups import direct_product_table
@@ -54,6 +54,19 @@ def test_validate_mixed_documents(tmp_path, R4, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "OK order=4"
     assert lines[1].startswith("INVALID")
+
+
+def test_loaded_documents_are_validated_once(pair_file, monkeypatch):
+    calls = []
+    real = core.validate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "validate", counting)
+    assert main(["semiprime", pair_file]) == 1
+    assert len(calls) == 2  # one per document
 
 
 def test_validate_syntax_error(tmp_path, capsys):

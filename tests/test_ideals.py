@@ -19,6 +19,7 @@ from brace_forge import (
     trivial_sigma,
     wreath_base,
 )
+from brace_forge import ideals
 from brace_forge.ideals import IDEAL_RULES, _orbit_representatives
 
 import oracles
@@ -100,7 +101,8 @@ def test_sum_of_ideals_is_their_join(corpus8):
                 assert total in listed, brace.name
 
 
-@pytest.mark.parametrize("g_name,h_name,count", [("T2", "c5#0", 374), ("c2xc4#1", "T2", 91)])
+@pytest.mark.parametrize("g_name,h_name,count", [("T2", "c5#0", 374), ("c2xc4#1", "T2", 91),
+                                                  ("c2xc2xc2#1", "T2", 209)])
 def test_enumeration_is_join_closure_of_principals(corpus8, g_name, h_name, count):
     # the reference joins by closure, never by sums
     named = {b.name: b for b in corpus8}
@@ -110,6 +112,26 @@ def test_enumeration_is_join_closure_of_principals(corpus8, g_name, h_name, coun
     got = [i.members for i in enumerate_ideals(W)]
     assert len(got) == count
     assert got == want
+
+
+def test_enumerate_closes_one_principal_ideal_per_orbit(corpus8, monkeypatch):
+    # a principal closure is a frontier closure seeded with 0; the orbit
+    # closures of _orbit_representatives never reach 0
+    seeded_with_zero = []
+    real = ideals.frontier_closure
+
+    def counting(mask, frontier, families, abort=None):
+        seeded_with_zero.append(bool(mask[0]))
+        return real(mask, frontier, families, abort)
+
+    monkeypatch.setattr(ideals, "frontier_closure", counting)
+    named = {b.name: b for b in corpus8}
+    bases = [wreath_base(named["T2"], named["c5#0"])[0],
+             wreath_base(named["c2xc4#1"], named["T2"])[0]]
+    for brace in [*corpus8, *bases]:
+        seeded_with_zero.clear()
+        enumerate_ideals(brace)
+        assert sum(seeded_with_zero) == len(oracles.element_orbits(brace)) - 1, brace.name
 
 
 def test_enumeration_order_is_size_then_lex(corpus8):
