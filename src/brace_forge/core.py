@@ -215,53 +215,96 @@ def frontier_closure(mask: np.ndarray, frontier: np.ndarray, families,
 
 
 def closure_generators(t: np.ndarray) -> list[int]:
-    """Greedy generating set of the magma closure of ``t`` starting at {0}."""
-    mask = np.zeros(t.shape[0], dtype=bool)
-    mask[0] = True
+    """Greedy generating set of ``t``: the least label not yet reached
+    becomes the next generator, until every label is reached.
+
+    The reached set is {0} and the generators, closed under right
+    multiplication by the generators: one breadth-first search over the
+    generator columns.  When g is added, only the members reached so far
+    are multiplied by g; each new member is multiplied by every generator.
+    Every member enters once, so the search costs O(n k) lookups for k
+    generators.
+
+    On a finite group the closure of {0} under right multiplication by S
+    is the subgroup <S>: it is closed under products with S, so under
+    the monoid S generates, which is <S> in a finite group.  That is the
+    same set as the magma closure of {0} and S, so the list is the one a
+    greedy search over magma closures gives (the lexicographic argument
+    of ``autos._homomorphisms`` rests on this).  On an unvalidated table
+    (fast ``validate`` passes only Latin squares here) the reached set
+    lies inside the magma closure of {0} and the list, so a list that
+    reaches every label still generates the table and verdicts are
+    unchanged.  A Latin square that is not associative may get another
+    list than the magma search, so another associativity witness, and
+    that witness still replays.
+    """
+    n = t.shape[0]
+    seen = [False] * n
+    seen[0] = True
+    members = [0]
+    columns: list[list[int]] = []
     gens: list[int] = []
-
-    def families(F, M):
-        return [t[np.ix_(F, M)].ravel(), t[np.ix_(M, F)].ravel()]
-
-    while not mask.all():
-        g = int(np.flatnonzero(~mask)[0])
+    g = 0
+    while True:
+        while g < n and seen[g]:
+            g += 1
+        if g == n:
+            return gens
+        column = t[:, g].tolist()
         gens.append(g)
-        mask[g] = True
-        frontier_closure(mask, np.array([g]), families)
-    return gens
+        columns.append(column)
+        start = len(members)
+        for x in members[:start]:
+            y = column[x]
+            if not seen[y]:
+                seen[y] = True
+                members.append(y)
+        if not seen[g]:  # 0 o g = g unless the identity law fails
+            seen[g] = True
+            members.append(g)
+        i = start
+        while i < len(members):
+            x = members[i]
+            i += 1
+            for column in columns:
+                y = column[x]
+                if not seen[y]:
+                    seen[y] = True
+                    members.append(y)
 
 
-def _group_violations_fast(t: np.ndarray, prefix: str, gens: list[int]) -> list[Violation]:
-    """Latin square and associativity with the middle factor in ``gens``,
-    a generating set of the closure of ``t``."""
-    out = _identity_violation(t, prefix)
+def _latin_violation(t: np.ndarray, prefix: str) -> list[Violation]:
+    """A duplicate in a row or column of ``t``: some element is not invertible."""
     n = t.shape[0]
     ar = np.arange(n)
     rows_sorted = np.sort(t, axis=1)
     cols_sorted = np.sort(t, axis=0)
     bad_row = np.flatnonzero((rows_sorted != ar[None, :]).any(axis=1))
     bad_col = np.flatnonzero((cols_sorted != ar[:, None]).any(axis=0))
-    if bad_row.size or bad_col.size:
-        # a duplicate in a line of the table: some element is not invertible
-        if bad_row.size:
-            a = int(bad_row[0])
-            line = t[a]
-        else:
-            a = int(bad_col[0])
-            line = t[:, a]
-        order = np.argsort(line, kind="stable")
-        dup = np.flatnonzero(np.diff(line[order]) == 0)[0]
-        b, c = sorted((int(order[dup]), int(order[dup + 1])))
-        out.append((f"{prefix}-inverses", (a, b, c)))
-        return out
+    if not (bad_row.size or bad_col.size):
+        return []
+    if bad_row.size:
+        a = int(bad_row[0])
+        line = t[a]
+    else:
+        a = int(bad_col[0])
+        line = t[:, a]
+    order = np.argsort(line, kind="stable")
+    dup = np.flatnonzero(np.diff(line[order]) == 0)[0]
+    b, c = sorted((int(order[dup]), int(order[dup + 1])))
+    return [(f"{prefix}-inverses", (a, b, c))]
+
+
+def _assoc_violation_fast(t: np.ndarray, prefix: str, gens: list[int]) -> list[Violation]:
+    """Associativity with the middle factor in ``gens``, a generating set
+    of the Latin square ``t``."""
     for g in gens:
         lhs = t[:, t[g]]       # t[a, t[g,c]]
         rhs = t[t[:, g]]       # t[t[a,g], c]
         if not np.array_equal(lhs, rhs):
             a, c = np.argwhere(lhs != rhs)[0]
-            out.append((f"{prefix}-associativity", (int(a), g, int(c))))
-            return out
-    return out
+            return [(f"{prefix}-associativity", (int(a), g, int(c)))]
+    return []
 
 
 def _group_violations_full(t: np.ndarray, prefix: str) -> list[Violation]:
@@ -328,9 +371,14 @@ def validate(add, circ, name: str = "", mode: str | None = None,
     if mode == "exhaustive":
         violations = _group_violations_full(add, "add") + _group_violations_full(circ, "circ")
     else:
-        add_gens = closure_generators(add)   # shared by both checks on add
-        violations = (_group_violations_fast(add, "add", add_gens)
-                      + _group_violations_fast(circ, "circ", closure_generators(circ)))
+        # both tables are checked before any generator search, which then
+        # runs only on Latin squares
+        add_id, add_dup = _identity_violation(add, "add"), _latin_violation(add, "add")
+        circ_id, circ_dup = _identity_violation(circ, "circ"), _latin_violation(circ, "circ")
+        add_gens = [] if add_dup else closure_generators(add)   # shared by both checks on add
+        circ_gens = [] if circ_dup else closure_generators(circ)
+        violations = (add_id + add_dup + _assoc_violation_fast(add, "add", add_gens)
+                      + circ_id + circ_dup + _assoc_violation_fast(circ, "circ", circ_gens))
     if violations:
         return ValidationReport(n, violations, mode)
 

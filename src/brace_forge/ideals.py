@@ -18,6 +18,7 @@ from .core import (
     PreconditionError,
     SizeCapExceeded,
     brace_from_tables,
+    closure_generators,
     fmt_members,
     frontier_closure,
     normalize_members,
@@ -100,27 +101,43 @@ def as_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> Ideal:
 
 
 def _orbit_families(brace: FiniteSkewBrace):
-    """The element maps of ``_ideal_families`` for ``frontier_closure``:
-    circle inverses, circle and additive conjugates by every element, and
-    every lambda_x image.  The members M are not used."""
+    """The element maps of ``_ideal_families`` for ``frontier_closure``,
+    one gather of a stacked (k, n) map table: a -> a', and for each
+    generator g the maps lambda_g and a -> g o a o g' (g a greedy
+    generator of (A, o), ``closure_generators``) and a -> g + a - g
+    (g a greedy generator of (A, +)).  The members M are not used.
+
+    A set closed under these maps is closed under lambda_x,
+    a -> x o a o x' and a -> x + a - x for every x.  lambda_{x o y} =
+    lambda_x lambda_y, and conjugation by x is a homomorphism from
+    (A, o), resp. from (A, +), to the permutations of A.  So the maps that
+    leave the set closed form a monoid, and it holds the maps of the
+    generators.  Every map is a permutation of a finite set, so that
+    monoid holds the group they generate: the maps of every x.  Closures,
+    and so orbits, principal ideals, ideal lists and their order, and
+    witnesses are those of the maps by every x.
+    """
     add, circ, neg, inv, lam = brace.add, brace.circ, brace.neg, brace.inv, brace.lam
+    cg = np.array(closure_generators(circ), dtype=np.int64)
+    ag = np.array(closure_generators(add), dtype=np.int64)
+    maps = np.concatenate([
+        inv[None, :],
+        lam[cg],                                  # lambda_g
+        circ[circ[cg], inv[cg][:, None]],         # g o a o g^-1
+        add[add[ag], neg[ag][:, None]],           # g + a - g
+    ])
 
     def families(F, M):
-        return [
-            inv[F],
-            circ[circ[:, F], inv[:, None]].ravel(),   # x o f o x^-1
-            add[add[:, F], neg[:, None]].ravel(),     # x + f - x
-            lam[:, F].ravel(),
-        ]
+        return [maps[:, F].ravel()]
 
     return families
 
 
-def _ideal_families(brace: FiniteSkewBrace):
+def _ideal_families(brace: FiniteSkewBrace, element_maps):
     """Candidate generators of the least ideal for ``frontier_closure``:
-    circle products with the members, and the maps of ``_orbit_families``."""
+    circle products with the members, and ``element_maps``, the families
+    of ``_orbit_families(brace)``."""
     circ = brace.circ
-    element_maps = _orbit_families(brace)
 
     def families(F, M):
         return [circ[np.ix_(F, M)].ravel(), circ[np.ix_(M, F)].ravel(),
@@ -130,10 +147,12 @@ def _ideal_families(brace: FiniteSkewBrace):
 
 
 def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
-    """Least ideal containing ``seed``: fixed point under circle products and
-    inverses, circle and additive conjugation by every element, and every
-    lambda_a image."""
-    return Ideal(brace, seeded_closure(brace.order, seed, _ideal_families(brace)))
+    """Least ideal containing ``seed``: fixed point under circle products
+    and inverses and the maps of ``_orbit_families`` (lambda_g, circle and
+    additive conjugation by greedy generators g; closed under those, it is
+    closed under lambda_x and both conjugations by every element x)."""
+    families = _ideal_families(brace, _orbit_families(brace))
+    return Ideal(brace, seeded_closure(brace.order, seed, families))
 
 
 def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
@@ -168,8 +187,10 @@ def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
     zero = np.zeros(n, dtype=bool)
     zero[0] = True
     known: dict[bytes, np.ndarray] = {np.packbits(zero).tobytes(): zero}
-    for a in _orbit_representatives(brace):
-        P = np.flatnonzero(_principal_closure(brace, a))
+    element_maps = _orbit_families(brace)
+    families = _ideal_families(brace, element_maps)
+    for a in _orbit_representatives(brace, element_maps):
+        P = np.flatnonzero(_principal_closure(brace, a, families))
         for base in list(known.values()):
             if base[a]:
                 continue  # an ideal holding a holds its principal ideal
@@ -245,34 +266,37 @@ class SemiprimeVerdict:
                 f"method={self.method!r})")
 
 
-def _orbit_representatives(brace: FiniteSkewBrace):
+def _orbit_representatives(brace: FiniteSkewBrace, element_maps):
     """Yield the least label of each orbit under the maps lambda_x,
     a -> x o a o x', a -> x + a - x, a -> a' and a -> -a, ascending,
     except the orbit {0} (every map fixes 0).  The orbit of a label is
     found after the label is yielded, so a scan that stops at a label
     finds no orbit for it.
 
-    The orbits come from ``frontier_closure`` over ``_orbit_families``.
-    That closure has no a -> -a, but -a = lambda_a(a') is already in the
-    orbit of a.  Every map is a permutation of the carrier, so the
-    closure of {a} is the orbit of a under the group they generate, and
-    it meets no orbit found before.
+    The orbits come from ``frontier_closure`` over ``element_maps``, the
+    families of ``_orbit_families(brace)``: a' and the maps of greedy
+    generators, whose closures are those of the maps of every x (the
+    argument is in ``_orbit_families``).  That closure has no a -> -a,
+    but -a = lambda_a(a') is already in the orbit of a.  Every map is a
+    permutation of the carrier, so the closure of {a} is the orbit of a
+    under the group they generate, and it meets no orbit found before.
     """
-    families = _orbit_families(brace)
     seen = np.zeros(brace.order, dtype=bool)
     for a in range(1, brace.order):
         if not seen[a]:
             yield a
             seen[a] = True
-            frontier_closure(seen, np.array([a]), families)
+            frontier_closure(seen, np.array([a]), element_maps)
 
 
-def _principal_closure(brace: FiniteSkewBrace, a: int, abort=None) -> np.ndarray | None:
+def _principal_closure(brace: FiniteSkewBrace, a: int, families,
+                       abort=None) -> np.ndarray | None:
     """Mask of the principal ideal of ``a``: seed {0, a}, then
-    ``frontier_closure`` over ``_ideal_families``; None if ``abort`` stops it."""
+    ``frontier_closure`` over ``families`` (``_ideal_families`` of the
+    brace); None if ``abort`` stops it."""
     mask = np.zeros(brace.order, dtype=bool)
     mask[[0, a]] = True
-    return frontier_closure(mask, np.array([a]), _ideal_families(brace), abort)
+    return frontier_closure(mask, np.array([a]), families, abort)
 
 
 def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
@@ -295,8 +319,10 @@ def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
     def stars_appear(F, M):
         return star_block(brace, F, M).any() or star_block(brace, M, F).any()
 
-    for a in _orbit_representatives(brace):
-        mask = _principal_closure(brace, a, abort=stars_appear)
+    element_maps = _orbit_families(brace)
+    families = _ideal_families(brace, element_maps)
+    for a in _orbit_representatives(brace, element_maps):
+        mask = _principal_closure(brace, a, families, abort=stars_appear)
         if mask is not None:
             return Ideal(brace, frozenset(int(x) for x in np.flatnonzero(mask)))
     return None

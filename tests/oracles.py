@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from brace_forge.core import frontier_closure, star_block
-from brace_forge.ideals import _ideal_families
+from brace_forge.ideals import _ideal_families, _orbit_families
 
 
 def is_group_table(t) -> bool:
@@ -285,7 +285,7 @@ def ascending_principal_scan(brace):
     ``test_fast_witness_is_least_principal_witness`` checks them apart
     from it.  Returns the first witness's sorted members, or None."""
     n = brace.order
-    families = _ideal_families(brace)
+    families = _ideal_families(brace, _orbit_families(brace))
 
     def stars_appear(F, M):
         return star_block(brace, F, M).any() or star_block(brace, M, F).any()
@@ -296,6 +296,30 @@ def ascending_principal_scan(brace):
         if frontier_closure(mask, np.array([a]), families, abort=stars_appear) is not None:
             return tuple(int(x) for x in np.flatnonzero(mask))
     return None
+
+
+def magma_generators(table) -> list[int]:
+    """Greedy generating set by magma closures: the least label outside
+    the closure so far joins the list, and the closure grows under the
+    products of every member with every member, both ways.  The search
+    ``closure_generators`` replaced."""
+    table = np.asarray(table)
+    n = table.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    mask[0] = True
+    gens = []
+    while not mask.all():
+        g = int(np.flatnonzero(~mask)[0])
+        gens.append(g)
+        mask[g] = True
+        frontier = np.array([g])
+        while frontier.size:
+            members = np.flatnonzero(mask)
+            cand = np.concatenate([table[np.ix_(frontier, members)].ravel(),
+                                   table[np.ix_(members, frontier)].ravel()])
+            frontier = np.unique(cand[~mask[cand]])
+            mask[frontier] = True
+    return gens
 
 
 def generated_by(table, gens) -> set[int]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brace_forge import (
+    CORPUS_GROUPS,
     FiniteSkewBrace,
     PreconditionError,
     SizeCapExceeded,
@@ -13,6 +14,7 @@ from brace_forge import (
     brace_from_tables,
     generated_subbrace,
     group_brace,
+    group_table,
     radical_ring_brace,
     star_product,
     star_set,
@@ -79,10 +81,49 @@ def test_auto_mode_picks_by_order(A5at):
 
 def test_greedy_generators_generate_the_additive_group(corpus8, A5at_square):
     # fast validate checks associativity and the brace relation only on
-    # these generators, so they must generate (A, +)
+    # these generators, so they must generate (A, +); the ideal maps act
+    # by the circle generators, so those must generate (A, o)
     for brace in [*corpus8, A5at_square]:
-        gens = closure_generators(brace.add)
-        assert oracles.generated_by(brace.add, gens) == set(range(brace.order)), brace.name
+        for table in (brace.add, brace.circ):
+            gens = closure_generators(table)
+            assert oracles.generated_by(table, gens) == set(range(brace.order)), brace.name
+
+
+def test_generator_search_matches_the_magma_closure_search(corpus8, A5at, A5at_square):
+    tables = {}
+    for table in ([group_table(spec) for spec in CORPUS_GROUPS]
+                  + [t for b in [*corpus8, A5at, A5at_square] for t in (b.add, b.circ)]):
+        tables.setdefault((table.dtype.str, table.tobytes()), table)
+    for table in tables.values():
+        assert closure_generators(table) == oracles.magma_generators(table)
+    assert closure_generators(A5at_square.add) == [1, 3, 12, 60, 180, 720]
+
+
+def test_fast_validate_searches_generators_only_on_latin_squares(monkeypatch):
+    def refuse(t):
+        raise AssertionError("generator search on a table that is not a Latin square")
+
+    monkeypatch.setattr(core, "closure_generators", refuse)
+    n = FAST_VALIDATE_THRESHOLD + 1
+    idx = np.arange(n)
+    bad = _mutate((idx[:, None] + idx) % n, 5, 7, 13)   # 5 + 8 = 13 already
+    report = validate(bad, bad, mode="fast", size_cap=n)
+    assert [rule for rule, _ in report.violations] == ["add-inverses", "circ-inverses"]
+    for _, (a, b, c) in report.violations:
+        assert b != c and bad[a, b] == bad[a, c]
+
+
+def test_fast_validate_on_a_latin_square_without_identity():
+    # columns 1 and 2 of Z/302 swapped: 0 o 1 = 2, and right multiplication
+    # by 1 never leads from 0 to 1, so the search must add 1 itself
+    n = FAST_VALIDATE_THRESHOLD + 2
+    idx = np.arange(n)
+    swap = idx.copy()
+    swap[[1, 2]] = [2, 1]
+    t = (idx[:, None] + swap) % n
+    assert closure_generators(t) == [1]
+    report = validate(t, (idx[:, None] + idx) % n, mode="fast", size_cap=n)
+    assert report.violations[0] == ("add-identity", (1, 0, 0))
 
 
 def test_fast_validate_finds_additive_generators_once(corpus8, monkeypatch):

@@ -20,7 +20,7 @@ from brace_forge import (
     wreath_base,
 )
 from brace_forge import ideals
-from brace_forge.ideals import IDEAL_RULES, _orbit_representatives
+from brace_forge.ideals import IDEAL_RULES, _orbit_families, _orbit_representatives
 
 import oracles
 
@@ -259,10 +259,15 @@ def test_fast_witness_is_least_principal_witness(corpus8):
             assert fast.witness.sorted() == expected, brace.name
 
 
+def _representatives(brace):
+    return list(_orbit_representatives(brace, _orbit_families(brace)))
+
+
 def test_orbits_share_their_principal_ideal(corpus8):
-    for brace in corpus8:
+    # the package maps act by generators, the oracle's by every element
+    for brace in [*corpus8, *_lemma31_bases(corpus8)]:
         orbits = oracles.element_orbits(brace)
-        assert list(_orbit_representatives(brace)) == [min(o) for o in orbits[1:]], brace.name
+        assert _representatives(brace) == [min(o) for o in orbits[1:]], brace.name
         for orbit in orbits:
             principal = ideal_closure(brace, [min(orbit)]).members
             for x in orbit:
@@ -276,6 +281,30 @@ def _lemma31_bases(corpus8):
             if G.order ** m in (16, 36, 64):
                 bases.append(wreath_base(G, group_brace(f"c{m}", "trivial"))[0])
     return bases
+
+
+def test_orbit_representatives_of_the_order_3600_base(A5at_square):
+    assert _representatives(A5at_square) == [
+        1, 3, 16, 17, 60, 61, 63, 76, 77, 180, 181, 183, 196, 197,
+        960, 961, 963, 976, 977, 1020, 1021, 1023, 1036, 1037]
+
+
+def test_element_maps_are_built_once_per_call(corpus8, monkeypatch):
+    # one search of each table's generators per enumeration, scan or closure
+    calls = []
+    real = ideals.closure_generators
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(ideals, "closure_generators", counting)
+    brace = next(b for b in corpus8 if b.order == 8 and not is_trivial(b))
+    for run in (lambda: enumerate_ideals(brace), lambda: is_semiprime(brace, "fast"),
+                lambda: ideal_closure(brace, [1])):
+        calls.clear()
+        run()
+        assert len(calls) == 2
 
 
 def test_fast_witness_is_the_ascending_scan_witness(corpus8, A5at):
