@@ -9,6 +9,7 @@ skew brace automorphisms are the additive ones that also preserve circ.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -29,10 +30,24 @@ _HOM_SPACE_LIMIT = 2_000_000
 
 def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
     """All automorphisms of a group table: the endomorphisms that hit
-    every element, as permutation arrays of the table's dtype in
-    lexicographic order (identity first)."""
-    return [phi.astype(table.dtype) for phi in _homomorphisms(table, table)
-            if np.unique(phi).size == table.shape[0]]
+    every element, as read-only permutation arrays of the table's dtype
+    in lexicographic order (identity first).
+
+    The search runs once per distinct table per process: results are
+    cached on the table's exact order, dtype and bytes, and each call
+    returns them in a fresh list.  A search that raises is not cached.
+    """
+    return list(_automorphisms_of(table.shape[0], table.dtype, table.tobytes()))
+
+
+@functools.lru_cache(maxsize=128)
+def _automorphisms_of(n: int, dtype: np.dtype, data: bytes) -> tuple[np.ndarray, ...]:
+    table = np.frombuffer(data, dtype=dtype).reshape(n, n)
+    auts = tuple(phi.astype(dtype) for phi in _homomorphisms(table, table)
+                 if np.unique(phi).size == n)
+    for phi in auts:
+        phi.setflags(write=False)
+    return auts
 
 
 def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:

@@ -151,10 +151,11 @@ def _cmd_ybe(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    limit = 8 if args.max_order is None else args.max_order
     if args.group is not None:
-        braces = holomorph_enumerate(args.group, limit=args.max_order or 8)
+        braces = holomorph_enumerate(args.group, limit=limit)
     else:
-        braces = standard_corpus(args.max_order or 8)
+        braces = standard_corpus(limit)
     for brace in braces:
         sys.stdout.write(serialize_document(brace))
     print(f"# {len(braces)} braces", file=sys.stderr)
@@ -173,7 +174,7 @@ def _report_exit(reports) -> int:
 
 def _cmd_verify(args) -> int:
     if args.statement == "lemma31":
-        report = verify_lemma31(base_cap=args.max_order or 64,
+        report = verify_lemma31(base_cap=64 if args.max_order is None else args.max_order,
                                 jobs=args.jobs, only=args.only)
         return _report_exit([report])
     if args.statement == "lemma32":
@@ -181,7 +182,7 @@ def _cmd_verify(args) -> int:
                                 jobs=args.jobs, only=args.only)
         return _report_exit([report])
     reports = verify_cor28_thm33(  # cor28 or thm33
-        corpus_max=args.max_order or 8,
+        corpus_max=8 if args.max_order is None else args.max_order,
         sigma_budget=args.sigma_budget,
         statements=(args.statement,),
         jobs=args.jobs, only=args.only)
@@ -189,14 +190,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    report = search_q34(max_g=args.max_order or 6, max_h=args.max_h,
+    max_g = 6 if args.max_order is None else args.max_order
+    report = search_q34(max_g=max_g, max_h=args.max_h,
                         sigma_budget=args.sigma_budget,
                         jobs=args.jobs, only=args.only)
     return _report_exit([report])
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --jobs and --sigma-budget: an integer of at least 1."""
+    """argparse type for --jobs, --sigma-budget, --max-order and --max-h:
+    an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -255,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default=None,
                    help="group spec like c4, s3, d4, c2xc2xc2 (omit for the "
                         "standard corpus)")
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_corpus)
 
     def add_sweep_flags(p):
-        p.add_argument("--max-order", type=int, default=None)
+        p.add_argument("--max-order", type=_positive_int, default=None)
         p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--sigma-budget", type=_positive_int, default=DEFAULT_SIGMA_BUDGET)
         p.add_argument("--only", default=None, help="run a single case by id")
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="counterexample search")
     p.add_argument("problem", choices=("q34",))
-    p.add_argument("--max-h", type=int, default=4)
+    p.add_argument("--max-h", type=_positive_int, default=4)
     add_sweep_flags(p)
     p.set_defaults(func=_cmd_search)
 

@@ -172,14 +172,40 @@ def _identity_violation(t: np.ndarray, prefix: str) -> list[Violation]:
     return []
 
 
+# entries gathered per block of rows ``a`` by the exhaustive checks
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(n: int):
+    """Consecutive row ranges [a0, a1) covering 0..n-1, each about
+    ``_BLOCK_ENTRIES`` entries of an (a, b, c) cube and at least one row."""
+    rows = max(1, _BLOCK_ENTRIES // (n * n))
+    for a0 in range(0, n, rows):
+        yield a0, min(a0 + rows, n)
+
+
+def _first_violation(lhs: np.ndarray, rhs: np.ndarray, a0: int):
+    """The smallest (a, b, c) with lhs != rhs in a block starting at row
+    a0, or None.  ``argwhere`` lists hits in C order, which is
+    lexicographic in (a - a0, b, c); blocks are scanned in ascending a and
+    a block is only reached when every earlier one matched, so the first
+    hit of the first failing block is the smallest witness overall."""
+    if np.array_equal(lhs, rhs):
+        return None
+    a, b, c = np.argwhere(lhs != rhs)[0]
+    return a0 + int(a), int(b), int(c)
+
+
 def _assoc_violation_full(t: np.ndarray, prefix: str) -> list[Violation]:
-    # row-major scan keeps the first witness lexicographically smallest
-    for a in range(t.shape[0]):
-        lhs = t[t[a]]          # t[t[a,b], c]
-        rhs = t[a][t]          # t[a, t[b,c]]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return [(f"{prefix}-associativity", (a, int(b), int(c)))]
+    """The smallest (a, b, c) with t[t[a,b], c] != t[a, t[b,c]], one
+    gather per row block (see ``_first_violation``)."""
+    for a0, a1 in _row_blocks(t.shape[0]):
+        rows = t[a0:a1]
+        witness = _first_violation(t[rows],       # t[t[a,b], c]
+                                   rows[:, t],    # t[a, t[b,c]]
+                                   a0)
+        if witness is not None:
+            return [(f"{prefix}-associativity", witness)]
     return []
 
 
@@ -315,13 +341,16 @@ def _group_violations_full(t: np.ndarray, prefix: str) -> list[Violation]:
 
 
 def _brace_relation_violation_full(add, circ, neg) -> list[Violation]:
-    for a in range(add.shape[0]):
-        lam_a = add[neg[a]][circ[a]]           # lambda_a(b) for all b
-        lhs = lam_a[add]                       # lambda_a(b+c)
-        rhs = add[lam_a[:, None], lam_a[None, :]]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return [("brace-relation", (a, int(b), int(c)))]
+    """The smallest (a, b, c) with lambda_a(b+c) != lambda_a(b) + lambda_a(c),
+    which is a o (b+c) != (a o b) - a + (a o c); one gather per row block
+    (see ``_first_violation``)."""
+    for a0, a1 in _row_blocks(add.shape[0]):
+        lam = add[neg[a0:a1, None], circ[a0:a1]]       # lambda_a(b), row a - a0
+        witness = _first_violation(lam[:, add],        # lambda_a(b+c)
+                                   add[lam[:, :, None], lam[:, None, :]],
+                                   a0)
+        if witness is not None:
+            return [("brace-relation", witness)]
     return []
 
 

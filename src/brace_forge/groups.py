@@ -76,18 +76,24 @@ def alternating_table(n: int) -> np.ndarray:
 
 
 def direct_product_table(*tables: np.ndarray) -> np.ndarray:
+    """Cayley table of the direct product, first factor most significant.
+
+    Each factor is one broadcast add into a C-ordered ``(n1, n2, n1, n2)``
+    array of ``table_dtype(n1*n2)``: entry [a1, a2, b1, b2] is
+    result[a1, b1] * n2 + t[a2, b2], and the reshape to ``(n1*n2, n1*n2)``
+    labels the pair (a1, a2) as a1*n2 + a2.  Every entry is below n1*n2,
+    so that dtype holds each step.
+    """
     if not tables:
         raise PreconditionError("direct product needs at least one factor")
     result = tables[0]
     for t in tables[1:]:
         n1, n2 = result.shape[0], t.shape[0]
-        size = n1 * n2
-        a = np.arange(size)
-        a1, a2 = a // n2, a % n2
-        # every entry is below size, so table_dtype(size) holds each step
-        result = result.astype(table_dtype(size), copy=False)[np.ix_(a1, a1)]
-        result *= n2
-        result += t[np.ix_(a2, a2)]
+        dt = table_dtype(n1 * n2)
+        out = np.empty((n1, n2, n1, n2), dt)
+        np.add((result.astype(dt) * n2)[:, None, :, None],
+               t.astype(dt, copy=False)[None, :, None, :], out=out)
+        result = out.reshape(n1 * n2, n1 * n2)
     return result
 
 

@@ -127,13 +127,13 @@ def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,
         raise SizeCapExceeded(f"product order {n} exceeds the cap {max_order()}")
     dt = table_dtype(n)
     nh = H.order
-    g1 = np.arange(n)[:, None] // nh
-    h1 = np.arange(n)[:, None] % nh
-    g2 = np.arange(n)[None, :] // nh
-    h2 = np.arange(n)[None, :] % nh
-    add = (G.add[g1, g2].astype(dt) * nh + H.add[h1, h2]).astype(dt)
-    twisted = sigma.perms[h1, g2]
-    circ = (G.circ[g1, twisted].astype(dt) * nh + H.circ[h1, h2]).astype(dt)
+    add = direct_product_table(G.add, H.add)
+    # circ[g1, h1, g2, h2] = G.circ[g1, sigma(h1)(g2)] * |H| + H.circ[h1, h2],
+    # laid out and labelled as in ``direct_product_table``
+    circ = np.empty((G.order, nh, G.order, nh), dt)
+    np.add((G.circ[:, sigma.perms].astype(dt) * nh)[:, :, :, None],
+           H.circ.astype(dt, copy=False)[None, :, None, :], out=circ)
+    circ = circ.reshape(n, n)
     if name is None:
         name = f"({G.name} x| {H.name})"
     return brace_from_tables(add, circ, name)

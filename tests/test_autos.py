@@ -49,8 +49,37 @@ def test_automorphism_space_capped_before_search(monkeypatch):
         raise AssertionError("a candidate was tried")
 
     monkeypatch.setattr(autos, "itertools", SimpleNamespace(product=no_candidates))
-    with pytest.raises(SizeCapExceeded, match=r"3600\^\d+ exceeds"):
-        group_automorphisms(table)
+    for _ in range(2):   # a search that raises is not cached
+        with pytest.raises(SizeCapExceeded, match=r"3600\^\d+ exceeds"):
+            group_automorphisms(table)
+
+
+def test_group_automorphisms_searched_once_per_table(monkeypatch):
+    calls = []
+    real = autos._homomorphisms
+
+    def counting(table, target, budget=None):
+        calls.append(table.tobytes())
+        return real(table, target, budget)
+
+    monkeypatch.setattr(autos, "_homomorphisms", counting)
+    autos._automorphisms_of.cache_clear()
+    s3 = group_table("s3")
+    first = group_automorphisms(s3)
+    assert len(first) == 6 and all(p.dtype == s3.dtype for p in first)
+    assert all(not p.flags.writeable for p in first)
+    with pytest.raises(ValueError):
+        first[1][0] = 1
+    want = [p.tolist() for p in first]
+    first.reverse()
+    first.append(first[0])
+    # an equal table in a fresh array hits the same entry
+    again = group_automorphisms(s3.copy())
+    assert again is not first and [p.tolist() for p in again] == want
+    assert calls == [s3.tobytes()]
+    # the same values in another dtype are another table
+    assert len(group_automorphisms(s3.astype(np.int64))) == 6
+    assert len(calls) == 2
 
 
 def test_skew_automorphisms_above_order_nine(A4at):

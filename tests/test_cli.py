@@ -254,6 +254,22 @@ def test_jobs_below_one_rejected(jobs, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["verify", "cor28", "--max-order"],
+                                  ["verify", "lemma32", "--max-order"],
+                                  ["search", "q34", "--max-order"],
+                                  ["search", "q34", "--max-h"],
+                                  ["corpus", "enumerate", "--max-order"],
+                                  ["corpus", "enumerate", "--group", "c4", "--max-order"]])
+def test_sweep_bounds_below_one_rejected(argv, value, capsys):
+    # 0 once fell back to the default sweep and negatives ran no cases
+    assert main(argv + [value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-1]}: must be at least 1, got {int(value)}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [["search", "q34", "--sigma-budget", "0"],
                                   ["verify", "cor28", "--sigma-budget", "-3"]])
 def test_sigma_budget_below_one_rejected(argv, capsys):

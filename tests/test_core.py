@@ -213,6 +213,46 @@ def test_brace_relation_violation_replay():
     assert not validate(add, circ, mode="fast").ok
 
 
+def _corrupted_pairs(braces, seed):
+    """(add, circ) pairs near each brace: circ relabelled by a random
+    permutation fixing 0 (still a group, so the brace relation is what
+    fails), and one random cell changed in add or in circ."""
+    rng = np.random.default_rng(seed)
+    for B in braces:
+        n = B.order
+        if n < 3:
+            continue
+        p = np.concatenate(([0], 1 + rng.permutation(n - 1)))
+        q = np.argsort(p)
+        yield B.add, p[B.circ[np.ix_(q, q)]]
+        for which in (0, 1):
+            tables = [B.add.copy(), B.circ.copy()]
+            a, b = rng.integers(n, size=2)
+            tables[which][a, b] = (tables[which][a, b] + rng.integers(1, n)) % n
+            yield tuple(tables)
+
+
+def test_exhaustive_validate_by_row_blocks(corpus8, A5at, monkeypatch):
+    """Block sizes of one row and of three rows give the same reports as
+    the default block, which holds every table here whole; with small
+    blocks the first witness often lies past a block boundary."""
+    order60 = [A5at, group_brace("s3xc2xc5", "trivial"), group_brace("c3xc4xc5", "trivial")]
+    pairs = list(_corrupted_pairs(corpus8, 1)) + list(_corrupted_pairs(order60 * 6, 2))
+
+    def reports():
+        return [validate(add, circ, mode="exhaustive").violations for add, circ in pairs]
+
+    want = reports()
+    for entries in (1, 3 * 60 * 60):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", entries)
+        assert reports() == want
+    # witnesses in a later block than the first: row >= 1 for one-row
+    # blocks, row >= 3 for three-row blocks
+    past = {(rule, a >= 3) for v in want for rule, (a, _, _) in v if a >= 1}
+    assert {("add-associativity", False), ("circ-associativity", False),
+            ("brace-relation", False), ("brace-relation", True)} <= past
+
+
 def test_table_format_errors():
     with pytest.raises(TableFormatError):
         validate([[0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0]])

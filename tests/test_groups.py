@@ -96,11 +96,16 @@ def _direct_product_int64(*tables):
     (cyclic_table(3).astype(np.int64), symmetric_table(3)),
     (cyclic_table(2), dihedral_table(3), cyclic_table(4)),
     (symmetric_table(3), cyclic_table(5).astype(np.int64), cyclic_table(2)),
+    "A5at.add", "A5at.circ",   # the order-3600 tables of the lemma32 base
 ])
-def test_direct_product_matches_int64_build(factors):
+def test_direct_product_matches_int64_build(factors, request):
+    if isinstance(factors, str):
+        t = getattr(request.getfixturevalue("A5at"), factors.split(".")[1])
+        factors = (t, t)
     got = direct_product_table(*factors)
     want = _direct_product_int64(*factors)
     assert got.dtype == want.dtype
+    assert got.flags.c_contiguous
     assert np.array_equal(got, want)
 
 

@@ -22,7 +22,7 @@ from brace_forge import (
     verify_lemma31,
     verify_lemma32,
 )
-from brace_forge import ideals, verify
+from brace_forge import autos, ideals, verify
 from brace_forge.cli import main as cli_main
 from brace_forge.docio import parse_int_grid
 from brace_forge.verify import (
@@ -393,6 +393,26 @@ def test_lemma32_scans_each_corpus_brace_once(monkeypatch):
     expected = Counter(_tables(B) for B in standard_corpus(4))
     expected[_tables(one)] += 1
     assert scanned == expected
+
+
+def test_q34_items_search_each_add_table_once(monkeypatch):
+    searched = Counter()
+    real = autos._homomorphisms
+
+    def counting(table, target, budget=None):
+        if target is table:   # an automorphism search, not an action search
+            searched[table.dtype.str, table.tobytes()] += 1
+        return real(table, target, budget)
+
+    monkeypatch.setattr(autos, "_homomorphisms", counting)
+    autos._automorphisms_of.cache_clear()
+    captured = []
+    monkeypatch.setattr(verify, "_sweep", lambda _s, items, *rest: captured.extend(items))
+    search_q34(max_g=8, max_h=2)   # the item build of `search q34 --max-order 8 --max-h 2`
+    assert len(captured) == 1467
+    assert max(searched.values()) == 1
+    adds = {(G.add.dtype.str, G.add.tobytes()) for _, _, G, *_ in captured}
+    assert adds <= set(searched)
 
 
 def test_report_invariant_enforced():
