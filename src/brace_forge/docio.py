@@ -90,29 +90,7 @@ class _Lines:
         return item
 
 
-def _parse_row(lineno: int, line: str, cols: int, limit: int) -> list[int] | np.ndarray:
-    """The ``cols`` entries of a table row, each in 0..limit-1.
-
-    A row of ASCII digit tokens of at most 9 digits each, separated by
-    spaces or tabs, is read by one ``np.fromstring``: on such a row it
-    splits where ``str.split`` does and reads each token exactly as
-    ``int`` does, since every token is below 10**9.  If the count and
-    range checks pass, ``_parse_row_loop`` would return the same entries;
-    every other row goes to that loop, which raises the error for it."""
-    if line.isascii():
-        raw = line.encode("ascii")
-        if not raw.translate(None, b"0123456789 \t"):
-            # a token of k digits puts k + 1 between the separators around
-            # it, counting a separator added at each end
-            seps = np.flatnonzero(np.frombuffer(b" " + raw + b" ", np.uint8) < ord("0"))
-            if np.diff(seps).max() <= 10:
-                row = np.fromstring(line, dtype=np.int64, sep=" ")
-                if row.size == cols and row.max() < limit:
-                    return row
-    return _parse_row_loop(lineno, line, cols, limit)
-
-
-def _parse_row_loop(lineno: int, line: str, cols: int, limit: int) -> list[int]:
+def _parse_row(lineno: int, line: str, cols: int, limit: int) -> list[int]:
     parts = line.split()
     if len(parts) != cols:
         raise DocumentSyntaxError(f"expected {cols} entries, got {len(parts)}", line=lineno)

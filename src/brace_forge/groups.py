@@ -75,25 +75,35 @@ def alternating_table(n: int) -> np.ndarray:
     return _perm_group_table(perms)
 
 
+def _pair_table(left: np.ndarray, right: np.ndarray, dt) -> np.ndarray:
+    """The ``(n1*n2, n1*n2)`` table with entry [a1*n2 + a2, b1*n2 + b2]
+    equal to left[a1, a2, b1] * n2 + right[a2, b2], in dtype ``dt``.
+
+    ``left`` has shape ``(n1, n2, n1)``, or ``(n1, 1, n1)`` when it does
+    not depend on a2; ``right`` is ``(n2, n2)``.  The sum is one broadcast
+    add into a C-ordered ``(n1, n2, n1, n2)`` array, whose reshape labels
+    the pair (a1, a2) as a1*n2 + a2.  The caller picks a ``dt`` that holds
+    every entry.
+    """
+    n1, n2 = left.shape[0], right.shape[0]
+    out = np.empty((n1, n2, n1, n2), dt)
+    np.add((left.astype(dt) * n2)[..., None],
+           right.astype(dt, copy=False)[None, :, None, :], out=out)
+    return out.reshape(n1 * n2, n1 * n2)
+
+
 def direct_product_table(*tables: np.ndarray) -> np.ndarray:
     """Cayley table of the direct product, first factor most significant.
 
-    Each factor is one broadcast add into a C-ordered ``(n1, n2, n1, n2)``
-    array of ``table_dtype(n1*n2)``: entry [a1, a2, b1, b2] is
-    result[a1, b1] * n2 + t[a2, b2], and the reshape to ``(n1*n2, n1*n2)``
-    labels the pair (a1, a2) as a1*n2 + a2.  Every entry is below n1*n2,
-    so that dtype holds each step.
+    Each factor is one ``_pair_table`` step; every entry is below n1*n2,
+    so ``table_dtype(n1*n2)`` holds each step.
     """
     if not tables:
         raise PreconditionError("direct product needs at least one factor")
     result = tables[0]
     for t in tables[1:]:
-        n1, n2 = result.shape[0], t.shape[0]
-        dt = table_dtype(n1 * n2)
-        out = np.empty((n1, n2, n1, n2), dt)
-        np.add((result.astype(dt) * n2)[:, None, :, None],
-               t.astype(dt, copy=False)[None, :, None, :], out=out)
-        result = out.reshape(n1 * n2, n1 * n2)
+        result = _pair_table(result[:, None, :], t,
+                             table_dtype(result.shape[0] * t.shape[0]))
     return result
 
 

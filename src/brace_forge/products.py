@@ -27,7 +27,7 @@ from .core import (
     max_order,
     table_dtype,
 )
-from .groups import direct_product_table
+from .groups import _pair_table, direct_product_table
 
 __all__ = [
     "SigmaAction",
@@ -125,15 +125,10 @@ def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,
     n = G.order * H.order
     if n > max_order():
         raise SizeCapExceeded(f"product order {n} exceeds the cap {max_order()}")
-    dt = table_dtype(n)
-    nh = H.order
     add = direct_product_table(G.add, H.add)
-    # circ[g1, h1, g2, h2] = G.circ[g1, sigma(h1)(g2)] * |H| + H.circ[h1, h2],
-    # laid out and labelled as in ``direct_product_table``
-    circ = np.empty((G.order, nh, G.order, nh), dt)
-    np.add((G.circ[:, sigma.perms].astype(dt) * nh)[:, :, :, None],
-           H.circ.astype(dt, copy=False)[None, :, None, :], out=circ)
-    circ = circ.reshape(n, n)
+    # entry [g1*|H| + h1, g2*|H| + h2] is
+    # G.circ[g1, sigma(h1)(g2)] * |H| + H.circ[h1, h2]
+    circ = _pair_table(G.circ[:, sigma.perms], H.circ, table_dtype(n))
     if name is None:
         name = f"({G.name} x| {H.name})"
     return brace_from_tables(add, circ, name)

@@ -245,13 +245,20 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_rejected(jobs, capsys):
-    assert main(["verify", "lemma31", "--only", "lemma31:R4:T2", "--jobs", jobs]) == 2
+def _assert_below_one_rejected(argv, capsys):
+    """argv ends with a flag and a value below 1: exit 2 with the flag's
+    argparse message, nothing on stdout and no traceback."""
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument --jobs: must be at least 1, got {int(jobs)}" in captured.err
+    assert f"argument {argv[-2]}: must be at least 1, got {int(argv[-1])}" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs, capsys):
+    _assert_below_one_rejected(["verify", "lemma31", "--only", "lemma31:R4:T2", "--jobs", jobs],
+                               capsys)
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -262,22 +269,13 @@ def test_jobs_below_one_rejected(jobs, capsys):
                                   ["corpus", "enumerate", "--max-order"],
                                   ["corpus", "enumerate", "--group", "c4", "--max-order"]])
 def test_sweep_bounds_below_one_rejected(argv, value, capsys):
-    # 0 once fell back to the default sweep and negatives ran no cases
-    assert main(argv + [value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument {argv[-1]}: must be at least 1, got {int(value)}" in captured.err
-    assert "Traceback" not in captured.err
+    _assert_below_one_rejected(argv + [value], capsys)
 
 
 @pytest.mark.parametrize("argv", [["search", "q34", "--sigma-budget", "0"],
                                   ["verify", "cor28", "--sigma-budget", "-3"]])
 def test_sigma_budget_below_one_rejected(argv, capsys):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument --sigma-budget: must be at least 1, got {int(argv[-1])}" in captured.err
-    assert "Traceback" not in captured.err
+    _assert_below_one_rejected(argv, capsys)
 
 
 def test_help_exits_zero(capsys):

@@ -11,7 +11,6 @@ from brace_forge import (
     parse_documents,
     serialize_document,
 )
-from brace_forge import docio
 from brace_forge.docio import parse_int_grid
 
 R4_TEXT = """\
@@ -251,44 +250,3 @@ def test_fuzz_parse_int_grid(text, rows, cols, limit):
     if grid is not None:
         assert grid.shape == (rows, cols)
         assert grid.min() >= 0 and grid.max() < limit
-
-
-# Row tokens near the fast path's edge: 9 and 10 digits, leading zeros,
-# signs, non-ASCII digits, and separators it does and does not take.
-_TOKEN = st.one_of(
-    st.integers(0, 12).map(str),
-    st.integers(0, 10 ** 10).map(str),
-    st.integers(0, 99).map(lambda k: f"00{k}"),
-    st.sampled_from(["-1", "+2", "1_0", "x", "٣", "１", "0x1", "1.0", ""]),
-)
-_SEP = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "　", "\r", ","])
-
-
-@st.composite
-def _row_line(draw):
-    tokens = draw(st.lists(_TOKEN, min_size=1, max_size=5))
-    line = tokens[0]
-    for tok in tokens[1:]:
-        line += draw(_SEP) + tok
-    return line.strip() or "0"   # rows reach the parser stripped and non-empty
-
-
-def _row_or_error(parse, line, cols, limit):
-    try:
-        return [int(v) for v in parse(7, line, cols, limit)]
-    except DocumentSyntaxError as exc:
-        return str(exc), exc.line
-
-
-@given(_row_line(), st.integers(1, 5), st.integers(1, 10 ** 9 + 1))
-@settings(max_examples=600, deadline=None)
-def test_fast_row_parse_matches_the_loop(line, cols, limit):
-    assert (_row_or_error(docio._parse_row, line, cols, limit)
-            == _row_or_error(docio._parse_row_loop, line, cols, limit))
-
-
-def test_serialized_rows_take_the_fast_path(A5at):
-    rows = serialize_document(A5at).splitlines()[3:63]
-    for i, line in enumerate(rows):
-        row = docio._parse_row(i + 1, line, A5at.order, A5at.order)
-        assert isinstance(row, np.ndarray) and np.array_equal(row, A5at.add[i])
