@@ -2,9 +2,16 @@
 
 ``_homomorphisms`` is the one search: it tries each choice of images of the
 closure generators (at most 2,000,000 choices, checked before any is tried),
-extends it along a BFS expression of every element and keeps the maps that
-respect both tables.  Group automorphisms are its bijective endomorphisms;
-skew brace automorphisms are the additive ones that also preserve circ.
+extends it along the walk of ``core.closure_generators`` and keeps the maps
+that respect each generator.  Group automorphisms are its bijective
+endomorphisms; skew brace automorphisms are the additive ones that also
+respect circ on the circle generators.
+
+Lemma: a map phi of finite groups with phi(0) = 0 and phi(x o g) =
+phi(x) o phi(g) for all x and generators g is a homomorphism.  The y with
+phi(x o y) = phi(x) o phi(y) for all x include 0 and, with y, y o g
+(phi(x o y o g) = phi(x) o phi(y) o phi(g) = phi(x) o phi(y o g)), so
+they are the whole group.
 """
 
 from __future__ import annotations
@@ -51,10 +58,15 @@ def _automorphisms_of(n: int, dtype: np.dtype, data: bytes) -> tuple[np.ndarray,
 
 
 def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
-    """All permutations preserving add and circ, identity first."""
+    """All permutations preserving add and circ, identity first: the
+    automorphisms of (A, +) (all fix 0) that respect circ on the circle
+    generators, which suffices by the module lemma; one stacked gather."""
     circ = brace.circ
-    return [p for p in group_automorphisms(brace.add)
-            if np.array_equal(p[circ], circ[np.ix_(p, p)])]
+    auts = group_automorphisms(brace.add)
+    cg = closure_generators(circ)[0]
+    P = np.stack(auts)                                   # (k, n)
+    keep = (P[:, circ[:, cg]] == circ[P[:, :, None], P[:, None, cg]]).all(axis=(1, 2))
+    return [p for p, ok in zip(auts, keep) if ok]
 
 
 def perm_composition(perms: list[np.ndarray]) -> np.ndarray:
@@ -84,48 +96,30 @@ def _homomorphisms(table: np.ndarray, target: np.ndarray,
     """``group_homomorphisms`` into the group whose Cayley table is
     ``target`` (identity 0), as int64 image arrays; a budget must be >= 1.
 
-    The maps come out in lexicographic order.  ``closure_generators`` is
+    Each candidate is extended along the steps of ``closure_generators``
+    and kept when it respects every generator (the module lemma).  The
+    maps come out in lexicographic order.  ``closure_generators`` is
     greedy, so every element below a generator g lies in the subgroup of
     the earlier generators; two maps whose generator images first differ
     at g agree below g, and their order is that of their images of g.
     """
     if budget is not None and budget < 1:
         raise PreconditionError(f"homomorphism budget must be at least 1, got {budget}")
+    table = np.asarray(table)
     m = table.shape[0]
     k = target.shape[0]
-    gens = closure_generators(np.asarray(table))
+    gens, steps = closure_generators(table)
     if gens and k ** len(gens) > _HOM_SPACE_LIMIT:
         raise SizeCapExceeded(
             f"homomorphism search space {k}^{len(gens)} exceeds the limit")
 
-    # express every element as earlier-element o generator
-    expr: list[tuple[int, int] | None] = [None] * m
-    order_reached = [0]
-    reached = {0}
-    i = 0
-    while i < len(order_reached):
-        x = order_reached[i]
-        i += 1
-        for g in gens:
-            y = int(table[x, g])
-            if y not in reached:
-                reached.add(y)
-                expr[y] = (x, g)
-                order_reached.append(y)
-    assert len(reached) == m, "generators must reach every element"
-
-    # every generator is reached directly from 0, so expr[g] = (0, g) and
-    # propagation below never clobbers an assigned generator image
     out = []
-    table = np.asarray(table)
     for images in itertools.product(range(k), repeat=len(gens)):
         phi = np.zeros(m, dtype=np.int64)
-        for g, im in zip(gens, images):
-            phi[g] = im
-        for x in order_reached[1:]:
-            parent, g = expr[x]
-            phi[x] = target[phi[parent], phi[g]]
-        if np.array_equal(target[phi[:, None], phi[None, :]], phi[table]):
+        phi[gens] = images
+        for y, x, g in steps:
+            phi[y] = target[phi[x], phi[g]]
+        if np.array_equal(phi[table[:, gens]], target[phi[:, None], phi[gens]]):
             out.append(phi)
             if budget is not None and len(out) >= budget:
                 break

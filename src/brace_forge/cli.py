@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .core import (
     BraceForgeError,
     DocumentSyntaxError,
@@ -22,7 +20,7 @@ from .core import (
     fmt_members,
     validate,
 )
-from .docio import parse_documents, parse_int_grid, serialize_document
+from .docio import BraceDocument, parse_documents, parse_int_grid, serialize_document
 from .corpus import holomorph_enumerate, standard_corpus
 from .ideals import as_ideal, enumerate_ideals, is_semiprime, quotient
 from .products import SigmaAction, semidirect, trivial_sigma, wreath
@@ -47,19 +45,20 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_braces(path: str) -> list[FiniteSkewBrace]:
+def _load_documents(path: str) -> list[BraceDocument]:
     docs = parse_documents(_read_text(path), check=False)
     if not docs:
         raise DocumentSyntaxError("no documents in input", line=1)
-    return [d.to_brace() for d in docs]  # validates each document once
+    return docs
+
+
+def _load_braces(path: str) -> list[FiniteSkewBrace]:
+    return [d.to_brace() for d in _load_documents(path)]  # validates each document once
 
 
 def _cmd_validate(args) -> int:
-    docs = parse_documents(_read_text(args.file), check=False)
-    if not docs:
-        raise DocumentSyntaxError("no documents in input", line=1)
     status = 0
-    for doc in docs:
+    for doc in _load_documents(args.file):
         report = validate(doc.add, doc.circ, doc.name)
         if report.ok:
             print(f"OK order={report.order}")

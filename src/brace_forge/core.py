@@ -240,9 +240,12 @@ def frontier_closure(mask: np.ndarray, frontier: np.ndarray, families,
     return mask
 
 
-def closure_generators(t: np.ndarray) -> list[int]:
-    """Greedy generating set of ``t``: the least label not yet reached
-    becomes the next generator, until every label is reached.
+def closure_generators(t: np.ndarray) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Greedy generating set of ``t`` and the walk that reaches every label:
+    the least label not yet reached becomes the next generator, until
+    every label is reached.  Returns ``(gens, steps)``: each step (y, x, g)
+    has y = t[x, g], g a generator and x reached before y; 0, the
+    generators and the steps' y hold every label once.
 
     The reached set is {0} and the generators, closed under right
     multiplication by the generators: one breadth-first search over the
@@ -270,33 +273,36 @@ def closure_generators(t: np.ndarray) -> list[int]:
     members = [0]
     columns: list[list[int]] = []
     gens: list[int] = []
+    steps: list[tuple[int, int, int]] = []
     g = 0
     while True:
         while g < n and seen[g]:
             g += 1
         if g == n:
-            return gens
+            return gens, steps
+        # g enters as a generator, not as 0 o g (= g unless the identity law fails)
         column = t[:, g].tolist()
         gens.append(g)
         columns.append(column)
         start = len(members)
+        seen[g] = True
+        members.append(g)
         for x in members[:start]:
             y = column[x]
             if not seen[y]:
                 seen[y] = True
                 members.append(y)
-        if not seen[g]:  # 0 o g = g unless the identity law fails
-            seen[g] = True
-            members.append(g)
+                steps.append((y, x, g))
         i = start
         while i < len(members):
             x = members[i]
             i += 1
-            for column in columns:
+            for h, column in zip(gens, columns):
                 y = column[x]
                 if not seen[y]:
                     seen[y] = True
                     members.append(y)
+                    steps.append((y, x, h))
 
 
 def _latin_violation(t: np.ndarray, prefix: str) -> list[Violation]:
@@ -404,8 +410,8 @@ def validate(add, circ, name: str = "", mode: str | None = None,
         # runs only on Latin squares
         add_id, add_dup = _identity_violation(add, "add"), _latin_violation(add, "add")
         circ_id, circ_dup = _identity_violation(circ, "circ"), _latin_violation(circ, "circ")
-        add_gens = [] if add_dup else closure_generators(add)   # shared by both checks on add
-        circ_gens = [] if circ_dup else closure_generators(circ)
+        add_gens = [] if add_dup else closure_generators(add)[0]   # shared by both checks on add
+        circ_gens = [] if circ_dup else closure_generators(circ)[0]
         violations = (add_id + add_dup + _assoc_violation_fast(add, "add", add_gens)
                       + circ_id + circ_dup + _assoc_violation_fast(circ, "circ", circ_gens))
     if violations:

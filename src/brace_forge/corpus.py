@@ -94,7 +94,11 @@ def radical_ring_brace(modulus: int, generator: int, name: str | None = None) ->
 
 def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.ndarray]:
     """All total maps a -> aut index with lambda_0 = id and
-    lambda_{a + lambda_a(b)} = lambda_a . lambda_b; returns circ tables."""
+    lambda_{a + lambda_a(b)} = lambda_a . lambda_b; returns circ tables.
+    A trail is the tail of ``assigned`` (``propagate`` appends to both in
+    order; deeper calls undo their own), so ``undo`` cuts it off in one
+    slice.  ``propagate`` only appends while it walks ``assigned``, so
+    walking its first len(assigned) entries equals walking a copy."""
     n = add.shape[0]
     k = len(auts)
     aut_rows = [tuple(int(x) for x in p) for p in auts]
@@ -109,7 +113,8 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
     def propagate(queue: list[int], trail: list[int]) -> bool:
         while queue:
             a = queue.pop()
-            for b in list(assigned):
+            for i in range(len(assigned)):
+                b = assigned[i]
                 for x, y in ((a, b), (b, a)):
                     c = addl[x][aut_rows[alpha[x]][y]]
                     req = comp[alpha[x]][alpha[y]]
@@ -125,7 +130,7 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
     def undo(trail: list[int]):
         for c in trail:
             alpha[c] = -1
-            assigned.remove(c)
+        del assigned[len(assigned) - len(trail):]
 
     def dfs():
         try:
@@ -144,39 +149,39 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
             undo(trail)
 
     # seed: propagate the forced values around the identity
-    trail0: list[int] = []
-    if propagate([0], trail0):
+    if propagate([0], []):
         dfs()
     return results
 
 
-def _holomorph_braces(add: np.ndarray, limit: int, prefix: str) -> list[FiniteSkewBrace]:
-    n = add.shape[0]
-    if n > limit:
-        raise SizeCapExceeded(f"group order {n} exceeds the enumeration limit {limit}")
-    tables = _lambda_system_search(add, group_automorphisms(add))
-    seen: dict[bytes, np.ndarray] = {}
-    for circ in tables:
-        seen.setdefault(circ.tobytes(), circ)
-    ordered = sorted(seen.values(), key=lambda t: tuple(t.ravel()))
+def _holomorph_braces(add: np.ndarray, prefix: str) -> list[FiniteSkewBrace]:
+    """The braces of ``_lambda_system_search`` by ascending circ table.  The
+    tables are distinct: the search reaches each lambda-assignment once,
+    and circ row a is add row a after lambda_a, which fixes lambda_a."""
+    ordered = sorted(_lambda_system_search(add, group_automorphisms(add)),
+                     key=lambda t: tuple(t.ravel()))
     return [brace_from_tables(add, circ, f"{prefix}#{i}") for i, circ in enumerate(ordered)]
 
 
 @functools.lru_cache(maxsize=None)
-def _holomorph_enumerate_cached(canonical: str, limit: int) -> tuple[FiniteSkewBrace, ...]:
-    return tuple(_holomorph_braces(group_table(canonical), limit, canonical))
+def _holomorph_enumerate_cached(canonical: str) -> tuple[FiniteSkewBrace, ...]:
+    return tuple(_holomorph_braces(group_table(canonical), canonical))
 
 
 def holomorph_enumerate(spec, limit: int = 8) -> list[FiniteSkewBrace]:
     """Every skew brace whose additive group is the given table, listed as
-    circle tables on the same carrier, deduplicated, in a fixed order.
-    Named groups are cached; a raw table is named ``table<n>#<i>``."""
+    circle tables on the same carrier, each once, in a fixed order.
+    Named groups are cached; a raw table is named ``table<n>#<i>``.  The
+    order is checked against ``limit`` before any table is built."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    if isinstance(spec, GroupSpec):
-        return list(_holomorph_enumerate_cached(spec.canonical, limit))
-    add = np.asarray(spec)
-    return _holomorph_braces(add, limit, f"table{add.shape[0]}")
+    named = isinstance(spec, GroupSpec)
+    n = spec.order if named else np.asarray(spec).shape[0]
+    if n > limit:
+        raise SizeCapExceeded(f"group order {n} exceeds the enumeration limit {limit}")
+    if named:
+        return list(_holomorph_enumerate_cached(spec.canonical))
+    return _holomorph_braces(np.asarray(spec), f"table{n}")
 
 
 def _named_examples(max_order: int) -> list[FiniteSkewBrace]:

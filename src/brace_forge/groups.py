@@ -9,6 +9,7 @@ mixed-radix indexing with the first factor most significant.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -107,15 +108,14 @@ def direct_product_table(*tables: np.ndarray) -> np.ndarray:
     return result
 
 
-_FAMILY_BUILDERS = {
-    "c": cyclic_table, "cyclic": cyclic_table,
-    "d": dihedral_table, "dihedral": dihedral_table,
-    "s": symmetric_table, "sym": symmetric_table, "symmetric": symmetric_table,
-    "a": alternating_table, "alt": alternating_table, "alternating": alternating_table,
-}
+_FAMILY_BUILDERS = {"c": cyclic_table, "d": dihedral_table, "s": symmetric_table,
+                    "a": alternating_table}
 
-_CANONICAL = {"cyclic": "c", "sym": "s", "symmetric": "s",
-              "alt": "a", "alternating": "a", "dihedral": "d"}
+_FAMILY_ORDERS = {"c": lambda n: n, "d": lambda n: 2 * n, "s": math.factorial,
+                  "a": lambda n: max(1, math.factorial(n) // 2)}
+
+_CANONICAL = {"cyclic": "c", "dihedral": "d", "sym": "s", "symmetric": "s",
+              "alt": "a", "alternating": "a"}
 
 _TOKEN_RE = re.compile(r"^([a-z]+)(\d+)$")
 
@@ -132,35 +132,30 @@ class GroupSpec:
 
     @property
     def order(self) -> int:
-        total = 1
-        for fam, n in self.factors:
-            total *= {"c": n, "d": 2 * n, "s": _factorial(n), "a": max(1, _factorial(n) // 2)}[fam]
-        return total
+        return math.prod(_FAMILY_ORDERS[fam](n) for fam, n in self.factors)
 
     def __str__(self):
         return self.canonical
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def parse_group_spec(text: str) -> GroupSpec:
-    """Parse strings like "c4", "s3", "c2xc4", "cyclic6", "a5"."""
+    """Parse strings like "c4", "s3", "c2xc4", "cyclic6", "a5".  s<n> and a<n>
+    need 1 <= n <= 5, the degrees the builders support."""
     raw = text.strip().lower().replace(" ", "")
     if not raw:
         raise PreconditionError("empty group spec")
     factors = []
     for token in raw.split("x"):
         m = _TOKEN_RE.match(token)
-        if not m or m.group(1) not in _FAMILY_BUILDERS:
+        fam = _CANONICAL.get(m.group(1), m.group(1)) if m else None
+        if fam not in _FAMILY_BUILDERS:
             raise PreconditionError(
                 f"bad group spec token {token!r}; use c<n>, d<n>, s<n>, a<n> joined by 'x'")
-        fam, n = m.group(1), int(m.group(2))
-        factors.append((_CANONICAL.get(fam, fam), n))
+        n = int(m.group(2))
+        if fam in ("s", "a") and not 1 <= n <= 5:
+            raise PreconditionError(
+                f"bad group spec token {token!r}; s<n> and a<n> need 1 <= n <= 5")
+        factors.append((fam, n))
     return GroupSpec(tuple(factors))
 
 

@@ -118,8 +118,8 @@ def _orbit_families(brace: FiniteSkewBrace):
     witnesses are those of the maps by every x.
     """
     add, circ, neg, inv, lam = brace.add, brace.circ, brace.neg, brace.inv, brace.lam
-    cg = np.array(closure_generators(circ), dtype=np.int64)
-    ag = np.array(closure_generators(add), dtype=np.int64)
+    cg = np.array(closure_generators(circ)[0], dtype=np.int64)
+    ag = np.array(closure_generators(add)[0], dtype=np.int64)
     maps = np.concatenate([
         inv[None, :],
         lam[cg],                                  # lambda_g

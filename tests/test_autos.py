@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from brace_forge import (
     skew_automorphisms,
     validate_sigma,
 )
-from brace_forge import autos
+from brace_forge import CORPUS_GROUPS, autos
 from brace_forge.groups import cyclic_table, direct_product_table, group_table
 
 
@@ -38,6 +39,34 @@ def test_automorphisms_preserve_both_tables(R4, S3at):
         for p in skew_automorphisms(brace):
             assert np.array_equal(p[brace.add], brace.add[np.ix_(p, p)])
             assert np.array_equal(p[brace.circ], brace.circ[np.ix_(p, p)])
+
+
+def test_skew_automorphisms_match_the_full_table_filter(corpus8, A5at):
+    # the filter on circle generators keeps what the full circ check keeps
+    for brace in [*corpus8, A5at]:
+        circ = brace.circ
+        want = [p for p in group_automorphisms(brace.add)
+                if np.array_equal(p[circ], circ[np.ix_(p, p)])]
+        got = skew_automorphisms(brace)
+        assert len(got) == len(want), brace.name
+        for p, q in zip(got, want):
+            assert p.dtype == q.dtype and np.array_equal(p, q), brace.name
+
+
+def test_group_homomorphisms_match_brute_force(corpus8):
+    # every map into the perm indices, kept when it respects the full
+    # tables; itertools.product lists them in lexicographic order
+    sources = [t for t in map(group_table, CORPUS_GROUPS) if t.shape[0] <= 4]
+    for G in (b for b in corpus8 if b.order <= 4):
+        auts = skew_automorphisms(G)
+        comp = perm_composition(auts)
+        for table in sources:
+            m = table.shape[0]
+            want = [phi for phi in map(np.array, itertools.product(range(len(auts)), repeat=m))
+                    if np.array_equal(comp[phi[:, None], phi[None, :]], phi[table])]
+            got = group_homomorphisms(table, auts)
+            assert [phi.tolist() for phi in got] == [phi.tolist() for phi in want], G.name
+            assert all(phi.dtype == np.int64 for phi in got)
 
 
 def test_automorphism_space_capped_before_search(monkeypatch):

@@ -207,8 +207,9 @@ def test_corpus_standard(capsys):
 
 
 def test_corpus_bad_group(capsys):
-    assert main(["corpus", "enumerate", "--group", "q8"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for group in ("q8", "s20000"):
+        assert main(["corpus", "enumerate", "--group", group]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_verify_lemma31_single_case(capsys):

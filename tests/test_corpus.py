@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,8 @@ from brace_forge import (
     standard_corpus,
     validate,
 )
+from brace_forge import corpus
+from brace_forge.cli import main
 from brace_forge.groups import group_table
 
 import oracles
@@ -157,6 +160,25 @@ def test_holomorph_limit_and_cache():
             assert [b.circ.tobytes() for b in raw] == [b.circ.tobytes() for b in named], spec
             assert [b.name for b in raw] == [f"table{table.shape[0]}#{i}"
                                             for i in range(len(raw))]
+
+
+def test_oversized_group_rejected_before_its_table(monkeypatch, capsys):
+    def refuse(spec):
+        raise AssertionError("a table was built for an oversized group")
+
+    monkeypatch.setattr(corpus, "group_table", refuse)
+    with pytest.raises(SizeCapExceeded, match="group order 3000 exceeds the enumeration limit 8"):
+        holomorph_enumerate("c3000")
+    assert main(["corpus", "enumerate", "--group", "c3000"]) == 2
+    assert "group order 3000" in capsys.readouterr().err
+
+
+def test_corpus_enumerate_stdout_pinned(capsys):
+    # the standard corpus as `python -m brace_forge corpus enumerate` prints it
+    assert main(["corpus", "enumerate"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "458b2ede03bd53bf8467ff3eb7d7681246a16d9accacb749e0916a6ea1646a8b")
 
 
 def test_standard_corpus_shape(corpus8):

@@ -120,7 +120,8 @@ def test_parse_group_spec():
     assert parse_group_spec("d4").order == 8
     assert parse_group_spec("a5").order == 60
     assert parse_group_spec("s4").order == 24
-    for bad in ("", "q8", "c", "4", "c2yc2"):
+    # s20000 is refused before its order (a 77,000-digit factorial) is computed
+    for bad in ("", "q8", "c", "4", "c2yc2", "s6", "a0", "c2xs20000"):
         with pytest.raises(PreconditionError):
             parse_group_spec(bad)
 
