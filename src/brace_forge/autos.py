@@ -113,12 +113,15 @@ def _homomorphisms(table: np.ndarray, target: np.ndarray,
         raise SizeCapExceeded(
             f"homomorphism search space {k}^{len(gens)} exceeds the limit")
 
+    rows = target.tolist()
     out = []
     for images in itertools.product(range(k), repeat=len(gens)):
-        phi = np.zeros(m, dtype=np.int64)
-        phi[gens] = images
+        images_of = [0] * m
+        for g, image in zip(gens, images):
+            images_of[g] = image
         for y, x, g in steps:
-            phi[y] = target[phi[x], phi[g]]
+            images_of[y] = rows[images_of[x]][images_of[g]]
+        phi = np.array(images_of, dtype=np.int64)
         if np.array_equal(phi[table[:, gens]], target[phi[:, None], phi[gens]]):
             out.append(phi)
             if budget is not None and len(out) >= budget:

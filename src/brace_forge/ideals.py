@@ -180,23 +180,30 @@ def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
 
     So I + J is the least ideal containing I and J, the same set as
     ``ideal_closure(I | J)``.
+
+    The sums with P_t are made at once.  The masks found so far that miss
+    the representative, in insertion order, are the rows of B (an ideal
+    that holds it holds P_t and is its own sum).  Row r of the scatter of
+    add[j, P_t] over each nonzero B[r, j] is I_r + P_t.  The rows are
+    inserted in order, so the dict, and so the list, are those of summing
+    one ideal at a time.  A bool mask of n <= 128 bytes is its own key.
     """
     n = brace.order
     if n > DEFAULT_IDEAL_CAP:
         raise SizeCapExceeded(f"order {n} exceeds the ideal enumeration cap {DEFAULT_IDEAL_CAP}")
     zero = np.zeros(n, dtype=bool)
     zero[0] = True
-    known: dict[bytes, np.ndarray] = {np.packbits(zero).tobytes(): zero}
+    known: dict[bytes, np.ndarray] = {zero.tobytes(): zero}
     element_maps = _orbit_families(brace)
     families = _ideal_families(brace, element_maps)
     for a in _orbit_representatives(brace, element_maps):
         P = np.flatnonzero(_principal_closure(brace, a, families))
-        for base in list(known.values()):
-            if base[a]:
-                continue  # an ideal holding a holds its principal ideal
-            mask = np.zeros(n, dtype=bool)
-            mask[brace.add[np.ix_(np.flatnonzero(base), P)]] = True
-            known.setdefault(np.packbits(mask).tobytes(), mask)
+        B = np.stack([m for m in known.values() if not m[a]])
+        rows, cols = np.nonzero(B)
+        sums = np.zeros_like(B)
+        sums[rows[:, None], brace.add[cols[:, None], P]] = True
+        for row in sums:
+            known.setdefault(row.tobytes(), row)
     sets = sorted((frozenset(int(x) for x in np.flatnonzero(m)) for m in known.values()),
                   key=lambda s: (len(s), tuple(sorted(s))))
     return [Ideal(brace, s) for s in sets]

@@ -169,10 +169,10 @@ def _fast_verdict(B: FiniteSkewBrace) -> SemiprimeVerdict:
 # lemma31: every ideal of the function-space base projects positionwise
 # to an ideal of the bottom brace
 
-# base tables and their ideal lists depend only on (G, positions), and the
-# ideals of G only on G; cache per process so repeated pairs are free.
+# base tables and their ideal masks depend only on (G, positions), and the
+# ideal masks of G only on G; cache per process so repeated pairs are free.
 # Braces hash and compare by their tables.
-_BASE_MEMO: dict[tuple[FiniteSkewBrace, int], tuple[np.ndarray, list[np.ndarray]]] = {}
+_BASE_MEMO: dict[tuple[FiniteSkewBrace, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _base_ideals(G: FiniteSkewBrace, H: FiniteSkewBrace):
@@ -180,36 +180,52 @@ def _base_ideals(G: FiniteSkewBrace, H: FiniteSkewBrace):
     hit = _BASE_MEMO.get(key)
     if hit is None:
         W, ctx = wreath_base(G, H)
-        members = [np.fromiter(i.sorted(), dtype=np.int64) for i in enumerate_ideals(W)]
-        hit = _BASE_MEMO[key] = (ctx.digit_matrix(), members)
+        hit = _BASE_MEMO[key] = (ctx.digit_matrix(), _ideal_masks(W))
     return hit
 
 
+def _ideal_masks(B: FiniteSkewBrace) -> np.ndarray:
+    """Row i is the member mask of the i-th ideal of ``enumerate_ideals``."""
+    return np.array([np.bincount(list(i.members), minlength=B.order)
+                     for i in enumerate_ideals(B)], dtype=bool)
+
+
 @functools.lru_cache(maxsize=None)
-def _g_ideals(G: FiniteSkewBrace) -> frozenset[tuple[int, ...]]:
-    return frozenset(i.sorted() for i in enumerate_ideals(G))
+def _g_ideals(G: FiniteSkewBrace) -> frozenset[bytes]:
+    return frozenset(row.tobytes() for row in _ideal_masks(G))
 
 
 def _case_lemma31(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
     """A projection is an ideal of G exactly when it is in the list of all
-    ideals of G; ``is_ideal`` runs only on a miss, to name the failed rule."""
-    digits, ideal_members = _base_ideals(G, H)
+    ideals of G; ``is_ideal`` runs only on a miss, to name the failed rule.
+
+    All projections come from one scatter: proj[i, h, d] is set when some
+    member of ideal i has digit d at position h, so proj[i, h] is the mask
+    of the projection of ideal i at h.  A set and its mask determine each
+    other, so a mask that is not the mask of an ideal of G is a projection
+    that is not an ideal of G, and flatnonzero(proj[i, h]) is the sorted
+    projection (what ``np.unique`` of the digits gives).  The walk goes
+    ideal by ideal, then position by position, so the first failure, its
+    info and its witness are those of checking one projection at a time.
+    """
+    digits, masks = _base_ideals(G, H)
     g_ideals = _g_ideals(G)
-    for members in ideal_members:
-        digs = digits[members]
-        for h in range(H.order):
-            proj = np.unique(digs[:, h])
-            if tuple(proj.tolist()) in g_ideals:
+    rows, cols = np.nonzero(masks)
+    proj = np.zeros((len(masks), H.order, G.order), dtype=bool)
+    proj[rows[:, None], np.arange(H.order), digits[cols]] = True
+    for i, projections in enumerate(proj):
+        for h, mask in enumerate(projections):
+            if mask.tobytes() in g_ideals:
                 continue
-            ok, rule = is_ideal(G, proj)
+            members = np.flatnonzero(mask)
+            ok, rule = is_ideal(G, members)
             if not ok:
                 return CaseResult(
                     case_id, False,
-                    f"ideal={fmt_members(members)} h={h} fails {rule}",
-                    witness=tuple(int(x) for x in proj),
+                    f"ideal={fmt_members(np.flatnonzero(masks[i]))} h={h} fails {rule}",
+                    witness=tuple(int(x) for x in members),
                 )
-    return CaseResult(case_id, True,
-                      f"ideals={len(ideal_members)} positions={H.order}")
+    return CaseResult(case_id, True, f"ideals={len(masks)} positions={H.order}")
 
 
 def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_MAX,

@@ -2,9 +2,10 @@
 
 Everything here is written from the definitions with plain loops, no
 shortcuts shared with the package, so a bug in the fast paths cannot
-cancel itself out in the comparison.  The one exception is
-``ascending_principal_scan``, a former fast path kept as the reference
-for the one that replaced it.
+cancel itself out in the comparison.  The exceptions are former fast
+paths kept as the references for the ones that replaced them:
+``ascending_principal_scan``, ``pairwise_join_ideals`` and
+``lemma31_case_loop``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ import itertools
 
 import numpy as np
 
-from brace_forge.core import frontier_closure, star_block
-from brace_forge.ideals import _ideal_families, _orbit_families
+from brace_forge.core import fmt_members, frontier_closure, star_block
+from brace_forge.ideals import (
+    _ideal_families,
+    _orbit_families,
+    _orbit_representatives,
+    _principal_closure,
+    is_ideal,
+)
+from brace_forge.products import wreath_base
 
 
 def is_group_table(t) -> bool:
@@ -336,3 +344,50 @@ def generated_by(table, gens) -> set[int]:
                 seen.add(y)
                 todo.append(y)
     return seen
+
+
+def pairwise_join_ideals(brace) -> list[frozenset[int]]:
+    """The ideal lattice summed one known ideal at a time, the reference
+    for the batched join of ``enumerate_ideals``: per orbit
+    representative a, every ideal found so far that misses a is summed
+    with a's principal ideal by one gather.  Returns the member sets in
+    the order ``enumerate_ideals`` lists them."""
+    n = brace.order
+    zero = np.zeros(n, dtype=bool)
+    zero[0] = True
+    known = {np.packbits(zero).tobytes(): zero}
+    element_maps = _orbit_families(brace)
+    families = _ideal_families(brace, element_maps)
+    for a in _orbit_representatives(brace, element_maps):
+        P = np.flatnonzero(_principal_closure(brace, a, families))
+        for base in list(known.values()):
+            if base[a]:
+                continue
+            mask = np.zeros(n, dtype=bool)
+            mask[brace.add[np.ix_(np.flatnonzero(base), P)]] = True
+            known.setdefault(np.packbits(mask).tobytes(), mask)
+    sets = [frozenset(int(x) for x in np.flatnonzero(m)) for m in known.values()]
+    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def lemma31_case_loop(G, H):
+    """The lemma31 case checked one projection at a time, the reference
+    for the projection scatter of ``verify._case_lemma31``: for each ideal
+    of the base, then each position h, the sorted digits at h are looked
+    up among the ideals of G, and ``is_ideal`` names the rule on a miss.
+    Returns (ok, info, witness)."""
+    W, ctx = wreath_base(G, H)
+    digits = ctx.digit_matrix()
+    g_ideals = {tuple(sorted(s)) for s in pairwise_join_ideals(G)}
+    ideal_members = [np.array(sorted(s), dtype=np.int64) for s in pairwise_join_ideals(W)]
+    for members in ideal_members:
+        digs = digits[members]
+        for h in range(H.order):
+            proj = np.unique(digs[:, h])
+            if tuple(proj.tolist()) in g_ideals:
+                continue
+            ok, rule = is_ideal(G, proj)
+            if not ok:
+                return (False, f"ideal={fmt_members(members)} h={h} fails {rule}",
+                        tuple(int(x) for x in proj))
+    return True, f"ideals={len(ideal_members)} positions={H.order}", ()

@@ -114,6 +114,13 @@ def test_enumeration_is_join_closure_of_principals(corpus8, g_name, h_name, coun
     assert got == want
 
 
+def test_batched_join_matches_pairwise_join(corpus8):
+    # same ideals in the same order, on every corpus brace and lemma31 base
+    for brace in [*corpus8, *_lemma31_bases(corpus8)]:
+        got = [i.members for i in enumerate_ideals(brace)]
+        assert got == oracles.pairwise_join_ideals(brace), brace.name
+
+
 def test_enumerate_closes_one_principal_ideal_per_orbit(corpus8, monkeypatch):
     # a principal closure is a frontier closure seeded with 0; the orbit
     # closures of _orbit_representatives never reach 0

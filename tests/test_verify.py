@@ -33,6 +33,8 @@ from brace_forge.verify import (
     _case_lemma32_lift,
 )
 
+import oracles
+
 
 def _render(report):
     buf = io.StringIO()
@@ -119,20 +121,50 @@ class TestLemma31:
         replay = outs[0].split("REPLAY lemma31:T2:T2 witness={}\n", 1)[1]
         assert [d.to_brace() == T2 for d in parse_documents(replay)] == [True, True]
 
+    @staticmethod
+    def _inject(monkeypatch, G, H, *member_sets):
+        """Append member masks to the memoized ideal masks of the base."""
+        hit = verify._base_ideals(G, H)
+        key = next(k for k, v in verify._BASE_MEMO.items() if v is hit)
+        digits, masks = hit
+        bad = np.zeros((len(member_sets), masks.shape[1]), dtype=bool)
+        for row, members in zip(bad, member_sets):
+            row[list(members)] = True
+        monkeypatch.setitem(verify._BASE_MEMO, key, (digits, np.vstack([masks, bad])))
+
     def test_miss_names_the_is_ideal_rule(self, monkeypatch, R4, T2):
         # a base "ideal" whose first projection {0,1} is no ideal of R4
-        hit = verify._base_ideals(R4, T2)
-        key = next(k for k, v in verify._BASE_MEMO.items() if v is hit)
-        digits, members = hit
+        digits = verify._base_ideals(R4, T2)[0]
         w = int(np.flatnonzero((digits == [1, 0]).all(axis=1))[0])
-        bad = np.array([0, w])
-        monkeypatch.setitem(verify._BASE_MEMO, key, (digits, members + [bad]))
+        self._inject(monkeypatch, R4, T2, [0, w])
         result = verify._case_lemma31("lemma31:R4:T2", R4, T2)
         ok, rule = is_ideal(R4, [0, 1])
         assert not ok
         assert not result.ok
         assert result.info == f"ideal={{0,{w}}} h=0 fails {rule}"
         assert result.witness == (0, 1)
+
+    def test_first_miss_is_ideal_major_then_position(self, monkeypatch, R4, T2):
+        # two ideals after the real ones: {0,u} fails only at h=1, the next
+        # {0,w} at h=0, so a position-major walk would report {0,w}
+        digits = verify._base_ideals(R4, T2)[0]
+        u = int(np.flatnonzero((digits == [0, 1]).all(axis=1))[0])
+        w = int(np.flatnonzero((digits == [1, 0]).all(axis=1))[0])
+        self._inject(monkeypatch, R4, T2, [0, u], [0, w])
+        result = verify._case_lemma31("lemma31:R4:T2", R4, T2)
+        _, rule = is_ideal(R4, [0, 1])
+        assert not result.ok
+        assert result.info == f"ideal={{0,{u}}} h=1 fails {rule}"
+        assert result.witness == (0, 1)
+
+    def test_cases_match_the_projection_loop(self, corpus8):
+        named = {b.name: b for b in corpus8}
+        report = verify_lemma31(base_cap=16)
+        assert report.attempted > 300
+        for case in report.cases:
+            _, g_name, h_name = case.case_id.split(":")
+            want = oracles.lemma31_case_loop(named[g_name], named[h_name])
+            assert (case.ok, case.info, case.witness) == want, case.case_id
 
     def test_max_g_filter(self):
         report = verify_lemma31(max_g=2)
