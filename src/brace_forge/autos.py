@@ -71,12 +71,19 @@ def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
 
 def perm_composition(perms: list[np.ndarray]) -> np.ndarray:
     """Composition table of a closed set of permutations:
-    entry [i, j] = index of perms[i] after perms[j]."""
+    entry [i, j] = index of perms[i] after perms[j].  Each row is read as
+    one opaque key; the composed keys are looked up by one sort and one
+    ``searchsorted``.  Raises PreconditionError when the set is not closed."""
     stacked = np.stack(perms)
-    index = {p.tobytes(): i for i, p in enumerate(stacked)}
     k, n = stacked.shape
-    composed = stacked[:, stacked].reshape(k * k, n)   # row i*k + j is p_i[p_j]
-    return np.array([index[c.tobytes()] for c in composed], dtype=np.int64).reshape(k, k)
+    row = np.dtype((np.void, n * stacked.itemsize))
+    keys = stacked.view(row).ravel()
+    composed = stacked[:, stacked].reshape(k * k, n).view(row).ravel()   # row i*k + j is p_i[p_j]
+    order = np.argsort(keys)
+    index = order[np.minimum(np.searchsorted(keys[order], composed), k - 1)]
+    if not np.array_equal(keys[index], composed):
+        raise PreconditionError("permutations are not closed under composition")
+    return index.reshape(k, k)
 
 
 def group_homomorphisms(table: np.ndarray, perms: list[np.ndarray],

@@ -18,6 +18,7 @@ from .core import (
     FiniteSkewBrace,
     PreconditionError,
     SizeCapExceeded,
+    _derive_neg,
     brace_from_tables,
     table_dtype,
 )
@@ -94,16 +95,22 @@ def radical_ring_brace(modulus: int, generator: int, name: str | None = None) ->
 
 def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.ndarray]:
     """All total maps a -> aut index with lambda_0 = id and
-    lambda_{a + lambda_a(b)} = lambda_a . lambda_b; returns circ tables.
+    lambda_{a + lambda_a(b)} = lambda_a . lambda_b; returns the lambda
+    tables, row a = lambda_a.
     A trail is the tail of ``assigned`` (``propagate`` appends to both in
     order; deeper calls undo their own), so ``undo`` cuts it off in one
     slice.  ``propagate`` only appends while it walks ``assigned``, so
-    walking its first len(assigned) entries equals walking a copy."""
+    walking its first len(assigned) entries equals walking a copy.
+    ``candidates`` tests every value t of lambda_a for the free a at once
+    against the assigned set S, with a read as assigned t: for b in S,
+    a + t(b) needs t . lambda_b and b + lambda_b(a) needs lambda_b . t where
+    assigned.  ``propagate`` checks these pairs first and never changes an
+    assigned value, so it would reject every t dropped here."""
     n = add.shape[0]
     k = len(auts)
-    aut_rows = [tuple(int(x) for x in p) for p in auts]
-    comp = perm_composition(auts).tolist()
-    addl = [tuple(int(x) for x in row) for row in add]
+    A = np.stack(auts)
+    comp = perm_composition(auts)
+    aut_rows, comp_rows, addl = A.tolist(), comp.tolist(), add.tolist()
 
     alpha = [-1] * n
     alpha[0] = 0  # identity automorphism is lexicographically first
@@ -117,7 +124,7 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
                 b = assigned[i]
                 for x, y in ((a, b), (b, a)):
                     c = addl[x][aut_rows[alpha[x]][y]]
-                    req = comp[alpha[x]][alpha[y]]
+                    req = comp_rows[alpha[x]][alpha[y]]
                     if alpha[c] == -1:
                         alpha[c] = req
                         assigned.append(c)
@@ -132,15 +139,23 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
             alpha[c] = -1
         del assigned[len(assigned) - len(trail):]
 
+    def candidates(a: int) -> np.ndarray:
+        S = np.array(assigned)
+        lam = np.array(alpha)
+        ok = np.ones(k, dtype=bool)
+        for c, req in ((add[a, A[:, S]], comp[:, lam[S]]),            # a + t(b)
+                       (add[S, A[lam[S], a]][None, :], comp[lam[S]].T)):  # b + lambda_b(a)
+            got = np.where(c == a, np.arange(k)[:, None], lam[c])
+            ok &= ((got == -1) | (got == req)).all(axis=1)
+        return np.flatnonzero(ok)
+
     def dfs():
         try:
             free = alpha.index(-1)
         except ValueError:
-            circ = np.array([[addl[a][aut_rows[alpha[a]][b]] for b in range(n)]
-                             for a in range(n)], dtype=add.dtype)
-            results.append(circ)
+            results.append(A[alpha])
             return
-        for t in range(k):
+        for t in candidates(free).tolist():
             alpha[free] = t
             assigned.append(free)
             trail = [free]
@@ -155,12 +170,22 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
 
 
 def _holomorph_braces(add: np.ndarray, prefix: str) -> list[FiniteSkewBrace]:
-    """The braces of ``_lambda_system_search`` by ascending circ table.  The
-    tables are distinct: the search reaches each lambda-assignment once,
-    and circ row a is add row a after lambda_a, which fixes lambda_a."""
-    ordered = sorted(_lambda_system_search(add, group_automorphisms(add)),
-                     key=lambda t: tuple(t.ravel()))
-    return [brace_from_tables(add, circ, f"{prefix}#{i}") for i, circ in enumerate(ordered)]
+    """The braces of ``_lambda_system_search`` by ascending circ table.  Only
+    the additive table is validated: each lambda_a is in Aut(N, +), lambda_0
+    = id and lambda_{a o b} = lambda_a lambda_b for a o b = a + lambda_a(b),
+    so (a o b) o c = a + lambda_a(b) + lambda_a lambda_b(c) = a o (b o c),
+    lambda_a^-1(-a) is a right inverse of a, and a o (b + c) = (a o b) - a +
+    (a o c) is additivity of lambda_a: {(a, lambda_a)} is a regular
+    subgroup of Hol(N) (Guarnieri and Vendramin 2017).  The tables are
+    distinct: the search reaches each lambda-assignment once, and circ row
+    a is add row a after lambda_a, which fixes lambda_a."""
+    group = brace_from_tables(add, add)
+    add, neg = group.add, group.neg
+    rows = np.arange(add.shape[0])[:, None]
+    braces = [(add[rows, lam], lam) for lam in _lambda_system_search(add, group_automorphisms(add))]
+    braces.sort(key=lambda pair: pair[0].ravel().tolist())
+    return [FiniteSkewBrace(add.shape[0], add, circ, neg, _derive_neg(circ), lam, f"{prefix}#{i}")
+            for i, (circ, lam) in enumerate(braces)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,19 +210,19 @@ def holomorph_enumerate(spec, limit: int = 8) -> list[FiniteSkewBrace]:
 
 
 def _named_examples(max_order: int) -> list[FiniteSkewBrace]:
-    out = [
-        group_brace("c2", "trivial", name="T2"),
-        radical_ring_brace(8, 2, name="R4"),
-        group_brace("s3", "almost_trivial", name="S3at"),
-        group_brace("a4", "almost_trivial", name="A4at"),
-        group_brace("a5", "almost_trivial", name="A5at"),
-        radical_ring_brace(4, 2, name="R2"),
-        radical_ring_brace(9, 3, name="R3"),
-        radical_ring_brace(16, 2, name="R8"),
-        radical_ring_brace(27, 3, name="R9"),
-        radical_ring_brace(32, 2, name="R16"),
-    ]
-    return [b for b in out if b.order <= max_order]
+    examples = (  # (order, builder): only the examples kept are built
+        (2, lambda: group_brace("c2", "trivial", name="T2")),
+        (4, lambda: radical_ring_brace(8, 2, name="R4")),
+        (6, lambda: group_brace("s3", "almost_trivial", name="S3at")),
+        (12, lambda: group_brace("a4", "almost_trivial", name="A4at")),
+        (60, lambda: group_brace("a5", "almost_trivial", name="A5at")),
+        (2, lambda: radical_ring_brace(4, 2, name="R2")),
+        (3, lambda: radical_ring_brace(9, 3, name="R3")),
+        (8, lambda: radical_ring_brace(16, 2, name="R8")),
+        (9, lambda: radical_ring_brace(27, 3, name="R9")),
+        (16, lambda: radical_ring_brace(32, 2, name="R16")),
+    )
+    return [build() for order, build in examples if order <= max_order]
 
 
 def standard_corpus(max_order: int = 8) -> list[FiniteSkewBrace]:

@@ -15,7 +15,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +134,13 @@ def _run_chunk(items: list[tuple]) -> list[CaseResult]:
 
 def _run_items(items: list[tuple], jobs: int) -> list[CaseResult]:
     """Run the cases in order, in at most ``jobs`` worker processes and
-    never more than there are CPUs or cases."""
+    never more than there are CPUs or cases.  The pool module is imported
+    only here, so an in-process sweep never loads it."""
     jobs = min(jobs, len(items), os.cpu_count() or 1)
     if jobs <= 1:
         return _run_chunk(items)
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, len(items), jobs + 1).astype(int)
     chunks = [items[bounds[i]:bounds[i + 1]] for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

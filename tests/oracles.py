@@ -4,8 +4,9 @@ Everything here is written from the definitions with plain loops, no
 shortcuts shared with the package, so a bug in the fast paths cannot
 cancel itself out in the comparison.  The exceptions are former fast
 paths kept as the references for the ones that replaced them:
-``ascending_principal_scan``, ``pairwise_join_ideals`` and
-``lemma31_case_loop``.
+``ascending_principal_scan``, ``pairwise_join_ideals``,
+``lemma31_case_loop``, ``perm_composition_lookup`` and
+``lambda_system_search_loop``.
 """
 
 from __future__ import annotations
@@ -391,3 +392,72 @@ def lemma31_case_loop(G, H):
                 return (False, f"ideal={fmt_members(members)} h={h} fails {rule}",
                         tuple(int(x) for x in proj))
     return True, f"ideals={len(ideal_members)} positions={H.order}", ()
+
+
+def perm_composition_lookup(perms) -> np.ndarray:
+    """The composition table of ``autos.perm_composition`` by one dict
+    lookup per composed permutation: entry [i, j] = index of perms[i]
+    after perms[j], as int64."""
+    stacked = np.stack(perms)
+    index = {p.tobytes(): i for i, p in enumerate(stacked)}
+    k, n = stacked.shape
+    composed = stacked[:, stacked].reshape(k * k, n)   # row i*k + j is p_i[p_j]
+    return np.array([index[c.tobytes()] for c in composed], dtype=np.int64).reshape(k, k)
+
+
+def lambda_system_search_loop(add, auts) -> list[np.ndarray]:
+    """The circ tables of every lambda-system on ``add`` (see
+    ``corpus._lambda_system_search``) by the unpruned search: each
+    automorphism is tried for the free element in turn and checked by
+    forward propagation alone; a table is built row by row in Python."""
+    n = add.shape[0]
+    k = len(auts)
+    aut_rows = [tuple(int(x) for x in p) for p in auts]
+    comp = perm_composition_lookup(auts).tolist()
+    addl = [tuple(int(x) for x in row) for row in add]
+
+    alpha = [-1] * n
+    alpha[0] = 0
+    assigned = [0]
+    results = []
+
+    def propagate(queue, trail):
+        while queue:
+            a = queue.pop()
+            for i in range(len(assigned)):
+                b = assigned[i]
+                for x, y in ((a, b), (b, a)):
+                    c = addl[x][aut_rows[alpha[x]][y]]
+                    req = comp[alpha[x]][alpha[y]]
+                    if alpha[c] == -1:
+                        alpha[c] = req
+                        assigned.append(c)
+                        trail.append(c)
+                        queue.append(c)
+                    elif alpha[c] != req:
+                        return False
+        return True
+
+    def undo(trail):
+        for c in trail:
+            alpha[c] = -1
+        del assigned[len(assigned) - len(trail):]
+
+    def dfs():
+        try:
+            free = alpha.index(-1)
+        except ValueError:
+            results.append(np.array([[addl[a][aut_rows[alpha[a]][b]] for b in range(n)]
+                                     for a in range(n)], dtype=add.dtype))
+            return
+        for t in range(k):
+            alpha[free] = t
+            assigned.append(free)
+            trail = [free]
+            if propagate([free], trail):
+                dfs()
+            undo(trail)
+
+    if propagate([0], []):
+        dfs()
+    return results

@@ -19,6 +19,8 @@ from brace_forge import (
 from brace_forge import CORPUS_GROUPS, autos
 from brace_forge.groups import cyclic_table, direct_product_table, group_table
 
+import oracles
+
 
 def test_skew_automorphism_counts(T2, R4, S3at):
     assert len(skew_automorphisms(T2)) == 1
@@ -136,6 +138,22 @@ def test_perm_composition():
     for i in range(6):
         assert sorted(comp[i].tolist()) == list(range(6))
         assert sorted(comp[:, i].tolist()) == list(range(6))
+    # a set that is not closed under composition is refused
+    with pytest.raises(PreconditionError, match="not closed"):
+        perm_composition([np.arange(4), np.array([0, 2, 3, 1])])
+
+
+def test_perm_composition_matches_lookup(corpus8):
+    """Same table and dtype as one dict lookup per composed permutation, on
+    the automorphisms of every corpus additive table and the skew
+    automorphisms of every corpus brace."""
+    tables = {(b.add.dtype.str, b.add.tobytes()): b.add for b in corpus8}
+    perm_sets = [group_automorphisms(t) for t in tables.values()]
+    perm_sets += [skew_automorphisms(b) for b in corpus8]
+    for perms in perm_sets:
+        got = perm_composition(perms)
+        want = oracles.perm_composition_lookup(perms)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_group_homomorphisms_counts(T2):

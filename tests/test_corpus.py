@@ -199,12 +199,67 @@ def test_standard_corpus_named_examples_win(corpus8):
     assert "R2" not in names  # R2 duplicates T2, which comes first
 
 
-def test_standard_corpus_all_validate(corpus8):
-    for brace in corpus8:
-        assert validate(brace.add, brace.circ).ok, brace.name
+TABLES = ("add", "circ", "neg", "inv", "lam")
+
+# sha256 over (add, circ, neg, inv, lam) bytes and dtype, then the name, of
+# each brace in order, measured while every corpus brace was validated
+CORPUS_SHA256 = {
+    8: "3819550f8107e5496a2631b71d0ee76713008e77f046017d39b3d37df693213b",
+    12: "a703489cc2fd907375fa3f694d5ad679427a4a4bbcb03c748d744cbdbfb9b4bc",
+}
 
 
-def test_corpus_order_filter(corpus12):
+def _assert_validated(brace):
+    """``brace`` equals the brace exhaustive ``validate`` builds from its
+    add and circ tables, in every table and dtype."""
+    report = validate(brace.add, brace.circ, mode="exhaustive")
+    assert report.ok, brace.name
+    for table in TABLES:
+        got, want = getattr(brace, table), getattr(report.brace, table)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (brace.name, table)
+
+
+def test_standard_corpus_all_validate(corpus8, corpus12):
+    for max_order, braces in ((8, corpus8), (12, corpus12)):
+        digest = hashlib.sha256()
+        for brace in braces:
+            _assert_validated(brace)
+            for table in TABLES:
+                t = getattr(brace, table)
+                digest.update(t.tobytes() + str(t.dtype).encode())
+            digest.update(brace.name.encode())
+        assert digest.hexdigest() == CORPUS_SHA256[max_order]
+
+
+# the quaternion group, which no named family gives: 0..3 are 1, i, j, k
+# and 4..7 their negatives
+Q8 = np.array([
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 4, 3, 6, 5, 0, 7, 2],
+    [2, 7, 4, 1, 6, 3, 0, 5],
+    [3, 2, 5, 4, 7, 6, 1, 0],
+    [4, 5, 6, 7, 0, 1, 2, 3],
+    [5, 0, 7, 2, 1, 4, 3, 6],
+    [6, 3, 0, 5, 2, 7, 4, 1],
+    [7, 6, 1, 0, 3, 2, 5, 4],
+])
+
+
+@pytest.mark.parametrize("table", [group_table(spec) for spec in CORPUS_GROUPS] + [Q8],
+                         ids=[*CORPUS_GROUPS, "q8"])
+def test_lambda_system_search_matches_loop(table):
+    """The pruned search, through the braces built from it without
+    ``validate``, gives the circ tables of the unpruned loop, sorted."""
+    want = sorted(oracles.lambda_system_search_loop(table, group_automorphisms(table)),
+                  key=lambda t: t.ravel().tolist())
+    braces = corpus._holomorph_braces(table, "t")
+    assert [b.circ.tolist() for b in braces] == [t.tolist() for t in want]
+    if table is Q8:
+        for brace in braces:
+            _assert_validated(brace)
+
+
+def test_corpus_order_filter(corpus12, monkeypatch):
     assert {b.name for b in corpus12} >= {"A4at", "R9"}
     assert len(corpus12) == 309  # the two extra named examples
     assert all(b.order <= 12 for b in corpus12)
@@ -212,6 +267,19 @@ def test_corpus_order_filter(corpus12):
     assert all(b.order <= 4 for b in small)
     assert len(small) == 9  # 1 + 1 + 1 + 6 by order
     assert {"T2", "R4", "R3", "c1#0"} <= {b.name for b in small}
+    # the examples above the order cap (A4at, A5at, R9, R16) are not built
+    built = []
+
+    def recording(real):
+        def build(*args, **kwargs):
+            brace = real(*args, **kwargs)
+            built.append(brace.name)
+            return brace
+        return build
+
+    for builder in ("group_brace", "radical_ring_brace"):
+        monkeypatch.setattr(corpus, builder, recording(getattr(corpus, builder)))
+    assert [b.name for b in corpus._named_examples(8)] == built == ["T2", "R4", "S3at", "R2", "R3", "R8"]
 
 
 def test_a4_almost_trivial_witness(A4at):

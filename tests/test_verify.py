@@ -1,8 +1,10 @@
+import concurrent.futures
 import io
 import os
+import subprocess
+import sys
 import types
 from collections import Counter
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -57,7 +59,7 @@ def _inline_pool(pools):
             return False
 
         def submit(self, fn, *args):
-            future = Future()
+            future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
@@ -85,7 +87,7 @@ class TestLemma31:
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         pools = []
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _inline_pool(pools))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(pools))
         one = verify_lemma31(base_cap=4, jobs=1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         many = verify_lemma31(base_cap=4, jobs=500)
@@ -105,7 +107,7 @@ class TestLemma31:
 
         monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", flaky)
         pools = []
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _inline_pool(pools))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(pools))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         outs = []
         for jobs in ("1", "2"):
@@ -461,3 +463,18 @@ def test_render_plain_pass_report():
     assert lines[0].startswith("CASE lemma31:T2:T2 PASS")
     assert lines[-1] == "lemma31: 1 cases, 0 counterexamples"
     assert "REPLAY" not in text
+
+
+def test_import_leaves_the_pool_modules_out():
+    """A fresh ``import brace_forge`` loads no ``concurrent`` or
+    ``multiprocessing`` module: only a sweep that runs more than one
+    worker imports the process pool."""
+    code = ("import sys, brace_forge; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(verify.__file__)), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
