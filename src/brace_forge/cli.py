@@ -239,11 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("product", help="semidirect or wreath product of two documents")
-    p.add_argument("kind", choices=("semidirect", "wreath"))
-    p.add_argument("--sigma", default=None,
-                   help="file with |H| rows of |G| entries (semidirect only; "
-                        "defaults to the trivial action)")
-    add_file(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("semidirect", help="G x| H under an action of H on G")
+    k.add_argument("--sigma", default=None,
+                   help="file with |H| rows of |G| entries (defaults to the trivial action)")
+    add_file(k)
+    add_file(kinds.add_parser("wreath", help="G wr H"))
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("ybe", help="extract the Yang-Baxter solution map")

@@ -2,11 +2,11 @@
 
 A brace lives on the carrier {0..n-1} with the shared identity of both
 group operations pinned at index 0.  Construction goes through
-validation, except for direct powers of a validated brace
-(``products.wreath_base``) and the holomorph-enumerated braces
-(``corpus._holomorph_braces``).  The per-element inverse tables and the full
-lambda table are materialized as read-only numpy arrays so that
-downstream closure sweeps are pure table gathers.
+validation, except for the semidirect products and direct powers of
+validated braces (``products._product``) and the holomorph-enumerated
+braces (``corpus._holomorph_braces``).  The per-element inverse tables
+and the full lambda table are materialized as read-only numpy arrays so
+that downstream closure sweeps are pure table gathers.
 """
 
 from __future__ import annotations
@@ -437,10 +437,10 @@ class FiniteSkewBrace:
 
     Do not call the constructor directly on unchecked tables; use
     ``brace_from_tables`` or ``validate``.  The two exceptions are
-    ``products.wreath_base``, whose direct power of a validated brace is
-    a brace, and ``corpus._holomorph_braces``, whose lambda-systems on a
-    validated additive group are braces, each by the argument in its
-    docstring.
+    ``products._product``, whose semidirect product of validated braces
+    under a validated action is a brace, and ``corpus._holomorph_braces``,
+    whose lambda-systems on a validated additive group are braces, each by
+    the argument in its docstring.
     """
 
     __slots__ = ("order", "add", "circ", "neg", "inv", "lam", "name", "_star")

@@ -23,7 +23,6 @@ from .core import (
     FiniteSkewBrace,
     PreconditionError,
     SizeCapExceeded,
-    brace_from_tables,
     max_order,
     table_dtype,
 )
@@ -55,11 +54,13 @@ class SigmaAction:
     perms: np.ndarray
 
     def __post_init__(self):
-        perms = np.asarray(self.perms, dtype=table_dtype(self.target.order))
-        if perms.shape != (self.source.order, self.target.order):
-            raise PreconditionError(
-                f"sigma table must be {self.source.order}x{self.target.order}, "
-                f"got {perms.shape}")
+        perms, m, n = np.asarray(self.perms), self.source.order, self.target.order
+        if perms.shape != (m, n):
+            raise PreconditionError(f"sigma table must be {m}x{n}, got {perms.shape}")
+        if (perms.dtype.kind not in "iuf" or perms.min() < 0 or perms.max() >= n
+                or perms.dtype.kind == "f" and not (perms == np.floor(perms)).all()):
+            raise PreconditionError(f"sigma table entries must be integers in 0..{n - 1}")
+        perms = perms.astype(table_dtype(n))
         perms.setflags(write=False)
         object.__setattr__(self, "perms", perms)
 
@@ -103,18 +104,42 @@ def validate_sigma(sigma: SigmaAction) -> list[tuple[int, str, tuple]]:
 
 
 def trivial_sigma(target: FiniteSkewBrace, source: FiniteSkewBrace) -> SigmaAction:
-    perms = np.tile(np.arange(target.order, dtype=table_dtype(target.order)),
-                    (source.order, 1))
-    return SigmaAction(target, source, perms)
+    return SigmaAction(target, source, np.tile(np.arange(target.order), (source.order, 1)))
+
+
+def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
+             name: str) -> FiniteSkewBrace:
+    """G x|_sigma H on pairs (g, h) encoded as g*|H| + h, row h of ``perms``
+    being sigma(h), built without ``validate``:
+    (g1, h1) + (g2, h2) = (g1 + g2, h1 + h2) and
+    (g1, h1) o (g2, h2) = (g1 o sigma(h1)(g2), h1 o h2).
+
+    For validated G and H and a homomorphism sigma from (H, o) into the
+    automorphisms of both tables of G (``validate_sigma``, or the identity
+    action) this is a skew brace (Smoktunowicz and Vendramin, "On skew
+    braces", J. Comb. Algebra 2 (2018)): + is a direct and o a semidirect
+    product of groups, both with identity (0, 0) at label 0, and since
+    sigma(h1) is additive the brace relation splits into G's and H's.  So
+    -(g, h) = (-g, -h), (g, h)' = (sigma(h')(g'), h') and
+    lambda_(g1, h1)(g2, h2) = (lambda_g1(sigma(h1)(g2)), lambda_h1(h2)).
+    """
+    m = H.order
+    dt = table_dtype(G.order * m)
+    return FiniteSkewBrace(
+        G.order * m,
+        direct_product_table(G.add, H.add),
+        _pair_table(G.circ[:, perms], H.circ, dt),
+        (G.neg.astype(dt)[:, None] * m + H.neg).ravel(),
+        (perms[H.inv, G.inv[:, None]].astype(dt) * m + H.inv).ravel(),
+        _pair_table(G.lam[:, perms], H.lam, dt),
+        name,
+    )
 
 
 def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,
                name: str | None = None) -> FiniteSkewBrace:
-    """Semidirect product on pairs (g, h) encoded as g*|H| + h.
-
-    Addition is componentwise; the circle product twists the left slot:
-    (g1, h1) o (g2, h2) = (g1 o sigma(h1)(g2), h1 o h2).
-    """
+    """Semidirect product G x|_sigma H on pairs (g, h) encoded as g*|H| + h
+    (see ``_product``).  ``sigma`` must pass ``validate_sigma``."""
     if sigma.target is not G or sigma.source is not H:
         if not (sigma.target == G and sigma.source == H):
             raise PreconditionError("sigma does not act on these braces")
@@ -125,13 +150,7 @@ def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,
     n = G.order * H.order
     if n > max_order():
         raise SizeCapExceeded(f"product order {n} exceeds the cap {max_order()}")
-    add = direct_product_table(G.add, H.add)
-    # entry [g1*|H| + h1, g2*|H| + h2] is
-    # G.circ[g1, sigma(h1)(g2)] * |H| + H.circ[h1, h2]
-    circ = _pair_table(G.circ[:, sigma.perms], H.circ, table_dtype(n))
-    if name is None:
-        name = f"({G.name} x| {H.name})"
-    return brace_from_tables(add, circ, name)
+    return _product(G, H, sigma.perms, f"({G.name} x| {H.name})" if name is None else name)
 
 
 class WreathContext:
@@ -171,41 +190,19 @@ class WreathContext:
 
 def wreath_base(G: FiniteSkewBrace, H: FiniteSkewBrace) -> tuple[FiniteSkewBrace, WreathContext]:
     """The direct power brace of functions H -> G under pointwise
-    operations, plus its codec.  ``direct_product_table`` puts the first
-    factor most significant, which is the codec's digit order.
-
-    G is a validated brace, so the power is a brace without validating
-    it again: both operations act coordinatewise, so every axiom holds
-    coordinatewise.  Associativity and a o (b+c) = (a o b) - a + (a o c)
-    hold in G^m because they hold in each coordinate.  Label 0 has every
-    digit 0, the identity of G, so it is the shared identity.  The
-    coordinatewise -a and circle inverse a' are inverses in G^m, and
-    lambda_a(b) = -a + a o b is coordinatewise too, so the neg, inv and
-    lambda tables are G's applied digit by digit.
-    """
+    operations, plus its codec: G x| G x| ... x| G under identity actions,
+    built by ``_product`` with the first factor most significant, which is
+    the codec's digit order."""
     ctx = WreathContext(G.order, H.order)
-    m = H.order
-    dt = table_dtype(ctx.order)
-    D = ctx.digit_matrix()
-    power = FiniteSkewBrace(
-        ctx.order,
-        direct_product_table(*[G.add] * m),
-        direct_product_table(*[G.circ] * m),
-        (G.neg[D] @ ctx.weights).astype(dt),
-        (G.inv[D] @ ctx.weights).astype(dt),
-        direct_product_table(*[G.lam] * m),
-        f"({G.name}^{m})",
-    )
-    return power, ctx
+    power = G
+    for k in range(2, H.order + 1):
+        ident = np.zeros((G.order, 1), np.intp) + np.arange(power.order)
+        power = _product(power, G, ident, f"({G.name}^{k})")
+    return power if H.order > 1 else G.with_name(f"({G.name}^1)"), ctx
 
 
 def _shift_perms(ctx: WreathContext, H: FiniteSkewBrace) -> np.ndarray:
-    D = ctx.digit_matrix()
-    perms = np.zeros((H.order, ctx.order), dtype=table_dtype(ctx.order))
-    for h in range(H.order):
-        source = H.circ[H.inv[h]]  # digit x of the image reads digit h' o x
-        perms[h] = (D[:, source] @ ctx.weights).astype(perms.dtype)
-    return perms
+    return (ctx.digit_matrix()[:, H.circ[H.inv]] @ ctx.weights).T  # row h, digit x: h' o x
 
 
 def wreath(G: FiniteSkewBrace, H: FiniteSkewBrace,

@@ -154,6 +154,22 @@ def test_product_semidirect_sigma_file(pair_file, tmp_path, capsys):
     assert doc.circ[2, 3] == 1
 
 
+def test_product_sigma_before_file(pair_file, tmp_path, capsys):
+    sig = tmp_path / "sigma.txt"
+    sig.write_text("0 1 2 3\n0 3 2 1\n")
+    assert main(["product", "semidirect", pair_file, "--sigma", str(sig)]) == 0
+    after = capsys.readouterr().out
+    assert main(["product", "semidirect", "--sigma", str(sig), pair_file]) == 0
+    assert capsys.readouterr().out == after
+
+
+def test_product_wreath_rejects_sigma(pair_file, tmp_path, capsys):
+    sig = tmp_path / "sigma.txt"
+    sig.write_text("0 1 2 3\n0 3 2 1\n")
+    assert main(["product", "wreath", pair_file, "--sigma", str(sig)]) == 2
+    assert "unrecognized arguments: --sigma" in capsys.readouterr().err
+
+
 def test_product_sigma_rejects_bad_grid(pair_file, tmp_path, capsys):
     sig = tmp_path / "sigma.txt"
     sig.write_text("0 1 2 3\n")  # wrong row count

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,16 @@ from brace_forge import (
     is_trivial,
     pointwise_lift,
     rho_projection,
+    search_q34,
     semidirect,
     trivial_sigma,
     validate,
     validate_sigma,
+    verify_cor28_thm33,
     wreath,
     wreath_base,
 )
+from brace_forge import core, products
 from brace_forge.groups import dihedral_table, direct_product_table
 from brace_forge.products import SIGMA_RULES, _shift_perms
 
@@ -53,6 +58,17 @@ def test_sigma_rule_violations(R4, T2):
     sig = SigmaAction(R4, T2, [[0, 1, 2, 3], [1, 0, 2, 3]])
     rules = {rule for _, rule, _ in validate_sigma(sig)}
     assert "add-morphism" in rules or "circ-morphism" in rules
+
+
+def test_sigma_rejects_entries_it_would_change(R4, T2):
+    # fractions, int64 labels that wrap in int16 and Python ints past int16
+    for perms in ([[0, 1, 2, 3], [0.9, 3.2, 2, 1]],
+                  np.array([[0, 1, 2, 3], [65536, 65537, 65538, 65539]], dtype=np.int64),
+                  [[0, 1, 2, 3], [0, -65533, 2, 1]]):
+        with pytest.raises(PreconditionError, match="integers in 0..3"):
+            SigmaAction(R4, T2, perms)
+    assert SigmaAction(R4, T2, [[0.0, 1, 2, 3], [0, 3, 2, 1]]).perms.tolist() == \
+        [[0, 1, 2, 3], [0, 3, 2, 1]]
 
 
 def test_nontrivial_sigma_semidirect(R4, T2):
@@ -169,6 +185,8 @@ def test_wreath_shift_is_homomorphism(T2, S3at):
     assert validate_sigma(good) == []
 
     D = ctx.digit_matrix()
+    loop = np.stack([D[:, S3at.circ[S3at.inv[h]]] @ ctx.weights for h in range(S3at.order)])
+    assert np.array_equal(_shift_perms(ctx, S3at), loop)
     naive = np.zeros((S3at.order, ctx.order), dtype=int)
     for h in range(S3at.order):
         naive[h] = D[:, S3at.circ[h]] @ ctx.weights
@@ -241,3 +259,39 @@ def test_wreath_base_is_the_validated_power(corpus8):
 def test_wreath_base_a5at_square_is_the_validated_power(A5at_square):
     assert A5at_square.order == 3600
     _assert_matches_validate(A5at_square)
+
+
+def test_sweep_products_match_validate(monkeypatch, A5at):
+    # every brace the product kernel builds in the default cor28, thm33
+    # and q34 sweeps, the q34-wide search and A5at x| A5at equals the one
+    # validate derives from its add and circ tables
+    kernel, built = products._product, {}
+
+    def recording(*args):
+        P = kernel(*args)
+        key = hashlib.sha256()
+        for table in (P.add, P.circ, P.neg, P.inv, P.lam):
+            key.update(str(table.dtype).encode() + table.tobytes())
+        built.setdefault(key.digest(), P)
+        return P
+
+    monkeypatch.setattr(products, "_product", recording)
+    verify_cor28_thm33()
+    search_q34()
+    search_q34(max_g=8, max_h=2)
+    semidirect(A5at, A5at, trivial_sigma(A5at, A5at))
+    monkeypatch.undo()
+    assert 3600 in {P.order for P in built.values()}
+    for P in built.values():
+        _assert_matches_validate(P)
+
+
+def test_products_never_validate(monkeypatch, R4, T2, S3at):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product called validate")
+
+    monkeypatch.setattr(core, "validate", refuse)
+    sigma = SigmaAction(R4, T2, [[0, 1, 2, 3], [0, 3, 2, 1]])
+    assert semidirect(R4, T2, sigma).order == 8
+    assert wreath_base(R4, T2)[0].order == 16
+    assert wreath(T2, S3at)[0].order == 2 ** 6 * 6
