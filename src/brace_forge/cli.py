@@ -20,7 +20,7 @@ from .core import (
     fmt_members,
     validate,
 )
-from .docio import BraceDocument, parse_documents, parse_int_grid, serialize_document
+from .docio import BraceDocument, format_int_row, parse_documents, parse_int_grid, serialize_document
 from .corpus import holomorph_enumerate, standard_corpus
 from .ideals import as_ideal, enumerate_ideals, is_semiprime, quotient
 from .products import SigmaAction, semidirect, trivial_sigma, wreath
@@ -100,7 +100,7 @@ def _cmd_quotient(args) -> int:
     for brace in braces:
         ideal = as_ideal(brace, members)
         q, coset_map = quotient(brace, ideal)
-        print("# coset map " + " ".join(str(int(x)) for x in coset_map))
+        print("# coset map " + format_int_row(coset_map))
         sys.stdout.write(serialize_document(q))
     return 0
 
@@ -128,9 +128,9 @@ def _cmd_ybe(args) -> int:
     for brace in _load_braces(args.file):
         sol = solution_map(brace)
         lines = [f"solution {brace.name}".rstrip(), f"order {sol.n}", "u"]
-        lines.extend(" ".join(str(int(x)) for x in row) for row in sol.u)
+        lines.extend(map(format_int_row, sol.u))
         lines.append("v")
-        lines.extend(" ".join(str(int(x)) for x in row) for row in sol.v)
+        lines.extend(map(format_int_row, sol.v))
         lines.append("end")
         print("\n".join(lines))
         if args.check:

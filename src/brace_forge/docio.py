@@ -32,6 +32,7 @@ __all__ = [
     "serialize_document",
     "document_of",
     "parse_int_grid",
+    "format_int_row",
 ]
 
 
@@ -170,9 +171,9 @@ def serialize_document(doc: BraceDocument | FiniteSkewBrace) -> str:
     if isinstance(doc, FiniteSkewBrace):
         doc = document_of(doc)
     lines = [f"brace {doc.name}".rstrip(), f"order {doc.order}", "add"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in doc.add)
+    lines.extend(map(format_int_row, doc.add))
     lines.append("circ")
-    lines.extend(" ".join(str(int(v)) for v in row) for row in doc.circ)
+    lines.extend(map(format_int_row, doc.circ))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -190,3 +191,8 @@ def parse_int_grid(text: str, rows: int, cols: int, limit: int) -> np.ndarray:
     if extra is not None:
         raise DocumentSyntaxError(f"trailing content {extra[1]!r}", line=extra[0])
     return np.array(out, dtype=table_dtype(limit))
+
+
+def format_int_row(row) -> str:
+    """One grid row as ``parse_int_grid`` reads it: entries, one space apart."""
+    return " ".join(map(str, np.asarray(row).tolist()))

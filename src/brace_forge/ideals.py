@@ -34,6 +34,7 @@ __all__ = [
     "is_ideal",
     "as_ideal",
     "ideal_closure",
+    "ideal_masks",
     "enumerate_ideals",
     "quotient",
     "restrict",
@@ -155,8 +156,9 @@ def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
     return Ideal(brace, seeded_closure(brace.order, seed, families))
 
 
-def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
-    """All ideals, ascending by size then lexicographic membership.
+def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
+    """All ideals as a read-only (k, n) bool matrix, row i the member mask
+    of the i-th ideal, ascending by size then lexicographic membership.
 
     One pass over ``_orbit_representatives``, starting from {0}: the
     principal ideal P_t of the t-th representative is closed once and
@@ -182,11 +184,12 @@ def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
     ``ideal_closure(I | J)``.
 
     The sums with P_t are made at once.  The masks found so far that miss
-    the representative, in insertion order, are the rows of B (an ideal
-    that holds it holds P_t and is its own sum).  Row r of the scatter of
-    add[j, P_t] over each nonzero B[r, j] is I_r + P_t.  The rows are
-    inserted in order, so the dict, and so the list, are those of summing
-    one ideal at a time.  A bool mask of n <= 128 bytes is its own key.
+    the representative are the rows of B (an ideal that holds it holds P_t
+    and is its own sum).  Row r of the scatter of add[j, P_t] over each
+    nonzero B[r, j] is I_r + P_t.  A bool mask of n <= 128 bytes is its
+    own key.  One ``np.lexsort`` (last key first) orders the rows by size,
+    then by the ~mask columns: of two sets of one size, the one holding
+    the first label where they differ has the smaller sorted tuple.
     """
     n = brace.order
     if n > DEFAULT_IDEAL_CAP:
@@ -204,9 +207,15 @@ def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
         sums[rows[:, None], brace.add[cols[:, None], P]] = True
         for row in sums:
             known.setdefault(row.tobytes(), row)
-    sets = sorted((frozenset(int(x) for x in np.flatnonzero(m)) for m in known.values()),
-                  key=lambda s: (len(s), tuple(sorted(s))))
-    return [Ideal(brace, s) for s in sets]
+    masks = np.stack(list(known.values()))
+    masks = masks[np.lexsort(np.vstack([~masks[:, ::-1].T, masks.sum(axis=1)]))]
+    masks.setflags(write=False)
+    return masks
+
+
+def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
+    """All ideals, the rows of ``ideal_masks`` in its order."""
+    return [Ideal(brace, frozenset(np.flatnonzero(row).tolist())) for row in ideal_masks(brace)]
 
 
 def _coerce_ideal(brace: FiniteSkewBrace, ideal) -> Ideal:
@@ -346,10 +355,10 @@ def is_semiprime(brace: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdi
         witness = _principal_star_scan(brace)
         return SemiprimeVerdict(witness is None, witness, "fast")
     if method == "exhaustive":
-        for ideal in enumerate_ideals(brace):
-            members = np.fromiter(sorted(ideal.members), dtype=np.int64)
-            if members.size > 1 and not star_block(brace, members, members).any():
-                return SemiprimeVerdict(False, ideal, "exhaustive")
+        for members in map(np.flatnonzero, ideal_masks(brace)[1:]):  # row 0 is {0}
+            if not star_block(brace, members, members).any():
+                return SemiprimeVerdict(False, Ideal(brace, frozenset(members.tolist())),
+                                        "exhaustive")
         return SemiprimeVerdict(True, None, "exhaustive")
     raise PreconditionError(f"unknown method {method!r}, expected 'fast' or 'exhaustive'")
 
@@ -384,17 +393,14 @@ def check_semiprime_extension(brace: FiniteSkewBrace, ideal) -> ExtensionReport:
     implication_ok = not (v_ideal.semiprime and v_quot.semiprime) or v_parent.semiprime
 
     containment_failures = []
-    imask = np.zeros(brace.order, dtype=bool)
-    imask[I_sorted] = True
-    for J in enumerate_ideals(brace):
-        J_sorted = np.fromiter(sorted(J.members), dtype=np.int64)
+    for J_sorted in map(np.flatnonzero, ideal_masks(brace)):
         ji = np.unique(brace.add[np.ix_(J_sorted, I_sorted)])
         lhs = star_product(brace, ji, ji)
         jj = np.fromiter(sorted(star_product(brace, J_sorted, J_sorted)), dtype=np.int64)
         rhs_mask = np.zeros(brace.order, dtype=bool)
         rhs_mask[np.unique(brace.add[np.ix_(jj, I_sorted)])] = True
         if not all(rhs_mask[x] for x in lhs):
-            containment_failures.append(J.sorted())
+            containment_failures.append(tuple(J_sorted.tolist()))
     return ExtensionReport(
         v_ideal, v_quot, v_parent, implication_ok,
         not containment_failures, tuple(containment_failures),

@@ -22,8 +22,8 @@ import numpy as np
 from .autos import sigma_actions
 from .core import FiniteSkewBrace, PreconditionError, fmt_members, max_order, star_block
 from .corpus import group_brace, standard_corpus
-from .docio import serialize_document
-from .ideals import DEFAULT_IDEAL_CAP, SemiprimeVerdict, enumerate_ideals, is_ideal, is_semiprime
+from .docio import format_int_row, serialize_document
+from .ideals import DEFAULT_IDEAL_CAP, SemiprimeVerdict, ideal_masks, is_ideal, is_semiprime
 from .products import SigmaAction, pointwise_lift, semidirect, wreath, wreath_base
 
 __all__ = [
@@ -105,7 +105,7 @@ def render_report(report: SweepReport, stream) -> None:
 # case execution
 
 def _sigma_text(perms: np.ndarray) -> str:
-    lines = [" ".join(str(int(x)) for x in row) for row in perms]
+    lines = map(format_int_row, perms)
     return "# sigma action table, one row per acting element\n" + "\n".join(lines) + "\n"
 
 
@@ -182,51 +182,39 @@ def _base_ideals(G: FiniteSkewBrace, H: FiniteSkewBrace):
     hit = _BASE_MEMO.get(key)
     if hit is None:
         W, ctx = wreath_base(G, H)
-        hit = _BASE_MEMO[key] = (ctx.digit_matrix(), _ideal_masks(W))
+        hit = _BASE_MEMO[key] = (ctx.digit_matrix(), ideal_masks(W))
     return hit
 
 
-def _ideal_masks(B: FiniteSkewBrace) -> np.ndarray:
-    """Row i is the member mask of the i-th ideal of ``enumerate_ideals``."""
-    return np.array([np.bincount(list(i.members), minlength=B.order)
-                     for i in enumerate_ideals(B)], dtype=bool)
-
-
-@functools.lru_cache(maxsize=None)
-def _g_ideals(G: FiniteSkewBrace) -> frozenset[bytes]:
-    return frozenset(row.tobytes() for row in _ideal_masks(G))
+_g_ideals = functools.lru_cache(maxsize=None)(ideal_masks)
 
 
 def _case_lemma31(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    """A projection is an ideal of G exactly when it is in the list of all
-    ideals of G; ``is_ideal`` runs only on a miss, to name the failed rule.
+    """A projection is an ideal of G exactly when its mask is a row of
+    G's ideal masks; ``is_ideal`` runs only on a miss, to name the rule.
 
     All projections come from one scatter: proj[i, h, d] is set when some
     member of ideal i has digit d at position h, so proj[i, h] is the mask
-    of the projection of ideal i at h.  A set and its mask determine each
-    other, so a mask that is not the mask of an ideal of G is a projection
-    that is not an ideal of G, and flatnonzero(proj[i, h]) is the sorted
-    projection (what ``np.unique`` of the digits gives).  The walk goes
+    of the projection of ideal i at h, and flatnonzero(proj[i, h]) is the
+    sorted projection (what ``np.unique`` of the digits gives).  One
+    broadcast compares them all with G's masks.  The misses are walked
     ideal by ideal, then position by position, so the first failure, its
     info and its witness are those of checking one projection at a time.
     """
     digits, masks = _base_ideals(G, H)
-    g_ideals = _g_ideals(G)
     rows, cols = np.nonzero(masks)
     proj = np.zeros((len(masks), H.order, G.order), dtype=bool)
     proj[rows[:, None], np.arange(H.order), digits[cols]] = True
-    for i, projections in enumerate(proj):
-        for h, mask in enumerate(projections):
-            if mask.tobytes() in g_ideals:
-                continue
-            members = np.flatnonzero(mask)
-            ok, rule = is_ideal(G, members)
-            if not ok:
-                return CaseResult(
-                    case_id, False,
-                    f"ideal={fmt_members(np.flatnonzero(masks[i]))} h={h} fails {rule}",
-                    witness=tuple(int(x) for x in members),
-                )
+    hits = (proj[:, :, None, :] == _g_ideals(G)).all(axis=-1).any(axis=-1)
+    for i, h in np.argwhere(~hits):
+        members = np.flatnonzero(proj[i, h])
+        ok, rule = is_ideal(G, members)
+        if not ok:
+            return CaseResult(
+                case_id, False,
+                f"ideal={fmt_members(np.flatnonzero(masks[i]))} h={h} fails {rule}",
+                witness=tuple(int(x) for x in members),
+            )
     return CaseResult(case_id, True, f"ideals={len(masks)} positions={H.order}")
 
 
@@ -380,7 +368,7 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
     thm_items = []
     for G in semiprime_braces:
         for H in semiprime_braces:
-            if G.order * H.order <= cap:
+            if "cor28" in statements and G.order * H.order <= cap:
                 for i, act in enumerate(sigma_actions(G, H, budget=sigma_budget)):
                     cor_items.append(("cor28", f"cor28:{G.name}:{H.name}:s{i}",
                                       G, H, np.asarray(act.perms), i))

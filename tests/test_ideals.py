@@ -142,8 +142,13 @@ def test_enumerate_closes_one_principal_ideal_per_orbit(corpus8, monkeypatch):
 
 
 def test_enumeration_order_is_size_then_lex(corpus8):
-    for brace in corpus8[:20]:
+    for brace in [*corpus8, *_lemma31_bases(corpus8)]:
+        masks = ideals.ideal_masks(brace)
+        assert masks.dtype == bool and not masks.flags.writeable, brace.name
+        with pytest.raises(ValueError):
+            masks[0, 0] = False
         seq = [i.sorted() for i in enumerate_ideals(brace)]
+        assert [tuple(np.flatnonzero(row).tolist()) for row in masks] == seq, brace.name
         assert seq == sorted(seq, key=lambda s: (len(s), s))
         assert seq[0] == (0,)
         assert seq[-1] == tuple(range(brace.order))

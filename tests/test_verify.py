@@ -248,6 +248,17 @@ class TestCor28Thm33:
         assert thm.attempted == 1
         assert thm.cases[0].ok
 
+    def test_thm33_alone_searches_no_actions(self, monkeypatch):
+        # the sigma actions feed cor28's cases only
+        def no_actions(*args, **kwargs):
+            raise AssertionError("sigma_actions called for thm33 alone")
+
+        monkeypatch.setattr(verify, "sigma_actions", no_actions)
+        reports = verify_cor28_thm33(corpus_max=2, statements=("thm33",))
+        assert set(reports) == {"thm33"}
+        assert reports["thm33"].attempted > 0
+        assert not reports["thm33"].counterexamples
+
     def test_elapsed_per_statement(self, monkeypatch):
         # a fake clock: set-up takes 1 s, the cor28 cases 10 s, thm33 100 s
         now = [50.0]
