@@ -173,16 +173,19 @@ def _identity_violation(t: np.ndarray, prefix: str) -> list[Violation]:
     return []
 
 
-# entries gathered per block of rows ``a`` by the exhaustive checks
+# entries gathered per block of rows by the exhaustive checks and the
+# batched principal closures of ``ideals.ideal_masks``
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _row_blocks(n: int):
-    """Consecutive row ranges [a0, a1) covering 0..n-1, each about
-    ``_BLOCK_ENTRIES`` entries of an (a, b, c) cube and at least one row."""
+def _row_blocks(n: int, count: int | None = None):
+    """Consecutive row ranges [a0, a1) covering 0..count-1 (default n), each
+    at least one row and, when a row holds up to n * n entries (a row ``a``
+    of an (a, b, c) cube), at most about ``_BLOCK_ENTRIES`` entries."""
     rows = max(1, _BLOCK_ENTRIES // (n * n))
-    for a0 in range(0, n, rows):
-        yield a0, min(a0 + rows, n)
+    count = n if count is None else count
+    for a0 in range(0, count, rows):
+        yield a0, min(a0 + rows, count)
 
 
 def _first_violation(lhs: np.ndarray, rhs: np.ndarray, a0: int):
@@ -229,15 +232,18 @@ def frontier_closure(mask: np.ndarray, frontier: np.ndarray, families,
     candidates not yet in ``mask`` form the next frontier.  Returns
     ``mask``, or None as soon as ``abort(F, M)`` is true at the start of a
     round (``mask`` is then partly grown).
+
+    The candidates are deduplicated by one bool scatter, and the next
+    frontier is the ``flatnonzero`` of the new ones, so it is ascending.
     """
     while frontier.size:
         members = np.flatnonzero(mask)
         if abort is not None and abort(frontier, members):
             return None
-        cand = np.unique(np.concatenate(families(frontier, members)))
-        new = cand[~mask[cand]]
-        mask[new] = True
-        frontier = new
+        hit = np.zeros_like(mask)
+        hit[np.concatenate(families(frontier, members))] = True
+        frontier = np.flatnonzero(hit & ~mask)
+        mask[frontier] = True
     return mask
 
 
@@ -590,7 +596,7 @@ def generated_subbrace(brace: FiniteSkewBrace, seed: Iterable[int]) -> frozenset
 
 def star_block(brace: FiniteSkewBrace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The |rows| x |cols| array of stars b * c = lambda_b(c) - c."""
-    return brace.add[brace.lam[np.ix_(rows, cols)], brace.neg[cols]]
+    return brace.add[brace.lam[rows[:, None], cols], brace.neg[cols]]
 
 
 def star_set(brace: FiniteSkewBrace, bs: Iterable[int], cs: Iterable[int]) -> frozenset[int]:

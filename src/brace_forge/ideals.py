@@ -17,6 +17,7 @@ from .core import (
     FiniteSkewBrace,
     PreconditionError,
     SizeCapExceeded,
+    _row_blocks,
     brace_from_tables,
     closure_generators,
     fmt_members,
@@ -78,7 +79,7 @@ def is_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> tuple[bool, str 
     mask[S] = True
     if not S.size or not mask[0]:
         return False, "circ-subgroup"
-    if not (mask[brace.circ[np.ix_(S, S)]].all() and mask[brace.inv[S]].all()):
+    if not (mask[brace.circ[S[:, None], S]].all() and mask[brace.inv[S]].all()):
         return False, "circ-subgroup"
     conj = brace.circ[brace.circ[:, S], brace.inv[:, None]]
     if not mask[conj].all():
@@ -101,12 +102,13 @@ def as_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> Ideal:
     return Ideal(brace, S)
 
 
-def _orbit_families(brace: FiniteSkewBrace):
-    """The element maps of ``_ideal_families`` for ``frontier_closure``,
-    one gather of a stacked (k, n) map table: a -> a', and for each
-    generator g the maps lambda_g and a -> g o a o g' (g a greedy
-    generator of (A, o), ``closure_generators``) and a -> g + a - g
-    (g a greedy generator of (A, +)).  The members M are not used.
+def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
+    """The element maps of ``_ideal_families`` and
+    ``_orbit_representatives`` as one stacked (k, n) table, row i the map
+    a -> maps[i, a]: a -> a', and for each generator g the maps lambda_g
+    and a -> g o a o g' (g a greedy generator of (A, o),
+    ``closure_generators``) and a -> g + a - g (g a greedy generator of
+    (A, +)).
 
     A set closed under these maps is closed under lambda_x,
     a -> x o a o x' and a -> x + a - x for every x.  lambda_{x o y} =
@@ -121,38 +123,33 @@ def _orbit_families(brace: FiniteSkewBrace):
     add, circ, neg, inv, lam = brace.add, brace.circ, brace.neg, brace.inv, brace.lam
     cg = np.array(closure_generators(circ)[0], dtype=np.int64)
     ag = np.array(closure_generators(add)[0], dtype=np.int64)
-    maps = np.concatenate([
+    return np.concatenate([
         inv[None, :],
         lam[cg],                                  # lambda_g
         circ[circ[cg], inv[cg][:, None]],         # g o a o g^-1
         add[add[ag], neg[ag][:, None]],           # g + a - g
     ])
 
-    def families(F, M):
-        return [maps[:, F].ravel()]
 
-    return families
-
-
-def _ideal_families(brace: FiniteSkewBrace, element_maps):
+def _ideal_families(brace: FiniteSkewBrace, maps: np.ndarray):
     """Candidate generators of the least ideal for ``frontier_closure``:
-    circle products with the members, and ``element_maps``, the families
-    of ``_orbit_families(brace)``."""
+    circle products with the members, and the images under ``maps``, the
+    table of ``_orbit_maps(brace)``."""
     circ = brace.circ
 
     def families(F, M):
-        return [circ[np.ix_(F, M)].ravel(), circ[np.ix_(M, F)].ravel(),
-                *element_maps(F, M)]
+        return [circ[F[:, None], M].ravel(), circ[M[:, None], F].ravel(),
+                maps[:, F].ravel()]
 
     return families
 
 
 def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
     """Least ideal containing ``seed``: fixed point under circle products
-    and inverses and the maps of ``_orbit_families`` (lambda_g, circle and
+    and inverses and the maps of ``_orbit_maps`` (lambda_g, circle and
     additive conjugation by greedy generators g; closed under those, it is
     closed under lambda_x and both conjugations by every element x)."""
-    families = _ideal_families(brace, _orbit_families(brace))
+    families = _ideal_families(brace, _orbit_maps(brace))
     return Ideal(brace, seeded_closure(brace.order, seed, families))
 
 
@@ -161,13 +158,14 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     of the i-th ideal, ascending by size then lexicographic membership.
 
     One pass over ``_orbit_representatives``, starting from {0}: the
-    principal ideal P_t of the t-th representative is closed once and
-    summed with every ideal found so far.  After P_1..P_t the list holds
-    every sum of a subset of them, since a sum that uses P_t is S + P_t for
-    an earlier sum S (and S + P_t = S when S holds the representative).
-    That is every ideal: each ideal is the sum of the principal ideals of
-    its members, and every nonzero label has its orbit representative's
-    principal ideal (the argument is in ``_principal_star_scan``).
+    principal ideal P_t of the t-th representative (row t of
+    ``_principal_masks``) is summed with every ideal found so far.  After
+    P_1..P_t the list holds every sum of a subset of them, since a sum
+    that uses P_t is S + P_t for an earlier sum S (and S + P_t = S when S
+    holds the representative).  That is every ideal: each ideal is the sum
+    of the principal ideals of its members, and every nonzero label has
+    its orbit representative's principal ideal (the argument is in
+    ``_principal_star_scan``).
 
     The join of ideals I and J is the sum I + J = {i + j}, one table gather
     (Guarnieri and Vendramin, "Skew braces and the Yang-Baxter equation",
@@ -190,6 +188,12 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     own key.  One ``np.lexsort`` (last key first) orders the rows by size,
     then by the ~mask columns: of two sets of one size, the one holding
     the first label where they differ has the smaller sorted tuple.
+
+    The principal ideals are closed in one batch, since all of them are
+    summed.  The fast scan (``_principal_star_scan``) closes one
+    representative at a time instead, on purpose: it stops at its first
+    witness, often the first representative, and a batched scan that
+    closes them all ran slower over the q34 products.
     """
     n = brace.order
     if n > DEFAULT_IDEAL_CAP:
@@ -197,10 +201,10 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     zero = np.zeros(n, dtype=bool)
     zero[0] = True
     known: dict[bytes, np.ndarray] = {zero.tobytes(): zero}
-    element_maps = _orbit_families(brace)
-    families = _ideal_families(brace, element_maps)
-    for a in _orbit_representatives(brace, element_maps):
-        P = np.flatnonzero(_principal_closure(brace, a, families))
+    maps = _orbit_maps(brace)
+    reps = _orbit_representatives(maps)
+    for a, principal in zip(reps, _principal_masks(brace, reps, maps)):
+        P = np.flatnonzero(principal)
         B = np.stack([m for m in known.values() if not m[a]])
         rows, cols = np.nonzero(B)
         sums = np.zeros_like(B)
@@ -282,34 +286,81 @@ class SemiprimeVerdict:
                 f"method={self.method!r})")
 
 
-def _orbit_representatives(brace: FiniteSkewBrace, element_maps):
-    """Yield the least label of each orbit under the maps lambda_x,
+def _orbit_representatives(maps: np.ndarray) -> list[int]:
+    """The least label of each orbit under the maps lambda_x,
     a -> x o a o x', a -> x + a - x, a -> a' and a -> -a, ascending,
-    except the orbit {0} (every map fixes 0).  The orbit of a label is
-    found after the label is yielded, so a scan that stops at a label
-    finds no orbit for it.
+    except the orbit {0} (every map fixes 0).  All orbits are found before
+    the list is returned, in a fixed number of numpy calls per round.
 
-    The orbits come from ``frontier_closure`` over ``element_maps``, the
-    families of ``_orbit_families(brace)``: a' and the maps of greedy
-    generators, whose closures are those of the maps of every x (the
-    argument is in ``_orbit_families``).  That closure has no a -> -a,
-    but -a = lambda_a(a') is already in the orbit of a.  Every map is a
-    permutation of the carrier, so the closure of {a} is the orbit of a
-    under the group they generate, and it meets no orbit found before.
+    ``maps`` is ``_orbit_maps(brace)``: a' and the maps of greedy
+    generators, whose orbits are those of the maps of every x (the
+    argument is in ``_orbit_maps``).  It has no a -> -a, but
+    -a = lambda_a(a') is already in the orbit of a.
+
+    One gather loop of min-label propagation: each label starts as itself,
+    and a round sets label[a] to the least of label[a] and label[g(a)]
+    over the maps g, until no label changes.  Labels only fall, so the
+    loop ends.  label[a] is always a label reachable from a by the maps,
+    and at the fixed point label[a] <= label[b] <= b for every b reachable
+    from a, so label[a] is the least label reachable from a.  Every map is
+    a permutation of a finite set, so its inverse is one of its powers,
+    and the labels reachable from a form the whole orbit of a under the
+    group the maps generate.  So label[a] is the least label of the orbit
+    of a, and a is its orbit's representative exactly when label[a] == a.
     """
-    seen = np.zeros(brace.order, dtype=bool)
-    for a in range(1, brace.order):
-        if not seen[a]:
-            yield a
-            seen[a] = True
-            frontier_closure(seen, np.array([a]), element_maps)
+    label = np.arange(maps.shape[1])
+    while True:
+        lower = np.minimum(label, label[maps].min(axis=0))
+        if np.array_equal(lower, label):
+            return np.flatnonzero(label == np.arange(label.size))[1:].tolist()
+        label = lower
+
+
+def _principal_masks(brace: FiniteSkewBrace, reps: list[int], maps: np.ndarray) -> np.ndarray:
+    """(len(reps), n) bool matrix, row t the mask of the principal ideal of
+    reps[t]: the closure ``_principal_closure`` makes with
+    ``_ideal_families(brace, maps)``, for every row at once.
+
+    Each row keeps its members M_t and frontier F_t (within M_t), seeded
+    with {0, reps[t]} and {reps[t]}, and a round does for all rows what a
+    round of ``frontier_closure`` does for one: one scatter of the maps
+    over the frontier entries, and one scatter each of circ[f, m] and
+    circ[m, f] over the frontier entries f of row t and the labels m.  A
+    label m outside M_t scatters to 0, which every row holds, so only the
+    pairs with members add candidates.  The candidates outside M_t are
+    the next F_t.  Rows never mix, so row t reaches the fixed point of its
+    own closure.  A row gathers at most n frontier entries times n labels
+    per round, so blocks of ``_row_blocks(n, len(reps))`` rows gather at
+    most about 2^20 pairs.
+    """
+    n, circ = brace.order, brace.circ
+    masks = np.zeros((len(reps), n), dtype=bool)
+    masks[:, 0] = True
+    masks[np.arange(len(reps)), reps] = True
+    for t0, t1 in _row_blocks(n, len(reps)):
+        members = masks[t0:t1]                    # a view: grows masks in place
+        frontier = np.zeros_like(members)
+        frontier[np.arange(t1 - t0), reps[t0:t1]] = True
+        while True:
+            rows, F = np.nonzero(frontier)
+            if not rows.size:
+                break
+            row_members = members[rows]
+            hit = np.zeros_like(members)
+            hit[rows[:, None], maps[:, F].T] = True
+            hit[rows[:, None], np.where(row_members, circ[F], 0)] = True       # f o m
+            hit[rows[:, None], np.where(row_members, circ[:, F].T, 0)] = True  # m o f
+            frontier = hit & ~members
+            members |= frontier
+    return masks
 
 
 def _principal_closure(brace: FiniteSkewBrace, a: int, families,
                        abort=None) -> np.ndarray | None:
     """Mask of the principal ideal of ``a``: seed {0, a}, then
     ``frontier_closure`` over ``families`` (``_ideal_families`` of the
-    brace); None if ``abort`` stops it."""
+    brace); None if ``abort`` stops it.  ``_principal_masks`` makes the
+    same closures in one batch."""
     mask = np.zeros(brace.order, dtype=bool)
     mask[[0, a]] = True
     return frontier_closure(mask, np.array([a]), families, abort)
@@ -335,9 +386,9 @@ def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
     def stars_appear(F, M):
         return star_block(brace, F, M).any() or star_block(brace, M, F).any()
 
-    element_maps = _orbit_families(brace)
-    families = _ideal_families(brace, element_maps)
-    for a in _orbit_representatives(brace, element_maps):
+    maps = _orbit_maps(brace)
+    families = _ideal_families(brace, maps)
+    for a in _orbit_representatives(maps):
         mask = _principal_closure(brace, a, families, abort=stars_appear)
         if mask is not None:
             return Ideal(brace, frozenset(int(x) for x in np.flatnonzero(mask)))

@@ -360,7 +360,8 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
 
     notes = []
     cap = max_order()
-    if all(B.order == 1 for B in semiprime_braces):
+    only_order_one = all(B.order == 1 for B in semiprime_braces)
+    if only_order_one:
         notes.append("only order-1 semiprime braces exist at order <= "
                      f"{corpus_max}; the order-60 stand-in exercises the wreath path")
 
@@ -372,9 +373,9 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
                 for i, act in enumerate(sigma_actions(G, H, budget=sigma_budget)):
                     cor_items.append(("cor28", f"cor28:{G.name}:{H.name}:s{i}",
                                       G, H, np.asarray(act.perms), i))
-            if G.order ** H.order * H.order <= cap:
+            if "thm33" in statements and G.order ** H.order * H.order <= cap:
                 thm_items.append(("thm33", f"thm33:{G.name}:{H.name}", G, H))
-    if all(B.order == 1 for B in semiprime_braces):
+    if "thm33" in statements and only_order_one:
         A5at = group_brace("a5", "almost_trivial", name="A5at")
         for H in corpus:
             if H.order <= 2 and A5at.order ** H.order <= cap:

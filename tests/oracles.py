@@ -4,9 +4,9 @@ Everything here is written from the definitions with plain loops, no
 shortcuts shared with the package, so a bug in the fast paths cannot
 cancel itself out in the comparison.  The exceptions are former fast
 paths kept as the references for the ones that replaced them:
-``ascending_principal_scan``, ``pairwise_join_ideals``,
-``lemma31_case_loop``, ``perm_composition_lookup`` and
-``lambda_system_search_loop``.
+``ascending_principal_scan``, ``orbit_representatives_loop``,
+``pairwise_join_ideals``, ``lemma31_case_loop``,
+``perm_composition_lookup`` and ``lambda_system_search_loop``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 from brace_forge.core import fmt_members, frontier_closure, star_block
 from brace_forge.ideals import (
     _ideal_families,
-    _orbit_families,
-    _orbit_representatives,
+    _orbit_maps,
     _principal_closure,
     is_ideal,
 )
@@ -294,7 +293,7 @@ def ascending_principal_scan(brace):
     ``test_fast_witness_is_least_principal_witness`` checks them apart
     from it.  Returns the first witness's sorted members, or None."""
     n = brace.order
-    families = _ideal_families(brace, _orbit_families(brace))
+    families = _ideal_families(brace, _orbit_maps(brace))
 
     def stars_appear(F, M):
         return star_block(brace, F, M).any() or star_block(brace, M, F).any()
@@ -305,6 +304,26 @@ def ascending_principal_scan(brace):
         if frontier_closure(mask, np.array([a]), families, abort=stars_appear) is not None:
             return tuple(int(x) for x in np.flatnonzero(mask))
     return None
+
+
+def orbit_representatives_loop(brace) -> list[int]:
+    """The least label of each orbit but {0} under the maps of
+    ``_orbit_maps``, ascending, by one ``frontier_closure`` of the maps per
+    orbit: the loop that the min-label propagation of
+    ``_orbit_representatives`` replaced."""
+    maps = _orbit_maps(brace)
+
+    def images(F, M):
+        return [maps[:, F].ravel()]
+
+    seen = np.zeros(brace.order, dtype=bool)
+    reps = []
+    for a in range(1, brace.order):
+        if not seen[a]:
+            reps.append(a)
+            seen[a] = True
+            frontier_closure(seen, np.array([a]), images)
+    return reps
 
 
 def magma_generators(table) -> list[int]:
@@ -350,16 +369,16 @@ def generated_by(table, gens) -> set[int]:
 def pairwise_join_ideals(brace) -> list[frozenset[int]]:
     """The ideal lattice summed one known ideal at a time, the reference
     for the batched join of ``enumerate_ideals``: per orbit
-    representative a, every ideal found so far that misses a is summed
-    with a's principal ideal by one gather.  Returns the member sets in
-    the order ``enumerate_ideals`` lists them."""
+    representative a (``orbit_representatives_loop``), a's principal
+    ideal is closed on its own, and every ideal found so far that misses
+    a is summed with it by one gather.  Returns the member sets in the
+    order ``enumerate_ideals`` lists them."""
     n = brace.order
     zero = np.zeros(n, dtype=bool)
     zero[0] = True
     known = {np.packbits(zero).tobytes(): zero}
-    element_maps = _orbit_families(brace)
-    families = _ideal_families(brace, element_maps)
-    for a in _orbit_representatives(brace, element_maps):
+    families = _ideal_families(brace, _orbit_maps(brace))
+    for a in orbit_representatives_loop(brace):
         P = np.flatnonzero(_principal_closure(brace, a, families))
         for base in list(known.values()):
             if base[a]:

@@ -16,11 +16,19 @@ from brace_forge import (
     quotient,
     restrict,
     semidirect,
+    sigma_actions,
     trivial_sigma,
     wreath_base,
 )
-from brace_forge import ideals
-from brace_forge.ideals import IDEAL_RULES, _orbit_families, _orbit_representatives
+from brace_forge import core, ideals
+from brace_forge.ideals import (
+    IDEAL_RULES,
+    _ideal_families,
+    _orbit_maps,
+    _orbit_representatives,
+    _principal_closure,
+    _principal_masks,
+)
 
 import oracles
 
@@ -122,23 +130,23 @@ def test_batched_join_matches_pairwise_join(corpus8):
 
 
 def test_enumerate_closes_one_principal_ideal_per_orbit(corpus8, monkeypatch):
-    # a principal closure is a frontier closure seeded with 0; the orbit
-    # closures of _orbit_representatives never reach 0
-    seeded_with_zero = []
-    real = ideals.frontier_closure
+    # the principal ideals are the rows of one batch, one row per nonzero orbit
+    batch_rows = []
+    real = ideals._principal_masks
 
-    def counting(mask, frontier, families, abort=None):
-        seeded_with_zero.append(bool(mask[0]))
-        return real(mask, frontier, families, abort)
+    def counting(brace, reps, maps):
+        masks = real(brace, reps, maps)
+        batch_rows.append(masks.shape[0])
+        return masks
 
-    monkeypatch.setattr(ideals, "frontier_closure", counting)
+    monkeypatch.setattr(ideals, "_principal_masks", counting)
     named = {b.name: b for b in corpus8}
     bases = [wreath_base(named["T2"], named["c5#0"])[0],
              wreath_base(named["c2xc4#1"], named["T2"])[0]]
     for brace in [*corpus8, *bases]:
-        seeded_with_zero.clear()
+        batch_rows.clear()
         enumerate_ideals(brace)
-        assert sum(seeded_with_zero) == len(oracles.element_orbits(brace)) - 1, brace.name
+        assert batch_rows == [len(oracles.element_orbits(brace)) - 1], brace.name
 
 
 def test_enumeration_order_is_size_then_lex(corpus8):
@@ -272,7 +280,7 @@ def test_fast_witness_is_least_principal_witness(corpus8):
 
 
 def _representatives(brace):
-    return list(_orbit_representatives(brace, _orbit_families(brace)))
+    return _orbit_representatives(_orbit_maps(brace))
 
 
 def test_orbits_share_their_principal_ideal(corpus8):
@@ -299,6 +307,37 @@ def test_orbit_representatives_of_the_order_3600_base(A5at_square):
     assert _representatives(A5at_square) == [
         1, 3, 16, 17, 60, 61, 63, 76, 77, 180, 181, 183, 196, 197,
         960, 961, 963, 976, 977, 1020, 1021, 1023, 1036, 1037]
+
+
+def test_min_label_representatives_match_the_orbit_closure_loop(corpus8, A5at_square):
+    for brace in [*corpus8, *_lemma31_bases(corpus8), A5at_square]:
+        assert _representatives(brace) == oracles.orbit_representatives_loop(brace), brace.name
+
+
+@pytest.fixture(scope="module")
+def batch_braces(corpus8):
+    # corpus8, the lemma31 bases and every 7th product of the q34-wide
+    # search (G not semiprime, |H| <= 2)
+    products = [semidirect(G, H, act) for G in corpus8 if not is_semiprime(G).semiprime
+                for H in corpus8 if H.order <= 2 for act in sigma_actions(G, H)][::7][:200]
+    assert len(products) == 200 and max(P.order for P in products) <= 16
+    return [*corpus8, *_lemma31_bases(corpus8), *products]
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_batched_principal_ideals_match_one_closure_each(batch_braces, monkeypatch,
+                                                         one_row_blocks):
+    if one_row_blocks:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+        assert list(core._row_blocks(64, 3)) == [(0, 1), (1, 2), (2, 3)]
+    for brace in batch_braces:
+        maps = _orbit_maps(brace)
+        reps = _orbit_representatives(maps)
+        batch = _principal_masks(brace, reps, maps)
+        families = _ideal_families(brace, maps)
+        assert batch.shape == (len(reps), brace.order), brace.name
+        for a, row in zip(reps, batch):
+            assert np.array_equal(row, _principal_closure(brace, a, families)), (brace.name, a)
 
 
 def test_element_maps_are_built_once_per_call(corpus8, monkeypatch):

@@ -259,6 +259,19 @@ class TestCor28Thm33:
         assert reports["thm33"].attempted > 0
         assert not reports["thm33"].counterexamples
 
+    def test_cor28_alone_builds_no_stand_in(self, monkeypatch):
+        # the A5at stand-in feeds thm33's cases only; the note stays
+        def no_stand_in(*args, **kwargs):
+            raise AssertionError("group_brace called for cor28 alone")
+
+        monkeypatch.setattr(verify, "group_brace", no_stand_in)
+        reports = verify_cor28_thm33(corpus_max=2, statements=("cor28",))
+        assert set(reports) == {"cor28"}
+        assert reports["cor28"].attempted == 3
+        assert reports["cor28"].notes == (
+            "only order-1 semiprime braces exist at order <= 2; "
+            "the order-60 stand-in exercises the wreath path",)
+
     def test_elapsed_per_statement(self, monkeypatch):
         # a fake clock: set-up takes 1 s, the cor28 cases 10 s, thm33 100 s
         now = [50.0]
