@@ -1,8 +1,9 @@
 """Automorphisms of groups and skew braces, and homomorphism enumeration.
 
 ``_homomorphisms`` is the one search: it tries each choice of images of the
-closure generators (at most 2,000,000 choices, checked before any is tried),
-extends it along the walk of ``core.closure_generators`` and keeps the maps
+closure generators, each image of an order dividing its generator's (at
+most 2,000,000 choices, checked before any is tried), extends the choices
+in blocks along the walk of ``core.closure_generators`` and keeps the maps
 that respect each generator.  Group automorphisms are its bijective
 endomorphisms; skew brace automorphisms are the additive ones that also
 respect circ on the circle generators.
@@ -17,11 +18,11 @@ they are the whole group.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 
 import numpy as np
 
-from .core import FiniteSkewBrace, PreconditionError, SizeCapExceeded, closure_generators
+from .core import _BLOCK_ENTRIES, FiniteSkewBrace, PreconditionError, SizeCapExceeded, closure_generators
 from .products import SigmaAction
 
 __all__ = [
@@ -44,16 +45,24 @@ def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
     cached on the table's exact order, dtype and bytes, and each call
     returns them in a fresh list.  A search that raises is not cached.
     """
-    return list(_automorphisms_of(table.shape[0], table.dtype, table.tobytes()))
+    return list(automorphism_array(table))
+
+
+def automorphism_array(table: np.ndarray) -> np.ndarray:
+    """``group_automorphisms`` as one read-only (count, order) array."""
+    return _automorphisms_of(table.shape[0], table.dtype, table.tobytes())
 
 
 @functools.lru_cache(maxsize=128)
-def _automorphisms_of(n: int, dtype: np.dtype, data: bytes) -> tuple[np.ndarray, ...]:
+def _automorphisms_of(n: int, dtype: np.dtype, data: bytes) -> np.ndarray:
+    """The bijective rows of ``_homomorphisms``: one bool scatter marks
+    the labels each endomorphism hits."""
     table = np.frombuffer(data, dtype=dtype).reshape(n, n)
-    auts = tuple(phi.astype(dtype) for phi in _homomorphisms(table, table)
-                 if np.unique(phi).size == n)
-    for phi in auts:
-        phi.setflags(write=False)
+    endos = _homomorphisms(table, table)
+    hit = np.zeros(endos.shape, dtype=bool)
+    hit[np.arange(len(endos))[:, None], endos] = True
+    auts = endos[hit.all(axis=1)].astype(dtype)
+    auts.setflags(write=False)
     return auts
 
 
@@ -62,19 +71,19 @@ def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
     automorphisms of (A, +) (all fix 0) that respect circ on the circle
     generators, which suffices by the module lemma; one stacked gather."""
     circ = brace.circ
-    auts = group_automorphisms(brace.add)
+    P = automorphism_array(brace.add)                    # (k, n)
     cg = closure_generators(circ)[0]
-    P = np.stack(auts)                                   # (k, n)
     keep = (P[:, circ[:, cg]] == circ[P[:, :, None], P[:, None, cg]]).all(axis=(1, 2))
-    return [p for p, ok in zip(auts, keep) if ok]
+    return list(P[keep])
 
 
-def perm_composition(perms: list[np.ndarray]) -> np.ndarray:
-    """Composition table of a closed set of permutations:
-    entry [i, j] = index of perms[i] after perms[j].  Each row is read as
-    one opaque key; the composed keys are looked up by one sort and one
-    ``searchsorted``.  Raises PreconditionError when the set is not closed."""
-    stacked = np.stack(perms)
+def perm_composition(perms: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Composition table of a closed set of permutations, given as a list
+    or as the rows of one array: entry [i, j] = index of perms[i] after
+    perms[j].  Each row is read as one opaque key; the composed keys are
+    looked up by one sort and one ``searchsorted``.  Raises
+    PreconditionError when the set is not closed."""
+    stacked = np.ascontiguousarray(perms)
     k, n = stacked.shape
     row = np.dtype((np.void, n * stacked.itemsize))
     keys = stacked.view(row).ravel()
@@ -95,45 +104,96 @@ def group_homomorphisms(table: np.ndarray, perms: list[np.ndarray],
     Deterministic order: generator images ascend lexicographically.  At
     most ``budget`` maps are returned when a budget is given.
     """
-    return _homomorphisms(table, perm_composition(perms), budget)
+    return list(_homomorphisms(table, perm_composition(perms), budget))
 
 
 def _homomorphisms(table: np.ndarray, target: np.ndarray,
-                   budget: int | None = None) -> list[np.ndarray]:
+                   budget: int | None = None) -> np.ndarray:
     """``group_homomorphisms`` into the group whose Cayley table is
-    ``target`` (identity 0), as int64 image arrays; a budget must be >= 1.
+    ``target`` (identity 0), one int64 image row per map; a budget must
+    be >= 1.
 
-    Each candidate is extended along the steps of ``closure_generators``
-    and kept when it respects every generator (the module lemma).  The
-    maps come out in lexicographic order.  ``closure_generators`` is
-    greedy, so every element below a generator g lies in the subgroup of
-    the earlier generators; two maps whose generator images first differ
-    at g agree below g, and their order is that of their images of g.
+    A candidate is a choice of images of the closure generators.  Each
+    block of candidates (one column each, about 2^20 gathered entries) is
+    extended by one gather per step of ``closure_generators`` and kept
+    where it respects every generator (the module lemma), by one more.
+
+    Order pruning: a kept map phi has phi(0) = 0 and phi(x o g) = phi(x)
+    o phi(g) for every x, so phi(x_j) = y_j for the left powers x_j =
+    x_(j-1) o g and y_j = y_(j-1) o phi(g) from x_0 = y_0 = 0.  When x_d
+    = 0 (d the order of g), y_d = phi(0) = 0: phi(g) is an h with h^d =
+    0, i.e. of order dividing d.  So each generator's images range over
+    those h only (``_image_lists``); the prune drops only candidates the
+    check would drop.  The cap is on the product of the pruned list
+    sizes, checked before any candidate is tried.
+
+    The maps come out in lexicographic order.  Each image list ascends
+    and ``_candidates`` counts through their product last generator
+    fastest, so candidates ascend in their generator images.
+    ``closure_generators`` is greedy, so every element below a generator
+    g lies in the subgroup of the earlier generators; two maps whose
+    generator images first differ at g agree below g, and their order is
+    that of their images of g.  A budget keeps the first ``budget`` maps
+    that pass.
     """
     if budget is not None and budget < 1:
         raise PreconditionError(f"homomorphism budget must be at least 1, got {budget}")
     table = np.asarray(table)
     m = table.shape[0]
-    k = target.shape[0]
     gens, steps = closure_generators(table)
-    if gens and k ** len(gens) > _HOM_SPACE_LIMIT:
+    images = _image_lists(table, target, gens)
+    total = math.prod(len(x) for x in images)
+    if total > _HOM_SPACE_LIMIT:
         raise SizeCapExceeded(
-            f"homomorphism search space {k}^{len(gens)} exceeds the limit")
+            f"homomorphism search space {total} (order-pruned from "
+            f"{target.shape[0]}^{len(gens)}) exceeds the limit {_HOM_SPACE_LIMIT}")
 
-    rows = target.tolist()
-    out = []
-    for images in itertools.product(range(k), repeat=len(gens)):
-        images_of = [0] * m
-        for g, image in zip(gens, images):
-            images_of[g] = image
+    cols = table[:, gens]
+    block = max(1, _BLOCK_ENTRIES // (m * max(len(gens), 1)))
+    found, count = [], 0
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        phi = np.zeros((m, stop - start), dtype=np.int64)   # column j: candidate start + j
+        phi[gens] = _candidates(images, start, stop)
         for y, x, g in steps:
-            images_of[y] = rows[images_of[x]][images_of[g]]
-        phi = np.array(images_of, dtype=np.int64)
-        if np.array_equal(phi[table[:, gens]], target[phi[:, None], phi[gens]]):
-            out.append(phi)
-            if budget is not None and len(out) >= budget:
-                break
-    return out
+            phi[y] = target[phi[x], phi[g]]
+        ok = (phi[cols] == target[phi[:, None], phi[gens]]).all(axis=(0, 1))
+        kept = phi[:, ok].T
+        if budget is not None:
+            kept = kept[:budget - count]
+        found.append(kept)
+        count += kept.shape[0]
+        if count == budget:
+            break
+    return np.concatenate(found)
+
+
+def _image_lists(table: np.ndarray, target: np.ndarray, gens: list[int]) -> list[np.ndarray]:
+    """Per generator g of ``table``, the ascending labels h of ``target``
+    with h^d = 0 (left powers from 0), d the least d >= 1 with g^d = 0;
+    every label when g has no such d (``table`` is not a group)."""
+    m, k = table.shape[0], target.shape[0]
+    orders = []
+    for g in gens:
+        x, d = int(table[0, g]), 1
+        while x != 0 and d < m:
+            x, d = int(table[x, g]), d + 1
+        orders.append(d if x == 0 else 0)
+    labels = np.arange(k)
+    power = np.zeros(k, dtype=np.intp)
+    roots = {}
+    for j in range(1, max(orders, default=0) + 1):
+        power = target[power, labels]
+        if j in orders:
+            roots[j] = np.flatnonzero(power == 0)
+    return [roots[d] if d else labels for d in orders]
+
+
+def _candidates(images: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Candidates ``start`` to ``stop`` of the product of the image lists,
+    last list fastest: row i holds the images of generator i."""
+    digits = np.unravel_index(np.arange(start, stop), [len(x) for x in images]) if images else ()
+    return np.array([x[d] for x, d in zip(images, digits)]).reshape(len(images), stop - start)
 
 
 def sigma_actions(G: FiniteSkewBrace, H: FiniteSkewBrace,
@@ -141,7 +201,6 @@ def sigma_actions(G: FiniteSkewBrace, H: FiniteSkewBrace,
     """All actions of (H, o) on G by skew brace automorphisms, i.e. the
     homomorphisms from the circle group of H into the automorphisms of G,
     in a fixed order, truncated at ``budget``."""
-    auts = skew_automorphisms(G)
-    aut_array = np.stack(auts)
-    homs = group_homomorphisms(H.circ, auts, budget)
-    return [SigmaAction(G, H, aut_array[phi]) for phi in homs]
+    auts = np.ascontiguousarray(skew_automorphisms(G))
+    homs = _homomorphisms(H.circ, perm_composition(auts), budget)
+    return [SigmaAction(G, H, perms) for perms in auts[homs]]

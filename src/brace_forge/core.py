@@ -37,6 +37,7 @@ __all__ = [
     "star_block",
     "star_product",
     "normalize_members",
+    "sorted_unique",
     "fmt_members",
 ]
 
@@ -534,11 +535,20 @@ def _check_index(n: int, value: int, what: str = "index") -> int:
 
 def normalize_members(n: int, members: Iterable[int]) -> np.ndarray:
     """Sorted unique member array, range-checked against the carrier."""
-    arr = np.unique(np.fromiter((int(m) for m in members), dtype=np.int64))
+    arr = sorted_unique(np.fromiter((int(m) for m in members), dtype=np.int64))
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         bad = arr[0] if arr[0] < 0 else arr[-1]
         raise PreconditionError(f"member {bad} out of range 0..{n - 1}")
     return arr
+
+
+def sorted_unique(arr: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending: what ``np.unique``
+    gives, by one sort, without importing ``numpy.ma`` as it does."""
+    arr = np.sort(arr)
+    fresh = np.ones(arr.size, dtype=bool)
+    fresh[1:] = arr[1:] != arr[:-1]
+    return arr[fresh]
 
 
 def fmt_members(members: Iterable[int]) -> str:

@@ -22,7 +22,7 @@ from .core import (
     brace_from_tables,
     table_dtype,
 )
-from .autos import group_automorphisms, perm_composition
+from .autos import automorphism_array, group_automorphisms, perm_composition
 from .groups import GroupSpec, group_table, parse_group_spec
 
 __all__ = [
@@ -93,10 +93,11 @@ def radical_ring_brace(modulus: int, generator: int, name: str | None = None) ->
     return brace
 
 
-def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.ndarray]:
-    """All total maps a -> aut index with lambda_0 = id and
+def _lambda_system_search(add: np.ndarray, A: np.ndarray) -> list[np.ndarray]:
+    """All total maps a -> index of a row of ``A`` (closed automorphisms of
+    ``add``, identity first) with lambda_0 = id and
     lambda_{a + lambda_a(b)} = lambda_a . lambda_b; returns the lambda
-    tables, row a = lambda_a.
+    tables, row a = lambda_a, in ascending order of their aut indices.
     A trail is the tail of ``assigned`` (``propagate`` appends to both in
     order; deeper calls undo their own), so ``undo`` cuts it off in one
     slice.  ``propagate`` only appends while it walks ``assigned``, so
@@ -105,17 +106,28 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
     against the assigned set S, with a read as assigned t: for b in S,
     a + t(b) needs t . lambda_b and b + lambda_b(a) needs lambda_b . t where
     assigned.  ``propagate`` checks these pairs first and never changes an
-    assigned value, so it would reject every t dropped here."""
-    n = add.shape[0]
-    k = len(auts)
-    A = np.stack(auts)
-    comp = perm_composition(auts)
+    assigned value, so it would reject every t dropped here.
+
+    Symmetry: for phi in ``A``, lambda^phi_a = phi lambda_{phi^-1(a)}
+    phi^-1 is again a system (lambda^phi_{a + lambda^phi_a(b)} = phi
+    lambda_{a' + lambda_a'(b')} phi^-1 = lambda^phi_a lambda^phi_b with a'
+    = phi^-1(a), b' = phi^-1(b)).  The seed assigns only 0, so label 1 is
+    the first free label; when phi(1) = 1, phi maps the systems with
+    lambda_1 = t one-to-one onto those with lambda_1 = phi t phi^-1.  So
+    the root tries only the least t of each conjugacy class under the
+    stabilizer Stab(1) of label 1, and the systems found are expanded by
+    every phi in Stab(1) in one gather; a system reached from more than
+    one phi is kept once, after one ``lexsort``."""
+    n, k = add.shape[0], A.shape[0]
+    comp = perm_composition(A)
     aut_rows, comp_rows, addl = A.tolist(), comp.tolist(), add.tolist()
+    if n == 1:
+        return [A[[0]]]
 
     alpha = [-1] * n
     alpha[0] = 0  # identity automorphism is lexicographically first
     assigned = [0]
-    results: list[np.ndarray] = []
+    results: list[list[int]] = []
 
     def propagate(queue: list[int], trail: list[int]) -> bool:
         while queue:
@@ -149,24 +161,37 @@ def _lambda_system_search(add: np.ndarray, auts: list[np.ndarray]) -> list[np.nd
             ok &= ((got == -1) | (got == req)).all(axis=1)
         return np.flatnonzero(ok)
 
+    def branch(free: int, t: int):
+        alpha[free] = t
+        assigned.append(free)
+        trail = [free]
+        if propagate([free], trail):
+            dfs()
+        undo(trail)
+
     def dfs():
         try:
             free = alpha.index(-1)
         except ValueError:
-            results.append(A[alpha])
+            results.append(alpha.copy())
             return
         for t in candidates(free).tolist():
-            alpha[free] = t
-            assigned.append(free)
-            trail = [free]
-            if propagate([free], trail):
-                dfs()
-            undo(trail)
+            branch(free, t)
 
-    # seed: propagate the forced values around the identity
-    if propagate([0], []):
-        dfs()
-    return results
+    # the seed, lambda_0 = id, forces nothing more: 0 + id(0) = 0
+    stab = np.flatnonzero(A[:, 1] == 1)
+    inverse = np.argmax(comp[stab] == 0, axis=1)             # phi^-1 of each phi in Stab(1)
+    conj = comp[comp[stab], inverse[:, None]]                # row i: t -> phi_i t phi_i^-1
+    least = conj.min(axis=0)
+    for t in candidates(1).tolist():
+        if least[t] == t:
+            branch(1, t)
+    found = np.array(results)          # never empty: lambda = id is a system
+    systems = conj[np.arange(len(stab))[:, None], found[:, A[inverse]]].reshape(-1, n)
+    systems = systems[np.lexsort(systems.T[::-1])]
+    fresh = np.ones(len(systems), dtype=bool)
+    fresh[1:] = (systems[1:] != systems[:-1]).any(axis=1)
+    return list(A[systems[fresh]])
 
 
 def _holomorph_braces(add: np.ndarray, prefix: str) -> list[FiniteSkewBrace]:
@@ -182,7 +207,7 @@ def _holomorph_braces(add: np.ndarray, prefix: str) -> list[FiniteSkewBrace]:
     group = brace_from_tables(add, add)
     add, neg = group.add, group.neg
     rows = np.arange(add.shape[0])[:, None]
-    braces = [(add[rows, lam], lam) for lam in _lambda_system_search(add, group_automorphisms(add))]
+    braces = [(add[rows, lam], lam) for lam in _lambda_system_search(add, automorphism_array(add))]
     braces.sort(key=lambda pair: pair[0].ravel().tolist())
     return [FiniteSkewBrace(add.shape[0], add, circ, neg, _derive_neg(circ), lam, f"{prefix}#{i}")
             for i, (circ, lam) in enumerate(braces)]

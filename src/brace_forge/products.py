@@ -24,6 +24,7 @@ from .core import (
     PreconditionError,
     SizeCapExceeded,
     max_order,
+    sorted_unique,
     table_dtype,
 )
 from .groups import _pair_table, direct_product_table
@@ -238,7 +239,7 @@ def rho_projection(ctx: WreathContext, label: int, position: int) -> int:
 def pointwise_lift(ctx: WreathContext, members) -> np.ndarray:
     """Labels of all functions whose every digit lies in ``members``
     (the lift of a base-brace subset to the function space), ascending."""
-    members = np.unique(np.asarray(list(members), dtype=np.int64))
+    members = sorted_unique(np.asarray(list(members), dtype=np.int64))
     if members.size and (members[0] < 0 or members[-1] >= ctx.base_order):
         raise PreconditionError("member out of range")
     labels = members

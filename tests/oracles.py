@@ -6,7 +6,8 @@ cancel itself out in the comparison.  The exceptions are former fast
 paths kept as the references for the ones that replaced them:
 ``ascending_principal_scan``, ``orbit_representatives_loop``,
 ``pairwise_join_ideals``, ``lemma31_case_loop``,
-``perm_composition_lookup`` and ``lambda_system_search_loop``.
+``perm_composition_lookup``, ``lambda_system_search_loop`` and
+``homomorphisms_loop``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from brace_forge.core import fmt_members, frontier_closure, star_block
+from brace_forge.core import closure_generators, fmt_members, frontier_closure, star_block
 from brace_forge.ideals import (
     _ideal_families,
     _orbit_maps,
@@ -480,3 +481,28 @@ def lambda_system_search_loop(add, auts) -> list[np.ndarray]:
     if propagate([0], []):
         dfs()
     return results
+
+
+def homomorphisms_loop(table, target, budget=None) -> list[np.ndarray]:
+    """The maps of ``autos._homomorphisms`` by the unpruned search: every
+    choice of images of the closure generators in ``itertools.product``
+    order, extended one element at a time in Python and checked on the
+    generators; int64 image arrays, the first ``budget`` of them."""
+    table = np.asarray(table)
+    m = table.shape[0]
+    k = target.shape[0]
+    gens, steps = closure_generators(table)
+    rows = target.tolist()
+    out = []
+    for images in itertools.product(range(k), repeat=len(gens)):
+        images_of = [0] * m
+        for g, image in zip(gens, images):
+            images_of[g] = image
+        for y, x, g in steps:
+            images_of[y] = rows[images_of[x]][images_of[g]]
+        phi = np.array(images_of, dtype=np.int64)
+        if np.array_equal(phi[table[:, gens]], target[phi[:, None], phi[gens]]):
+            out.append(phi)
+            if budget is not None and len(out) >= budget:
+                break
+    return out

@@ -1,5 +1,5 @@
+import hashlib
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,6 +71,66 @@ def test_group_homomorphisms_match_brute_force(corpus8):
             assert all(phi.dtype == np.int64 for phi in got)
 
 
+# sha256 over the bytes and dtype of each array in order, computed with the
+# unpruned per-candidate search (oracles.homomorphisms_loop)
+A5_AUTOMORPHISMS_SHA256 = "5aa85718fae51e3101e4974060a63d35a55ffea1355532671dbc1a07fd6c8faa"
+A5AT_ACTIONS_SHA256 = {
+    64: "e71f498b9ecd20c1a0e3bb8339f82f78bc72404042d93ea791c725ccdbde4d39",
+    None: "39b65079b7cf0701117f7c64ec5f08facfc2cfbe535a15f680a70990595f3311",
+}
+
+
+def _digest(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes() + str(a.dtype).encode())
+    return digest.hexdigest()
+
+
+def _same_arrays(got, want):
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert p.dtype == q.dtype and np.array_equal(p, q)
+
+
+def test_blocked_search_matches_the_candidate_loop(corpus8, monkeypatch):
+    """Automorphisms, skew automorphisms and actions (at budgets 1, 2, 64
+    and none) equal those of the unpruned per-candidate loop: values,
+    order and dtype, on the corpus and on braces over A4 and S4."""
+    braces = [*corpus8, *(group_brace(g, v) for g in ("a4", "s4")
+                          for v in ("trivial", "almost_trivial"))]
+    tables = {(t.dtype.str, t.tobytes()): t for b in braces for t in (b.add, b.circ)}
+    # one acting brace of each order up to 3, and a cyclic and a Klein circle group
+    acting = [b for b in corpus8 if b.name in ("c1#0", "T2", "R3", "c4#1", "c2xc2#0")]
+    assert len(acting) == 5
+    budgets = (1, 2, 64, None)
+
+    def run():
+        autos._automorphisms_of.cache_clear()
+        return ([group_automorphisms(t) for t in tables.values()],
+                [skew_automorphisms(b) for b in braces],
+                [[a.perms for a in sigma_actions(G, H, budget)]
+                 for G in braces for H in acting for budget in budgets])
+
+    got = run()
+    monkeypatch.setattr(autos, "_homomorphisms", lambda table, target, budget=None: np.array(
+        oracles.homomorphisms_loop(table, target, budget), dtype=np.int64).reshape(-1, len(table)))
+    want = run()
+    autos._automorphisms_of.cache_clear()
+    for got_lists, want_lists in zip(got, want):
+        assert len(got_lists) == len(want_lists)
+        for g, w in zip(got_lists, want_lists):
+            _same_arrays(g, w)
+
+
+def test_a5_searches_match_frozen_digests(A5at):
+    assert _digest(group_automorphisms(group_table("a5"))) == A5_AUTOMORPHISMS_SHA256
+    for budget, want in A5AT_ACTIONS_SHA256.items():
+        actions = sigma_actions(A5at, A5at, budget)
+        assert len(actions) == (budget or 121)
+        assert _digest([a.perms for a in actions]) == want
+
+
 def test_automorphism_space_capped_before_search(monkeypatch):
     a5 = group_table("a5")
     table = direct_product_table(a5, a5)
@@ -79,10 +139,35 @@ def test_automorphism_space_capped_before_search(monkeypatch):
     def no_candidates(*args, **kwargs):
         raise AssertionError("a candidate was tried")
 
-    monkeypatch.setattr(autos, "itertools", SimpleNamespace(product=no_candidates))
+    monkeypatch.setattr(autos, "_candidates", no_candidates)
     for _ in range(2):   # a search that raises is not cached
-        with pytest.raises(SizeCapExceeded, match=r"3600\^\d+ exceeds"):
+        with pytest.raises(SizeCapExceeded, match=r"\d+ \(order-pruned from 3600\^\d+\) exceeds"):
             group_automorphisms(table)
+
+
+def test_order_pruning_brings_s4xc2_under_the_cap(monkeypatch):
+    # four generators of order 2: 48^4 ~ 5.3M candidates unpruned, but only
+    # the 20 labels of order dividing 2 per generator, 20^4 = 160,000
+    table = group_table("s4xc2")
+    got = group_automorphisms(table)
+    autos._automorphisms_of.cache_clear()
+    monkeypatch.setattr(autos, "_HOM_SPACE_LIMIT", 48 ** 4)
+    want = group_automorphisms(table)
+    autos._automorphisms_of.cache_clear()
+    # |Aut(S4 x C2)| = |Aut(S4)| * |Hom(S4, C2)| = 24 * 2
+    assert len(got) == 48
+    assert [p.tolist() for p in got] == [p.tolist() for p in want]
+    assert [tuple(p.tolist()) for p in got] == sorted({tuple(p.tolist()) for p in got})
+    for p in got:
+        assert p.dtype == table.dtype and np.array_equal(p[table], table[np.ix_(p, p)])
+    perm_composition(got)   # closed under composition
+
+
+def test_elementary_abelian_space_still_capped(monkeypatch):
+    # every element of C2^5 has order dividing 2: pruning keeps 32^5 > 2M
+    monkeypatch.setattr(autos, "_candidates", lambda *args: pytest.fail("a candidate was tried"))
+    with pytest.raises(SizeCapExceeded, match=r"33554432 \(order-pruned from 32\^5\) exceeds"):
+        group_automorphisms(group_table("c2xc2xc2xc2xc2"))
 
 
 def test_group_automorphisms_searched_once_per_table(monkeypatch):

@@ -334,3 +334,26 @@ def test_installed_entry_point(r4_file):
                     reason="brace-forge console script not installed")
 def test_console_script_on_path(r4_file):
     _assert_r4_not_semiprime([shutil.which("brace-forge")], r4_file)
+
+
+def test_sweeps_do_not_import_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` on first use (numpy 2.4); the
+    corpus set-up and the cor28 and lemma32 sweeps avoid it, so a fresh
+    process never loads that module unless a bare ``import numpy`` does."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "bare = 'numpy.ma' in sys.modules\n"
+        "import brace_forge\n"
+        "from brace_forge.cli import main\n"
+        "brace_forge.standard_corpus(8)\n"
+        "for args in (['verify', 'cor28'], ['verify', 'lemma32']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(args) == 0\n"
+        "    assert bare or 'numpy.ma' not in sys.modules, args\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
