@@ -4,9 +4,9 @@ A brace lives on the carrier {0..n-1} with the shared identity of both
 group operations pinned at index 0.  Construction goes through
 validation, except for the semidirect products and direct powers of
 validated braces (``products._product``) and the holomorph-enumerated
-braces (``corpus._holomorph_braces``).  The per-element inverse tables
-and the full lambda table are materialized as read-only numpy arrays so
-that downstream closure sweeps are pure table gathers.
+braces (``corpus._holomorph_braces``).  A brace stores read-only numpy
+tables of both operations and inverses; ``lam_block`` gathers lambda
+from them, so downstream closure sweeps are pure table gathers.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "frontier_closure",
     "seeded_closure",
     "generated_subbrace",
+    "lam_block",
     "star_block",
     "star_product",
     "normalize_members",
@@ -354,14 +355,14 @@ def _group_violations_full(t: np.ndarray, prefix: str) -> list[Violation]:
     return out
 
 
-def _brace_relation_violation_full(add, circ, neg) -> list[Violation]:
+def _brace_relation_violation_full(brace: "FiniteSkewBrace") -> list[Violation]:
     """The smallest (a, b, c) with lambda_a(b+c) != lambda_a(b) + lambda_a(c),
     which is a o (b+c) != (a o b) - a + (a o c); one gather per row block
     (see ``_first_violation``)."""
-    for a0, a1 in _row_blocks(add.shape[0]):
-        lam = add[neg[a0:a1, None], circ[a0:a1]]       # lambda_a(b), row a - a0
-        witness = _first_violation(lam[:, add],        # lambda_a(b+c)
-                                   add[lam[:, :, None], lam[:, None, :]],
+    for a0, a1 in _row_blocks(brace.order):
+        lam = lam_block(brace, np.arange(a0, a1), np.arange(brace.order))   # row a - a0
+        witness = _first_violation(lam[:, brace.add],        # lambda_a(b+c)
+                                   brace.add[lam[:, :, None], lam[:, None, :]],
                                    a0)
         if witness is not None:
             return [("brace-relation", witness)]
@@ -425,17 +426,13 @@ def validate(add, circ, name: str = "", mode: str | None = None,
     if violations:
         return ValidationReport(n, violations, mode)
 
-    neg = _derive_neg(add)
-    inv = _derive_neg(circ)
-    lam = add[neg[:, None], circ]              # lambda_a(b) = -a + (a o b)
+    brace = FiniteSkewBrace(n, add, circ, _derive_neg(add), _derive_neg(circ), name)
     if mode == "exhaustive":
-        violations = _brace_relation_violation_full(add, circ, neg)
+        violations = _brace_relation_violation_full(brace)
     else:
-        violations = _brace_relation_violation_fast(add, lam, add_gens)
+        violations = _brace_relation_violation_fast(add, brace.lam, add_gens)
     if violations:
         return ValidationReport(n, violations, mode)
-
-    brace = FiniteSkewBrace(n, add, circ, neg, inv, lam, name)
     return ValidationReport(n, [], mode, brace)
 
 
@@ -447,22 +444,29 @@ class FiniteSkewBrace:
     ``products._product``, whose semidirect product of validated braces
     under a validated action is a brace, and ``corpus._holomorph_braces``,
     whose lambda-systems on a validated additive group are braces, each by
-    the argument in its docstring.
+    the argument in its docstring.  It stores ``add``, ``circ``, ``neg``
+    and ``inv``; ``lam`` is gathered from them on each access.
     """
 
-    __slots__ = ("order", "add", "circ", "neg", "inv", "lam", "name", "_star")
+    __slots__ = ("order", "add", "circ", "neg", "inv", "name", "_star")
 
-    def __init__(self, order, add, circ, neg, inv, lam, name=""):
+    def __init__(self, order, add, circ, neg, inv, name=""):
         self.order = int(order)
         self.add = add
         self.circ = circ
         self.neg = neg
         self.inv = inv
-        self.lam = lam
         self.name = name
         self._star = None
-        for arr in (add, circ, neg, inv, lam):
+        for arr in (add, circ, neg, inv):
             arr.setflags(write=False)
+
+    @property
+    def lam(self) -> np.ndarray:
+        """Read-only (n, n) lambda table, gathered on each access, never cached."""
+        tab = lam_block(self, np.arange(self.order), np.arange(self.order))
+        tab.setflags(write=False)
+        return tab
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSkewBrace):
@@ -481,7 +485,7 @@ class FiniteSkewBrace:
 
     def with_name(self, name: str) -> "FiniteSkewBrace":
         clone = FiniteSkewBrace.__new__(FiniteSkewBrace)
-        for slot in ("order", "add", "circ", "neg", "inv", "lam", "_star"):
+        for slot in ("order", "add", "circ", "neg", "inv", "_star"):
             object.__setattr__(clone, slot, getattr(self, slot))
         object.__setattr__(clone, "name", name)
         return clone
@@ -495,11 +499,11 @@ class FiniteSkewBrace:
 
     def star(self, a: int, b: int) -> int:
         """a * b = lambda_a(b) - b."""
-        return int(self.add[self.lam[a, b], self.neg[b]])
+        return int(star_block(self, np.array([a]), np.array([b]))[0, 0])
 
     def star_table(self) -> np.ndarray:
         if self._star is None:
-            tab = self.add[self.lam, np.broadcast_to(self.neg, self.lam.shape)]
+            tab = star_block(self, np.arange(self.order), np.arange(self.order))
             tab.setflags(write=False)
             self._star = tab
         return self._star
@@ -576,7 +580,7 @@ def table_eval(brace: FiniteSkewBrace, kind: str, a: int, b: int | None = None) 
     if kind == "circ":
         return int(brace.circ[a, b])
     if kind == "lambda":
-        return int(brace.lam[a, b])
+        return int(lam_block(brace, np.array([a]), np.array([b]))[0, 0])
     return brace.star(a, b)
 
 
@@ -604,9 +608,26 @@ def generated_subbrace(brace: FiniteSkewBrace, seed: Iterable[int]) -> frozenset
     return seeded_closure(brace.order, seed, families)
 
 
+def lam_block(brace: FiniteSkewBrace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The |rows| x |cols| array of lambda_b(c) = -b + (b o c) for 1-d
+    label arrays, in the dtype of ``add``: one gather of ``circ`` and one
+    of ``add``, so only |rows| x |cols| entries are allocated.
+
+    The only place lambda is computed; no brace stores it.  The formula is
+    the definition of lambda, so it gives what each builder used to store:
+    ``validate`` stored this gather on all labels; a holomorph brace has
+    a o b = a + lambda_a(b) (``corpus._holomorph_braces``); and a product
+    stored (lambda_g1(sigma(h1)(g2)), lambda_h1(h2)), which is
+    -(g1, h1) + (g1, h1) o (g2, h2) by the formulas of ``products._product``.
+    Every builder's ``add`` has the dtype ``table_dtype(n)`` the stored
+    tables had.
+    """
+    return brace.add[brace.neg[rows][:, None], brace.circ[rows[:, None], cols]]
+
+
 def star_block(brace: FiniteSkewBrace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The |rows| x |cols| array of stars b * c = lambda_b(c) - c."""
-    return brace.add[brace.lam[rows[:, None], cols], brace.neg[cols]]
+    return brace.add[lam_block(brace, rows, cols), brace.neg[cols]]
 
 
 def star_set(brace: FiniteSkewBrace, bs: Iterable[int], cs: Iterable[int]) -> frozenset[int]:
@@ -616,7 +637,7 @@ def star_set(brace: FiniteSkewBrace, bs: Iterable[int], cs: Iterable[int]) -> fr
     C = normalize_members(n, cs)
     if not B.size or not C.size:
         return frozenset()
-    return frozenset(int(x) for x in np.unique(star_block(brace, B, C)))
+    return frozenset(int(x) for x in sorted_unique(star_block(brace, B, C).ravel()))
 
 
 def star_product(brace: FiniteSkewBrace, bs: Iterable[int], cs: Iterable[int]) -> frozenset[int]:

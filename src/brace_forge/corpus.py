@@ -207,10 +207,10 @@ def _holomorph_braces(add: np.ndarray, prefix: str) -> list[FiniteSkewBrace]:
     group = brace_from_tables(add, add)
     add, neg = group.add, group.neg
     rows = np.arange(add.shape[0])[:, None]
-    braces = [(add[rows, lam], lam) for lam in _lambda_system_search(add, automorphism_array(add))]
-    braces.sort(key=lambda pair: pair[0].ravel().tolist())
-    return [FiniteSkewBrace(add.shape[0], add, circ, neg, _derive_neg(circ), lam, f"{prefix}#{i}")
-            for i, (circ, lam) in enumerate(braces)]
+    circs = [add[rows, lam] for lam in _lambda_system_search(add, automorphism_array(add))]
+    circs.sort(key=lambda circ: circ.ravel().tolist())
+    return [FiniteSkewBrace(add.shape[0], add, circ, neg, _derive_neg(circ), f"{prefix}#{i}")
+            for i, circ in enumerate(circs)]
 
 
 @functools.lru_cache(maxsize=None)

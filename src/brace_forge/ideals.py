@@ -22,8 +22,10 @@ from .core import (
     closure_generators,
     fmt_members,
     frontier_closure,
+    lam_block,
     normalize_members,
     seeded_closure,
+    sorted_unique,
     star_block,
     star_product,
 )
@@ -84,7 +86,7 @@ def is_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> tuple[bool, str 
     conj = brace.circ[brace.circ[:, S], brace.inv[:, None]]
     if not mask[conj].all():
         return False, "circ-normality"
-    if not mask[brace.lam[:, S]].all():
+    if not mask[lam_block(brace, np.arange(n), S)].all():
         return False, "lambda-invariance"
     left = np.sort(brace.add[:, S], axis=1)       # row a: a + I
     right = np.sort(brace.add[S, :].T, axis=1)    # row a: I + a
@@ -120,12 +122,12 @@ def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
     and so orbits, principal ideals, ideal lists and their order, and
     witnesses are those of the maps by every x.
     """
-    add, circ, neg, inv, lam = brace.add, brace.circ, brace.neg, brace.inv, brace.lam
+    add, circ, neg, inv = brace.add, brace.circ, brace.neg, brace.inv
     cg = np.array(closure_generators(circ)[0], dtype=np.int64)
     ag = np.array(closure_generators(add)[0], dtype=np.int64)
     return np.concatenate([
         inv[None, :],
-        lam[cg],                                  # lambda_g
+        lam_block(brace, cg, np.arange(brace.order)),   # lambda_g
         circ[circ[cg], inv[cg][:, None]],         # g o a o g^-1
         add[add[ag], neg[ag][:, None]],           # g + a - g
     ])
@@ -241,7 +243,7 @@ def quotient(brace: FiniteSkewBrace, ideal) -> tuple[FiniteSkewBrace, np.ndarray
     members = np.fromiter(sorted(I.members), dtype=np.int64)
     # coset of x is x + I; reps are least members
     coset_min = np.min(brace.add[:, members], axis=1)
-    reps = np.unique(coset_min)
+    reps = sorted_unique(coset_min)
     assert reps[0] == 0
     coset_index = np.searchsorted(reps, coset_min)
     k = reps.size
@@ -445,11 +447,11 @@ def check_semiprime_extension(brace: FiniteSkewBrace, ideal) -> ExtensionReport:
 
     containment_failures = []
     for J_sorted in map(np.flatnonzero, ideal_masks(brace)):
-        ji = np.unique(brace.add[np.ix_(J_sorted, I_sorted)])
+        ji = sorted_unique(brace.add[np.ix_(J_sorted, I_sorted)].ravel())
         lhs = star_product(brace, ji, ji)
         jj = np.fromiter(sorted(star_product(brace, J_sorted, J_sorted)), dtype=np.int64)
         rhs_mask = np.zeros(brace.order, dtype=bool)
-        rhs_mask[np.unique(brace.add[np.ix_(jj, I_sorted)])] = True
+        rhs_mask[brace.add[np.ix_(jj, I_sorted)]] = True
         if not all(rhs_mask[x] for x in lhs):
             containment_failures.append(tuple(J_sorted.tolist()))
     return ExtensionReport(

@@ -132,7 +132,6 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
         _pair_table(G.circ[:, perms], H.circ, dt),
         (G.neg.astype(dt)[:, None] * m + H.neg).ravel(),
         (perms[H.inv, G.inv[:, None]].astype(dt) * m + H.inv).ravel(),
-        _pair_table(G.lam[:, perms], H.lam, dt),
         name,
     )
 

@@ -357,3 +357,26 @@ def test_sweeps_do_not_import_numpy_ma():
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_star_quotient_and_extension_do_not_import_numpy_ma():
+    """``star_product``, ``quotient`` and ``check_semiprime_extension`` take
+    distinct labels without ``np.unique``, so a fresh process that calls
+    them never loads ``numpy.ma`` unless a bare ``import numpy`` does."""
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "bare = 'numpy.ma' in sys.modules\n"
+        "import brace_forge as bf\n"
+        "R4 = bf.radical_ring_brace(8, 2)\n"
+        "ideal = bf.enumerate_ideals(R4)[1]\n"
+        "assert bf.star_product(R4, [2], [2]) == frozenset({0})\n"
+        "assert bf.quotient(R4, ideal)[0].order == 2\n"
+        "assert bf.check_semiprime_extension(R4, ideal).containment_ok\n"
+        "assert bare or 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

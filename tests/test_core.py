@@ -304,6 +304,10 @@ def test_immutability(R4):
         R4.add[0, 0] = 1
     with pytest.raises(ValueError):
         R4.star_table()[0, 0] = 1
+    with pytest.raises(ValueError):
+        R4.lam[0, 0] = 1
+    with pytest.raises(AttributeError):
+        R4.lam = R4.add
 
 
 def test_equality_hash_naming(R4):
@@ -315,11 +319,37 @@ def test_equality_hash_naming(R4):
     assert renamed == R4  # names are informational, tables decide equality
 
 
-def test_pickle_round_trip(R4, S3at):
-    for brace in (R4, S3at):
-        copy = pickle.loads(pickle.dumps(brace))
-        assert copy == brace
-        assert np.array_equal(copy.star_table(), brace.star_table())
+def test_pickle_round_trip(R4, S3at, corpus8):
+    for brace in [R4, S3at] + list(corpus8[::7]):
+        for copy in (pickle.loads(pickle.dumps(brace)), brace.with_name("other")):
+            assert copy == brace
+            assert np.array_equal(copy.lam, brace.lam)
+            assert np.array_equal(copy.star_table(), brace.star_table())
+
+
+def test_lam_is_derived_not_stored(corpus8, A5at_square):
+    assert "lam" not in FiniteSkewBrace.__slots__
+    for brace in list(corpus8) + [A5at_square]:
+        lam = brace.lam
+        want = brace.add[brace.neg[:, None], brace.circ]     # lambda_a(b) = -a + (a o b)
+        assert lam.dtype == want.dtype == brace.add.dtype, brace.name
+        assert np.array_equal(lam, want), brace.name
+        assert lam is not brace.lam  # gathered on each access, never cached
+
+
+def test_lam_block_matches_the_full_gather(corpus8, A5at_square):
+    rng = np.random.default_rng(7)
+    for brace in list(corpus8[::5]) + [A5at_square]:
+        full = brace.lam
+        for _ in range(4):
+            rows = rng.integers(0, brace.order, size=rng.integers(1, 9))
+            cols = rng.integers(0, brace.order, size=rng.integers(1, 9))
+            block = core.lam_block(brace, rows, cols)
+            assert block.dtype == full.dtype
+            assert np.array_equal(block, full[np.ix_(rows, cols)]), brace.name
+            stars = core.star_block(brace, rows, cols)
+            want = brace.add[full[np.ix_(rows, cols)], brace.neg[cols]]   # lambda_b(c) - c
+            assert np.array_equal(stars, want), brace.name
 
 
 def test_star_identities(corpus8):

@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from brace_forge import (
     PreconditionError,
+    is_semiprime,
     SigmaAction,
     SizeCapExceeded,
     WreathContext,
@@ -23,7 +25,7 @@ from brace_forge import (
     wreath_base,
 )
 from brace_forge import core, products
-from brace_forge.groups import dihedral_table, direct_product_table
+from brace_forge.groups import _pair_table, dihedral_table, direct_product_table
 from brace_forge.products import SIGMA_RULES, _shift_perms
 
 import oracles
@@ -284,6 +286,39 @@ def test_sweep_products_match_validate(monkeypatch, A5at):
     assert 3600 in {P.order for P in built.values()}
     for P in built.values():
         _assert_matches_validate(P)
+
+
+def test_product_lam_is_the_pair_formula(R4, S3at, T2, A5at):
+    # the product no longer stores lambda; the derived table is the one it
+    # used to build, (lambda_g1(sigma(h1)(g2)), lambda_h1(h2)) with pairs
+    # encoded as g*|H| + h, in the same dtype
+    phi = [0, 3, 2, 1]
+    cases = [(R4, T2, SigmaAction(R4, T2, [[0, 1, 2, 3], phi]).perms),
+             (S3at, T2, trivial_sigma(S3at, T2).perms),
+             (T2, S3at, trivial_sigma(T2, S3at).perms),
+             (A5at, T2, trivial_sigma(A5at, T2).perms)]
+    for G, H, perms in cases:
+        P = products._product(G, H, perms, "P")
+        dt = core.table_dtype(P.order)
+        want = _pair_table(G.lam[:, perms], H.lam, dt)
+        assert P.lam.dtype == want.dtype
+        assert np.array_equal(P.lam, want), (G.name, H.name)
+        assert not P.lam.flags.writeable
+
+
+def test_wreath_base_semiprime_scan_stays_within_two_tables(A5at, T2):
+    # a brace stores add and circ (plus two length-n inverse tables); the
+    # build and the fast scan may peak at 1.25 x those two n x n tables, so
+    # a stored or cached lambda table (a third n x n table) fails this
+    tracemalloc.start()
+    try:
+        W = wreath_base(A5at, T2)[0]
+        assert is_semiprime(W, method="fast").semiprime
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.order == 3600
+    assert peak < 2.5 * W.order ** 2 * W.add.itemsize, peak
 
 
 def test_products_never_validate(monkeypatch, R4, T2, S3at):
