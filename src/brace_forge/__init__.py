@@ -32,6 +32,7 @@ from .ideals import (
     is_trivial,
     quotient,
     restrict,
+    semiprime_verdicts,
 )
 from .groups import GroupSpec, group_table, parse_group_spec
 from .products import (

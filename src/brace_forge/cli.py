@@ -22,7 +22,14 @@ from .core import (
 )
 from .docio import BraceDocument, format_int_row, parse_documents, parse_int_grid, serialize_document
 from .corpus import holomorph_enumerate, standard_corpus
-from .ideals import as_ideal, enumerate_ideals, is_semiprime, quotient
+from .ideals import (
+    DEFAULT_IDEAL_CAP,
+    as_ideal,
+    enumerate_ideals,
+    is_semiprime,
+    quotient,
+    semiprime_verdicts,
+)
 from .products import SigmaAction, semidirect, trivial_sigma, wreath
 from .verify import (
     DEFAULT_SIGMA_BUDGET,
@@ -80,14 +87,21 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_semiprime(args) -> int:
+    """All documents are classified in one ``semiprime_verdicts`` call.  An
+    exhaustive check stops at the first brace over the ideal cap, after
+    the verdicts of the braces before it are printed."""
+    braces = _load_braces(args.file)
+    stop = next((i for i, b in enumerate(braces)
+                 if args.method == "exhaustive" and b.order > DEFAULT_IDEAL_CAP), len(braces))
     status = 0
-    for brace in _load_braces(args.file):
-        verdict = is_semiprime(brace, method=args.method)
+    for verdict in semiprime_verdicts(braces[:stop], args.method):
         if verdict.semiprime:
             print("SEMIPRIME")
         else:
             status = PROPERTY_ERROR
             print(f"NOT SEMIPRIME witness {fmt_members(verdict.witness.members)}")
+    if stop < len(braces):
+        is_semiprime(braces[stop], method=args.method)   # raises SizeCapExceeded
     return status
 
 

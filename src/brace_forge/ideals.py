@@ -43,6 +43,7 @@ __all__ = [
     "restrict",
     "is_trivial",
     "is_semiprime",
+    "semiprime_verdicts",
     "check_semiprime_extension",
     "DEFAULT_IDEAL_CAP",
 ]
@@ -133,6 +134,20 @@ def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
     ])
 
 
+def _stacked_maps(braces: list[FiniteSkewBrace]) -> np.ndarray:
+    """The ``_orbit_maps`` tables of braces of one order n as one
+    (B, K, n) array, each padded to K rows with the identity map.  The
+    identity fixes every set, so the padding changes no orbit and no
+    closure: its images of a frontier are members already, and in
+    ``_orbit_representatives`` it maps label[a] to itself."""
+    tables = [_orbit_maps(b) for b in braces]
+    n, k = braces[0].order, max(len(t) for t in tables)
+    maps = np.broadcast_to(np.arange(n), (len(tables), k, n)).copy()
+    for b, t in enumerate(tables):
+        maps[b, :len(t)] = t
+    return maps
+
+
 def _ideal_families(brace: FiniteSkewBrace, maps: np.ndarray):
     """Candidate generators of the least ideal for ``frontier_closure``:
     circle products with the members, and the images under ``maps``, the
@@ -155,6 +170,27 @@ def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
     return Ideal(brace, seeded_closure(brace.order, seed, families))
 
 
+def _check_ideal_cap(n: int) -> None:
+    if n > DEFAULT_IDEAL_CAP:
+        raise SizeCapExceeded(f"order {n} exceeds the ideal enumeration cap {DEFAULT_IDEAL_CAP}")
+
+
+class _Batch:
+    """Braces of one order n on a leading brace axis: add and circ stacked
+    as (B, n, n), ``_stacked_maps``, the (brace, representative) pairs
+    ``owner`` and ``reps`` of ``_orbit_representatives``, and their
+    ``principal`` ideal masks."""
+
+    def __init__(self, braces: list[FiniteSkewBrace]):
+        self.braces = braces
+        self.n = braces[0].order
+        self.add = np.stack([b.add for b in braces])
+        self.circ = np.stack([b.circ for b in braces])
+        self.maps = _stacked_maps(braces)
+        self.owner, self.reps = _orbit_representatives(self.maps)
+        self.principal = _principal_masks(self)
+
+
 def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     """All ideals as a read-only (k, n) bool matrix, row i the member mask
     of the i-th ideal, ascending by size then lexicographic membership.
@@ -167,7 +203,7 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     holds the representative).  That is every ideal: each ideal is the sum
     of the principal ideals of its members, and every nonzero label has
     its orbit representative's principal ideal (the argument is in
-    ``_principal_star_scan``).
+    ``_principal_star_scan``).  No sum is made twice (``_batch_ideals``).
 
     The join of ideals I and J is the sum I + J = {i + j}, one table gather
     (Guarnieri and Vendramin, "Skew braces and the Yang-Baxter equation",
@@ -186,37 +222,79 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     The sums with P_t are made at once.  The masks found so far that miss
     the representative are the rows of B (an ideal that holds it holds P_t
     and is its own sum).  Row r of the scatter of add[j, P_t] over each
-    nonzero B[r, j] is I_r + P_t.  A bool mask of n <= 128 bytes is its
-    own key.  One ``np.lexsort`` (last key first) orders the rows by size,
-    then by the ~mask columns: of two sets of one size, the one holding
-    the first label where they differ has the smaller sorted tuple.
+    nonzero B[r, j] is I_r + P_t.  One ``np.lexsort`` (last key first)
+    orders the rows by size, then by the ~mask columns: of two sets of one
+    size, the one holding the first label where they differ has the
+    smaller sorted tuple.
 
-    The principal ideals are closed in one batch, since all of them are
+    This is a batch of one of ``_batch_ideals``, which lists the ideals
+    of many braces of one order at once (``semiprime_verdicts``): each row
+    carries its brace's index, which is the sort's first key.  The
+    principal ideals are closed in one batch, since all of them are
     summed.  The fast scan (``_principal_star_scan``) closes one
-    representative at a time instead, on purpose: it stops at its first
-    witness, often the first representative, and a batched scan that
-    closes them all ran slower over the q34 products.
+    representative at a time instead: it stops at its first witness,
+    often the first representative.
     """
-    n = brace.order
-    if n > DEFAULT_IDEAL_CAP:
-        raise SizeCapExceeded(f"order {n} exceeds the ideal enumeration cap {DEFAULT_IDEAL_CAP}")
-    zero = np.zeros(n, dtype=bool)
-    zero[0] = True
-    known: dict[bytes, np.ndarray] = {zero.tobytes(): zero}
-    maps = _orbit_maps(brace)
-    reps = _orbit_representatives(maps)
-    for a, principal in zip(reps, _principal_masks(brace, reps, maps)):
-        P = np.flatnonzero(principal)
-        B = np.stack([m for m in known.values() if not m[a]])
-        rows, cols = np.nonzero(B)
-        sums = np.zeros_like(B)
-        sums[rows[:, None], brace.add[cols[:, None], P]] = True
-        for row in sums:
-            known.setdefault(row.tobytes(), row)
-    masks = np.stack(list(known.values()))
-    masks = masks[np.lexsort(np.vstack([~masks[:, ::-1].T, masks.sum(axis=1)]))]
+    _check_ideal_cap(brace.order)
+    _, masks = _batch_ideals(_Batch([brace]))
     masks.setflags(write=False)
     return masks
+
+
+def _batch_ideals(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, masks): every ideal of every brace of ``batch``, mask row r
+    an ideal of brace owner[r], ordered by brace, then as in
+    ``ideal_masks``.
+
+    Pass t sums the principal ideal P_t of each brace's t-th
+    representative r_t with that brace's ideals found so far.  A brace with
+    fewer representatives takes r_t = 0 after its last one: every ideal
+    holds 0, so none of its rows is summed.  Each brace's principal labels
+    fill one row of a table padded with 0, and add[c, 0] = c is already in
+    the row being summed, so pass t gathers add[b, c, labels[b]] for every
+    brace b and label c once, and a member c of a row of brace b takes row
+    b * n + c of that gather.
+
+    No sum is listed twice, so no deduplication is needed.  Let K be the
+    list before pass t, the sums of subsets of P_1..P_{t-1}, and keep a sum
+    S = I + P_t of an I in K that misses r_t only when every r_s (s < t)
+    in S is in I.  A kept S is new: if S were in K it would be a sum of
+    P_s with r_s in S, all within I, so S = I, but r_t is in S.  Every new
+    S is kept once: M, the sum of the P_s (s < t) with r_s in S, is in K
+    and within S, and it holds every I in K with I + P_t = S (each P_s
+    within I holds r_s, which is in S).  So M + P_t = S, M misses r_t (or
+    S = M would be in K), and M passes the test.  An I that passes it
+    holds every such P_s, so I = M.
+    """
+    add, owner, reps, principal = batch.add, batch.owner, batch.reps, batch.principal
+    B, n = len(batch.braces), batch.n
+    step = np.arange(reps.size) - np.searchsorted(owner, owner)   # t of each (brace, r_t)
+    steps = int(step.max(initial=-1)) + 1
+    rank = np.full((B, n), steps, dtype=np.int16)                 # t of a label r_t, else steps
+    rank[owner, reps] = step
+    rep_at = np.zeros((steps, B), dtype=np.int64)
+    rep_at[step, owner] = reps
+    labels_at = np.zeros((steps, B, n), dtype=np.int64)
+    labels_at[step, owner] = np.sort(np.where(principal, np.arange(n), 0), axis=1)
+    width = np.zeros((steps, B), dtype=np.int64)                  # |P_t| of each brace
+    width[step, owner] = principal.sum(axis=1)
+    brace, label = np.arange(B)[:, None, None], np.arange(n)[:, None]
+    known_owner = np.arange(B)
+    known = np.zeros((B, n), dtype=bool)
+    known[:, 0] = True
+    for t in range(steps):
+        labels = labels_at[t][:, None, n - width[t].max():]       # members last, 0 before them
+        sum_rows = add[brace, label, labels].reshape(B * n, -1)
+        miss = ~known[np.arange(known_owner.size), rep_at[t][known_owner]]
+        grow_owner, grow = known_owner[miss], known[miss]
+        rows, cols = np.nonzero(grow)
+        sums = np.zeros_like(grow)
+        sums[rows[:, None], sum_rows[grow_owner[rows] * n + cols]] = True
+        keep = ~(sums & ~grow & (rank[grow_owner] < t)).any(axis=1)
+        known_owner = np.concatenate([known_owner, grow_owner[keep]])
+        known = np.concatenate([known, sums[keep]])
+    order = np.lexsort(np.vstack([~known[:, ::-1].T, known.sum(axis=1), known_owner]))
+    return known_owner[order], known[order]
 
 
 def enumerate_ideals(brace: FiniteSkewBrace) -> list[Ideal]:
@@ -271,8 +349,12 @@ def restrict(brace: FiniteSkewBrace, members: Iterable[int], name: str = "") -> 
 
 
 def is_trivial(brace: FiniteSkewBrace) -> bool:
-    """True when a * b = 0 everywhere, i.e. add and circ coincide."""
-    return not brace.star_table().any()
+    """True when a * b = 0 everywhere.  a * b = 0 exactly when
+    a o b = a + b (``_stars_vanish``), so this compares the two tables in
+    the row blocks of ``_row_blocks`` and stops at the first block where
+    they differ; no star table is gathered or kept."""
+    return all(np.array_equal(brace.add[a0:a1], brace.circ[a0:a1])
+               for a0, a1 in _row_blocks(brace.order))
 
 
 @dataclass(frozen=True)
@@ -288,58 +370,64 @@ class SemiprimeVerdict:
                 f"method={self.method!r})")
 
 
-def _orbit_representatives(maps: np.ndarray) -> list[int]:
-    """The least label of each orbit under the maps lambda_x,
-    a -> x o a o x', a -> x + a - x, a -> a' and a -> -a, ascending,
-    except the orbit {0} (every map fixes 0).  All orbits are found before
-    the list is returned, in a fixed number of numpy calls per round.
+def _orbit_representatives(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, reps): the least label of each orbit under the maps
+    lambda_x, a -> x o a o x', a -> x + a - x, a -> a' and a -> -a, except
+    the orbit {0} (every map fixes 0), of each brace b of the (B, K, n)
+    ``_stacked_maps``, as pairs (owner[i], reps[i]) = (b, label) ordered
+    by brace, then ascending.  All orbits are found before the arrays are
+    returned, in a fixed number of numpy calls per round.
 
-    ``maps`` is ``_orbit_maps(brace)``: a' and the maps of greedy
-    generators, whose orbits are those of the maps of every x (the
-    argument is in ``_orbit_maps``).  It has no a -> -a, but
-    -a = lambda_a(a') is already in the orbit of a.
+    ``maps[b]`` holds a' and the maps of greedy generators, whose orbits
+    are those of the maps of every x (the argument is in ``_orbit_maps``).
+    It has no a -> -a, but -a = lambda_a(a') is already in the orbit of a.
 
-    One gather loop of min-label propagation: each label starts as itself,
-    and a round sets label[a] to the least of label[a] and label[g(a)]
-    over the maps g, until no label changes.  Labels only fall, so the
-    loop ends.  label[a] is always a label reachable from a by the maps,
-    and at the fixed point label[a] <= label[b] <= b for every b reachable
-    from a, so label[a] is the least label reachable from a.  Every map is
-    a permutation of a finite set, so its inverse is one of its powers,
-    and the labels reachable from a form the whole orbit of a under the
-    group the maps generate.  So label[a] is the least label of the orbit
-    of a, and a is its orbit's representative exactly when label[a] == a.
+    One gather loop of min-label propagation, in every brace at once: each
+    label starts as itself, and a round sets label[a] to the least of
+    label[a] and label[g(a)] over the maps g, until no label changes.
+    Labels only fall, so the loop ends.  label[a] is always a label
+    reachable from a by the maps, and at the fixed point label[a] <=
+    label[c] <= c for every c reachable from a, so label[a] is the least
+    label reachable from a.  Every map is a permutation of a finite set, so
+    its inverse is one of its powers, and the labels reachable from a form
+    the whole orbit of a under the group the maps generate.  So label[a]
+    is the least label of the orbit of a, and a is its orbit's
+    representative exactly when label[a] == a.
     """
-    label = np.arange(maps.shape[1])
+    n = maps.shape[2]
+    brace = np.arange(maps.shape[0])[:, None, None]
+    label = np.broadcast_to(np.arange(n), maps.shape[::2])
     while True:
-        lower = np.minimum(label, label[maps].min(axis=0))
+        lower = np.minimum(label, label[brace, maps].min(axis=1))
         if np.array_equal(lower, label):
-            return np.flatnonzero(label == np.arange(label.size))[1:].tolist()
+            owner, reps = np.nonzero(label == np.arange(n))
+            return owner[reps > 0], reps[reps > 0]
         label = lower
 
 
-def _principal_masks(brace: FiniteSkewBrace, reps: list[int], maps: np.ndarray) -> np.ndarray:
-    """(len(reps), n) bool matrix, row t the mask of the principal ideal of
-    reps[t]: the closure ``_principal_closure`` makes with
-    ``_ideal_families(brace, maps)``, for every row at once.
+def _principal_masks(batch: _Batch) -> np.ndarray:
+    """(R, n) bool matrix, row t the mask of the principal ideal of
+    reps[t] in brace b = owner[t] of the batch: the closure
+    ``_principal_closure`` makes with ``_ideal_families``, for every row
+    at once.
 
     Each row keeps its members M_t and frontier F_t (within M_t), seeded
     with {0, reps[t]} and {reps[t]}, and a round does for all rows what a
-    round of ``frontier_closure`` does for one: one scatter of the maps
-    over the frontier entries, and one scatter each of circ[f, m] and
-    circ[m, f] over the frontier entries f of row t and the labels m.  A
-    label m outside M_t scatters to 0, which every row holds, so only the
-    pairs with members add candidates.  The candidates outside M_t are
-    the next F_t.  Rows never mix, so row t reaches the fixed point of its
-    own closure.  A row gathers at most n frontier entries times n labels
-    per round, so blocks of ``_row_blocks(n, len(reps))`` rows gather at
-    most about 2^20 pairs.
+    round of ``frontier_closure`` does for one: one scatter of
+    maps[b, :, f] over the frontier entries f, and one scatter each of
+    circ[b, f, m] and circ[b, m, f] over the frontier entries f of row t
+    and the labels m.  A label m outside M_t scatters to 0, which every
+    row holds, so only the pairs with members add candidates.  The
+    candidates outside M_t are the next F_t.  Rows never mix, so row t
+    reaches the fixed point of its own closure.  A row gathers at most n
+    frontier entries times n labels per round, so blocks of
+    ``_row_blocks(n, R)`` rows gather at most about 2^20 pairs.
     """
-    n, circ = brace.order, brace.circ
-    masks = np.zeros((len(reps), n), dtype=bool)
+    circ, maps, owner, reps = batch.circ, batch.maps, batch.owner, batch.reps
+    masks = np.zeros((reps.size, batch.n), dtype=bool)
     masks[:, 0] = True
-    masks[np.arange(len(reps)), reps] = True
-    for t0, t1 in _row_blocks(n, len(reps)):
+    masks[np.arange(reps.size), reps] = True
+    for t0, t1 in _row_blocks(batch.n, reps.size):
         members = masks[t0:t1]                    # a view: grows masks in place
         frontier = np.zeros_like(members)
         frontier[np.arange(t1 - t0), reps[t0:t1]] = True
@@ -347,14 +435,28 @@ def _principal_masks(brace: FiniteSkewBrace, reps: list[int], maps: np.ndarray) 
             rows, F = np.nonzero(frontier)
             if not rows.size:
                 break
+            b = owner[t0:t1][rows]
             row_members = members[rows]
             hit = np.zeros_like(members)
-            hit[rows[:, None], maps[:, F].T] = True
-            hit[rows[:, None], np.where(row_members, circ[F], 0)] = True       # f o m
-            hit[rows[:, None], np.where(row_members, circ[:, F].T, 0)] = True  # m o f
+            hit[rows[:, None], maps[b, :, F]] = True
+            hit[rows[:, None], np.where(row_members, circ[b, F], 0)] = True       # f o m
+            hit[rows[:, None], np.where(row_members, circ[b, :, F], 0)] = True    # m o f
             frontier = hit & ~members
             members |= frontier
     return masks
+
+
+def _stars_vanish(batch: _Batch, owner: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(R,) bool: whether a * c = 0 for all members a, c of row r, a set
+    of brace owner[r] of the batch.  a * c = lambda_a(c) - c with
+    lambda_a(c) = -a + a o c, so a * c = 0 exactly when a o c = a + c.
+    Blocks of ``_row_blocks(n, R)`` rows gather about 2^20 entries."""
+    differ = batch.add != batch.circ                       # a o c != a + c
+    vanish = np.empty(len(masks), dtype=bool)
+    for r0, r1 in _row_blocks(batch.n, len(masks)):
+        m = masks[r0:r1]
+        vanish[r0:r1] = ~(differ[owner[r0:r1]] & m[:, :, None] & m[:, None, :]).any(axis=(1, 2))
+    return vanish
 
 
 def _principal_closure(brace: FiniteSkewBrace, a: int, families,
@@ -390,7 +492,7 @@ def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
 
     maps = _orbit_maps(brace)
     families = _ideal_families(brace, maps)
-    for a in _orbit_representatives(maps):
+    for a in _orbit_representatives(maps[None])[1].tolist():
         mask = _principal_closure(brace, a, families, abort=stars_appear)
         if mask is not None:
             return Ideal(brace, frozenset(int(x) for x in np.flatnonzero(mask)))
@@ -401,19 +503,77 @@ def is_semiprime(brace: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdi
     """Decide semiprimality: no nonzero ideal I with I * I = 0.
 
     fast: scans principal ideals (the closure of each single element); any
-    witness ideal contains a principal witness, so this is complete.
-    exhaustive: enumerates all ideals and returns the smallest witness.
+    witness ideal contains a principal witness, so this is complete.  One
+    brace is scanned with ``_principal_star_scan``, which stops at its
+    first witness.
+    exhaustive: enumerates all ideals and returns the smallest witness; a
+    batch of one of ``semiprime_verdicts``.
     """
     if method == "fast":
         witness = _principal_star_scan(brace)
         return SemiprimeVerdict(witness is None, witness, "fast")
-    if method == "exhaustive":
-        for members in map(np.flatnonzero, ideal_masks(brace)[1:]):  # row 0 is {0}
-            if not star_block(brace, members, members).any():
-                return SemiprimeVerdict(False, Ideal(brace, frozenset(members.tolist())),
-                                        "exhaustive")
-        return SemiprimeVerdict(True, None, "exhaustive")
-    raise PreconditionError(f"unknown method {method!r}, expected 'fast' or 'exhaustive'")
+    return semiprime_verdicts([brace], method)[0]
+
+
+def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[str, ...] = "fast"
+                       ) -> list[SemiprimeVerdict] | tuple[list[SemiprimeVerdict], ...]:
+    """``is_semiprime`` of every brace, in input order, with one
+    ``_Batch`` per order up to ``DEFAULT_IDEAL_CAP``.  ``method`` is
+    "fast", "exhaustive", or a tuple of them; a tuple gives one list per
+    method, all read from the same batches, so each brace's maps and
+    principal ideals are built once.  A fast verdict of a larger order
+    comes from ``_principal_star_scan``; an exhaustive one raises
+    ``SizeCapExceeded``, as ``ideal_masks`` does.
+
+    One ``_stars_vanish`` test covers every candidate row of a batch.
+    fast: the witness is the first representative row (ascending) whose
+    stars vanish, the witness of ``_principal_star_scan``.  The scan
+    checks, in the round where a member is in the frontier, its stars with
+    every member so far, both ways, so a closure it completes has no
+    nonzero star.  A closure it aborts has a nonzero star between members
+    it holds, and they are members of the final closure, which then does
+    not vanish.  So the scan stops at the first representative whose full
+    principal ideal vanishes.
+    exhaustive: the witness is the first vanishing row after {0} in each
+    brace's ``ideal_masks`` order, the smallest vanishing nonzero ideal.
+    """
+    methods = (method,) if isinstance(method, str) else tuple(method)
+    for m in methods:
+        if m not in ("fast", "exhaustive"):
+            raise PreconditionError(f"unknown method {m!r}, expected 'fast' or 'exhaustive'")
+    braces = list(braces)
+    by_order: dict[int, list[int]] = {}
+    for i, brace in enumerate(braces):
+        by_order.setdefault(brace.order, []).append(i)
+    witnesses = {m: [None] * len(braces) for m in methods}
+    for n, index in by_order.items():
+        group = [braces[i] for i in index]
+        if n > DEFAULT_IDEAL_CAP and methods == ("fast",):
+            found = {"fast": [_principal_star_scan(brace) for brace in group]}
+        else:
+            _check_ideal_cap(n)
+            batch = _Batch(group)
+            found = {m: _batch_witnesses(batch, m) for m in methods}
+        for m in methods:
+            for i, witness in zip(index, found[m]):
+                witnesses[m][i] = witness
+    lists = [[SemiprimeVerdict(w is None, w, m) for w in witnesses[m]] for m in methods]
+    return lists[0] if isinstance(method, str) else tuple(lists)
+
+
+def _batch_witnesses(batch: _Batch, method: str) -> list[Ideal | None]:
+    """The witness of each brace of the batch (``semiprime_verdicts``),
+    None for a semiprime one: its first candidate row whose stars vanish."""
+    if method == "fast":
+        owner, masks = batch.owner, batch.principal
+    else:
+        owner, masks = _batch_ideals(batch)
+        nonzero = masks[:, 1:].any(axis=1)
+        owner, masks = owner[nonzero], masks[nonzero]
+    hits = np.flatnonzero(_stars_vanish(batch, owner, masks))[::-1]
+    first = dict(zip(owner[hits].tolist(), hits.tolist()))     # the last write, the first hit, wins
+    return [Ideal(brace, frozenset(np.flatnonzero(masks[first[b]]).tolist())) if b in first else None
+            for b, brace in enumerate(batch.braces)]
 
 
 @dataclass(frozen=True)

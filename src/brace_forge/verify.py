@@ -23,7 +23,14 @@ from .autos import sigma_actions
 from .core import FiniteSkewBrace, PreconditionError, fmt_members, max_order, star_block
 from .corpus import group_brace, standard_corpus
 from .docio import format_int_row, serialize_document
-from .ideals import DEFAULT_IDEAL_CAP, SemiprimeVerdict, ideal_masks, is_ideal, is_semiprime
+from .ideals import (
+    DEFAULT_IDEAL_CAP,
+    SemiprimeVerdict,
+    ideal_masks,
+    is_ideal,
+    is_semiprime,
+    semiprime_verdicts,
+)
 from .products import SigmaAction, pointwise_lift, semidirect, wreath, wreath_base
 
 __all__ = [
@@ -160,11 +167,27 @@ def _sweep(statement: str, items: list[tuple], only: str | None, jobs: int,
     return _assemble(statement, results, time.perf_counter() - t0, tuple(notes))
 
 
-@functools.lru_cache(maxsize=None)
-def _fast_verdict(B: FiniteSkewBrace) -> SemiprimeVerdict:
-    """Fast semiprimality of a corpus brace, computed once per process
-    (braces hash and compare by their tables)."""
-    return is_semiprime(B, method="fast")
+# Semiprimality verdicts by (method, brace), computed once per process
+# (braces hash and compare by their tables).  A sweep's set-up fills it
+# with one ``semiprime_verdicts`` call, before any worker process starts,
+# so the workers inherit it.
+_VERDICTS: dict[tuple[str, FiniteSkewBrace], SemiprimeVerdict] = {}
+
+
+def _classify(braces, *methods: str) -> None:
+    """Put the verdicts by ``methods`` of each brace that lacks one into
+    ``_VERDICTS``, all from one ``semiprime_verdicts`` call."""
+    todo = [B for B in dict.fromkeys(braces) if any((m, B) not in _VERDICTS for m in methods)]
+    for method, verdicts in zip(methods, semiprime_verdicts(todo, methods)):
+        _VERDICTS.update(zip([(method, B) for B in todo], verdicts))
+
+
+def _verdict(B: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdict:
+    """The verdict of ``_VERDICTS``; a brace the set-up did not classify
+    is classified alone."""
+    if (method, B) not in _VERDICTS:
+        _classify([B], method)
+    return _VERDICTS[method, B]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +277,7 @@ def _case_lemma32_base(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> 
 
 
 def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    verdict = _fast_verdict(G)
+    verdict = _verdict(G)
     if verdict.semiprime:
         return CaseResult(case_id, False, "expected a non-semiprime bottom brace")
     W, ctx = wreath_base(G, H)
@@ -286,7 +309,9 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
         H = group_brace("c2", "trivial", name="T2")
     if base_max is None:
         base_max = max_order()
-    if not _fast_verdict(G).semiprime:
+    corpus = standard_corpus(corpus_max)
+    _classify([G, *corpus], "fast")
+    if not _verdict(G).semiprime:
         raise PreconditionError(f"{G.name or 'G'} is not semiprime")
     notes = []
     items = []
@@ -294,10 +319,10 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
         items.append(("lemma32-base", f"lemma32:base:{G.name}:m{H.order}", G, H))
     else:
         notes.append(f"base case skipped: {G.order}^{H.order} exceeds {base_max}")
-    for B in standard_corpus(corpus_max):
+    for B in corpus:
         if B.order ** H.order > base_max:
             continue
-        if not _fast_verdict(B).semiprime:
+        if not _verdict(B).semiprime:
             items.append(("lemma32-lift", f"lemma32:lift:{B.name}:m{H.order}", B, H))
     return _sweep("lemma32", items, only, jobs, t0, notes)
 
@@ -307,8 +332,8 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
 # semiprime pairs, on top of a corpus-wide classification
 
 def _case_classify(case_id: str, B: FiniteSkewBrace) -> CaseResult:
-    fast = _fast_verdict(B)
-    exhaustive = is_semiprime(B, method="exhaustive")
+    fast = _verdict(B, "fast")
+    exhaustive = _verdict(B, "exhaustive")
     if fast.semiprime != exhaustive.semiprime:
         return CaseResult(case_id, False, "fast and exhaustive verdicts disagree")
     if exhaustive.semiprime:
@@ -355,8 +380,11 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
     the shared set-up plus the run of its own cases."""
     t0 = time.perf_counter()
     corpus = standard_corpus(corpus_max)
+    # a classify case of an order over the cap raises the cap error itself
+    _classify([B for B in corpus if B.order <= DEFAULT_IDEAL_CAP], "fast", "exhaustive")
+    _classify(corpus, "fast")
     classify_items = [("classify", f"classify:{B.name}", B) for B in corpus]
-    semiprime_braces = [B for B in corpus if _fast_verdict(B).semiprime]
+    semiprime_braces = [B for B in corpus if _verdict(B).semiprime]
 
     notes = []
     cap = max_order()
@@ -422,8 +450,8 @@ def search_q34(max_g: int = 6, max_h: int = 4,
     re-verified exhaustively before being reported."""
     t0 = time.perf_counter()
     corpus = standard_corpus(DEFAULT_CORPUS_MAX)
-    gs = [B for B in corpus
-          if B.order <= max_g and not _fast_verdict(B).semiprime]
+    _classify([B for B in corpus if B.order <= max_g], "fast")
+    gs = [B for B in corpus if B.order <= max_g and not _verdict(B).semiprime]
     hs = [B for B in corpus if B.order <= max_h]
     cap = max_order()
     items = []

@@ -114,6 +114,35 @@ def test_semiprime_negative(r4_file, capsys):
     assert main(["semiprime", "--method", "exhaustive", r4_file]) == 1
 
 
+def test_semiprime_classifies_documents_in_order(tmp_path, R4, T2, A5at, capsys):
+    # one batch over mixed orders prints one verdict per document, in order
+    path = tmp_path / "mixed.doc"
+    path.write_text("".join(serialize_document(b) for b in (A5at, R4, T2, A5at, R4)))
+    for method in ("fast", "exhaustive"):
+        assert main(["semiprime", "--method", method, str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "SEMIPRIME\nNOT SEMIPRIME witness {0,2}\nNOT SEMIPRIME witness {0,1}\n"
+            "SEMIPRIME\nNOT SEMIPRIME witness {0,2}\n")
+
+
+def test_exhaustive_semiprime_prints_verdicts_before_the_cap(tmp_path, R4, capsys):
+    # the documents before the first order over the ideal cap keep their
+    # verdicts, as when each document was checked on its own
+    from brace_forge import group_brace
+    path = tmp_path / "capped.doc"
+    big = group_brace("c130", "trivial")
+    path.write_text(serialize_document(R4) + serialize_document(big) + serialize_document(R4))
+    assert main(["semiprime", "--method", "exhaustive", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "NOT SEMIPRIME witness {0,2}\n"
+    assert "exceeds the ideal enumeration cap 128" in captured.err
+    assert main(["semiprime", str(path)]) == 1
+    whole = "{" + ",".join(map(str, range(130))) + "}"   # the principal ideal of 1
+    assert capsys.readouterr().out.splitlines() == [
+        "NOT SEMIPRIME witness {0,2}", f"NOT SEMIPRIME witness {whole}",
+        "NOT SEMIPRIME witness {0,2}"]
+
+
 def test_semiprime_positive(tmp_path, A5at, capsys):
     path = tmp_path / "a5.doc"
     path.write_text(serialize_document(A5at))

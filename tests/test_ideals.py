@@ -9,6 +9,7 @@ from brace_forge import (
     check_semiprime_extension,
     enumerate_ideals,
     group_brace,
+    holomorph_enumerate,
     ideal_closure,
     is_ideal,
     is_semiprime,
@@ -16,6 +17,7 @@ from brace_forge import (
     quotient,
     restrict,
     semidirect,
+    semiprime_verdicts,
     sigma_actions,
     trivial_sigma,
     wreath_base,
@@ -134,8 +136,8 @@ def test_enumerate_closes_one_principal_ideal_per_orbit(corpus8, monkeypatch):
     batch_rows = []
     real = ideals._principal_masks
 
-    def counting(brace, reps, maps):
-        masks = real(brace, reps, maps)
+    def counting(batch):
+        masks = real(batch)
         batch_rows.append(masks.shape[0])
         return masks
 
@@ -280,7 +282,9 @@ def test_fast_witness_is_least_principal_witness(corpus8):
 
 
 def _representatives(brace):
-    return _orbit_representatives(_orbit_maps(brace))
+    owner, reps = _orbit_representatives(_orbit_maps(brace)[None])
+    assert not owner.any()
+    return reps.tolist()
 
 
 def test_orbits_share_their_principal_ideal(corpus8):
@@ -331,13 +335,78 @@ def test_batched_principal_ideals_match_one_closure_each(batch_braces, monkeypat
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
         assert list(core._row_blocks(64, 3)) == [(0, 1), (1, 2), (2, 3)]
     for brace in batch_braces:
-        maps = _orbit_maps(brace)
-        reps = _orbit_representatives(maps)
-        batch = _principal_masks(brace, reps, maps)
-        families = _ideal_families(brace, maps)
-        assert batch.shape == (len(reps), brace.order), brace.name
-        for a, row in zip(reps, batch):
+        batch = ideals._Batch([brace])
+        masks = _principal_masks(batch)
+        assert np.array_equal(masks, batch.principal), brace.name
+        families = _ideal_families(brace, _orbit_maps(brace))
+        assert masks.shape == (len(batch.reps), brace.order), brace.name
+        for a, row in zip(batch.reps.tolist(), masks):
             assert np.array_equal(row, _principal_closure(brace, a, families)), (brace.name, a)
+
+
+@pytest.fixture(scope="module")
+def mixed_braces(corpus8, batch_braces):
+    # corpus8, the braces of A4 and S4 and the 200 q34-wide products of
+    # batch_braces: one list of mixed orders
+    holomorph = [*holomorph_enumerate("a4", limit=64), *holomorph_enumerate("s4", limit=64)]
+    assert len(holomorph) == 142
+    return [*corpus8, *holomorph, *batch_braces[-200:]]
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_semiprime_verdicts_match_one_brace_at_a_time(mixed_braces, monkeypatch, one_row_blocks):
+    if one_row_blocks:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    # braces of one order with different generator counts, so the map
+    # tables of a batch are padded with identity rows
+    lengths = {}
+    for brace in mixed_braces:
+        lengths.setdefault(brace.order, set()).add(len(_orbit_maps(brace)))
+    assert sum(len(k) > 1 for k in lengths.values()) >= 3
+    both = semiprime_verdicts(mixed_braces, ("fast", "exhaustive"))
+    for method, shared in zip(("fast", "exhaustive"), both):
+        batch = semiprime_verdicts(mixed_braces, method)
+        assert shared == batch
+        assert len(batch) == len(mixed_braces)
+        for brace, verdict in zip(mixed_braces, batch):
+            alone = is_semiprime(brace, method)
+            assert verdict.method == method
+            assert verdict.semiprime == alone.semiprime, (brace.name, method)
+            assert verdict.witness == alone.witness, (brace.name, method)
+    by_order = {}
+    for brace in mixed_braces:
+        by_order.setdefault(brace.order, []).append(brace)
+    for group in by_order.values():
+        owner, masks = ideals._batch_ideals(ideals._Batch(group))
+        counts = np.bincount(owner, minlength=len(group))
+        for brace, count, rows in zip(group, counts, np.split(masks, np.cumsum(counts)[:-1])):
+            assert count == len(ideals.ideal_masks(brace)), brace.name
+            assert np.array_equal(rows, ideals.ideal_masks(brace)), brace.name
+
+
+def test_semiprime_verdicts_edge_cases(A5at, T2):
+    assert semiprime_verdicts([]) == []
+    with pytest.raises(PreconditionError):
+        semiprime_verdicts([T2], "quick")
+    # fast verdicts above the cap come from the scan; exhaustive ones raise
+    big = group_brace("c130", "trivial")
+    fast = semiprime_verdicts([T2, big, A5at], "fast")
+    assert [v.semiprime for v in fast] == [False, False, True]
+    assert fast[1].witness == is_semiprime(big, "fast").witness
+    with pytest.raises(SizeCapExceeded):
+        semiprime_verdicts([T2, big], "exhaustive")
+
+
+def test_is_trivial_scans_blocks_without_a_star_table(corpus8, A5at, T2, monkeypatch):
+    for brace in [*corpus8, A5at]:
+        assert is_trivial(brace) == (not brace.star_table().any()), brace.name
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)      # one row per block
+    assert [is_trivial(b) for b in corpus8] == [not b.star_table().any() for b in corpus8]
+    monkeypatch.undo()
+    square = wreath_base(A5at, T2)[0]     # a fresh order-3600 brace, no cached stars
+    assert not is_trivial(square)
+    assert square._star is None
+    assert square.star_table().any()        # the full table agrees
 
 
 def test_element_maps_are_built_once_per_call(corpus8, monkeypatch):

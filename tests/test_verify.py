@@ -414,43 +414,86 @@ def _tables(brace):
     return brace.order, brace.add.tobytes(), brace.circ.tobytes()
 
 
-def _count_fast_scans(monkeypatch) -> Counter:
-    """Count fast semiprimality scans by the tables they scan, starting
-    from an empty per-process verdict cache."""
-    scanned = Counter()
-    real = ideals._principal_star_scan
+def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
+    """Count semiprimality checks by the tables they check, starting from
+    an empty per-process verdict memo: the braces of the sweeps' batches
+    (``semiprime_verdicts``), by method, and the single fast scans
+    (``_principal_star_scan``)."""
+    batched, scanned = Counter(), Counter()
+    real_batch, real_scan = verify.semiprime_verdicts, ideals._principal_star_scan
 
-    def counting(brace):
+    def batch(braces, method):
+        braces = list(braces)
+        methods = (method,) if isinstance(method, str) else method
+        batched.update((m, _tables(B)) for m in methods for B in braces)
+        return real_batch(braces, method)
+
+    def scan(brace):
         scanned[_tables(brace)] += 1
-        return real(brace)
+        return real_scan(brace)
 
-    monkeypatch.setattr(ideals, "_principal_star_scan", counting)
-    verify._fast_verdict.cache_clear()
-    return scanned
+    monkeypatch.setattr(verify, "semiprime_verdicts", batch)
+    monkeypatch.setattr(ideals, "_principal_star_scan", scan)
+    monkeypatch.setattr(verify, "_VERDICTS", {})
+    return batched, scanned
+
+
+def _each_once(braces, *methods) -> Counter:
+    return Counter((method, _tables(B)) for method in methods for B in braces)
 
 
 def test_cor28_scans_each_corpus_brace_once(monkeypatch):
-    scanned = _count_fast_scans(monkeypatch)
+    batched, scanned = _count_fast_scans(monkeypatch)
     report = verify_cor28_thm33(corpus_max=4, statements=("cor28",))["cor28"]
-    # the set-up and the classify cases share one scan per corpus brace;
-    # each product case scans its own product, of order 1 here
+    # the set-up classifies each corpus brace once by each method, and the
+    # classify cases read those verdicts; each product case scans its own
+    # product, of order 1 here
     products = [c for c in report.cases if c.case_id.startswith("cor28:")]
     assert products and all(c.info == "order=1 semiprime" for c in products)
-    expected = Counter(_tables(B) for B in standard_corpus(4))
-    expected[_tables(group_brace("c1", "trivial"))] += len(products)
-    assert scanned == expected
+    assert batched == _each_once(standard_corpus(4), "fast", "exhaustive")
+    assert scanned == Counter({_tables(group_brace("c1", "trivial")): len(products)})
+
+
+def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
+    # both reports run the classify cases; the exhaustive work is done once
+    batched, _ = _count_fast_scans(monkeypatch)
+    enumerated = Counter()
+    real = ideals._batch_ideals
+
+    def counting(batch):
+        enumerated.update(_tables(B) for B in batch.braces)
+        return real(batch)
+
+    monkeypatch.setattr(ideals, "_batch_ideals", counting)
+    mapped = Counter()
+    real_maps = ideals._orbit_maps
+
+    def counting_maps(brace):
+        mapped[_tables(brace)] += 1
+        return real_maps(brace)
+
+    monkeypatch.setattr(ideals, "_orbit_maps", counting_maps)
+    reports = verify_cor28_thm33(corpus_max=4, statements=("cor28", "thm33"))
+    for report in reports.values():
+        classified = [c for c in report.cases if c.case_id.startswith("classify:")]
+        assert len(classified) == len(standard_corpus(4)) and all(c.ok for c in classified)
+    assert batched == _each_once(standard_corpus(4), "fast", "exhaustive")
+    assert enumerated == Counter(_tables(B) for B in standard_corpus(4))
+    # both methods read one map table per brace (the order-1 products
+    # scan c1's tables again)
+    assert all(mapped[_tables(B)] == 1 for B in standard_corpus(4) if B.order > 1)
 
 
 def test_lemma32_scans_each_corpus_brace_once(monkeypatch):
-    scanned = _count_fast_scans(monkeypatch)
+    batched, scanned = _count_fast_scans(monkeypatch)
     one = group_brace("c1", "trivial")
     report = verify_lemma32(G=one, corpus_max=4)
     assert report.attempted == 9 and not report.counterexamples
-    # the set-up and the lift cases share one scan per corpus brace (the
-    # bottom c1 is one of them); the base case scans the order-1 base
-    expected = Counter(_tables(B) for B in standard_corpus(4))
-    expected[_tables(one)] += 1
-    assert scanned == expected
+    # the set-up classifies each corpus brace once (the bottom c1 is one
+    # of them), and the lift cases read those verdicts; the base case
+    # scans the order-1 base
+    assert batched == _each_once(standard_corpus(4), "fast")
+    assert scanned == Counter({_tables(one): 1})
 
 
 def test_q34_items_search_each_add_table_once(monkeypatch):
