@@ -1,10 +1,12 @@
 """Sweeps that machine-check the statements behind the CLI ids
 lemma31, lemma32, cor28, thm33, and q34 over the standard corpus.
 
-Every sweep builds a deterministic list of cases, runs them (optionally
-across worker processes in contiguous chunks, which keeps output
-byte-identical for any worker count), and returns a SweepReport whose
-counterexamples carry the serialized inputs needed to replay them.
+Every sweep builds a deterministic list of cases, runs them, and returns
+a SweepReport whose counterexamples carry the serialized inputs needed to
+replay them.  With ``jobs`` > 1 the cases are cut into contiguous chunks:
+this process runs the first and one ``os.fork`` worker runs each other
+chunk, and the results are joined in chunk order, so the output is
+byte-identical for any process count.
 """
 
 from __future__ import annotations
@@ -12,15 +14,25 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import pickle
+import signal
 import sys
 import time
 import traceback
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from .autos import sigma_actions
-from .core import FiniteSkewBrace, PreconditionError, fmt_members, max_order, star_block
+from .core import (
+    BraceForgeError,
+    FiniteSkewBrace,
+    PreconditionError,
+    fmt_members,
+    max_order,
+    star_block,
+)
 from .corpus import group_brace, standard_corpus
 from .docio import format_int_row, serialize_document
 from .ideals import (
@@ -139,20 +151,87 @@ def _run_chunk(items: list[tuple]) -> list[CaseResult]:
     return [_dispatch(it) for it in items]
 
 
+def _worker(chunk: list[tuple], fd: int) -> NoReturn:
+    """The body of a forked worker: run ``chunk``, write its pickled
+    results to ``fd`` and leave by ``os._exit``, so the worker never
+    returns into its caller's frames, never flushes the stdout buffer it
+    inherited and never runs the exit handlers of the process it was
+    forked from.  Its stderr is flushed first, so case tracebacks reach
+    it.  Exit code 0 means the results were written in full."""
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            pickle.dump(_run_chunk(chunk), out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _worker_results(name: str, status: int, data: bytes) -> list[CaseResult]:
+    """The results a reaped worker wrote, given its wait status and all
+    it wrote to its pipe; a worker that failed raises ``BraceForgeError``."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise BraceForgeError(f"{name} was killed by signal {-code}")
+    if code:
+        raise BraceForgeError(f"{name} exited with code {code}")
+    if not data:
+        raise BraceForgeError(f"{name} returned no data")
+    return pickle.loads(data)
+
+
 def _run_items(items: list[tuple], jobs: int) -> list[CaseResult]:
-    """Run the cases in order, in at most ``jobs`` worker processes and
-    never more than there are CPUs or cases.  The pool module is imported
-    only here, so an in-process sweep never loads it."""
-    jobs = min(jobs, len(items), os.cpu_count() or 1)
+    """Run the cases in order, in at most ``jobs`` processes (this one
+    included) and never more than there are CPUs or cases; where
+    ``os.fork`` is missing, in this process alone.
+
+    The cases are cut into ``jobs`` contiguous chunks.  One forked worker
+    runs each chunk but the first, which this process runs while they
+    work; then each worker's results are read from its own pipe, in chunk
+    order, so the output is the same for any ``jobs``.  The workers
+    inherit the items and the memos by fork, so no item is pickled.  A
+    worker that fails raises ``BraceForgeError``.  However this function
+    exits, no worker outlives it: any still unreaped is killed and reaped.
+    """
+    jobs = min(jobs, len(items), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if jobs <= 1:
         return _run_chunk(items)
-    from concurrent.futures import ProcessPoolExecutor
-
     bounds = np.linspace(0, len(items), jobs + 1).astype(int)
     chunks = [items[bounds[i]:bounds[i + 1]] for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_chunk, chunk) for chunk in chunks if chunk]
-        return [r for f in futures for r in f.result()]
+    pipes, pids = [], []  # the read ends, and the workers not yet reaped
+    sys.stderr.flush()  # else each worker's flush would repeat what is buffered
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(chunk, w)  # never returns
+            finally:
+                os.close(w)  # a later worker must not hold it, or the pipe never ends
+            pids.append(pid)
+        results = _run_chunk(chunks[0])
+        for n, r in enumerate(pipes, 1):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            pid = pids[0]
+            status = os.waitpid(pid, 0)[1]
+            del pids[0]
+            results += _worker_results(f"sweep worker {n} of {len(pipes)} (pid {pid})",
+                                       status, data)
+        return results
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _sweep(statement: str, items: list[tuple], only: str | None, jobs: int,
@@ -169,8 +248,8 @@ def _sweep(statement: str, items: list[tuple], only: str | None, jobs: int,
 
 # Semiprimality verdicts by (method, brace), computed once per process
 # (braces hash and compare by their tables).  A sweep's set-up fills it
-# with one ``semiprime_verdicts`` call, before any worker process starts,
-# so the workers inherit it.
+# with one ``semiprime_verdicts`` call before any worker is forked, so
+# every worker inherits it; what a worker adds stays in that worker.
 _VERDICTS: dict[tuple[str, FiniteSkewBrace], SemiprimeVerdict] = {}
 
 

@@ -1,8 +1,8 @@
-import concurrent.futures
 import io
 import os
 import subprocess
 import sys
+import time
 import types
 from collections import Counter
 
@@ -44,26 +44,22 @@ def _render(report):
     return buf.getvalue()
 
 
-def _inline_pool(pools):
-    """A ProcessPoolExecutor stand-in that records max_workers in
-    ``pools`` and runs each chunk in this process."""
+def _fork_spy(monkeypatch):
+    """Count the calls of ``os.fork``; each still forks."""
+    forks = []
+    real = os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def fork():
+        forks.append(os.getpid())
+        return real()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
-        def __exit__(self, *exc):
-            return False
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    return InlinePool
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_statements_constant():
@@ -78,50 +74,106 @@ class TestLemma31:
         assert report.passed == 316
         assert report.counterexamples == ()
 
-    def test_mid_cap_and_jobs_determinism(self):
+    def test_mid_cap_and_jobs_determinism(self, monkeypatch):
         one = verify_lemma31(base_cap=16, jobs=1)
         par = verify_lemma31(base_cap=16, jobs=3)
         assert one.attempted == 628
         assert one.counterexamples == ()
         assert _render(one) == _render(par)
+        forks = _fork_spy(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _render(verify_lemma31(base_cap=16, jobs=4)) == _render(one)
+        assert len(forks) == 3  # three workers, their pipes read in chunk order
+        _assert_no_child_left()
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        pools = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(pools))
+        forks = _fork_spy(monkeypatch)
         one = verify_lemma31(base_cap=4, jobs=1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         many = verify_lemma31(base_cap=4, jobs=500)
-        assert pools == [2]
+        assert len(forks) == 1  # two processes: this one and one worker
         assert _render(many) == _render(one)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _render(verify_lemma31(base_cap=4, jobs=500)) == _render(one)
-        assert pools == [2]  # an unknown CPU count runs in-process
+        assert len(forks) == 1  # an unknown CPU count runs in-process
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert _render(verify_lemma31(base_cap=4, jobs=2)) == _render(one)  # so does no fork
+        _assert_no_child_left()
 
-    def test_raising_case_is_a_failed_case(self, monkeypatch, capsys, T2):
+    def test_raising_case_is_a_failed_case(self, monkeypatch, capfd, corpus8):
+        # the last case is in the worker's chunk when two processes run
+        case = "lemma31:c2xc2#3:c1#0"
         real = verify._CASE_FUNCS["lemma31"]
+        parent = os.getpid()
 
         def flaky(case_id, G, H):
-            if case_id == "lemma31:T2:T2":
+            if case_id == case:
+                if os.getpid() != parent:
+                    print("# raising in a worker", file=sys.stderr)
                 raise RuntimeError("boom")
             return real(case_id, G, H)
 
         monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", flaky)
-        pools = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(pools))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        forks = _fork_spy(monkeypatch)
         outs = []
         for jobs in ("1", "2"):
             assert cli_main(["verify", "lemma31", "--max-order", "4", "--jobs", jobs]) == 1
-            captured = capsys.readouterr()
+            sys.stdout.flush()
+            captured = capfd.readouterr()
+            assert ("# raising in a worker" in captured.err) == (jobs == "2")
+            assert f"# case {case} raised:\nTraceback" in captured.err
             assert "RuntimeError: boom" in captured.err
             outs.append(captured.out)
-        assert pools == [2]
+        assert len(forks) == 1
         assert outs[0] == outs[1]
-        assert "CASE lemma31:T2:T2 FAIL raised RuntimeError: boom\n" in outs[0]
+        assert f"CASE {case} FAIL raised RuntimeError: boom\n" in outs[0]
         assert "lemma31: 316 cases, 1 counterexamples\n" in outs[0]
         # the REPLAY block carries both input braces, ready to re-parse
-        replay = outs[0].split("REPLAY lemma31:T2:T2 witness={}\n", 1)[1]
-        assert [d.to_brace() == T2 for d in parse_documents(replay)] == [True, True]
+        replay = outs[0].split(f"REPLAY {case} witness={{}}\n", 1)[1]
+        by_name = {B.name: B for B in corpus8}
+        assert [d.to_brace() for d in parse_documents(replay)] == [by_name["c2xc2#3"],
+                                                                    by_name["c1#0"]]
+        _assert_no_child_left()
+
+    def test_dead_worker_is_an_error(self, monkeypatch, capfd):
+        real = verify._CASE_FUNCS["lemma31"]
+        parent = os.getpid()
+
+        def crash(case_id, G, H):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(case_id, G, H)
+
+        monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", crash)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli_main(["verify", "lemma31", "--max-order", "4", "--jobs", "2"]) == 2
+        sys.stdout.flush()
+        captured = capfd.readouterr()
+        assert captured.err.startswith("error: sweep worker 1 of 1 (pid ")
+        assert captured.err.endswith(") exited with code 7\n")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        _assert_no_child_left()
+
+    def test_interrupt_in_this_process_kills_the_workers(self, monkeypatch):
+        real = verify._CASE_FUNCS["lemma31"]
+        parent = os.getpid()
+
+        def interrupted(case_id, G, H):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a worker still running when the sweep ends
+            return real(case_id, G, H)
+
+        monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", interrupted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            verify_lemma31(base_cap=4, jobs=2)
+        assert time.perf_counter() - t0 < 30  # killed, not waited for
+        _assert_no_child_left()
 
     @staticmethod
     def _inject(monkeypatch, G, H, *member_sets):
@@ -533,15 +585,21 @@ def test_render_plain_pass_report():
 
 
 def test_import_leaves_the_pool_modules_out():
-    """A fresh ``import brace_forge`` loads no ``concurrent`` or
-    ``multiprocessing`` module: only a sweep that runs more than one
-    worker imports the process pool."""
-    code = ("import sys, brace_forge; print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+    """Neither a fresh ``import brace_forge`` nor a sweep in two processes
+    (this one and one forked worker) loads a ``concurrent`` or
+    ``multiprocessing`` module."""
+    pool_modules = ("sorted(m for m in sys.modules "
+                    "if m.partition('.')[0] in ('concurrent', 'multiprocessing'))")
+    code = (f"import os, sys, brace_forge; print({pool_modules}); "
+            "os.cpu_count = lambda: 2; from brace_forge import cli; "
+            "status = cli.main(['verify', 'lemma31', '--max-order', '4', '--jobs', '2']); "
+            f"print(status, {pool_modules})")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.dirname(verify.__file__)), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2:] == ["lemma31: 316 cases, 0 counterexamples", "0 []"]
