@@ -50,6 +50,7 @@ def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
 
 def automorphism_array(table: np.ndarray) -> np.ndarray:
     """``group_automorphisms`` as one read-only (count, order) array."""
+    table = np.asarray(table)
     return _automorphisms_of(table.shape[0], table.dtype, table.tobytes())
 
 
@@ -72,7 +73,7 @@ def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
     generators, which suffices by the module lemma; one stacked gather."""
     circ = brace.circ
     P = automorphism_array(brace.add)                    # (k, n)
-    cg = closure_generators(circ)[0]
+    cg = np.array(closure_generators(circ)[0], dtype=np.int64)
     keep = (P[:, circ[:, cg]] == circ[P[:, :, None], P[:, None, cg]]).all(axis=(1, 2))
     return list(P[keep])
 

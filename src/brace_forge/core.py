@@ -4,9 +4,11 @@ A brace lives on the carrier {0..n-1} with the shared identity of both
 group operations pinned at index 0.  Construction goes through
 validation, except for the semidirect products and direct powers of
 validated braces (``products._product``) and the holomorph-enumerated
-braces (``corpus._holomorph_braces``).  A brace stores read-only numpy
-tables of both operations and inverses; ``lam_block`` gathers lambda
-from them, so downstream closure sweeps are pure table gathers.
+braces (``corpus._holomorph_braces``).  A brace holds read-only tables
+of both operations and inverses: numpy arrays, or for a product above
+the ideal cap ``groups.PairTable``s that compute each entry from the
+factors' tables when it is gathered.  ``lam_block`` gathers lambda from
+them, so downstream closure sweeps are pure table gathers.
 """
 
 from __future__ import annotations
@@ -444,11 +446,15 @@ class FiniteSkewBrace:
     ``products._product``, whose semidirect product of validated braces
     under a validated action is a brace, and ``corpus._holomorph_braces``,
     whose lambda-systems on a validated additive group are braces, each by
-    the argument in its docstring.  It stores ``add``, ``circ``, ``neg``
-    and ``inv``; ``lam`` is gathered from them on each access.
+    the argument in its docstring.  It holds ``add``, ``circ``, ``neg``
+    and ``inv``; ``lam`` and ``star_table()`` are gathered from them on
+    each access.  ``neg`` and ``inv`` are read-only numpy arrays; ``add``
+    and ``circ`` are too, except on a product above the ideal cap, where
+    they are read-only ``groups.PairTable``s (``products._product``).
+    Readers of a whole table take ``np.asarray`` of it.
     """
 
-    __slots__ = ("order", "add", "circ", "neg", "inv", "name", "_star")
+    __slots__ = ("order", "add", "circ", "neg", "inv", "name")
 
     def __init__(self, order, add, circ, neg, inv, name=""):
         self.order = int(order)
@@ -457,9 +463,9 @@ class FiniteSkewBrace:
         self.neg = neg
         self.inv = inv
         self.name = name
-        self._star = None
         for arr in (add, circ, neg, inv):
-            arr.setflags(write=False)
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     @property
     def lam(self) -> np.ndarray:
@@ -477,7 +483,7 @@ class FiniteSkewBrace:
                 and np.array_equal(self.circ, other.circ))
 
     def __hash__(self):
-        return hash((self.order, self.add.tobytes(), self.circ.tobytes()))
+        return hash((self.order, np.asarray(self.add).tobytes(), np.asarray(self.circ).tobytes()))
 
     def __repr__(self):
         label = f", name={self.name!r}" if self.name else ""
@@ -485,13 +491,13 @@ class FiniteSkewBrace:
 
     def with_name(self, name: str) -> "FiniteSkewBrace":
         clone = FiniteSkewBrace.__new__(FiniteSkewBrace)
-        for slot in ("order", "add", "circ", "neg", "inv", "_star"):
+        for slot in ("order", "add", "circ", "neg", "inv"):
             object.__setattr__(clone, slot, getattr(self, slot))
         object.__setattr__(clone, "name", name)
         return clone
 
     def __setattr__(self, key, value):
-        if hasattr(self, "name") and key != "_star":
+        if hasattr(self, "name"):
             raise AttributeError("FiniteSkewBrace is immutable")
         object.__setattr__(self, key, value)
 
@@ -502,23 +508,21 @@ class FiniteSkewBrace:
         return int(star_block(self, np.array([a]), np.array([b]))[0, 0])
 
     def star_table(self) -> np.ndarray:
-        if self._star is None:
-            tab = star_block(self, np.arange(self.order), np.arange(self.order))
-            tab.setflags(write=False)
-            self._star = tab
-        return self._star
+        """Read-only (n, n) star table, gathered on each access, never cached."""
+        tab = star_block(self, np.arange(self.order), np.arange(self.order))
+        tab.setflags(write=False)
+        return tab
 
     def elements(self) -> range:
         return range(self.order)
 
     # pickling support (slots-based class)
     def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__ if s != "_star"}
+        return {s: getattr(self, s) for s in self.__slots__}
 
     def __setstate__(self, state):
         for k, v in state.items():
             object.__setattr__(self, k, v)
-        object.__setattr__(self, "_star", None)
 
 
 def brace_from_tables(add, circ, name: str = "") -> FiniteSkewBrace:

@@ -179,7 +179,7 @@ def serialize_document(doc: BraceDocument | FiniteSkewBrace) -> str:
 
 
 def document_of(brace: FiniteSkewBrace) -> BraceDocument:
-    return BraceDocument(brace.name, brace.order, brace.add, brace.circ)
+    return BraceDocument(brace.name, brace.order, np.asarray(brace.add), np.asarray(brace.circ))
 
 
 def parse_int_grid(text: str, rows: int, cols: int, limit: int) -> np.ndarray:

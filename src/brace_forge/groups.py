@@ -3,7 +3,8 @@
 Every table lives on {0..n-1} with the identity at index 0.  Permutation
 groups index their elements in lexicographic order of the permutation
 tuples, which puts the identity first automatically.  Direct products use
-mixed-radix indexing with the first factor most significant.
+mixed-radix indexing with the first factor most significant; the same
+pair formula, read lazily, is ``PairTable``, the table of a large product.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "symmetric_table",
     "alternating_table",
     "direct_product_table",
+    "PairTable",
 ]
 
 
@@ -81,16 +83,80 @@ def _pair_table(left: np.ndarray, right: np.ndarray, dt) -> np.ndarray:
     equal to left[a1, a2, b1] * n2 + right[a2, b2], in dtype ``dt``.
 
     ``left`` has shape ``(n1, n2, n1)``, or ``(n1, 1, n1)`` when it does
-    not depend on a2; ``right`` is ``(n2, n2)``.  The sum is one broadcast
-    add into a C-ordered ``(n1, n2, n1, n2)`` array, whose reshape labels
-    the pair (a1, a2) as a1*n2 + a2.  The caller picks a ``dt`` that holds
-    every entry.
+    not depend on a2; ``right`` is an ``(n2, n2)`` table, an array or a
+    ``PairTable``.  The sum is one broadcast add into a C-ordered
+    ``(n1, n2, n1, n2)`` array, whose reshape labels the pair (a1, a2) as
+    a1*n2 + a2.  The caller picks a ``dt`` that holds every entry.
     """
     n1, n2 = left.shape[0], right.shape[0]
     out = np.empty((n1, n2, n1, n2), dt)
     np.add((left.astype(dt) * n2)[..., None],
-           right.astype(dt, copy=False)[None, :, None, :], out=out)
+           np.asarray(right, dt)[None, :, None, :], out=out)
     return out.reshape(n1 * n2, n1 * n2)
+
+
+class PairTable:
+    """The table ``_pair_table(left, right, dt)``, read-only and never
+    stored: each read computes the entries it gathers.
+
+    ``t[x, y]`` splits each label into its pair, x = a1*n2 + a2 and
+    y = b1*n2 + b2 (``divmod(x, n2)``), and returns
+    left[a1, a2, b1] * n2 + right[a2, b2] in dtype ``dt``, which is entry
+    [x, y] of ``_pair_table``.  Left is kept as n1*k rows of n1 entries
+    (k = n2, or 1 when it does not depend on a2), so the row of label x is
+    a1*n2 + a2 = x itself, or a1 = x // n2.  A negative label splits into
+    a1 < 0, so it wraps as a dense index does, and a label past the end
+    hits an ``IndexError``.
+
+    The index forms are the ones the kernels use: a pair of ints;
+    ``t[rows]``; ``t[a0:a1]``; ``t[:, S]``; ``t[S, :]``; ``t[:, g]``; and
+    integer arrays that broadcast, ``np.ix_`` and ``[:, None]`` included.
+    Each has numpy's result shape.  Any other form raises ``TypeError``.
+    ``np.asarray(t)`` builds the dense table, for readers of the whole of it.
+    """
+
+    __slots__ = ("_left", "_right", "_k", "dtype", "shape")
+    ndim = 2
+
+    def __init__(self, left: np.ndarray, right: np.ndarray, dt):
+        n1, k, n2 = left.shape[0], left.shape[1], right.shape[0]
+        self._left = left.reshape(n1 * k, n1)
+        self._right = right
+        self._k = k
+        self.dtype = np.dtype(dt)
+        self.shape = (n1 * n2, n1 * n2)
+
+    def __array__(self, dtype=None, copy=None):
+        n1, n2 = self._left.shape[1], self._right.shape[0]
+        table = _pair_table(self._left.reshape(n1, self._k, n1), self._right, self.dtype)
+        return table if dtype is None else table.astype(dtype, copy=False)
+
+    def _labels(self, index) -> tuple[np.ndarray, bool]:
+        """The labels ``index`` selects on one axis, and whether it is a slice."""
+        if isinstance(index, slice):
+            return np.arange(*index.indices(self.shape[0])), True
+        if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
+            return np.asarray(index), False
+        if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+            return index, False
+        raise TypeError(f"PairTable cannot be indexed by {type(index).__name__}")
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            key = (key, slice(None))
+        if len(key) != 2:
+            raise TypeError("PairTable takes one or two indices")
+        (x, x_slice), (y, y_slice) = map(self._labels, key)
+        if x_slice:                          # a slice's axis comes first
+            x = x.reshape(x.shape + (1,) * y.ndim)
+        elif y_slice:                        # and last after an array
+            x = x[..., None]
+        n2 = self._right.shape[0]
+        rows = x if self._k > 1 else x // n2
+        out = self._left[rows, y // n2].astype(self.dtype, copy=False)   # a fresh array
+        out *= n2
+        out += self._right[x % n2, y % n2]
+        return out[()] if out.ndim == 0 else out
 
 
 def direct_product_table(*tables: np.ndarray) -> np.ndarray:

@@ -157,14 +157,15 @@ def _worker(chunk: list[tuple], fd: int) -> NoReturn:
     returns into its caller's frames, never flushes the stdout buffer it
     inherited and never runs the exit handlers of the process it was
     forked from.  Its stderr is flushed first, so case tracebacks reach
-    it.  Exit code 0 means the results were written in full."""
+    it.  Exit code 0 means the results were written in full.  A worker
+    that ends by any other exception (a case that raises ``SystemExit``,
+    say) leaves by ``os._exit(1)`` in the ``finally``, which drops the
+    exception unprinted: the parent reports the exit status alone."""
     code = 1
     try:
         with open(fd, "wb") as out:
             pickle.dump(_run_chunk(chunk), out, pickle.HIGHEST_PROTOCOL)
         code = 0
-    except BaseException:
-        traceback.print_exc()
     finally:
         try:
             sys.stderr.flush()

@@ -38,9 +38,9 @@ class SolutionMap:
 
 
 def solution_map(brace: FiniteSkewBrace) -> SolutionMap:
-    u = brace.lam
-    v = brace.circ[brace.inv[u], brace.circ]
-    assert np.array_equal(brace.circ[u, v], brace.circ), \
+    u, circ = brace.lam, np.asarray(brace.circ)
+    v = circ[brace.inv[u], circ]
+    assert np.array_equal(circ[u, v], circ), \
         "solution components must multiply back to a o b"
     return SolutionMap(brace.order, u, v)
 

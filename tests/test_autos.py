@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from brace_forge import (
+    FiniteSkewBrace,
     PreconditionError,
     SizeCapExceeded,
     group_automorphisms,
@@ -15,9 +16,10 @@ from brace_forge import (
     sigma_actions,
     skew_automorphisms,
     validate_sigma,
+    wreath_base,
 )
 from brace_forge import CORPUS_GROUPS, autos
-from brace_forge.groups import cyclic_table, direct_product_table, group_table
+from brace_forge.groups import PairTable, cyclic_table, direct_product_table, group_table
 
 import oracles
 
@@ -312,3 +314,15 @@ def test_budget_below_one_rejected(R4, T2, budget):
         group_homomorphisms(T2.circ, auts, budget=budget)
     with pytest.raises(PreconditionError, match="at least 1"):
         sigma_actions(R4, T2, budget=budget)
+
+
+def test_skew_automorphisms_of_a_lazy_product():
+    # C12^2 (order 144) is over the ideal cap, so its tables are lazy;
+    # Aut(C12 x C12) = GL2(Z/12) has 96 * 48 elements
+    lazy = wreath_base(group_brace("c12", "trivial"), group_brace("c2", "trivial"))[0]
+    assert isinstance(lazy.add, PairTable) and isinstance(lazy.circ, PairTable)
+    dense = FiniteSkewBrace(lazy.order, np.asarray(lazy.add), np.asarray(lazy.circ),
+                            lazy.neg, lazy.inv)
+    got = skew_automorphisms(lazy)
+    assert len(got) == 96 * 48
+    assert np.array_equal(got, skew_automorphisms(dense))

@@ -403,9 +403,19 @@ def test_is_trivial_scans_blocks_without_a_star_table(corpus8, A5at, T2, monkeyp
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)      # one row per block
     assert [is_trivial(b) for b in corpus8] == [not b.star_table().any() for b in corpus8]
     monkeypatch.undo()
-    square = wreath_base(A5at, T2)[0]     # a fresh order-3600 brace, no cached stars
+    square = wreath_base(A5at, T2)[0]
+    real = core.star_block
+
+    def no_full_table(brace, rows, cols):
+        assert rows.size * cols.size < brace.order ** 2, "a full star table was gathered"
+        return real(brace, rows, cols)
+
+    monkeypatch.setattr(core, "star_block", no_full_table)
+    monkeypatch.setattr(ideals, "star_block", no_full_table)
     assert not is_trivial(square)
-    assert square._star is None
+    with pytest.raises(AssertionError, match="full star table"):
+        square.star_table()                 # the guard sees a full gather
+    monkeypatch.undo()
     assert square.star_table().any()        # the full table agrees
 
 

@@ -12,11 +12,15 @@ from brace_forge import (
     WreathContext,
     delta_function,
     group_brace,
+    holomorph_enumerate,
     is_trivial,
     pointwise_lift,
     rho_projection,
     search_q34,
     semidirect,
+    semiprime_verdicts,
+    serialize_document,
+    sigma_actions,
     trivial_sigma,
     validate,
     validate_sigma,
@@ -24,8 +28,8 @@ from brace_forge import (
     wreath,
     wreath_base,
 )
-from brace_forge import core, products
-from brace_forge.groups import _pair_table, dihedral_table, direct_product_table
+from brace_forge import core, products, verify
+from brace_forge.groups import PairTable, _pair_table, dihedral_table, direct_product_table
 from brace_forge.products import SIGMA_RULES, _shift_perms
 
 import oracles
@@ -245,7 +249,11 @@ def _assert_matches_validate(power):
         got, want = getattr(power, table), getattr(reference, table)
         assert got.dtype == want.dtype, (power.name, table)
         assert np.array_equal(got, want), (power.name, table)
-        assert not got.flags.writeable, (power.name, table)
+        if isinstance(got, PairTable):
+            with pytest.raises(TypeError):
+                got[0, 0] = 0
+        else:
+            assert not got.flags.writeable, (power.name, table)
 
 
 def test_wreath_base_is_the_validated_power(corpus8):
@@ -273,7 +281,7 @@ def test_sweep_products_match_validate(monkeypatch, A5at):
         P = kernel(*args)
         key = hashlib.sha256()
         for table in (P.add, P.circ, P.neg, P.inv, P.lam):
-            key.update(str(table.dtype).encode() + table.tobytes())
+            key.update(str(table.dtype).encode() + np.asarray(table).tobytes())
         built.setdefault(key.digest(), P)
         return P
 
@@ -318,7 +326,7 @@ def test_wreath_base_semiprime_scan_stays_within_two_tables(A5at, T2):
     finally:
         tracemalloc.stop()
     assert W.order == 3600
-    assert peak < 2.5 * W.order ** 2 * W.add.itemsize, peak
+    assert peak < 2.5 * W.order ** 2 * W.add.dtype.itemsize, peak
 
 
 def test_products_never_validate(monkeypatch, R4, T2, S3at):
@@ -330,3 +338,50 @@ def test_products_never_validate(monkeypatch, R4, T2, S3at):
     assert semidirect(R4, T2, sigma).order == 8
     assert wreath_base(R4, T2)[0].order == 16
     assert wreath(T2, S3at)[0].order == 2 ** 6 * 6
+
+
+def test_lazy_products_match_the_dense_build(monkeypatch, A5at, T2):
+    # above the ideal cap _product keeps the factors' tables; raising the
+    # cap makes it build the same products dense.  Both give the same
+    # verdict and witness, equality, hash and serialized document
+    a4 = holomorph_enumerate("a4", limit=64)
+    split = semiprime_verdicts(a4, "fast")
+    bad = next(b for b, v in zip(a4, split) if not v.semiprime)      # an order-12 A4 brace
+    actions = sigma_actions(A5at, A5at, budget=121)
+
+    def acted_on_by_a_power():
+        H = wreath_base(bad, T2)[0]
+        return semidirect(T2, H, trivial_sigma(T2, H))
+
+    builds = [(lambda: wreath_base(A5at, T2)[0], False),
+              (lambda: wreath_base(bad, T2)[0], True),             # order 144
+              (lambda: wreath(bad, T2)[0], True),                  # order 288, over a lazy base
+              (acted_on_by_a_power, True)]                         # order 288, lazy H
+    builds += [(lambda act=act: semidirect(A5at, A5at, act), False)
+               for act in (actions[1], actions[60], actions[120])]
+    for build, serialize in builds:
+        lazy = build()
+        with monkeypatch.context() as m:
+            m.setattr(products, "DEFAULT_IDEAL_CAP", 1 << 30)
+            dense = build()
+        assert isinstance(lazy.add, PairTable) and isinstance(lazy.circ, PairTable), lazy.name
+        assert isinstance(dense.add, np.ndarray) and isinstance(dense.circ, np.ndarray)
+        got, want = is_semiprime(lazy, "fast"), is_semiprime(dense, "fast")
+        assert got.semiprime == want.semiprime, lazy.name
+        assert (got.witness and got.witness.sorted()) == (want.witness and want.witness.sorted())
+        assert lazy == dense and hash(lazy) == hash(dense)
+        assert np.array_equal(lazy.neg, dense.neg) and np.array_equal(lazy.inv, dense.inv)
+        if serialize:
+            assert not got.semiprime
+            assert serialize_document(lazy) == serialize_document(dense)
+
+
+def test_lemma32_base_scan_never_builds_a_dense_table(monkeypatch, A5at, T2):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a dense table was built")
+
+    monkeypatch.setattr(PairTable, "__array__", refuse)
+    result = verify._case_lemma32_base("lemma32:base:A5at:m2", A5at, T2)
+    assert result.ok and result.info == "order=3600 semiprime"
+    with pytest.raises(AssertionError, match="dense table"):
+        np.asarray(wreath_base(A5at, T2)[0].add)

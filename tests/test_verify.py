@@ -157,6 +157,27 @@ class TestLemma31:
         assert captured.out == ""
         _assert_no_child_left()
 
+    def test_worker_ending_by_system_exit_reports_its_status_alone(self, monkeypatch, capfd):
+        real = verify._CASE_FUNCS["lemma31"]
+        parent = os.getpid()
+
+        def leave(case_id, G, H):
+            if os.getpid() != parent:
+                raise SystemExit(3)
+            return real(case_id, G, H)
+
+        monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", leave)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli_main(["verify", "lemma31", "--max-order", "4", "--jobs", "2"]) == 2
+        sys.stdout.flush()
+        captured = capfd.readouterr()
+        assert captured.err.startswith("error: sweep worker 1 of 1 (pid ")
+        assert captured.err.endswith(") exited with code 1\n")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        _assert_no_child_left()
+
     def test_interrupt_in_this_process_kills_the_workers(self, monkeypatch):
         real = verify._CASE_FUNCS["lemma31"]
         parent = os.getpid()

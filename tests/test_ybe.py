@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from brace_forge import (
+    FiniteSkewBrace,
     PreconditionError,
     SolutionMap,
     check_braid,
@@ -10,7 +11,9 @@ from brace_forge import (
     is_trivial,
     solution_map,
     wreath,
+    wreath_base,
 )
+from brace_forge.groups import PairTable
 
 import oracles
 
@@ -137,3 +140,13 @@ def test_order_one():
     sol = solution_map(one)
     assert check_braid(sol) == (True, None)
     assert check_nondegenerate(sol) == (True, None)
+
+
+def test_solution_map_of_a_lazy_product(S3at):
+    # S3at^3 (order 216) is over the ideal cap, so its tables are lazy
+    lazy = wreath_base(S3at, group_brace("c3", "trivial"))[0]
+    assert isinstance(lazy.circ, PairTable)
+    dense = FiniteSkewBrace(lazy.order, np.asarray(lazy.add), np.asarray(lazy.circ),
+                            lazy.neg, lazy.inv)
+    got, want = solution_map(lazy), solution_map(dense)
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
