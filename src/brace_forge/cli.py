@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success/verified, 1 property failure or counterexample,
-2 input or usage error.  All structured output goes to stdout in the
-document format or as line-oriented CASE reports; timings and
-diagnostics go to stderr.
+2 input or usage error, 130 interrupted (Ctrl-C).  All structured output
+goes to stdout in the document format or as line-oriented CASE reports;
+timings and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .ybe import check_braid, check_nondegenerate, solution_map
 
 USAGE_ERROR = 2
 PROPERTY_ERROR = 1
+INTERRUPTED = 130   # 128 + SIGINT, as a shell reports a process killed by it
 
 
 def _read_text(path: str) -> str:
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
     except (BraceForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

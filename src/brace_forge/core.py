@@ -177,16 +177,17 @@ def _identity_violation(t: np.ndarray, prefix: str) -> list[Violation]:
     return []
 
 
-# entries gathered per block of rows by the exhaustive checks and the
-# batched principal closures of ``ideals.ideal_masks``
+# entries gathered per block by the exhaustive checks, ``is_trivial``, the
+# principal closures and star tests of ``ideals`` and ``autos._homomorphisms``
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _row_blocks(n: int, count: int | None = None):
+def _row_blocks(n: int, count: int | None = None, width: int | None = None):
     """Consecutive row ranges [a0, a1) covering 0..count-1 (default n), each
-    at least one row and, when a row holds up to n * n entries (a row ``a``
-    of an (a, b, c) cube), at most about ``_BLOCK_ENTRIES`` entries."""
-    rows = max(1, _BLOCK_ENTRIES // (n * n))
+    at least one row and, when a row holds up to ``width`` entries (default
+    n * n, a row ``a`` of an (a, b, c) cube), at most about
+    ``_BLOCK_ENTRIES`` entries."""
+    rows = max(1, _BLOCK_ENTRIES // (n * n if width is None else width))
     count = n if count is None else count
     for a0 in range(0, count, rows):
         yield a0, min(a0 + rows, count)
@@ -226,26 +227,20 @@ def _inverse_violation_full(t: np.ndarray, prefix: str) -> list[Violation]:
     return []
 
 
-def frontier_closure(mask: np.ndarray, frontier: np.ndarray, families,
-                     abort=None) -> np.ndarray | None:
+def frontier_closure(mask: np.ndarray, frontier: np.ndarray, families) -> np.ndarray:
     """Grow ``mask`` in place to a fixed point, expanding only from ``frontier``.
 
     Members already set in ``mask`` count as processed unless they are in
     ``frontier``.  Each round ``families(F, M)`` returns the candidate
     arrays generated by the frontier F against all members M, and the
-    candidates not yet in ``mask`` form the next frontier.  Returns
-    ``mask``, or None as soon as ``abort(F, M)`` is true at the start of a
-    round (``mask`` is then partly grown).
+    candidates not yet in ``mask`` form the next frontier.  Returns ``mask``.
 
     The candidates are deduplicated by one bool scatter, and the next
     frontier is the ``flatnonzero`` of the new ones, so it is ascending.
     """
     while frontier.size:
-        members = np.flatnonzero(mask)
-        if abort is not None and abort(frontier, members):
-            return None
         hit = np.zeros_like(mask)
-        hit[np.concatenate(families(frontier, members))] = True
+        hit[np.concatenate(families(frontier, np.flatnonzero(mask)))] = True
         frontier = np.flatnonzero(hit & ~mask)
         mask[frontier] = True
     return mask

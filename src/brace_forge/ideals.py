@@ -21,12 +21,10 @@ from .core import (
     brace_from_tables,
     closure_generators,
     fmt_members,
-    frontier_closure,
     lam_block,
     normalize_members,
     seeded_closure,
     sorted_unique,
-    star_block,
     star_product,
 )
 
@@ -141,6 +139,8 @@ def _stacked_maps(braces: list[FiniteSkewBrace]) -> np.ndarray:
     closure: its images of a frontier are members already, and in
     ``_orbit_representatives`` it maps label[a] to itself."""
     tables = [_orbit_maps(b) for b in braces]
+    if len(tables) == 1:
+        return tables[0][None]
     n, k = braces[0].order, max(len(t) for t in tables)
     maps = np.broadcast_to(np.arange(n), (len(tables), k, n)).copy()
     for b, t in enumerate(tables):
@@ -176,19 +176,20 @@ def _check_ideal_cap(n: int) -> None:
 
 
 class _Batch:
-    """Braces of one order n on a leading brace axis: add and circ stacked
-    as (B, n, n), ``_stacked_maps``, the (brace, representative) pairs
-    ``owner`` and ``reps`` of ``_orbit_representatives``, and their
-    ``principal`` ideal masks."""
+    """Braces of one order n on a leading brace axis: add and circ as flat
+    (B * n, n) tables, row b * n + a the row of label a in brace b,
+    ``_stacked_maps``, and the (brace, representative) pairs ``owner`` and
+    ``reps`` of ``_orbit_representatives``.  A batch of one reads its
+    brace's own tables, so a ``groups.PairTable`` is never made dense."""
 
     def __init__(self, braces: list[FiniteSkewBrace]):
         self.braces = braces
         self.n = braces[0].order
-        self.add = np.stack([b.add for b in braces])
-        self.circ = np.stack([b.circ for b in braces])
+        one = len(braces) == 1
+        self.add = braces[0].add if one else np.concatenate([b.add for b in braces])
+        self.circ = braces[0].circ if one else np.concatenate([b.circ for b in braces])
         self.maps = _stacked_maps(braces)
         self.owner, self.reps = _orbit_representatives(self.maps)
-        self.principal = _principal_masks(self)
 
 
 def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
@@ -203,7 +204,7 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     holds the representative).  That is every ideal: each ideal is the sum
     of the principal ideals of its members, and every nonzero label has
     its orbit representative's principal ideal (the argument is in
-    ``_principal_star_scan``).  No sum is made twice (``_batch_ideals``).
+    ``_principal_masks``).  No sum is made twice (``_batch_ideals``).
 
     The join of ideals I and J is the sum I + J = {i + j}, one table gather
     (Guarnieri and Vendramin, "Skew braces and the Yang-Baxter equation",
@@ -230,30 +231,28 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     This is a batch of one of ``_batch_ideals``, which lists the ideals
     of many braces of one order at once (``semiprime_verdicts``): each row
     carries its brace's index, which is the sort's first key.  The
-    principal ideals are closed in one batch, since all of them are
-    summed.  The fast scan (``_principal_star_scan``) closes one
-    representative at a time instead: it stops at its first witness,
-    often the first representative.
+    principal ideals are closed in full, since all of them are summed.
     """
     _check_ideal_cap(brace.order)
-    _, masks = _batch_ideals(_Batch([brace]))
+    batch = _Batch([brace])
+    _, masks = _batch_ideals(batch, _principal_masks(batch, False)[0])
     masks.setflags(write=False)
     return masks
 
 
-def _batch_ideals(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+def _batch_ideals(batch: _Batch, principal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, masks): every ideal of every brace of ``batch``, mask row r
     an ideal of brace owner[r], ordered by brace, then as in
-    ``ideal_masks``.
+    ``ideal_masks``, from the ``principal`` masks of ``_principal_masks``.
 
     Pass t sums the principal ideal P_t of each brace's t-th
     representative r_t with that brace's ideals found so far.  A brace with
     fewer representatives takes r_t = 0 after its last one: every ideal
     holds 0, so none of its rows is summed.  Each brace's principal labels
     fill one row of a table padded with 0, and add[c, 0] = c is already in
-    the row being summed, so pass t gathers add[b, c, labels[b]] for every
-    brace b and label c once, and a member c of a row of brace b takes row
-    b * n + c of that gather.
+    the row being summed, so pass t gathers add[b * n + c, labels[b]] for
+    every brace b and label c once, and a member c of a row of brace b
+    takes row b * n + c of that gather.
 
     No sum is listed twice, so no deduplication is needed.  Let K be the
     list before pass t, the sums of subsets of P_1..P_{t-1}, and keep a sum
@@ -266,7 +265,7 @@ def _batch_ideals(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
     S = M would be in K), and M passes the test.  An I that passes it
     holds every such P_s, so I = M.
     """
-    add, owner, reps, principal = batch.add, batch.owner, batch.reps, batch.principal
+    add, owner, reps = batch.add, batch.owner, batch.reps
     B, n = len(batch.braces), batch.n
     step = np.arange(reps.size) - np.searchsorted(owner, owner)   # t of each (brace, r_t)
     steps = int(step.max(initial=-1)) + 1
@@ -278,13 +277,13 @@ def _batch_ideals(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
     labels_at[step, owner] = np.sort(np.where(principal, np.arange(n), 0), axis=1)
     width = np.zeros((steps, B), dtype=np.int64)                  # |P_t| of each brace
     width[step, owner] = principal.sum(axis=1)
-    brace, label = np.arange(B)[:, None, None], np.arange(n)[:, None]
+    row = np.arange(B)[:, None, None] * n + np.arange(n)[:, None]    # b * n + c
     known_owner = np.arange(B)
     known = np.zeros((B, n), dtype=bool)
     known[:, 0] = True
     for t in range(steps):
         labels = labels_at[t][:, None, n - width[t].max():]       # members last, 0 before them
-        sum_rows = add[brace, label, labels].reshape(B * n, -1)
+        sum_rows = add[row, labels].reshape(B * n, -1)
         miss = ~known[np.arange(known_owner.size), rep_at[t][known_owner]]
         grow_owner, grow = known_owner[miss], known[miss]
         rows, cols = np.nonzero(grow)
@@ -405,135 +404,127 @@ def _orbit_representatives(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         label = lower
 
 
-def _principal_masks(batch: _Batch) -> np.ndarray:
-    """(R, n) bool matrix, row t the mask of the principal ideal of
-    reps[t] in brace b = owner[t] of the batch: the closure
-    ``_principal_closure`` makes with ``_ideal_families``, for every row
-    at once.
+def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, vanish): row t of the (R, n) bool ``masks`` is the
+    principal ideal of reps[t] in brace b = owner[t] of the batch, the
+    least ideal holding it, and vanish[t] says whether a * c = 0 for all
+    its members a, c.  With ``abort`` a row stops at its first nonzero
+    star, with vanish[t] False and masks[t] part of the ideal, and the
+    rows of a brace with a vanishing row in an earlier block are not
+    closed at all (a block of them all is skipped): only each brace's
+    first vanishing row is then exact, which is all ``semiprime_verdicts``
+    reads when "fast" is its only method.
+
+    Every label has its orbit representative's principal ideal.  Each map
+    of ``_orbit_representatives`` sends a into every ideal that holds a,
+    and its inverse is a map of the same kind (lambda_x by lambda_x',
+    conjugation by x by conjugation by x' or -x, and the two inversions
+    by themselves), so all of an orbit has one principal ideal.
 
     Each row keeps its members M_t and frontier F_t (within M_t), seeded
-    with {0, reps[t]} and {reps[t]}, and a round does for all rows what a
-    round of ``frontier_closure`` does for one: one scatter of
-    maps[b, :, f] over the frontier entries f, and one scatter each of
-    circ[b, f, m] and circ[b, m, f] over the frontier entries f of row t
-    and the labels m.  A label m outside M_t scatters to 0, which every
-    row holds, so only the pairs with members add candidates.  The
+    with {0, reps[t]} and {reps[t]}, and a round does for all rows of a
+    block what a round of ``frontier_closure`` over ``_ideal_families``
+    does for one: one scatter of maps[b, :, f] over the frontier entries
+    f, and for each pair of a frontier entry f and a member m of its row
+    one gather each of f o m and m o f, which are scattered as well.  The
     candidates outside M_t are the next F_t.  Rows never mix, so row t
-    reaches the fixed point of its own closure.  A row gathers at most n
-    frontier entries times n labels per round, so blocks of
-    ``_row_blocks(n, R)`` rows gather at most about 2^20 pairs.
+    reaches the fixed point of its own closure.
+
+    a * c = lambda_a(c) - c with lambda_a(c) = -a + a o c, so a * c = 0
+    exactly when a o c = a + c, and each round tests that both ways on
+    the same pairs.  Every pair of members is tested: in the round where
+    the later of the two (either, if they came together) is in the
+    frontier, the other is a member.  So a row that closes without a
+    nonzero star vanishes, and a star found in a round is one between
+    members of the final ideal, which then does not vanish.
+
+    A row has at most n frontier entries and n members, so a block of
+    ``_row_blocks(n, R)`` rows pairs at most about 2^20 of them a round.
+    Above order 1024 a block is one row, and its pairs are gathered for
+    chunks of at most about 2^20 / n frontier entries.
     """
-    circ, maps, owner, reps = batch.circ, batch.maps, batch.owner, batch.reps
-    masks = np.zeros((reps.size, batch.n), dtype=bool)
+    add, circ, maps, owner, reps, n = (batch.add, batch.circ, batch.maps, batch.owner,
+                                       batch.reps, batch.n)
+    masks = np.zeros((reps.size, n), dtype=bool)
     masks[:, 0] = True
     masks[np.arange(reps.size), reps] = True
-    for t0, t1 in _row_blocks(batch.n, reps.size):
+    vanish = np.zeros(reps.size, dtype=bool)
+    witnessed = np.zeros(len(batch.braces), dtype=bool)   # a vanishing row so far
+    for t0, t1 in _row_blocks(n, reps.size):
+        block = owner[t0:t1]
+        stopped = abort & witnessed[block]        # a star showed, or (abort) never started
+        if stopped.all():
+            continue
         members = masks[t0:t1]                    # a view: grows masks in place
         frontier = np.zeros_like(members)
-        frontier[np.arange(t1 - t0), reps[t0:t1]] = True
+        frontier[np.arange(t1 - t0), reps[t0:t1]] = ~stopped
         while True:
             rows, F = np.nonzero(frontier)
             if not rows.size:
                 break
-            b = owner[t0:t1][rows]
-            row_members = members[rows]
+            b = block[rows]
+            base = b * n                          # each entry's brace in the flat tables
             hit = np.zeros_like(members)
             hit[rows[:, None], maps[b, :, F]] = True
-            hit[rows[:, None], np.where(row_members, circ[b, F], 0)] = True       # f o m
-            hit[rows[:, None], np.where(row_members, circ[b, :, F], 0)] = True    # m o f
-            frontier = hit & ~members
+            for e0, e1 in _row_blocks(n, rows.size, n):
+                e, m = np.nonzero(members[rows[e0:e1]])   # entry e0 + e, member m of its row
+                e += e0
+                f, r = F[e], rows[e]
+                fx, mx = base[e] + f, base[e] + m         # rows of the flat tables
+                fm, mf = circ[fx, m], circ[mx, f]
+                stopped[r[(fm != add[fx, m]) | (mf != add[mx, f])]] = True
+                r *= n
+                hit.reshape(-1)[r + fm] = True
+                hit.reshape(-1)[r + mf] = True
+            if abort:
+                hit[stopped] = False
+            frontier = hit > members              # hit and not a member
             members |= frontier
-    return masks
+        vanish[t0:t1] = ~stopped
+        witnessed[block[~stopped]] = True
+    return masks, vanish
 
 
 def _stars_vanish(batch: _Batch, owner: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """(R,) bool: whether a * c = 0 for all members a, c of row r, a set
-    of brace owner[r] of the batch.  a * c = lambda_a(c) - c with
-    lambda_a(c) = -a + a o c, so a * c = 0 exactly when a o c = a + c.
-    Blocks of ``_row_blocks(n, R)`` rows gather about 2^20 entries."""
-    differ = batch.add != batch.circ                       # a o c != a + c
+    of brace owner[r] of the batch: whether a o c = a + c for all of them
+    (``_principal_masks``).  Blocks of ``_row_blocks(n, R)`` rows gather
+    about 2^20 entries."""
+    n = batch.n
+    differ = (batch.add != batch.circ).reshape(-1, n, n)     # a o c != a + c
     vanish = np.empty(len(masks), dtype=bool)
-    for r0, r1 in _row_blocks(batch.n, len(masks)):
+    for r0, r1 in _row_blocks(n, len(masks)):
         m = masks[r0:r1]
         vanish[r0:r1] = ~(differ[owner[r0:r1]] & m[:, :, None] & m[:, None, :]).any(axis=(1, 2))
     return vanish
 
 
-def _principal_closure(brace: FiniteSkewBrace, a: int, families,
-                       abort=None) -> np.ndarray | None:
-    """Mask of the principal ideal of ``a``: seed {0, a}, then
-    ``frontier_closure`` over ``families`` (``_ideal_families`` of the
-    brace); None if ``abort`` stops it.  ``_principal_masks`` makes the
-    same closures in one batch."""
-    mask = np.zeros(brace.order, dtype=bool)
-    mask[[0, a]] = True
-    return frontier_closure(mask, np.array([a]), families, abort)
-
-
-def _principal_star_scan(brace: FiniteSkewBrace) -> Ideal | None:
-    """First a (ascending) whose principal ideal has all-zero pairwise stars.
-
-    Only the least label of each orbit (``_orbit_representatives``) is
-    scanned, in ascending order.  Each map sends a into every ideal that holds a, and
-    its inverse is a map of the same kind (lambda_x by lambda_x',
-    conjugation by x by conjugation by x' or -x, and the two inversions
-    by themselves), so all of an orbit has one principal ideal.  The
-    least label r of the orbit of the first witness a is then a witness
-    no larger than a, so r = a and the ideal is the same.
-
-    The closure of {a} is grown incrementally; as soon as a nonzero star
-    shows up between known members the candidate is discarded, which keeps
-    the scan cheap on semiprime braces.  In the round where a member is in
-    the frontier, its stars with every member so far are checked both
-    ways, so a closure that completes has vanishing stars.
-    """
-    def stars_appear(F, M):
-        return star_block(brace, F, M).any() or star_block(brace, M, F).any()
-
-    maps = _orbit_maps(brace)
-    families = _ideal_families(brace, maps)
-    for a in _orbit_representatives(maps[None])[1].tolist():
-        mask = _principal_closure(brace, a, families, abort=stars_appear)
-        if mask is not None:
-            return Ideal(brace, frozenset(int(x) for x in np.flatnonzero(mask)))
-    return None
-
-
 def is_semiprime(brace: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdict:
-    """Decide semiprimality: no nonzero ideal I with I * I = 0.
+    """Decide semiprimality: no nonzero ideal I with I * I = 0; a batch
+    of one of ``semiprime_verdicts``.
 
-    fast: scans principal ideals (the closure of each single element); any
-    witness ideal contains a principal witness, so this is complete.  One
-    brace is scanned with ``_principal_star_scan``, which stops at its
-    first witness.
-    exhaustive: enumerates all ideals and returns the smallest witness; a
-    batch of one of ``semiprime_verdicts``.
+    fast: tests principal ideals (the closure of each single element); any
+    witness ideal contains a principal witness, so this is complete.
+    exhaustive: enumerates all ideals and returns the smallest witness.
     """
-    if method == "fast":
-        witness = _principal_star_scan(brace)
-        return SemiprimeVerdict(witness is None, witness, "fast")
     return semiprime_verdicts([brace], method)[0]
 
 
 def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[str, ...] = "fast"
                        ) -> list[SemiprimeVerdict] | tuple[list[SemiprimeVerdict], ...]:
     """``is_semiprime`` of every brace, in input order, with one
-    ``_Batch`` per order up to ``DEFAULT_IDEAL_CAP``.  ``method`` is
-    "fast", "exhaustive", or a tuple of them; a tuple gives one list per
-    method, all read from the same batches, so each brace's maps and
-    principal ideals are built once.  A fast verdict of a larger order
-    comes from ``_principal_star_scan``; an exhaustive one raises
-    ``SizeCapExceeded``, as ``ideal_masks`` does.
+    ``_Batch`` per order up to ``DEFAULT_IDEAL_CAP`` and one per brace
+    above it.  ``method`` is "fast", "exhaustive", or a tuple of them; a
+    tuple gives one list per method, all read from the same batches, so
+    each brace's maps and principal ideals are built once.  An exhaustive
+    verdict above the cap raises ``SizeCapExceeded``, as ``ideal_masks``
+    does.
 
-    One ``_stars_vanish`` test covers every candidate row of a batch.
-    fast: the witness is the first representative row (ascending) whose
-    stars vanish, the witness of ``_principal_star_scan``.  The scan
-    checks, in the round where a member is in the frontier, its stars with
-    every member so far, both ways, so a closure it completes has no
-    nonzero star.  A closure it aborts has a nonzero star between members
-    it holds, and they are members of the final closure, which then does
-    not vanish.  So the scan stops at the first representative whose full
-    principal ideal vanishes.
+    fast: the witness is each brace's first representative row
+    (ascending) whose stars vanish (``_principal_masks``, which aborts
+    rows when "fast" is the only method).  All of an orbit has one
+    principal ideal, so this is the principal ideal of the least label
+    whose principal ideal vanishes.
     exhaustive: the witness is the first vanishing row after {0} in each
     brace's ``ideal_masks`` order, the smallest vanishing nonzero ideal.
     """
@@ -547,30 +538,30 @@ def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[st
         by_order.setdefault(brace.order, []).append(i)
     witnesses = {m: [None] * len(braces) for m in methods}
     for n, index in by_order.items():
-        group = [braces[i] for i in index]
-        if n > DEFAULT_IDEAL_CAP and methods == ("fast",):
-            found = {"fast": [_principal_star_scan(brace) for brace in group]}
-        else:
+        if "exhaustive" in methods:
             _check_ideal_cap(n)
-            batch = _Batch(group)
-            found = {m: _batch_witnesses(batch, m) for m in methods}
-        for m in methods:
-            for i, witness in zip(index, found[m]):
-                witnesses[m][i] = witness
+        for group in [index] if n <= DEFAULT_IDEAL_CAP else [[i] for i in index]:
+            batch = _Batch([braces[i] for i in group])
+            principal, vanish = _principal_masks(batch, methods == ("fast",))
+            for m in methods:
+                for i, witness in zip(group, _batch_witnesses(batch, m, principal, vanish)):
+                    witnesses[m][i] = witness
     lists = [[SemiprimeVerdict(w is None, w, m) for w in witnesses[m]] for m in methods]
     return lists[0] if isinstance(method, str) else tuple(lists)
 
 
-def _batch_witnesses(batch: _Batch, method: str) -> list[Ideal | None]:
+def _batch_witnesses(batch: _Batch, method: str, principal: np.ndarray,
+                     vanish: np.ndarray) -> list[Ideal | None]:
     """The witness of each brace of the batch (``semiprime_verdicts``),
-    None for a semiprime one: its first candidate row whose stars vanish."""
-    if method == "fast":
-        owner, masks = batch.owner, batch.principal
-    else:
-        owner, masks = _batch_ideals(batch)
+    None for a semiprime one, from the ``_principal_masks`` of the batch:
+    its first candidate row whose stars vanish."""
+    owner, masks = batch.owner, principal
+    if method == "exhaustive":
+        owner, masks = _batch_ideals(batch, principal)
         nonzero = masks[:, 1:].any(axis=1)
         owner, masks = owner[nonzero], masks[nonzero]
-    hits = np.flatnonzero(_stars_vanish(batch, owner, masks))[::-1]
+        vanish = _stars_vanish(batch, owner, masks)
+    hits = np.flatnonzero(vanish)[::-1]
     first = dict(zip(owner[hits].tolist(), hits.tolist()))     # the last write, the first hit, wins
     return [Ideal(brace, frozenset(np.flatnonzero(masks[first[b]]).tolist())) if b in first else None
             for b, brace in enumerate(batch.braces)]

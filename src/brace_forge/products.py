@@ -132,11 +132,12 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
     left = G.circ[:, perms], right = H.circ for o.  Up to order
     ``DEFAULT_IDEAL_CAP`` they are built dense; above it they are
     ``PairTable``s, which keep only left and right and compute what a
-    kernel gathers.  A product above the cap is never enumerated or
-    stacked in a ``_Batch`` (``ideals``), only scanned, and the scan reads
-    a few frontier x member blocks, so a dense build there (two 25.9 MB
-    tables at order 3600) would mostly go unread.  At or below the cap a
-    brace may be stacked, and a build costs less than the extra work of
+    kernel gathers.  A product above the cap is never enumerated, and its
+    fast verdict comes from a ``_Batch`` of its own (``ideals``), which
+    reads its tables at a few frontier x member pairs, so a dense build
+    there (two 25.9 MB tables at order 3600) would mostly go unread.  At
+    or below the cap a brace may be stacked with others, whose tables a
+    batch concatenates, and a build costs less than the extra work of
     every lazy gather: with every product lazy, ``verify_lemma32()`` (306
     of its 307 cases lift to products of order <= 64) took 0.14-0.19 s
     instead of 0.10-0.13 s (ten runs each, on a 2-core host).

@@ -527,7 +527,9 @@ def search_q34(max_g: int = 6, max_h: int = 4,
                jobs: int = 1, only: str | None = None) -> SweepReport:
     """Try every corpus pair with G non-semiprime and every action within
     the budget; a semiprime semidirect product is a counterexample and is
-    re-verified exhaustively before being reported."""
+    re-verified exhaustively before being reported.  G and H come from
+    the corpus of order <= ``DEFAULT_CORPUS_MAX`` (8), so a ``max_g`` or
+    ``max_h`` above 8 searches the same pairs as 8."""
     t0 = time.perf_counter()
     corpus = standard_corpus(DEFAULT_CORPUS_MAX)
     _classify([B for B in corpus if B.order <= max_g], "fast")

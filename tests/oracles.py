@@ -4,7 +4,8 @@ Everything here is written from the definitions with plain loops, no
 shortcuts shared with the package, so a bug in the fast paths cannot
 cancel itself out in the comparison.  The exceptions are former fast
 paths kept as the references for the ones that replaced them:
-``ascending_principal_scan``, ``orbit_representatives_loop``,
+``ascending_principal_scan``, ``principal_star_scan``,
+``orbit_representatives_loop``,
 ``pairwise_join_ideals``, ``lemma31_case_loop``,
 ``perm_composition_lookup``, ``lambda_system_search_loop`` and
 ``homomorphisms_loop``.
@@ -20,7 +21,8 @@ from brace_forge.core import closure_generators, fmt_members, frontier_closure, 
 from brace_forge.ideals import (
     _ideal_families,
     _orbit_maps,
-    _principal_closure,
+    _orbit_representatives,
+    ideal_closure,
     is_ideal,
 )
 from brace_forge.products import wreath_base
@@ -286,23 +288,51 @@ def element_orbits(brace) -> list[set[int]]:
     return orbits
 
 
+def _star_free_closure(brace, a, families):
+    """The principal ideal of ``a`` grown one frontier at a time by
+    ``families`` (``_ideal_families``), as a mask, or None at the first
+    round whose frontier has a nonzero star with a member, either way
+    round."""
+    mask = np.zeros(brace.order, dtype=bool)
+    mask[[0, a]] = True
+    frontier = np.array([a])
+    while frontier.size:
+        members = np.flatnonzero(mask)
+        if star_block(brace, frontier, members).any() or star_block(brace, members, frontier).any():
+            return None
+        hit = np.zeros_like(mask)
+        hit[np.concatenate(families(frontier, members))] = True
+        frontier = np.flatnonzero(hit & ~mask)
+        mask[frontier] = True
+    return mask
+
+
 def ascending_principal_scan(brace):
     """The principal-ideal star scan over every label 1..n-1 in ascending
-    order, the reference for the orbit-reduced ``_principal_star_scan``.
+    order, the reference for the orbit-reduced ``principal_star_scan``.
     It grows each closure with the package's ideal maps and stops it at
     the first nonzero star, so it shares those maps with the fast path;
     ``test_fast_witness_is_least_principal_witness`` checks them apart
     from it.  Returns the first witness's sorted members, or None."""
-    n = brace.order
     families = _ideal_families(brace, _orbit_maps(brace))
+    for a in range(1, brace.order):
+        mask = _star_free_closure(brace, a, families)
+        if mask is not None:
+            return tuple(int(x) for x in np.flatnonzero(mask))
+    return None
 
-    def stars_appear(F, M):
-        return star_block(brace, F, M).any() or star_block(brace, M, F).any()
 
-    for a in range(1, n):
-        mask = np.zeros(n, dtype=bool)
-        mask[[0, a]] = True
-        if frontier_closure(mask, np.array([a]), families, abort=stars_appear) is not None:
+def principal_star_scan(brace):
+    """The single-brace fast scan that the aborting batch of
+    ``ideals._principal_masks`` replaced: the principal ideal of each
+    orbit representative (``_orbit_representatives``), ascending, grown
+    until its first nonzero star.  Returns the first closure that
+    completes as sorted members, or None."""
+    maps = _orbit_maps(brace)
+    families = _ideal_families(brace, maps)
+    for a in _orbit_representatives(maps[None])[1].tolist():
+        mask = _star_free_closure(brace, a, families)
+        if mask is not None:
             return tuple(int(x) for x in np.flatnonzero(mask))
     return None
 
@@ -378,9 +408,8 @@ def pairwise_join_ideals(brace) -> list[frozenset[int]]:
     zero = np.zeros(n, dtype=bool)
     zero[0] = True
     known = {np.packbits(zero).tobytes(): zero}
-    families = _ideal_families(brace, _orbit_maps(brace))
     for a in orbit_representatives_loop(brace):
-        P = np.flatnonzero(_principal_closure(brace, a, families))
+        P = np.fromiter(sorted(ideal_closure(brace, [a]).members), dtype=np.int64)
         for base in list(known.values()):
             if base[a]:
                 continue

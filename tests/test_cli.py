@@ -2,8 +2,10 @@ import importlib
 import io
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,54 @@ def test_installed_entry_point(r4_file):
                     reason="brace-forge console script not installed")
 def test_console_script_on_path(r4_file):
     _assert_r4_not_semiprime([shutil.which("brace-forge")], r4_file)
+
+
+def _group_pids(pgid: int) -> list[int]:
+    """The live (not zombie) processes of process group ``pgid``, read from
+    /proc: fields 3 and 5 of /proc/<pid>/stat are the state and the group."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except (OSError, ValueError):
+            continue
+        if entry.isdigit() and fields[0] != "Z" and int(fields[2]) == pgid:
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to see the workers")
+def test_ctrl_c_ends_a_forked_sweep_without_a_traceback():
+    """SIGINT to the process group of a sweep in two processes, as Ctrl-C
+    in a terminal sends it, once the worker is forked: the sweep exits
+    130 with one error line, and no process of the group is left."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "brace_forge", "search", "q34", "--max-order", "60", "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_group_pids(proc.pid)) < 2 and proc.poll() is None:
+            assert time.monotonic() < deadline, "the sweep forked no worker"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert "Traceback" not in err
+    assert err == "error: interrupted\n"
+    assert out == ""
+    deadline = time.monotonic() + 10
+    while _group_pids(proc.pid):
+        assert time.monotonic() < deadline, "a worker outlived the sweep"
+        time.sleep(0.05)
 
 
 def test_sweeps_do_not_import_numpy_ma():

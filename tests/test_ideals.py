@@ -22,13 +22,11 @@ from brace_forge import (
     trivial_sigma,
     wreath_base,
 )
-from brace_forge import core, ideals
+from brace_forge import core, groups, ideals
 from brace_forge.ideals import (
     IDEAL_RULES,
-    _ideal_families,
     _orbit_maps,
     _orbit_representatives,
-    _principal_closure,
     _principal_masks,
 )
 
@@ -136,10 +134,10 @@ def test_enumerate_closes_one_principal_ideal_per_orbit(corpus8, monkeypatch):
     batch_rows = []
     real = ideals._principal_masks
 
-    def counting(batch):
-        masks = real(batch)
+    def counting(batch, abort):
+        masks, vanish = real(batch, abort)
         batch_rows.append(masks.shape[0])
-        return masks
+        return masks, vanish
 
     monkeypatch.setattr(ideals, "_principal_masks", counting)
     named = {b.name: b for b in corpus8}
@@ -336,12 +334,13 @@ def test_batched_principal_ideals_match_one_closure_each(batch_braces, monkeypat
         assert list(core._row_blocks(64, 3)) == [(0, 1), (1, 2), (2, 3)]
     for brace in batch_braces:
         batch = ideals._Batch([brace])
-        masks = _principal_masks(batch)
-        assert np.array_equal(masks, batch.principal), brace.name
-        families = _ideal_families(brace, _orbit_maps(brace))
+        masks, vanish = _principal_masks(batch, False)
         assert masks.shape == (len(batch.reps), brace.order), brace.name
-        for a, row in zip(batch.reps.tolist(), masks):
-            assert np.array_equal(row, _principal_closure(brace, a, families)), (brace.name, a)
+        stars = brace.star_table()
+        for a, row, zero in zip(batch.reps.tolist(), masks, vanish):
+            assert set(np.flatnonzero(row).tolist()) == ideal_closure(brace, [a]).members, \
+                (brace.name, a)
+            assert zero == (not stars[np.ix_(row, row)].any()), (brace.name, a)
 
 
 @pytest.fixture(scope="module")
@@ -377,22 +376,79 @@ def test_semiprime_verdicts_match_one_brace_at_a_time(mixed_braces, monkeypatch,
     for brace in mixed_braces:
         by_order.setdefault(brace.order, []).append(brace)
     for group in by_order.values():
-        owner, masks = ideals._batch_ideals(ideals._Batch(group))
+        batch = ideals._Batch(group)
+        owner, masks = ideals._batch_ideals(batch, _principal_masks(batch, False)[0])
         counts = np.bincount(owner, minlength=len(group))
         for brace, count, rows in zip(group, counts, np.split(masks, np.cumsum(counts)[:-1])):
             assert count == len(ideals.ideal_masks(brace)), brace.name
             assert np.array_equal(rows, ideals.ideal_masks(brace)), brace.name
 
 
+@pytest.fixture(scope="module")
+def scan_cases(batch_braces, A5at, A5at_square):
+    # batch_braces, then A5at^2 and A5at x| A5at under its first 8 actions,
+    # with the witness of the single-brace scan each
+    actions = sigma_actions(A5at, A5at, budget=8)
+    big = [A5at_square, *(semidirect(A5at, A5at, act) for act in actions)]
+    assert len(big) == 9 and all(B.order == 3600 for B in big)
+    braces = [*batch_braces, *big]
+    return braces, [oracles.principal_star_scan(B) for B in braces]
+
+
+def _witnesses(verdicts):
+    return [v.witness.sorted() if v.witness else None for v in verdicts]
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_fast_witnesses_match_the_single_brace_scan(scan_cases, monkeypatch, one_row_blocks):
+    if one_row_blocks:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    braces, want = scan_cases
+    # semiprime braces, and witnesses past a first row that aborts
+    assert None in want and any(w and 1 not in w for w in want)
+    assert _witnesses([is_semiprime(B) for B in braces]) == want
+    assert _witnesses(semiprime_verdicts(braces, "fast")) == want
+    # with both methods no row aborts; the braces above the cap have no
+    # exhaustive verdict
+    small = [B for B in braces if B.order <= ideals.DEFAULT_IDEAL_CAP]
+    fast, exhaustive = semiprime_verdicts(small, ("fast", "exhaustive"))
+    assert _witnesses(fast) == want[:len(small)]
+    assert [v.semiprime for v in exhaustive] == [w is None for w in want[:len(small)]]
+
+
+def test_products_above_the_cap_are_classified_alone_and_never_made_dense(A5at, monkeypatch):
+    products = [semidirect(A5at, H, trivial_sigma(A5at, H))
+                for H in (group_brace(spec, "trivial") for spec in ("c3", "c4", "c2xc2"))]
+    assert [P.order for P in products] == [180, 240, 240]
+    assert all(isinstance(P.circ, groups.PairTable) for P in products)
+    want = [oracles.principal_star_scan(P) for P in products]
+    built = []
+
+    class Build(ideals._Batch):
+        def __init__(self, braces):
+            built.append(len(braces))
+            super().__init__(braces)
+
+    def dense(self, dtype=None, copy=None):
+        raise AssertionError("a PairTable was made dense")
+
+    monkeypatch.setattr(ideals, "_Batch", Build)
+    monkeypatch.setattr(groups.PairTable, "__array__", dense)
+    assert _witnesses(semiprime_verdicts(products, "fast")) == want
+    assert built == [1, 1, 1]
+    with pytest.raises(SizeCapExceeded):
+        semiprime_verdicts(products, ("fast", "exhaustive"))
+
+
 def test_semiprime_verdicts_edge_cases(A5at, T2):
     assert semiprime_verdicts([]) == []
     with pytest.raises(PreconditionError):
         semiprime_verdicts([T2], "quick")
-    # fast verdicts above the cap come from the scan; exhaustive ones raise
+    # fast verdicts above the cap come from a batch of one; exhaustive ones raise
     big = group_brace("c130", "trivial")
     fast = semiprime_verdicts([T2, big, A5at], "fast")
     assert [v.semiprime for v in fast] == [False, False, True]
-    assert fast[1].witness == is_semiprime(big, "fast").witness
+    assert fast[1].witness.sorted() == oracles.principal_star_scan(big)
     with pytest.raises(SizeCapExceeded):
         semiprime_verdicts([T2, big], "exhaustive")
 
@@ -411,7 +467,6 @@ def test_is_trivial_scans_blocks_without_a_star_table(corpus8, A5at, T2, monkeyp
         return real(brace, rows, cols)
 
     monkeypatch.setattr(core, "star_block", no_full_table)
-    monkeypatch.setattr(ideals, "star_block", no_full_table)
     assert not is_trivial(square)
     with pytest.raises(AssertionError, match="full star table"):
         square.star_table()                 # the guard sees a full gather

@@ -23,6 +23,7 @@ from brace_forge import (
     verify_cor28_thm33,
     verify_lemma31,
     verify_lemma32,
+    wreath_base,
 )
 from brace_forge import autos, ideals, verify
 from brace_forge.cli import main as cli_main
@@ -484,16 +485,17 @@ def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
 
 
 def _tables(brace):
-    return brace.order, brace.add.tobytes(), brace.circ.tobytes()
+    return brace.order, np.asarray(brace.add).tobytes(), np.asarray(brace.circ).tobytes()
 
 
 def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
     """Count semiprimality checks by the tables they check, starting from
     an empty per-process verdict memo: the braces of the sweeps' batches
-    (``semiprime_verdicts``), by method, and the single fast scans
-    (``_principal_star_scan``)."""
-    batched, scanned = Counter(), Counter()
-    real_batch, real_scan = verify.semiprime_verdicts, ideals._principal_star_scan
+    (``semiprime_verdicts``), by method, and the braces of every
+    ``ideals._Batch`` built, the sweeps' batches and the single
+    ``is_semiprime`` checks alike."""
+    batched, built = Counter(), Counter()
+    real_batch, real_build = verify.semiprime_verdicts, ideals._Batch
 
     def batch(braces, method):
         braces = list(braces)
@@ -501,14 +503,15 @@ def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
         batched.update((m, _tables(B)) for m in methods for B in braces)
         return real_batch(braces, method)
 
-    def scan(brace):
-        scanned[_tables(brace)] += 1
-        return real_scan(brace)
+    class Build(real_build):
+        def __init__(self, braces):
+            built.update(_tables(B) for B in braces)
+            super().__init__(braces)
 
     monkeypatch.setattr(verify, "semiprime_verdicts", batch)
-    monkeypatch.setattr(ideals, "_principal_star_scan", scan)
+    monkeypatch.setattr(ideals, "_Batch", Build)
     monkeypatch.setattr(verify, "_VERDICTS", {})
-    return batched, scanned
+    return batched, built
 
 
 def _each_once(braces, *methods) -> Counter:
@@ -516,26 +519,28 @@ def _each_once(braces, *methods) -> Counter:
 
 
 def test_cor28_scans_each_corpus_brace_once(monkeypatch):
-    batched, scanned = _count_fast_scans(monkeypatch)
+    batched, built = _count_fast_scans(monkeypatch)
     report = verify_cor28_thm33(corpus_max=4, statements=("cor28",))["cor28"]
-    # the set-up classifies each corpus brace once by each method, and the
-    # classify cases read those verdicts; each product case scans its own
-    # product, of order 1 here
+    # the set-up classifies each corpus brace once by each method, in one
+    # batch per order, and the classify cases read those verdicts; each
+    # product case classifies its own product, of order 1 here
     products = [c for c in report.cases if c.case_id.startswith("cor28:")]
     assert products and all(c.info == "order=1 semiprime" for c in products)
-    assert batched == _each_once(standard_corpus(4), "fast", "exhaustive")
-    assert scanned == Counter({_tables(group_brace("c1", "trivial")): len(products)})
+    corpus = standard_corpus(4)
+    assert batched == _each_once(corpus, "fast", "exhaustive")
+    one = _tables(group_brace("c1", "trivial"))
+    assert built == Counter(_tables(B) for B in corpus) + Counter({one: len(products)})
 
 
 def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
     # both reports run the classify cases; the exhaustive work is done once
-    batched, _ = _count_fast_scans(monkeypatch)
+    batched, built = _count_fast_scans(monkeypatch)
     enumerated = Counter()
     real = ideals._batch_ideals
 
-    def counting(batch):
+    def counting(batch, principal):
         enumerated.update(_tables(B) for B in batch.braces)
-        return real(batch)
+        return real(batch, principal)
 
     monkeypatch.setattr(ideals, "_batch_ideals", counting)
     mapped = Counter()
@@ -553,20 +558,29 @@ def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
     assert batched == _each_once(standard_corpus(4), "fast", "exhaustive")
     assert enumerated == Counter(_tables(B) for B in standard_corpus(4))
     # both methods read one map table per brace (the order-1 products
-    # scan c1's tables again)
+    # classify c1's tables again)
     assert all(mapped[_tables(B)] == 1 for B in standard_corpus(4) if B.order > 1)
+    # each product case classifies its own product: c1 x c1 in cor28 and
+    # thm33, and the stand-in bases of A5at in thm33
+    A5at = group_brace("a5", "almost_trivial")
+    products = [group_brace("c1", "trivial")] * 2 + [
+        wreath_base(A5at, H)[0] for H in standard_corpus(4) if H.order <= 2]
+    assert [c.info for c in reports["thm33"].cases if c.case_id.startswith("thm33:standin:")] \
+        == [f"order={P.order} semiprime" for P in products[2:]]
+    assert built == Counter(_tables(B) for B in [*standard_corpus(4), *products])
 
 
 def test_lemma32_scans_each_corpus_brace_once(monkeypatch):
-    batched, scanned = _count_fast_scans(monkeypatch)
+    batched, built = _count_fast_scans(monkeypatch)
     one = group_brace("c1", "trivial")
     report = verify_lemma32(G=one, corpus_max=4)
     assert report.attempted == 9 and not report.counterexamples
     # the set-up classifies each corpus brace once (the bottom c1 is one
     # of them), and the lift cases read those verdicts; the base case
-    # scans the order-1 base
-    assert batched == _each_once(standard_corpus(4), "fast")
-    assert scanned == Counter({_tables(one): 1})
+    # classifies the order-1 base
+    corpus = standard_corpus(4)
+    assert batched == _each_once(corpus, "fast")
+    assert built == Counter(_tables(B) for B in corpus) + Counter({_tables(one): 1})
 
 
 def test_q34_items_search_each_add_table_once(monkeypatch):
