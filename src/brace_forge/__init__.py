@@ -34,7 +34,7 @@ from .ideals import (
     restrict,
     semiprime_verdicts,
 )
-from .groups import GroupSpec, group_table, parse_group_spec
+from .groups import GroupSpec, group_table, parse_group_spec, perm_composition
 from .products import (
     SigmaAction,
     WreathContext,
@@ -48,7 +48,7 @@ from .products import (
     wreath_base,
 )
 from .ybe import SolutionMap, check_braid, check_nondegenerate, solution_map
-from .autos import group_homomorphisms, perm_composition, sigma_actions, skew_automorphisms
+from .autos import group_homomorphisms, sigma_actions, skew_automorphisms
 from .corpus import (
     CORPUS_GROUPS,
     group_brace,

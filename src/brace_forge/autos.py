@@ -23,12 +23,12 @@ import math
 import numpy as np
 
 from .core import _BLOCK_ENTRIES, FiniteSkewBrace, PreconditionError, SizeCapExceeded, closure_generators
+from .groups import perm_composition
 from .products import SigmaAction
 
 __all__ = [
     "group_automorphisms",
     "skew_automorphisms",
-    "perm_composition",
     "group_homomorphisms",
     "sigma_actions",
 ]
@@ -76,24 +76,6 @@ def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
     cg = np.array(closure_generators(circ)[0], dtype=np.int64)
     keep = (P[:, circ[:, cg]] == circ[P[:, :, None], P[:, None, cg]]).all(axis=(1, 2))
     return list(P[keep])
-
-
-def perm_composition(perms: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Composition table of a closed set of permutations, given as a list
-    or as the rows of one array: entry [i, j] = index of perms[i] after
-    perms[j].  Each row is read as one opaque key; the composed keys are
-    looked up by one sort and one ``searchsorted``.  Raises
-    PreconditionError when the set is not closed."""
-    stacked = np.ascontiguousarray(perms)
-    k, n = stacked.shape
-    row = np.dtype((np.void, n * stacked.itemsize))
-    keys = stacked.view(row).ravel()
-    composed = stacked[:, stacked].reshape(k * k, n).view(row).ravel()   # row i*k + j is p_i[p_j]
-    order = np.argsort(keys)
-    index = order[np.minimum(np.searchsorted(keys[order], composed), k - 1)]
-    if not np.array_equal(keys[index], composed):
-        raise PreconditionError("permutations are not closed under composition")
-    return index.reshape(k, k)
 
 
 def group_homomorphisms(table: np.ndarray, perms: list[np.ndarray],

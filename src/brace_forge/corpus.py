@@ -22,8 +22,8 @@ from .core import (
     brace_from_tables,
     table_dtype,
 )
-from .autos import automorphism_array, group_automorphisms, perm_composition
-from .groups import GroupSpec, group_table, parse_group_spec
+from .autos import automorphism_array, group_automorphisms
+from .groups import GroupSpec, group_table, parse_group_spec, perm_composition
 
 __all__ = [
     "group_brace",

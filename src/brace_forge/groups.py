@@ -2,7 +2,8 @@
 
 Every table lives on {0..n-1} with the identity at index 0.  Permutation
 groups index their elements in lexicographic order of the permutation
-tuples, which puts the identity first automatically.  Direct products use
+tuples, which puts the identity first automatically, and their tables are
+the ``perm_composition`` of those tuples.  Direct products use
 mixed-radix indexing with the first factor most significant; the same
 pair formula, read lazily, is ``PairTable``, the table of a large product.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "dihedral_table",
     "symmetric_table",
     "alternating_table",
+    "perm_composition",
     "direct_product_table",
     "PairTable",
 ]
@@ -50,20 +52,29 @@ def dihedral_table(n: int) -> np.ndarray:
     return t
 
 
-def _perm_group_table(perms: list[tuple[int, ...]]) -> np.ndarray:
-    index = {p: k for k, p in enumerate(perms)}
-    size = len(perms)
-    t = np.zeros((size, size), dtype=table_dtype(size))
-    for a, p in enumerate(perms):
-        for b, q in enumerate(perms):
-            t[a, b] = index[tuple(p[x] for x in q)]   # apply q, then p
-    return t
+def perm_composition(perms: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Composition table of a closed set of permutations, given as a list
+    or as the rows of one array: entry [i, j] = index of perms[i] after
+    perms[j].  Each row is read as one opaque key; the composed keys are
+    looked up by one sort and one ``searchsorted``.  Raises
+    PreconditionError when the set is not closed."""
+    stacked = np.ascontiguousarray(perms)
+    k, n = stacked.shape
+    row = np.dtype((np.void, n * stacked.itemsize))
+    keys = stacked.view(row).ravel()
+    composed = stacked[:, stacked].reshape(k * k, n).view(row).ravel()   # row i*k + j is p_i[p_j]
+    order = np.argsort(keys)
+    index = order[np.minimum(np.searchsorted(keys[order], composed), k - 1)]
+    if not np.array_equal(keys[index], composed):
+        raise PreconditionError("permutations are not closed under composition")
+    return index.reshape(k, k)
 
 
 def symmetric_table(n: int) -> np.ndarray:
     if not 1 <= n <= 5:
         raise PreconditionError("symmetric group supported for 1 <= n <= 5")
-    return _perm_group_table(sorted(itertools.permutations(range(n))))
+    perms = sorted(itertools.permutations(range(n)))
+    return perm_composition(perms).astype(table_dtype(len(perms)))
 
 
 def _is_even(p: tuple[int, ...]) -> bool:
@@ -75,7 +86,7 @@ def alternating_table(n: int) -> np.ndarray:
     if not 1 <= n <= 5:
         raise PreconditionError("alternating group supported for 1 <= n <= 5")
     perms = sorted(p for p in itertools.permutations(range(n)) if _is_even(p))
-    return _perm_group_table(perms)
+    return perm_composition(perms).astype(table_dtype(len(perms)))
 
 
 def _pair_table(left: np.ndarray, right: np.ndarray, dt) -> np.ndarray:

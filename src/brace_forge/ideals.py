@@ -422,13 +422,18 @@ def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray
     by themselves), so all of an orbit has one principal ideal.
 
     Each row keeps its members M_t and frontier F_t (within M_t), seeded
-    with {0, reps[t]} and {reps[t]}, and a round does for all rows of a
-    block what a round of ``frontier_closure`` over ``_ideal_families``
-    does for one: one scatter of maps[b, :, f] over the frontier entries
-    f, and for each pair of a frontier entry f and a member m of its row
-    one gather each of f o m and m o f, which are scattered as well.  The
-    candidates outside M_t are the next F_t.  Rows never mix, so row t
-    reaches the fixed point of its own closure.
+    with {0, reps[t]} and {reps[t]}.  A round scatters, for all rows of a
+    block, maps[b, :, f] over the frontier entries f and f o m over each
+    pair of a frontier entry f and a member m of its row; the candidates
+    outside M_t are the next F_t.  Rows never mix, so row t reaches the
+    fixed point of its own closure.  That is the closure of
+    ``frontier_closure`` over ``_ideal_families``, whose families make
+    each candidate made here and m o f too, under which the fixed point is
+    closed as well.  It is closed under the maps, so under conjugation by
+    every element (``_orbit_maps``), and under a o c for members a, c: if
+    c came no later than a, a o c was scattered in a's round; if a came
+    earlier, a o c = a o (c o a) o a' is a conjugate of the c o a
+    scattered in c's round.
 
     a * c = lambda_a(c) - c with lambda_a(c) = -a + a o c, so a * c = 0
     exactly when a o c = a + c, and each round tests that both ways on
@@ -471,11 +476,9 @@ def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray
                 e += e0
                 f, r = F[e], rows[e]
                 fx, mx = base[e] + f, base[e] + m         # rows of the flat tables
-                fm, mf = circ[fx, m], circ[mx, f]
-                stopped[r[(fm != add[fx, m]) | (mf != add[mx, f])]] = True
-                r *= n
-                hit.reshape(-1)[r + fm] = True
-                hit.reshape(-1)[r + mf] = True
+                fm = circ[fx, m]
+                stopped[r[(fm != add[fx, m]) | (circ[mx, f] != add[mx, f])]] = True
+                hit.reshape(-1)[r * n + fm] = True
             if abort:
                 hit[stopped] = False
             frontier = hit > members              # hit and not a member

@@ -3,10 +3,13 @@ lemma31, lemma32, cor28, thm33, and q34 over the standard corpus.
 
 Every sweep builds a deterministic list of cases, runs them, and returns
 a SweepReport whose counterexamples carry the serialized inputs needed to
-replay them.  With ``jobs`` > 1 the cases are cut into contiguous chunks:
-this process runs the first and one ``os.fork`` worker runs each other
-chunk, and the results are joined in chunk order, so the output is
-byte-identical for any process count.
+replay them.  A case reads only its item: a sweep's set-up classifies
+the corpus with one ``semiprime_verdicts`` call and puts each verdict a
+case reads into that case's item.  The only state cases share is the
+lemma31 caches ``_BASE_MEMO`` and ``_g_ideals``.  With ``jobs`` > 1 the
+cases are cut into contiguous chunks: this process runs the first and
+one ``os.fork`` worker runs each other chunk, and the results are joined
+in chunk order, so the output is byte-identical for any process count.
 """
 
 from __future__ import annotations
@@ -195,9 +198,9 @@ def _run_items(items: list[tuple], jobs: int) -> list[CaseResult]:
     runs each chunk but the first, which this process runs while they
     work; then each worker's results are read from its own pipe, in chunk
     order, so the output is the same for any ``jobs``.  The workers
-    inherit the items and the memos by fork, so no item is pickled.  A
-    worker that fails raises ``BraceForgeError``.  However this function
-    exits, no worker outlives it: any still unreaped is killed and reaped.
+    inherit the items by fork, so no item is pickled.  A worker that
+    fails raises ``BraceForgeError``.  However this function exits, no
+    worker outlives it: any still unreaped is killed and reaped.
     """
     jobs = min(jobs, len(items), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if jobs <= 1:
@@ -245,29 +248,6 @@ def _sweep(statement: str, items: list[tuple], only: str | None, jobs: int,
             raise PreconditionError(f"no case matches id {only!r}")
     results = _run_items(items, jobs)
     return _assemble(statement, results, time.perf_counter() - t0, tuple(notes))
-
-
-# Semiprimality verdicts by (method, brace), computed once per process
-# (braces hash and compare by their tables).  A sweep's set-up fills it
-# with one ``semiprime_verdicts`` call before any worker is forked, so
-# every worker inherits it; what a worker adds stays in that worker.
-_VERDICTS: dict[tuple[str, FiniteSkewBrace], SemiprimeVerdict] = {}
-
-
-def _classify(braces, *methods: str) -> None:
-    """Put the verdicts by ``methods`` of each brace that lacks one into
-    ``_VERDICTS``, all from one ``semiprime_verdicts`` call."""
-    todo = [B for B in dict.fromkeys(braces) if any((m, B) not in _VERDICTS for m in methods)]
-    for method, verdicts in zip(methods, semiprime_verdicts(todo, methods)):
-        _VERDICTS.update(zip([(method, B) for B in todo], verdicts))
-
-
-def _verdict(B: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdict:
-    """The verdict of ``_VERDICTS``; a brace the set-up did not classify
-    is classified alone."""
-    if (method, B) not in _VERDICTS:
-        _classify([B], method)
-    return _VERDICTS[method, B]
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +327,22 @@ def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_
 # lemma32: base of a semiprime brace is semiprime; lifted witnesses
 # certify the converse direction on non-semiprime bottoms
 
-def _case_lemma32_base(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    W, _ = wreath_base(G, H)
-    verdict = is_semiprime(W, method="fast")
+def _product_case(case_id: str, P: FiniteSkewBrace, failure: str) -> CaseResult:
+    """A case that claims the product ``P`` is semiprime: it passes when fast
+    ``is_semiprime`` agrees, else fails with ``failure`` and the witness."""
+    verdict = is_semiprime(P, method="fast")
     if verdict.semiprime:
-        return CaseResult(case_id, True, f"order={W.order} semiprime")
-    return CaseResult(case_id, False, f"order={W.order} unexpectedly not semiprime",
+        return CaseResult(case_id, True, f"order={P.order} semiprime")
+    return CaseResult(case_id, False, f"order={P.order} {failure}",
                       witness=verdict.witness.sorted())
 
 
-def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    verdict = _verdict(G)
+def _case_lemma32_base(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
+    return _product_case(case_id, wreath_base(G, H)[0], "unexpectedly not semiprime")
+
+
+def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
+                       verdict: SemiprimeVerdict) -> CaseResult:
     if verdict.semiprime:
         return CaseResult(case_id, False, "expected a non-semiprime bottom brace")
     W, ctx = wreath_base(G, H)
@@ -390,8 +375,9 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
     if base_max is None:
         base_max = max_order()
     corpus = standard_corpus(corpus_max)
-    _classify([G, *corpus], "fast")
-    if not _verdict(G).semiprime:
+    braces = dict.fromkeys([G, *corpus])    # a G that is a corpus brace is classified once
+    verdicts = dict(zip(braces, semiprime_verdicts(braces, "fast")))
+    if not verdicts[G].semiprime:
         raise PreconditionError(f"{G.name or 'G'} is not semiprime")
     notes = []
     items = []
@@ -400,10 +386,8 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
     else:
         notes.append(f"base case skipped: {G.order}^{H.order} exceeds {base_max}")
     for B in corpus:
-        if B.order ** H.order > base_max:
-            continue
-        if not _verdict(B).semiprime:
-            items.append(("lemma32-lift", f"lemma32:lift:{B.name}:m{H.order}", B, H))
+        if B.order ** H.order <= base_max and not verdicts[B].semiprime:
+            items.append(("lemma32-lift", f"lemma32:lift:{B.name}:m{H.order}", B, H, verdicts[B]))
     return _sweep("lemma32", items, only, jobs, t0, notes)
 
 
@@ -411,9 +395,8 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
 # cor28 / thm33: semiprimality of semidirect and wreath products of
 # semiprime pairs, on top of a corpus-wide classification
 
-def _case_classify(case_id: str, B: FiniteSkewBrace) -> CaseResult:
-    fast = _verdict(B, "fast")
-    exhaustive = _verdict(B, "exhaustive")
+def _case_classification(case_id: str, B: FiniteSkewBrace, fast: SemiprimeVerdict,
+                         exhaustive: SemiprimeVerdict) -> CaseResult:
     if fast.semiprime != exhaustive.semiprime:
         return CaseResult(case_id, False, "fast and exhaustive verdicts disagree")
     if exhaustive.semiprime:
@@ -431,21 +414,12 @@ def _case_classify(case_id: str, B: FiniteSkewBrace) -> CaseResult:
 
 def _case_cor28(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
                 perms: np.ndarray, tag: int) -> CaseResult:
-    sd = semidirect(G, H, SigmaAction(G, H, perms))
-    verdict = is_semiprime(sd, method="fast")
-    if verdict.semiprime:
-        return CaseResult(case_id, True, f"order={sd.order} semiprime")
-    return CaseResult(case_id, False, f"order={sd.order} not semiprime under sigma {tag}",
-                      witness=verdict.witness.sorted())
+    return _product_case(case_id, semidirect(G, H, SigmaAction(G, H, perms)),
+                         f"not semiprime under sigma {tag}")
 
 
 def _case_thm33(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    W, _ = wreath(G, H)
-    verdict = is_semiprime(W, method="fast")
-    if verdict.semiprime:
-        return CaseResult(case_id, True, f"order={W.order} semiprime")
-    return CaseResult(case_id, False, f"order={W.order} not semiprime",
-                      witness=verdict.witness.sorted())
+    return _product_case(case_id, wreath(G, H)[0], "not semiprime")
 
 
 def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
@@ -460,11 +434,10 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
     the shared set-up plus the run of its own cases."""
     t0 = time.perf_counter()
     corpus = standard_corpus(corpus_max)
-    # a classify case of an order over the cap raises the cap error itself
-    _classify([B for B in corpus if B.order <= DEFAULT_IDEAL_CAP], "fast", "exhaustive")
-    _classify(corpus, "fast")
-    classify_items = [("classify", f"classify:{B.name}", B) for B in corpus]
-    semiprime_braces = [B for B in corpus if _verdict(B).semiprime]
+    fast, exhaustive = semiprime_verdicts(corpus, ("fast", "exhaustive"))
+    classify_items = [("classify", f"classify:{B.name}", B, f, e)
+                      for B, f, e in zip(corpus, fast, exhaustive)]
+    semiprime_braces = [B for B, f in zip(corpus, fast) if f.semiprime]
 
     notes = []
     cap = max_order()
@@ -532,8 +505,8 @@ def search_q34(max_g: int = 6, max_h: int = 4,
     ``max_h`` above 8 searches the same pairs as 8."""
     t0 = time.perf_counter()
     corpus = standard_corpus(DEFAULT_CORPUS_MAX)
-    _classify([B for B in corpus if B.order <= max_g], "fast")
-    gs = [B for B in corpus if B.order <= max_g and not _verdict(B).semiprime]
+    small = [B for B in corpus if B.order <= max_g]
+    gs = [B for B, v in zip(small, semiprime_verdicts(small, "fast")) if not v.semiprime]
     hs = [B for B in corpus if B.order <= max_h]
     cap = max_order()
     items = []
@@ -551,7 +524,7 @@ _CASE_FUNCS = {
     "lemma31": _case_lemma31,
     "lemma32-base": _case_lemma32_base,
     "lemma32-lift": _case_lemma32_lift,
-    "classify": _case_classify,
+    "classify": _case_classification,
     "cor28": _case_cor28,
     "thm33": _case_thm33,
     "q34": _case_q34,

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import brace_forge
 from brace_forge import PreconditionError, group_brace, semidirect, sigma_actions, wreath_base
+from brace_forge import autos
 from brace_forge.core import table_dtype
 from brace_forge.groups import (
     GroupSpec,
@@ -12,6 +16,7 @@ from brace_forge.groups import (
     direct_product_table,
     group_table,
     parse_group_spec,
+    perm_composition,
     symmetric_table,
 )
 
@@ -52,6 +57,21 @@ def test_alternating(n, order):
     t = alternating_table(n)
     assert t.shape == (order, order)
     assert oracles.is_group_table(t.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_permutation_tables_match_one_lookup_each(n):
+    """The symmetric and alternating tables are the composition tables of
+    their sorted permutations, entry for entry as one dict lookup per
+    composed permutation gives them, in the table dtype."""
+    perms = sorted(itertools.permutations(range(n)))
+    even = [p for p in perms
+            if sum(p[i] > p[j] for i, j in itertools.combinations(range(n), 2)) % 2 == 0]
+    for table, group in ((symmetric_table(n), perms), (alternating_table(n), even)):
+        want = oracles.perm_composition_lookup([np.array(p, dtype=np.int64) for p in group])
+        assert table.dtype == table_dtype(len(group))
+        assert np.array_equal(table, want)
+    assert autos.perm_composition is perm_composition is brace_forge.perm_composition
 
 
 def test_a5_has_no_normal_subgroups_seen_as_brace(A5at):

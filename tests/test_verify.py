@@ -28,6 +28,7 @@ from brace_forge import (
 from brace_forge import autos, ideals, verify
 from brace_forge.cli import main as cli_main
 from brace_forge.docio import parse_int_grid
+from brace_forge.ideals import DEFAULT_IDEAL_CAP, Ideal, SemiprimeVerdict
 from brace_forge.verify import (
     CaseResult,
     Counterexample,
@@ -405,9 +406,25 @@ class TestFailurePaths:
         assert [d.to_brace() == T2 for d in docs] == [True, True]
 
     def test_lift_case_rejects_semiprime_bottom(self, A5at, T2):
-        result = _case_lemma32_lift("lemma32:lift:A5at:m2", A5at, T2)
+        result = _case_lemma32_lift("lemma32:lift:A5at:m2", A5at, T2, is_semiprime(A5at))
         assert not result.ok
         assert result.info == "expected a non-semiprime bottom brace"
+
+    def test_classify_case_rejects_disagreeing_verdicts(self, R4):
+        fast = is_semiprime(R4, "fast")
+        exhaustive = SemiprimeVerdict(True, None, "exhaustive")
+        result = verify._dispatch(("classify", "classify:R4", R4, fast, exhaustive))
+        assert not result.ok
+        assert result.info == "fast and exhaustive verdicts disagree"
+        assert [d.to_brace() for d in parse_documents("".join(result.documents))] == [R4]
+
+    def test_classify_case_rejects_a_witness_that_is_not_an_ideal(self, R4):
+        assert not is_ideal(R4, [0, 1])[0]
+        fast = SemiprimeVerdict(False, Ideal(R4, frozenset({0, 1})), "fast")
+        exhaustive = is_semiprime(R4, "exhaustive")
+        result = verify._dispatch(("classify", "classify:R4", R4, fast, exhaustive))
+        assert not result.ok
+        assert (result.info, result.witness) == ("invalid witness via fast", (0, 1))
 
     def test_raising_case_replays_sigma(self, monkeypatch):
         def broken(*args):
@@ -442,8 +459,9 @@ def _case_items(R4, T2):
     return {
         "lemma31": ("lemma31", "lemma31:R4:T2", R4, T2),
         "lemma32-base": ("lemma32-base", "lemma32:base:R4:m2", R4, T2),
-        "lemma32-lift": ("lemma32-lift", "lemma32:lift:R4:m2", R4, T2),
-        "classify": ("classify", "classify:R4", R4),
+        "lemma32-lift": ("lemma32-lift", "lemma32:lift:R4:m2", R4, T2, is_semiprime(R4)),
+        "classify": ("classify", "classify:R4", R4, is_semiprime(R4),
+                     is_semiprime(R4, "exhaustive")),
         "cor28": ("cor28", "cor28:R4:T2:s1", R4, T2, perms, 1),
         "thm33": ("thm33", "thm33:R4:T2", R4, T2),
         "q34": ("q34", "q34:R4:T2:s1", R4, T2, perms, 1),
@@ -489,11 +507,10 @@ def _tables(brace):
 
 
 def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
-    """Count semiprimality checks by the tables they check, starting from
-    an empty per-process verdict memo: the braces of the sweeps' batches
-    (``semiprime_verdicts``), by method, and the braces of every
-    ``ideals._Batch`` built, the sweeps' batches and the single
-    ``is_semiprime`` checks alike."""
+    """Count semiprimality checks by the tables they check: the braces of
+    the sweeps' batches (``semiprime_verdicts``), by method, and the
+    braces of every ``ideals._Batch`` built, the sweeps' batches and the
+    single ``is_semiprime`` checks alike."""
     batched, built = Counter(), Counter()
     real_batch, real_build = verify.semiprime_verdicts, ideals._Batch
 
@@ -510,12 +527,18 @@ def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
 
     monkeypatch.setattr(verify, "semiprime_verdicts", batch)
     monkeypatch.setattr(ideals, "_Batch", Build)
-    monkeypatch.setattr(verify, "_VERDICTS", {})
     return batched, built
 
 
 def _each_once(braces, *methods) -> Counter:
     return Counter((method, _tables(B)) for method in methods for B in braces)
+
+
+@pytest.mark.parametrize("max_order", [1, 8, 60, 10**6])
+def test_standard_corpus_stays_below_the_ideal_cap(max_order):
+    # the cor28/thm33 set-up classifies the whole corpus both ways in one
+    # call, which an exhaustive verdict above the cap would make raise
+    assert max(B.order for B in standard_corpus(max_order)) <= DEFAULT_IDEAL_CAP
 
 
 def test_cor28_scans_each_corpus_brace_once(monkeypatch):
