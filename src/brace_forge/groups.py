@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PreconditionError, table_dtype
+from .core import PreconditionError, SizeCapExceeded, table_dtype
 
 __all__ = [
     "GroupSpec",
@@ -31,6 +31,8 @@ __all__ = [
     "direct_product_table",
     "PairTable",
 ]
+
+_COMPOSITION_LIMIT = 1 << 24   # sweeps compose at most 864,000 entries (A5at: 120 x 120 x 60)
 
 
 def cyclic_table(n: int) -> np.ndarray:
@@ -57,9 +59,13 @@ def perm_composition(perms: list[np.ndarray] | np.ndarray) -> np.ndarray:
     or as the rows of one array: entry [i, j] = index of perms[i] after
     perms[j].  Each row is read as one opaque key; the composed keys are
     looked up by one sort and one ``searchsorted``.  Raises
-    PreconditionError when the set is not closed."""
+    PreconditionError when the set is not closed, and SizeCapExceeded
+    before any gather when the k*k*n composed entries pass the limit."""
     stacked = np.ascontiguousarray(perms)
     k, n = stacked.shape
+    if k * k * n > _COMPOSITION_LIMIT:
+        raise SizeCapExceeded(f"composing {k} permutations of {n} points needs "
+                              f"{k * k * n} entries, above the limit {_COMPOSITION_LIMIT}")
     row = np.dtype((np.void, n * stacked.itemsize))
     keys = stacked.view(row).ravel()
     composed = stacked[:, stacked].reshape(k * k, n).view(row).ravel()   # row i*k + j is p_i[p_j]
@@ -89,19 +95,19 @@ def alternating_table(n: int) -> np.ndarray:
     return perm_composition(perms).astype(table_dtype(len(perms)))
 
 
-def _pair_table(left: np.ndarray, right: np.ndarray, dt) -> np.ndarray:
+def _pair_table(left, right, dt) -> np.ndarray:
     """The ``(n1*n2, n1*n2)`` table with entry [a1*n2 + a2, b1*n2 + b2]
     equal to left[a1, a2, b1] * n2 + right[a2, b2], in dtype ``dt``.
 
-    ``left`` has shape ``(n1, n2, n1)``, or ``(n1, 1, n1)`` when it does
-    not depend on a2; ``right`` is an ``(n2, n2)`` table, an array or a
-    ``PairTable``.  The sum is one broadcast add into a C-ordered
-    ``(n1, n2, n1, n2)`` array, whose reshape labels the pair (a1, a2) as
-    a1*n2 + a2.  The caller picks a ``dt`` that holds every entry.
+    ``left`` has shape ``(n1, n2, n1)``, or is ``(n1, n1)``, read as
+    left[a1, b1], when it does not depend on a2; ``right`` is ``(n2, n2)``.
+    Each is an array or a ``PairTable``.  The sum is one broadcast add into
+    a C-ordered ``(n1, n2, n1, n2)`` array, whose reshape labels the pair
+    (a1, a2) as a1*n2 + a2.  The caller picks a ``dt`` that holds every entry.
     """
     n1, n2 = left.shape[0], right.shape[0]
     out = np.empty((n1, n2, n1, n2), dt)
-    np.add((left.astype(dt) * n2)[..., None],
+    np.add((np.asarray(left, dt) * n2).reshape(n1, -1, n1, 1),
            np.asarray(right, dt)[None, :, None, :], out=out)
     return out.reshape(n1 * n2, n1 * n2)
 
@@ -112,12 +118,11 @@ class PairTable:
 
     ``t[x, y]`` splits each label into its pair, x = a1*n2 + a2 and
     y = b1*n2 + b2 (``divmod(x, n2)``), and returns
-    left[a1, a2, b1] * n2 + right[a2, b2] in dtype ``dt``, which is entry
-    [x, y] of ``_pair_table``.  Left is kept as n1*k rows of n1 entries
-    (k = n2, or 1 when it does not depend on a2), so the row of label x is
-    a1*n2 + a2 = x itself, or a1 = x // n2.  A negative label splits into
-    a1 < 0, so it wraps as a dense index does, and a label past the end
-    hits an ``IndexError``.
+    left[a1, a2, b1] * n2 + right[a2, b2] (left[a1, b1] for a 2-D left) in
+    dtype ``dt``, entry [x, y] of ``_pair_table``.  Left and right are kept
+    as given, so a ``PairTable`` factor stays lazy.  A negative label
+    splits into a1 < 0, so it wraps as a dense index does, and a label
+    past the end hits an ``IndexError``.
 
     The index forms are the ones the kernels use: a pair of ints;
     ``t[rows]``; ``t[a0:a1]``; ``t[:, S]``; ``t[S, :]``; ``t[:, g]``; and
@@ -126,20 +131,15 @@ class PairTable:
     ``np.asarray(t)`` builds the dense table, for readers of the whole of it.
     """
 
-    __slots__ = ("_left", "_right", "_k", "dtype", "shape")
+    __slots__ = ("_left", "_right", "dtype", "shape")
     ndim = 2
 
-    def __init__(self, left: np.ndarray, right: np.ndarray, dt):
-        n1, k, n2 = left.shape[0], left.shape[1], right.shape[0]
-        self._left = left.reshape(n1 * k, n1)
-        self._right = right
-        self._k = k
-        self.dtype = np.dtype(dt)
-        self.shape = (n1 * n2, n1 * n2)
+    def __init__(self, left, right, dt):
+        n = left.shape[0] * right.shape[0]
+        self._left, self._right, self.dtype, self.shape = left, right, np.dtype(dt), (n, n)
 
     def __array__(self, dtype=None, copy=None):
-        n1, n2 = self._left.shape[1], self._right.shape[0]
-        table = _pair_table(self._left.reshape(n1, self._k, n1), self._right, self.dtype)
+        table = _pair_table(self._left, self._right, self.dtype)
         return table if dtype is None else table.astype(dtype, copy=False)
 
     def _labels(self, index) -> tuple[np.ndarray, bool]:
@@ -163,10 +163,11 @@ class PairTable:
         elif y_slice:                        # and last after an array
             x = x[..., None]
         n2 = self._right.shape[0]
-        rows = x if self._k > 1 else x // n2
-        out = self._left[rows, y // n2].astype(self.dtype, copy=False)   # a fresh array
+        (a1, a2), (b1, b2) = np.divmod(x, n2), np.divmod(y, n2)
+        left = self._left[a1, b1] if self._left.ndim == 2 else self._left[a1, a2, b1]
+        out = np.asarray(left).astype(self.dtype, copy=False)   # a fresh array
         out *= n2
-        out += self._right[x % n2, y % n2]
+        out += self._right[a2, b2]
         return out[()] if out.ndim == 0 else out
 
 
@@ -180,8 +181,7 @@ def direct_product_table(*tables: np.ndarray) -> np.ndarray:
         raise PreconditionError("direct product needs at least one factor")
     result = tables[0]
     for t in tables[1:]:
-        result = _pair_table(result[:, None, :], t,
-                             table_dtype(result.shape[0] * t.shape[0]))
+        result = _pair_table(result, t, table_dtype(result.shape[0] * t.shape[0]))
     return result
 
 

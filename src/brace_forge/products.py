@@ -92,7 +92,7 @@ def validate_sigma(sigma: SigmaAction) -> list[tuple[int, str, tuple]]:
         if h == 0 and not np.array_equal(row, ident):
             bad.append((0, "identity-action", (int(np.flatnonzero(row != ident)[0]),)))
         for rule, table in tables:
-            diff = row[table] != table[np.ix_(row, row)]
+            diff = row[table] != table[row[:, None], row]
             if diff.any():
                 a, b = np.argwhere(diff)[0]
                 bad.append((h, rule, (int(a), int(b))))
@@ -110,10 +110,10 @@ def trivial_sigma(target: FiniteSkewBrace, source: FiniteSkewBrace) -> SigmaActi
     return SigmaAction(target, source, np.tile(np.arange(target.order), (source.order, 1)))
 
 
-def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
+def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray | None,
              name: str) -> FiniteSkewBrace:
     """G x|_sigma H on pairs (g, h) encoded as g*|H| + h, row h of ``perms``
-    being sigma(h), built without ``validate``:
+    being sigma(h) (the identity for None), built without ``validate``:
     (g1, h1) + (g2, h2) = (g1 + g2, h1 + h2) and
     (g1, h1) o (g2, h2) = (g1 o sigma(h1)(g2), h1 o h2).
 
@@ -126,32 +126,34 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
     -(g, h) = (-g, -h), (g, h)' = (sigma(h')(g'), h') and
     lambda_(g1, h1)(g2, h2) = (lambda_g1(sigma(h1)(g2)), lambda_h1(h2)).
 
-    Both tables are ``_pair_table(left, right)`` of the factors' tables:
-    the entry at [g1*m + h1, g2*m + h2] is left[g1, h1, g2]*m + right[h1, h2]
-    with left = G.add[:, None, :], right = H.add for +, and
-    left = G.circ[:, perms], right = H.circ for o.  Up to order
-    ``DEFAULT_IDEAL_CAP`` they are built dense; above it they are
-    ``PairTable``s, which keep only left and right and compute what a
-    kernel gathers.  A product above the cap is never enumerated, and its
-    fast verdict comes from a ``_Batch`` of its own (``ideals``), which
-    reads its tables at a few frontier x member pairs, so a dense build
-    there (two 25.9 MB tables at order 3600) would mostly go unread.  At
-    or below the cap a brace may be stacked with others, whose tables a
-    batch concatenates, and a build costs less than the extra work of
-    every lazy gather: with every product lazy, ``verify_lemma32()`` (306
-    of its 307 cases lift to products of order <= 64) took 0.14-0.19 s
-    instead of 0.10-0.13 s (ten runs each, on a 2-core host).
+    Both tables are ``_pair_table(left, right)`` of the factors' tables,
+    read in place: left = G.add, right = H.add for +, and left =
+    G.circ[:, perms] (G.circ for the identity), right = H.circ for o.  Up
+    to order ``DEFAULT_IDEAL_CAP`` they are built dense; above it they are
+    ``PairTable``s, which keep only left and right, a lazy factor's own
+    ``PairTable`` too, and compute what a kernel gathers.  A product
+    above the cap is never enumerated, and its fast verdict comes from a
+    ``_Batch`` of its own (``ideals``), which reads its tables at a few
+    frontier x member pairs, so a dense build there (two 25.9 MB tables
+    at order 3600) would mostly go unread.  At or below the cap a brace
+    may be stacked with others, whose tables a batch concatenates, and a
+    build costs less than the extra work of every lazy gather: with every
+    product lazy, ``verify_lemma32()`` (306 of its 307 cases lift to
+    products of order <= 64) took 0.14-0.19 s instead of 0.10-0.13 s (ten
+    runs each, on a 2-core host).
     """
     m = H.order
     n = G.order * m
     dt = table_dtype(n)
     table = _pair_table if n <= DEFAULT_IDEAL_CAP else PairTable
+    circ = G.circ if perms is None else G.circ[:, perms]
+    inv = G.inv[:, None] if perms is None else perms[H.inv, G.inv[:, None]]
     return FiniteSkewBrace(
         n,
-        table(np.asarray(G.add)[:, None, :], H.add, dt),
-        table(G.circ[:, perms], H.circ, dt),
+        table(G.add, H.add, dt),
+        table(circ, H.circ, dt),
         (G.neg.astype(dt)[:, None] * m + H.neg).ravel(),
-        (perms[H.inv, G.inv[:, None]].astype(dt) * m + H.inv).ravel(),
+        (inv.astype(dt) * m + H.inv).ravel(),
         name,
     )
 
@@ -216,8 +218,7 @@ def wreath_base(G: FiniteSkewBrace, H: FiniteSkewBrace) -> tuple[FiniteSkewBrace
     ctx = WreathContext(G.order, H.order)
     power = G
     for k in range(2, H.order + 1):
-        ident = np.zeros((G.order, 1), np.intp) + np.arange(power.order)
-        power = _product(power, G, ident, f"({G.name}^{k})")
+        power = _product(power, G, None, f"({G.name}^{k})")
     return power if H.order > 1 else G.with_name(f"({G.name}^1)"), ctx
 
 

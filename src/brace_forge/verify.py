@@ -5,11 +5,13 @@ Every sweep builds a deterministic list of cases, runs them, and returns
 a SweepReport whose counterexamples carry the serialized inputs needed to
 replay them.  A case reads only its item: a sweep's set-up classifies
 the corpus with one ``semiprime_verdicts`` call and puts each verdict a
-case reads into that case's item.  The only state cases share is the
-lemma31 caches ``_BASE_MEMO`` and ``_g_ideals``.  With ``jobs`` > 1 the
-cases are cut into contiguous chunks: this process runs the first and
-one ``os.fork`` worker runs each other chunk, and the results are joined
-in chunk order, so the output is byte-identical for any process count.
+case reads into that case's item; a cor28 or q34 item carries the
+``SigmaAction`` that ``sigma_actions`` built.  The only state cases
+share is the lemma31 caches ``_BASE_MEMO`` and ``_g_ideals``.  With
+``jobs`` > 1 the cases are cut into contiguous chunks: this process runs
+the first and one ``os.fork`` worker runs each other chunk, and the
+results are joined in chunk order, so the output is byte-identical for
+any process count.
 """
 
 from __future__ import annotations
@@ -145,8 +147,9 @@ def _dispatch(item: tuple) -> CaseResult:
         result = CaseResult(case_id, False, f"raised {type(exc).__name__}: {exc}")
     if result.ok:
         return result
-    docs = tuple(serialize_document(arg) if isinstance(arg, FiniteSkewBrace) else _sigma_text(arg)
-                 for arg in item[2:] if isinstance(arg, (FiniteSkewBrace, np.ndarray)))
+    docs = tuple(serialize_document(arg) if isinstance(arg, FiniteSkewBrace)
+                 else _sigma_text(arg.perms)
+                 for arg in item[2:] if isinstance(arg, (FiniteSkewBrace, SigmaAction)))
     return dataclasses.replace(result, documents=docs)
 
 
@@ -391,6 +394,17 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
     return _sweep("lemma32", items, only, jobs, t0, notes)
 
 
+def _action_items(kind: str, pairs: list[tuple[FiniteSkewBrace, FiniteSkewBrace]],
+                  budget: int) -> list[tuple]:
+    """One ``kind`` item per action of ``sigma_actions(G, H, budget)``, for
+    each pair whose product is within ``max_order()``, pair by pair: the
+    case id, G, H, the ``SigmaAction`` and its index."""
+    cap = max_order()
+    return [(kind, f"{kind}:{G.name}:{H.name}:s{i}", G, H, act, i)
+            for G, H in pairs if G.order * H.order <= cap
+            for i, act in enumerate(sigma_actions(G, H, budget=budget))]
+
+
 # ---------------------------------------------------------------------------
 # cor28 / thm33: semiprimality of semidirect and wreath products of
 # semiprime pairs, on top of a corpus-wide classification
@@ -413,9 +427,8 @@ def _case_classification(case_id: str, B: FiniteSkewBrace, fast: SemiprimeVerdic
 
 
 def _case_cor28(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
-                perms: np.ndarray, tag: int) -> CaseResult:
-    return _product_case(case_id, semidirect(G, H, SigmaAction(G, H, perms)),
-                         f"not semiprime under sigma {tag}")
+                sigma: SigmaAction, tag: int) -> CaseResult:
+    return _product_case(case_id, semidirect(G, H, sigma), f"not semiprime under sigma {tag}")
 
 
 def _case_thm33(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
@@ -446,16 +459,10 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
         notes.append("only order-1 semiprime braces exist at order <= "
                      f"{corpus_max}; the order-60 stand-in exercises the wreath path")
 
-    cor_items = []
-    thm_items = []
-    for G in semiprime_braces:
-        for H in semiprime_braces:
-            if "cor28" in statements and G.order * H.order <= cap:
-                for i, act in enumerate(sigma_actions(G, H, budget=sigma_budget)):
-                    cor_items.append(("cor28", f"cor28:{G.name}:{H.name}:s{i}",
-                                      G, H, np.asarray(act.perms), i))
-            if "thm33" in statements and G.order ** H.order * H.order <= cap:
-                thm_items.append(("thm33", f"thm33:{G.name}:{H.name}", G, H))
+    pairs = [(G, H) for G in semiprime_braces for H in semiprime_braces]
+    cor_items = _action_items("cor28", pairs, sigma_budget) if "cor28" in statements else []
+    thm_items = [("thm33", f"thm33:{G.name}:{H.name}", G, H) for G, H in pairs
+                 if "thm33" in statements and G.order ** H.order * H.order <= cap]
     if "thm33" in statements and only_order_one:
         A5at = group_brace("a5", "almost_trivial", name="A5at")
         for H in corpus:
@@ -481,8 +488,8 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
 # q34: search for a semiprime semidirect product over a non-semiprime G
 
 def _case_q34(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
-              perms: np.ndarray, tag: int) -> CaseResult:
-    sd = semidirect(G, H, SigmaAction(G, H, perms))
+              sigma: SigmaAction, tag: int) -> CaseResult:
+    sd = semidirect(G, H, sigma)
     fast = is_semiprime(sd, method="fast")
     if not fast.semiprime:
         return CaseResult(case_id, True,
@@ -508,15 +515,7 @@ def search_q34(max_g: int = 6, max_h: int = 4,
     small = [B for B in corpus if B.order <= max_g]
     gs = [B for B, v in zip(small, semiprime_verdicts(small, "fast")) if not v.semiprime]
     hs = [B for B in corpus if B.order <= max_h]
-    cap = max_order()
-    items = []
-    for G in gs:
-        for H in hs:
-            if G.order * H.order > cap:
-                continue
-            for i, act in enumerate(sigma_actions(G, H, budget=sigma_budget)):
-                items.append(("q34", f"q34:{G.name}:{H.name}:s{i}",
-                              G, H, np.asarray(act.perms), i))
+    items = _action_items("q34", [(G, H) for G in gs for H in hs], sigma_budget)
     return _sweep("q34", items, only, jobs, t0, ())
 
 

@@ -259,6 +259,17 @@ def test_corpus_bad_group(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("group,order", [("c2xc2xc2xc2", 16), ("c3xc3xc3", 27),
+                                         ("c2xc2xc2xc4", 32), ("c4xc4xc4", 64)])
+def test_corpus_group_with_many_automorphisms_is_refused(capsys, group, order):
+    # composing their 11,232 to 86,016 automorphisms would gather 3.4e9 to
+    # 4.7e11 entries; the size check refuses it before the gather
+    assert main(["corpus", "enumerate", "--group", group, "--max-order", str(order)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: composing ") and captured.err.count("\n") == 1
+
+
 def test_verify_lemma31_single_case(capsys):
     assert main(["verify", "lemma31", "--only", "lemma31:R4:T2"]) == 0
     captured = capsys.readouterr()

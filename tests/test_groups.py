@@ -165,36 +165,40 @@ def test_bounds():
         dihedral_table(0)
 
 
-def _pair_tables(A5at):
-    """The tables of a nontrivial-sigma A5at x| A5at and of A5at^2, both
-    above the ideal cap, so both lazy."""
+def _pair_tables(A5at, A4at):
+    """The tables of a nontrivial-sigma A5at x| A5at, of A5at^2 and of
+    A4at^3, all above the ideal cap, so all lazy; A4at^3 (order 1728) is
+    a product over the lazy A4at^2 (order 144), whose tables it keeps."""
     act = sigma_actions(A5at, A5at, budget=2)[1]
     assert (np.asarray(act.perms) != np.arange(60)).any()
-    braces = [semidirect(A5at, A5at, act), wreath_base(A5at, group_brace("c2", "trivial"))[0]]
+    assert isinstance(wreath_base(A4at, group_brace("c2", "trivial"))[0].add, PairTable)
+    braces = [semidirect(A5at, A5at, act), wreath_base(A5at, group_brace("c2", "trivial"))[0],
+              wreath_base(A4at, group_brace("c3", "trivial"))[0]]
     return [t for b in braces for t in (b.add, b.circ)]
 
 
-def test_pair_table_gathers_match_the_dense_table(A5at):
+def test_pair_table_gathers_match_the_dense_table(A5at, A4at):
     rng = np.random.default_rng(5)
-    for t in _pair_tables(A5at):
+    for t in _pair_tables(A5at, A4at):
         assert isinstance(t, PairTable)
         dense = np.asarray(t)
-        assert dense.dtype == t.dtype == np.int16 and t.shape == dense.shape == (3600, 3600)
-        assert t.ndim == 2
-        R, S = rng.integers(0, 3600, 7), rng.integers(0, 3600, 5)
-        R2, S2 = rng.integers(0, 3600, (3, 4)), rng.integers(0, 3600, (2, 60))
-        for key in [(17, 3599), (np.int64(3599), 0), (-1, -3600), R, R2, slice(100, 140),
-                    slice(3590, None), (slice(None), S), (slice(None), S2), (R, slice(None)),
+        n = t.shape[0]
+        assert dense.dtype == t.dtype == np.int16 and t.shape == dense.shape == (n, n)
+        assert n in (3600, 1728) and t.ndim == 2
+        R, S = rng.integers(0, n, 7), rng.integers(0, n, 5)
+        R2, S2 = rng.integers(0, n, (3, 4)), rng.integers(0, n, (2, 60))
+        for key in [(17, n - 1), (np.int64(n - 1), 0), (-1, -n), R, R2, slice(100, 140),
+                    slice(n - 10, None), (slice(None), S), (slice(None), S2), (R, slice(None)),
                     (slice(None), 42), np.ix_(R, S), (R[:, None], S), (R2[:, :, None], R2[:, None, :]),
                     (R2, 9), (slice(5, 9), slice(None))]:
             got, want = t[key], dense[key]
             assert got.shape == want.shape and got.dtype == want.dtype, key
             assert np.array_equal(got, want), key
-        assert np.isscalar(t[17, 3599])
+        assert np.isscalar(t[17, n - 1])
 
 
-def test_pair_table_rejects_other_indices(A5at):
-    t = _pair_tables(A5at)[1]
+def test_pair_table_rejects_other_indices(A5at, A4at):
+    t = _pair_tables(A5at, A4at)[1]
     for key in [None, Ellipsis, (Ellipsis, 0), (slice(None), None), np.ones(3600, dtype=bool),
                 (0, np.zeros(3600, dtype=bool)), [1, 2], True, 1.0, (1, 2, 3)]:
         with pytest.raises(TypeError):

@@ -329,6 +329,26 @@ def test_wreath_base_semiprime_scan_stays_within_two_tables(A5at, T2):
     assert peak < 2.5 * W.order ** 2 * W.add.dtype.itemsize, peak
 
 
+def test_a5at_cube_is_built_over_its_lazy_factor(monkeypatch, A5at):
+    # A5at^3 (order 216,000) is a product over the lazy A5at^2 that reads
+    # both factors' tables in place: its build stays far below one dense
+    # int32 table of its own (187 GB), and its entries are the pointwise ones
+    monkeypatch.setenv("BRACE_FORGE_MAX_ORDER", "216000")
+    tracemalloc.start()
+    try:
+        W, ctx = wreath_base(A5at, group_brace("c3", "trivial"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.order == 216000 and peak < 16e6, peak
+    x, y = np.random.default_rng(7).integers(0, W.order, (2, 1000))
+    dx, dy = (np.array([ctx.decode(int(v)) for v in z]) for z in (x, y))
+    for op in ("add", "circ"):
+        want = getattr(A5at, op)[dx, dy] @ ctx.weights     # digit by digit
+        assert np.array_equal(getattr(W, op)[x, y], want), op
+    assert is_semiprime(W, method="fast").semiprime
+
+
 def test_products_never_validate(monkeypatch, R4, T2, S3at):
     def refuse(*args, **kwargs):
         raise AssertionError("a product called validate")

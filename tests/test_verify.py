@@ -12,6 +12,7 @@ import pytest
 from brace_forge import (
     FiniteSkewBrace,
     PreconditionError,
+    SigmaAction,
     SweepReport,
     group_brace,
     is_ideal,
@@ -432,7 +433,8 @@ class TestFailurePaths:
 
         monkeypatch.setitem(verify._CASE_FUNCS, "q34", broken)
         one = group_brace("c1", "trivial", name="c1#0")
-        result = verify._dispatch(("q34", "q34:c1#0:c1#0:s0", one, one, np.array([[0]]), 0))
+        result = verify._dispatch(("q34", "q34:c1#0:c1#0:s0", one, one,
+                                   SigmaAction(one, one, [[0]]), 0))
         assert not result.ok
         assert result.info == "raised ValueError: bad action"
         assert len(result.documents) == 3
@@ -443,7 +445,7 @@ class TestFailurePaths:
         # finding (exhaustively confirmed), not hide
         one = group_brace("c1", "trivial", name="c1#0")
         result = verify._dispatch(("q34", "q34:c1#0:c1#0:s0", one, one,
-                                   np.array([[0]]), 0))
+                                   SigmaAction(one, one, [[0]]), 0))
         assert not result.ok
         assert "SEMIPRIME (exhaustively confirmed) - counterexample" in result.info
         assert len(result.documents) == 3
@@ -455,16 +457,16 @@ class TestFailurePaths:
 
 def _case_items(R4, T2):
     """One item of every case kind, in the layout its sweep builds."""
-    perms = np.array([[0, 1, 2, 3], [0, 3, 2, 1]])
+    sigma = SigmaAction(R4, T2, [[0, 1, 2, 3], [0, 3, 2, 1]])
     return {
         "lemma31": ("lemma31", "lemma31:R4:T2", R4, T2),
         "lemma32-base": ("lemma32-base", "lemma32:base:R4:m2", R4, T2),
         "lemma32-lift": ("lemma32-lift", "lemma32:lift:R4:m2", R4, T2, is_semiprime(R4)),
         "classify": ("classify", "classify:R4", R4, is_semiprime(R4),
                      is_semiprime(R4, "exhaustive")),
-        "cor28": ("cor28", "cor28:R4:T2:s1", R4, T2, perms, 1),
+        "cor28": ("cor28", "cor28:R4:T2:s1", R4, T2, sigma, 1),
         "thm33": ("thm33", "thm33:R4:T2", R4, T2),
-        "q34": ("q34", "q34:R4:T2:s1", R4, T2, perms, 1),
+        "q34": ("q34", "q34:R4:T2:s1", R4, T2, sigma, 1),
     }
 
 
@@ -493,7 +495,7 @@ def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
     else:
         assert (result.info, result.witness) == ("stub", (0, 2))
     braces = [a for a in item[2:] if isinstance(a, FiniteSkewBrace)]
-    tables = [a for a in item[2:] if isinstance(a, np.ndarray)]
+    tables = [a.perms for a in item[2:] if isinstance(a, SigmaAction)]
     assert len(result.documents) == len(braces) + len(tables)
     docs = parse_documents("".join(result.documents[:len(braces)]))
     assert [(d.name, d.to_brace()) for d in docs] == [(b.name, b) for b in braces]
@@ -624,6 +626,21 @@ def test_q34_items_search_each_add_table_once(monkeypatch):
     assert max(searched.values()) == 1
     adds = {(G.add.dtype.str, G.add.tobytes()) for _, _, G, *_ in captured}
     assert adds <= set(searched)
+
+
+def test_q34_builds_each_action_once(monkeypatch):
+    # the item carries the SigmaAction that sigma_actions built, and the
+    # case acts with it: one construction per case
+    built = []
+    real = SigmaAction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(SigmaAction, "__post_init__", counting)
+    report = search_q34(max_g=8, max_h=2)
+    assert report.attempted == len(built) == 1467
 
 
 def test_report_invariant_enforced():
