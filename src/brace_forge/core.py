@@ -537,12 +537,37 @@ def _check_index(n: int, value: int, what: str = "index") -> int:
 
 
 def normalize_members(n: int, members: Iterable[int]) -> np.ndarray:
-    """Sorted unique member array, range-checked against the carrier."""
-    arr = sorted_unique(np.fromiter((int(m) for m in members), dtype=np.int64))
-    if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        bad = arr[0] if arr[0] < 0 else arr[-1]
-        raise PreconditionError(f"member {bad} out of range 0..{n - 1}")
+    """Sorted unique member array, range-checked against the carrier
+    (``_member_labels``)."""
+    return sorted_unique(_member_labels(n, members))
+
+
+def _member_labels(n: int, members: Iterable[int]) -> np.ndarray:
+    """The members as an int64 array, in the order given, range-checked
+    against the carrier.  A member that is not an integer (2.9, say)
+    raises ``PreconditionError``; an integral value such as 2.0 is taken
+    as 2.  A 1-d integer array is taken as it is, without a loop over its
+    entries."""
+    if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "iu":
+        arr = members.astype(np.int64)
+    else:
+        arr = np.fromiter(map(_member, members), dtype=np.int64)
+    if arr.size:
+        lo, hi = arr.min(), arr.max()
+        if lo < 0 or hi >= n:
+            raise PreconditionError(f"member {lo if lo < 0 else hi} out of range 0..{n - 1}")
     return arr
+
+
+def _member(value) -> int:
+    """``value`` as an int, when it is one."""
+    try:
+        v = int(value)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v != value:
+        raise PreconditionError(f"member {value} is not an integer")
+    return v
 
 
 def sorted_unique(arr: np.ndarray) -> np.ndarray:

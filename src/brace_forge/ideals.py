@@ -8,6 +8,7 @@ additive closure and normality, which downstream code relies on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,6 +18,7 @@ from .core import (
     FiniteSkewBrace,
     PreconditionError,
     SizeCapExceeded,
+    _member_labels,
     _row_blocks,
     brace_from_tables,
     closure_generators,
@@ -72,31 +74,69 @@ def is_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> tuple[bool, str 
     """Decide whether ``members`` is an ideal; returns (flag, first failed rule).
 
     Rules are checked in the fixed order circ-subgroup, circ-normality,
-    lambda-invariance, coset-symmetry.
+    lambda-invariance, coset-symmetry.  A batch of one of ``_failed_rules``.
     """
     n = brace.order
-    S = normalize_members(n, members)
-    mask = np.zeros(n, dtype=bool)
-    mask[S] = True
-    if not S.size or not mask[0]:
-        return False, "circ-subgroup"
-    if not (mask[brace.circ[S[:, None], S]].all() and mask[brace.inv[S]].all()):
-        return False, "circ-subgroup"
-    conj = brace.circ[brace.circ[:, S], brace.inv[:, None]]
-    if not mask[conj].all():
-        return False, "circ-normality"
-    if not mask[lam_block(brace, np.arange(n), S)].all():
-        return False, "lambda-invariance"
-    left = np.sort(brace.add[:, S], axis=1)       # row a: a + I
-    right = np.sort(brace.add[S, :].T, axis=1)    # row a: I + a
-    if not np.array_equal(left, right):
-        return False, "coset-symmetry"
-    return True, None
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, normalize_members(n, members)] = True
+    rule = _failed_rules(_Tables([brace]), np.zeros(1, dtype=np.int64), mask)[0]
+    return rule is None, rule
+
+
+def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list[str | None]:
+    """The first rule of ``IDEAL_RULES`` that each row fails, or None for
+    an ideal: row r of the (R, n) bool ``masks`` is a member set of brace
+    owner[r] of ``tables``.
+
+    Every rule is a membership test over the members s of a row and,
+    for the last three, every label a:
+
+    - circ-subgroup: 0, s o t and s' are members;
+    - circ-normality: a o s o a' is a member;
+    - lambda-invariance: lambda_a(s) = -a + a o s is a member;
+    - coset-symmetry: (a + s) - a is a member.  That is a + I within
+      I + a, since x is in I + a exactly when x - a is in I; both sets
+      have |I| elements (a row and a column of ``add`` are permutations),
+      so it is a + I = I + a.
+
+    Only the member columns are gathered.  A block of ``_row_blocks``
+    rows holds about ``_BLOCK_ENTRIES`` entries (R n K for K members a
+    row), and each row's members fill a row of an (R, K) label table
+    padded with 0 up to the block's largest row.  A row holding 0 only
+    repeats a member, which changes no membership test.  A row without 0
+    fails circ-subgroup whatever the padding gives, and so does an empty
+    row.  The four rules are decided for every row of a block at once.
+    """
+    n, add, circ, neg, inv = tables.n, tables.add, tables.circ, tables.neg, tables.inv
+    sizes = masks.sum(axis=1)
+    first = np.empty(len(masks), dtype=np.int64)
+    for r0, r1 in _row_blocks(n, len(masks), n * max(1, int(sizes.max(initial=1)))):
+        m, k, R = masks[r0:r1], sizes[r0:r1], r1 - r0
+        rows, cols = np.nonzero(m)                              # row-major: ascending members
+        S = np.zeros((R, max(1, int(k.max()))), dtype=np.int64)
+        S[rows, np.arange(rows.size) - (np.cumsum(k) - k)[rows]] = cols
+        base = owner[r0:r1, None, None] * n                     # each row's brace in the flat tables
+        at = np.arange(R)[:, None, None] * n                    # each row in the flat masks
+
+        def inside(x):                                          # whether all of x is in its row
+            return m.reshape(-1)[at + x].reshape(R, -1).all(axis=1)
+
+        a = base + np.arange(n)[:, None]                        # (R, n, 1): every label
+        s = S[:, None, :]                                       # (R, 1, K): the members
+        a_s = circ[a, s]                                        # a o s
+        fails = np.ones((len(IDEAL_RULES) + 1, R), dtype=bool)
+        fails[0] = ~m[:, 0] | ~inside(circ[base + S[:, :, None], s]) | ~inside(inv[base + s])
+        fails[1] = ~inside(circ[base + a_s, inv[a]])
+        fails[2] = ~inside(add[base + neg[a], a_s])
+        fails[3] = ~inside(add[base + add[a, s], neg[a]])
+        first[r0:r1] = fails.argmax(axis=0)
+    rules = (*IDEAL_RULES, None)
+    return [rules[i] for i in first.tolist()]
 
 
 def as_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> Ideal:
     """Wrap a member set as an Ideal after verifying it; raises otherwise."""
-    S = frozenset(int(m) for m in members)
+    S = frozenset(normalize_members(brace.order, members).tolist())
     ok, rule = is_ideal(brace, S)
     if not ok:
         raise PreconditionError(f"{fmt_members(S)} is not an ideal (fails {rule})")
@@ -109,7 +149,7 @@ def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
     a -> maps[i, a]: a -> a', and for each generator g the maps lambda_g
     and a -> g o a o g' (g a greedy generator of (A, o),
     ``closure_generators``) and a -> g + a - g (g a greedy generator of
-    (A, +)).
+    (A, +)).  The rows are ``_circle_maps``, then ``_additive_maps``.
 
     A set closed under these maps is closed under lambda_x,
     a -> x o a o x' and a -> x + a - x for every x.  lambda_{x o y} =
@@ -121,15 +161,27 @@ def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
     and so orbits, principal ideals, ideal lists and their order, and
     witnesses are those of the maps by every x.
     """
-    add, circ, neg, inv = brace.add, brace.circ, brace.neg, brace.inv
+    return np.concatenate([_circle_maps(brace), _additive_maps(brace.add, brace.neg)])
+
+
+def _circle_maps(brace: FiniteSkewBrace) -> np.ndarray:
+    """The rows a -> a', lambda_g and a -> g o a o g' of ``_orbit_maps``."""
+    circ, inv = brace.circ, brace.inv
     cg = np.array(closure_generators(circ)[0], dtype=np.int64)
-    ag = np.array(closure_generators(add)[0], dtype=np.int64)
     return np.concatenate([
         inv[None, :],
         lam_block(brace, cg, np.arange(brace.order)),   # lambda_g
         circ[circ[cg], inv[cg][:, None]],         # g o a o g^-1
-        add[add[ag], neg[ag][:, None]],           # g + a - g
     ])
+
+
+def _additive_maps(add, neg) -> np.ndarray:
+    """The rows a -> g + a - g of ``_orbit_maps``, g a greedy generator
+    of (A, +).  They read ``add`` and ``neg`` alone, and ``neg`` is read
+    off ``add`` (-g is the x with g + x = 0), so braces with one additive
+    table have one additive half."""
+    ag = np.array(closure_generators(add)[0], dtype=np.int64)
+    return add[add[ag], neg[ag][:, None]]
 
 
 def _stacked_maps(braces: list[FiniteSkewBrace]) -> np.ndarray:
@@ -137,12 +189,22 @@ def _stacked_maps(braces: list[FiniteSkewBrace]) -> np.ndarray:
     (B, K, n) array, each padded to K rows with the identity map.  The
     identity fixes every set, so the padding changes no orbit and no
     closure: its images of a frontier are members already, and in
-    ``_orbit_representatives`` it maps label[a] to itself."""
-    tables = [_orbit_maps(b) for b in braces]
-    if len(tables) == 1:
-        return tables[0][None]
+    ``_orbit_representatives`` it maps label[a] to itself.
+
+    The additive half (``_additive_maps``) is made once per distinct
+    additive table: the corpus braces of one order share a few, and all
+    products of one pair (G, H) share one."""
+    if len(braces) == 1:
+        return _orbit_maps(braces[0])[None]
+    additive = {}
+    tables = []
+    for b in braces:
+        key = b.add.tobytes()
+        if key not in additive:
+            additive[key] = _additive_maps(b.add, b.neg)
+        tables.append(np.concatenate([_circle_maps(b), additive[key]]))
     n, k = braces[0].order, max(len(t) for t in tables)
-    maps = np.broadcast_to(np.arange(n), (len(tables), k, n)).copy()
+    maps = np.broadcast_to(np.arange(n, dtype=tables[0].dtype), (len(tables), k, n)).copy()
     for b, t in enumerate(tables):
         maps[b, :len(t)] = t
     return maps
@@ -175,19 +237,30 @@ def _check_ideal_cap(n: int) -> None:
         raise SizeCapExceeded(f"order {n} exceeds the ideal enumeration cap {DEFAULT_IDEAL_CAP}")
 
 
-class _Batch:
+class _Tables:
     """Braces of one order n on a leading brace axis: add and circ as flat
-    (B * n, n) tables, row b * n + a the row of label a in brace b,
-    ``_stacked_maps``, and the (brace, representative) pairs ``owner`` and
-    ``reps`` of ``_orbit_representatives``.  A batch of one reads its
+    (B * n, n) tables and neg and inv as flat (B * n,) arrays, row
+    b * n + a the row of label a in brace b.  A stack of one reads its
     brace's own tables, so a ``groups.PairTable`` is never made dense."""
 
     def __init__(self, braces: list[FiniteSkewBrace]):
         self.braces = braces
         self.n = braces[0].order
-        one = len(braces) == 1
-        self.add = braces[0].add if one else np.concatenate([b.add for b in braces])
-        self.circ = braces[0].circ if one else np.concatenate([b.circ for b in braces])
+        names = ("add", "circ", "neg", "inv")
+        if len(braces) == 1:
+            tables = [getattr(braces[0], t) for t in names]
+        else:
+            tables = [np.concatenate([getattr(b, t) for b in braces]) for t in names]
+        self.add, self.circ, self.neg, self.inv = tables
+
+
+class _Batch(_Tables):
+    """``_Tables`` with the ``_stacked_maps`` of its braces and the
+    (brace, representative) pairs ``owner`` and ``reps`` of
+    ``_orbit_representatives``."""
+
+    def __init__(self, braces: list[FiniteSkewBrace]):
+        super().__init__(braces)
         self.maps = _stacked_maps(braces)
         self.owner, self.reps = _orbit_representatives(self.maps)
 
@@ -488,18 +561,40 @@ def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray
     return masks, vanish
 
 
-def _stars_vanish(batch: _Batch, owner: np.ndarray, masks: np.ndarray) -> np.ndarray:
+def _stars_vanish(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """(R,) bool: whether a * c = 0 for all members a, c of row r, a set
-    of brace owner[r] of the batch: whether a o c = a + c for all of them
-    (``_principal_masks``).  Blocks of ``_row_blocks(n, R)`` rows gather
-    about 2^20 entries."""
-    n = batch.n
-    differ = (batch.add != batch.circ).reshape(-1, n, n)     # a o c != a + c
+    of brace owner[r] of ``tables``: whether a o c = a + c for all of
+    them (``_principal_masks``).  Blocks of ``_row_blocks(n, R)`` rows
+    gather about 2^20 entries."""
+    n = tables.n
+    differ = (tables.add != tables.circ).reshape(-1, n, n)     # a o c != a + c
     vanish = np.empty(len(masks), dtype=bool)
     for r0, r1 in _row_blocks(n, len(masks)):
         m = masks[r0:r1]
         vanish[r0:r1] = ~(differ[owner[r0:r1]] & m[:, :, None] & m[:, None, :]).any(axis=(1, 2))
     return vanish
+
+
+def _vanishing_ideals(pairs: list[tuple[FiniteSkewBrace, Iterable[int]]]) -> list[bool]:
+    """For each (brace, members), braces within the ideal cap: whether the
+    members form an ideal with I * I = 0, from one ``_failed_rules`` call
+    and one ``_stars_vanish`` call per order.  A member out of range
+    raises ``PreconditionError``, as in ``is_ideal``."""
+    by_order: dict[int, list[int]] = {}
+    for i, (brace, _) in enumerate(pairs):
+        by_order.setdefault(brace.order, []).append(i)
+    good = [False] * len(pairs)
+    for n, index in by_order.items():
+        owner = np.arange(len(index))
+        sets = [list(pairs[i][1]) for i in index]
+        masks = np.zeros((len(index), n), dtype=bool)
+        masks[np.repeat(owner, [len(m) for m in sets]),
+              _member_labels(n, itertools.chain.from_iterable(sets))] = True
+        tables = _Tables([pairs[i][0] for i in index])
+        ideal = np.array([rule is None for rule in _failed_rules(tables, owner, masks)])
+        for i, ok in zip(index, ideal & _stars_vanish(tables, owner, masks)):
+            good[i] = bool(ok)
+    return good
 
 
 def is_semiprime(brace: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdict:

@@ -12,12 +12,21 @@ share is the lemma31 caches ``_BASE_MEMO`` and ``_g_ideals``.  With
 the first and one ``os.fork`` worker runs each other chunk, and the
 results are joined in chunk order, so the output is byte-identical for
 any process count.
+
+A case kind has either a case function (``_CASE_FUNCS``), called once
+per item, or a batch function (``_BATCH_FUNCS``: classify, cor28 and
+q34), called with each maximal run of consecutive items of its kind
+within a chunk and returning one result per item.  A kind's single
+case is its batch of one, so each kind has one body, and a batch gives
+what its items give alone; where chunk bounds cut a run does not change
+the output.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import os
 import pickle
 import signal
@@ -29,6 +38,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from . import core
 from .autos import sigma_actions
 from .core import (
     BraceForgeError,
@@ -43,6 +53,7 @@ from .docio import format_int_row, serialize_document
 from .ideals import (
     DEFAULT_IDEAL_CAP,
     SemiprimeVerdict,
+    _vanishing_ideals,
     ideal_masks,
     is_ideal,
     is_semiprime,
@@ -133,18 +144,10 @@ def _sigma_text(perms: np.ndarray) -> str:
     return "# sigma action table, one row per acting element\n" + "\n".join(lines) + "\n"
 
 
-def _dispatch(item: tuple) -> CaseResult:
-    """Run one case.  A failed case, whether its function returned a
-    failure or raised, carries the item's braces and sigma tables as
-    REPLAY documents, in item order; a passing case carries none.  A case
-    that raises is a failed case, not an aborted sweep: its info names the
-    exception and its traceback goes to stderr."""
-    kind, case_id = item[0], item[1]
-    try:
-        result = _CASE_FUNCS[kind](*item[1:])
-    except Exception as exc:
-        print(f"# case {case_id} raised:\n{traceback.format_exc()}", end="", file=sys.stderr)
-        result = CaseResult(case_id, False, f"raised {type(exc).__name__}: {exc}")
+def _with_documents(item: tuple, result: CaseResult) -> CaseResult:
+    """``result`` of ``item``; a failed one carries the item's braces and
+    sigma tables as REPLAY documents, in item order, and a passing one
+    carries none."""
     if result.ok:
         return result
     docs = tuple(serialize_document(arg) if isinstance(arg, FiniteSkewBrace)
@@ -153,8 +156,42 @@ def _dispatch(item: tuple) -> CaseResult:
     return dataclasses.replace(result, documents=docs)
 
 
+def _dispatch(item: tuple) -> CaseResult:
+    """Run one case: a kind with a batch function runs it as a batch of
+    one.  A failed case, whether its function returned a failure or
+    raised, carries its REPLAY documents (``_with_documents``).  A case
+    that raises is a failed case, not an aborted sweep: its info names the
+    exception and its traceback goes to stderr."""
+    kind, case_id = item[0], item[1]
+    try:
+        batch = _BATCH_FUNCS.get(kind)
+        result = batch([item[1:]])[0] if batch else _CASE_FUNCS[kind](*item[1:])
+    except Exception as exc:
+        print(f"# case {case_id} raised:\n{traceback.format_exc()}", end="", file=sys.stderr)
+        result = CaseResult(case_id, False, f"raised {type(exc).__name__}: {exc}")
+    return _with_documents(item, result)
+
+
 def _run_chunk(items: list[tuple]) -> list[CaseResult]:
-    return [_dispatch(it) for it in items]
+    """Run the cases in order.  Each maximal run of consecutive items of
+    a kind with a batch function (``_BATCH_FUNCS``) goes to it as one
+    batch of the items' fields after the kind, and it returns one
+    ``CaseResult`` per item, in order.  A batch that raises is dropped
+    and its run goes through ``_dispatch`` item by item, so a failing
+    case gets the message, stderr traceback and REPLAY documents it gets
+    alone."""
+    results = []
+    for kind, run in itertools.groupby(items, key=lambda item: item[0]):
+        run = list(run)
+        if kind in _BATCH_FUNCS:
+            try:
+                done = _BATCH_FUNCS[kind]([item[1:] for item in run])
+                results += [_with_documents(item, r) for item, r in zip(run, done, strict=True)]
+                continue
+            except Exception:
+                pass                # the run goes item by item, below
+        results += map(_dispatch, run)
+    return results
 
 
 def _worker(chunk: list[tuple], fd: int) -> NoReturn:
@@ -200,7 +237,9 @@ def _run_items(items: list[tuple], jobs: int) -> list[CaseResult]:
     The cases are cut into ``jobs`` contiguous chunks.  One forked worker
     runs each chunk but the first, which this process runs while they
     work; then each worker's results are read from its own pipe, in chunk
-    order, so the output is the same for any ``jobs``.  The workers
+    order, so the output is the same for any ``jobs``.  Each chunk runs
+    by ``_run_chunk``, so a run of batched cases that a chunk bound cuts
+    is two batches, whose results are those of one.  The workers
     inherit the items by fork, so no item is pickled.  A worker that
     fails raises ``BraceForgeError``.  However this function exits, no
     worker outlives it: any still unreaped is killed and reaped.
@@ -330,10 +369,11 @@ def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_
 # lemma32: base of a semiprime brace is semiprime; lifted witnesses
 # certify the converse direction on non-semiprime bottoms
 
-def _product_case(case_id: str, P: FiniteSkewBrace, failure: str) -> CaseResult:
-    """A case that claims the product ``P`` is semiprime: it passes when fast
-    ``is_semiprime`` agrees, else fails with ``failure`` and the witness."""
-    verdict = is_semiprime(P, method="fast")
+def _product_case(case_id: str, P: FiniteSkewBrace, verdict: SemiprimeVerdict,
+                  failure: str) -> CaseResult:
+    """A case that claims the product ``P`` is semiprime: it passes when
+    its fast ``verdict`` agrees, else fails with ``failure`` and the
+    witness."""
     if verdict.semiprime:
         return CaseResult(case_id, True, f"order={P.order} semiprime")
     return CaseResult(case_id, False, f"order={P.order} {failure}",
@@ -341,7 +381,8 @@ def _product_case(case_id: str, P: FiniteSkewBrace, failure: str) -> CaseResult:
 
 
 def _case_lemma32_base(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    return _product_case(case_id, wreath_base(G, H)[0], "unexpectedly not semiprime")
+    W = wreath_base(G, H)[0]
+    return _product_case(case_id, W, is_semiprime(W, method="fast"), "unexpectedly not semiprime")
 
 
 def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
@@ -409,30 +450,59 @@ def _action_items(kind: str, pairs: list[tuple[FiniteSkewBrace, FiniteSkewBrace]
 # cor28 / thm33: semiprimality of semidirect and wreath products of
 # semiprime pairs, on top of a corpus-wide classification
 
-def _case_classification(case_id: str, B: FiniteSkewBrace, fast: SemiprimeVerdict,
-                         exhaustive: SemiprimeVerdict) -> CaseResult:
-    if fast.semiprime != exhaustive.semiprime:
-        return CaseResult(case_id, False, "fast and exhaustive verdicts disagree")
-    if exhaustive.semiprime:
-        return CaseResult(case_id, True, "semiprime=yes")
-    # both witnesses must actually be vanishing-star ideals
-    for v in (fast, exhaustive):
-        members = np.fromiter(v.witness.sorted(), dtype=np.int64)
-        ok, rule = is_ideal(B, members)
-        if not ok or star_block(B, members, members).any():
-            return CaseResult(case_id, False, f"invalid witness via {v.method}",
-                              witness=v.witness.sorted())
-    return CaseResult(case_id, True,
-                      f"semiprime=no witness={fmt_members(exhaustive.witness.members)}")
+def _batch_classification(args: list[tuple]) -> list[CaseResult]:
+    """The classify cases (case id, B, fast, exhaustive verdict) of a run.
+    A case fails when the two verdicts disagree, or when a witness is not
+    an ideal whose stars vanish; the fast witness is named before the
+    exhaustive one.  Every witness of the run is checked by one
+    ``_vanishing_ideals`` call."""
+    pairs = [(B, v.witness.sorted()) for _, B, fast, exhaustive in args
+             if not (fast.semiprime or exhaustive.semiprime) for v in (fast, exhaustive)]
+    good = iter(_vanishing_ideals(pairs))
+    results = []
+    for case_id, B, fast, exhaustive in args:
+        if fast.semiprime != exhaustive.semiprime:
+            results.append(CaseResult(case_id, False, "fast and exhaustive verdicts disagree"))
+        elif exhaustive.semiprime:
+            results.append(CaseResult(case_id, True, "semiprime=yes"))
+        else:
+            bad = [v for v, ok in zip((fast, exhaustive), (next(good), next(good))) if not ok]
+            if bad:
+                results.append(CaseResult(case_id, False, f"invalid witness via {bad[0].method}",
+                                          witness=bad[0].witness.sorted()))
+            else:
+                results.append(CaseResult(
+                    case_id, True, f"semiprime=no witness={fmt_members(exhaustive.witness.members)}"))
+    return results
 
 
-def _case_cor28(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
-                sigma: SigmaAction, tag: int) -> CaseResult:
-    return _product_case(case_id, semidirect(G, H, sigma), f"not semiprime under sigma {tag}")
+def _semidirect_verdicts(args: list[tuple]):
+    """(product, fast verdict) for each (case id, G, H, sigma, tag) of a
+    cor28 or q34 run, in order.  The products are built with
+    ``semidirect`` and classified by one ``semiprime_verdicts`` call per
+    block of consecutive products that hold about ``core._BLOCK_ENTRIES``
+    table entries together (one product, if it alone holds more), so
+    no more than a block's products are built ahead of their verdicts."""
+    sizes = [2 * (G.order * H.order) ** 2 for _, G, H, _, _ in args]   # add and circ
+    start = 0
+    while start < len(args):
+        stop, entries = start + 1, sizes[start]
+        while stop < len(args) and entries + sizes[stop] <= core._BLOCK_ENTRIES:
+            entries += sizes[stop]
+            stop += 1
+        products = [semidirect(G, H, sigma) for _, G, H, sigma, _ in args[start:stop]]
+        yield from zip(products, semiprime_verdicts(products, "fast"))
+        start = stop
+
+
+def _batch_cor28(args: list[tuple]) -> list[CaseResult]:
+    return [_product_case(case_id, P, verdict, f"not semiprime under sigma {tag}")
+            for (case_id, *_, tag), (P, verdict) in zip(args, _semidirect_verdicts(args))]
 
 
 def _case_thm33(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    return _product_case(case_id, wreath(G, H)[0], "not semiprime")
+    W = wreath(G, H)[0]
+    return _product_case(case_id, W, is_semiprime(W, method="fast"), "not semiprime")
 
 
 def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
@@ -487,19 +557,25 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
 # ---------------------------------------------------------------------------
 # q34: search for a semiprime semidirect product over a non-semiprime G
 
-def _case_q34(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
-              sigma: SigmaAction, tag: int) -> CaseResult:
-    sd = semidirect(G, H, sigma)
-    fast = is_semiprime(sd, method="fast")
-    if not fast.semiprime:
-        return CaseResult(case_id, True,
-                          f"order={sd.order} not semiprime "
-                          f"witness={fmt_members(fast.witness.members)}")
-    if not is_semiprime(sd, method="exhaustive").semiprime:
-        # methods must agree; this would be an implementation bug
-        return CaseResult(case_id, False, "fast and exhaustive verdicts disagree")
-    return CaseResult(case_id, False,
-                      f"order={sd.order} SEMIPRIME (exhaustively confirmed) - counterexample")
+def _batch_q34(args: list[tuple]) -> list[CaseResult]:
+    """The q34 cases of a run: a product that is not semiprime passes; one
+    that fast ``semiprime_verdicts`` finds semiprime is confirmed by
+    exhaustive ``is_semiprime``, item by item, and fails as a
+    counterexample."""
+    results = []
+    for (case_id, *_), (sd, fast) in zip(args, _semidirect_verdicts(args)):
+        if not fast.semiprime:
+            results.append(CaseResult(case_id, True,
+                                      f"order={sd.order} not semiprime "
+                                      f"witness={fmt_members(fast.witness.members)}"))
+        elif not is_semiprime(sd, method="exhaustive").semiprime:
+            # methods must agree; this would be an implementation bug
+            results.append(CaseResult(case_id, False, "fast and exhaustive verdicts disagree"))
+        else:
+            results.append(CaseResult(
+                case_id, False,
+                f"order={sd.order} SEMIPRIME (exhaustively confirmed) - counterexample"))
+    return results
 
 
 def search_q34(max_g: int = 6, max_h: int = 4,
@@ -519,12 +595,18 @@ def search_q34(max_g: int = 6, max_h: int = 4,
     return _sweep("q34", items, only, jobs, t0, ())
 
 
+# kind -> case function, called with the item's fields after the kind
 _CASE_FUNCS = {
     "lemma31": _case_lemma31,
     "lemma32-base": _case_lemma32_base,
     "lemma32-lift": _case_lemma32_lift,
-    "classify": _case_classification,
-    "cor28": _case_cor28,
     "thm33": _case_thm33,
-    "q34": _case_q34,
+}
+
+# kind -> batch function, called with a list of such field tuples; a
+# kind is in one of the two tables
+_BATCH_FUNCS = {
+    "classify": _batch_classification,
+    "cor28": _batch_cor28,
+    "q34": _batch_q34,
 }

@@ -4,8 +4,8 @@ Everything here is written from the definitions with plain loops, no
 shortcuts shared with the package, so a bug in the fast paths cannot
 cancel itself out in the comparison.  The exceptions are former fast
 paths kept as the references for the ones that replaced them:
-``ascending_principal_scan``, ``principal_star_scan``,
-``orbit_representatives_loop``,
+``is_ideal_per_set``, ``ascending_principal_scan``,
+``principal_star_scan``, ``orbit_representatives_loop``,
 ``pairwise_join_ideals``, ``lemma31_case_loop``,
 ``perm_composition_lookup``, ``lambda_system_search_loop`` and
 ``homomorphisms_loop``.
@@ -17,7 +17,14 @@ import itertools
 
 import numpy as np
 
-from brace_forge.core import closure_generators, fmt_members, frontier_closure, star_block
+from brace_forge.core import (
+    closure_generators,
+    fmt_members,
+    frontier_closure,
+    lam_block,
+    normalize_members,
+    star_block,
+)
 from brace_forge.ideals import (
     _ideal_families,
     _orbit_maps,
@@ -112,6 +119,32 @@ def naive_is_ideal(brace, members) -> bool:
         if left != right:
             return False
     return True
+
+
+def is_ideal_per_set(brace, members) -> tuple[bool, str | None]:
+    """``is_ideal`` one member set at a time, the reference for the
+    batched rule kernel ``ideals._failed_rules``: (flag, first failed
+    rule) in the order circ-subgroup, circ-normality, lambda-invariance,
+    coset-symmetry, with coset-symmetry a comparison of the sorted rows
+    a + I and I + a."""
+    n = brace.order
+    S = normalize_members(n, members)
+    mask = np.zeros(n, dtype=bool)
+    mask[S] = True
+    if not S.size or not mask[0]:
+        return False, "circ-subgroup"
+    if not (mask[brace.circ[S[:, None], S]].all() and mask[brace.inv[S]].all()):
+        return False, "circ-subgroup"
+    conj = brace.circ[brace.circ[:, S], brace.inv[:, None]]
+    if not mask[conj].all():
+        return False, "circ-normality"
+    if not mask[lam_block(brace, np.arange(n), S)].all():
+        return False, "lambda-invariance"
+    left = np.sort(brace.add[:, S], axis=1)       # row a: a + I
+    right = np.sort(brace.add[S, :].T, axis=1)    # row a: I + a
+    if not np.array_equal(left, right):
+        return False, "coset-symmetry"
+    return True, None
 
 
 def powerset_ideals(brace) -> list[tuple[int, ...]]:

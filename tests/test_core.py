@@ -11,10 +11,12 @@ from brace_forge import (
     SizeCapExceeded,
     TableFormatError,
     ValidationFailure,
+    as_ideal,
     brace_from_tables,
     generated_subbrace,
     group_brace,
     group_table,
+    is_ideal,
     radical_ring_brace,
     star_product,
     star_set,
@@ -392,6 +394,37 @@ def test_star_set_and_product(R4):
     assert prod == frozenset({0, 2})  # already closed
     assert star_product(R4, [0], full) == frozenset({0})
     assert star_set(R4, [], full) == frozenset()
+
+
+def test_members_must_be_integers(R4):
+    # a non-integral member is an error, not a truncated label
+    with pytest.raises(PreconditionError, match=r"^member 2.9 is not an integer$"):
+        is_ideal(R4, [0, 2.9])
+    with pytest.raises(PreconditionError, match=r"^member 2.2 is not an integer$"):
+        star_set(R4, [2.2], [2.9])
+    with pytest.raises(PreconditionError, match=r"^member 2.9 is not an integer$"):
+        as_ideal(R4, [0, 2.9])
+    with pytest.raises(PreconditionError, match=r"^member 2.5 is not an integer$"):
+        core.normalize_members(4, np.array([0, 2.5]))
+    with pytest.raises(PreconditionError, match=r"^member x is not an integer$"):
+        core.normalize_members(4, [0, "x"])
+    with pytest.raises(PreconditionError, match=r"^member 4 out of range 0..3$"):
+        is_ideal(R4, np.array([4, 0], dtype=np.uint8))
+    # integral values are still members
+    assert is_ideal(R4, [0, 2.0]) == (True, None)
+    assert core.normalize_members(4, [3, np.int16(1), 3.0]).tolist() == [1, 3]
+
+
+def test_integer_member_arrays_take_no_loop(R4, monkeypatch):
+    def no_loop(value):
+        raise AssertionError("an integer array was read one member at a time")
+
+    monkeypatch.setattr(core, "_member", no_loop)
+    for dtype in (np.int8, np.int64, np.uint16):
+        assert core.normalize_members(4, np.array([2, 0, 2], dtype=dtype)).tolist() == [0, 2]
+        assert is_ideal(R4, np.array([0, 2], dtype=dtype)) == (True, None)
+    with pytest.raises(AssertionError, match="one member at a time"):
+        core.normalize_members(4, [0, 2])
 
 
 def test_table_eval_errors(R4):

@@ -14,6 +14,7 @@ from brace_forge import (
     is_ideal,
     is_semiprime,
     is_trivial,
+    pointwise_lift,
     quotient,
     restrict,
     semidirect,
@@ -25,6 +26,7 @@ from brace_forge import (
 from brace_forge import core, groups, ideals
 from brace_forge.ideals import (
     IDEAL_RULES,
+    _failed_rules,
     _orbit_maps,
     _orbit_representatives,
     _principal_masks,
@@ -86,6 +88,61 @@ def test_naive_is_ideal_agreement(R4, S3at, corpus8):
         for S in subsets:
             got, _ = is_ideal(brace, S)
             assert got == oracles.naive_is_ideal(brace, S), (brace.name, sorted(S))
+
+
+@pytest.fixture(scope="module")
+def member_sets(corpus8, T2):
+    """(brace, members) pairs of mixed sizes: every subset of each corpus
+    brace of order <= 4; for the order-8 braces and every 20th of
+    lemma32's order-64 bases, their ideals, each ideal with one label
+    added or taken away, and seeded random subsets; and every lifted
+    witness of ``verify lemma32``."""
+    rng = np.random.default_rng(25)
+    pairs = []
+    for B in corpus8:
+        if B.order <= 4:
+            pairs += [(B, [a for a in range(B.order) if bits >> a & 1])
+                      for bits in range(1 << B.order)]
+    bases = [wreath_base(B, T2) for B in corpus8 if B.order == 8]
+    for B in [B for B in corpus8 if B.order == 8] + [W for W, _ in bases[::20]]:
+        n = B.order
+        for row in ideals.ideal_masks(B):
+            I = np.flatnonzero(row)
+            pairs += [(B, I), (B, np.union1d(I, rng.integers(n, size=1))), (B, I[:-1])]
+        pairs += [(B, np.flatnonzero(rng.random(n) < p)) for p in (0.1, 0.3, 0.6, 0.9)]
+    for B, (W, ctx) in zip([B for B in corpus8 if B.order == 8], bases):
+        pairs.append((W, pointwise_lift(ctx, is_semiprime(B).witness.sorted())))
+    return pairs
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_rule_kernel_matches_the_per_set_check(member_sets, monkeypatch, one_row_blocks):
+    # the batched kernel and is_ideal, its batch of one, against the
+    # per-set reference: flag and first failed rule
+    want = [oracles.is_ideal_per_set(B, S) for B, S in member_sets]
+    assert {rule for _, rule in want} == {None, *IDEAL_RULES}
+    if one_row_blocks:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    by_order = {}
+    for i, (B, _) in enumerate(member_sets):
+        by_order.setdefault(B.order, []).append(i)
+    got = [None] * len(member_sets)
+    for n, index in by_order.items():
+        braces = list({id(member_sets[i][0]): member_sets[i][0] for i in index}.values())
+        slot = {id(B): k for k, B in enumerate(braces)}
+        owner = np.array([slot[id(member_sets[i][0])] for i in index])
+        masks = np.zeros((len(index), n), dtype=bool)
+        for row, i in zip(masks, index):
+            row[np.asarray(member_sets[i][1], dtype=np.int64)] = True
+        if not one_row_blocks:
+            # a block holds sets of many sizes: the small ones are padded
+            sizes = masks.sum(axis=1)
+            r0, r1 = next(core._row_blocks(n, len(index), n * sizes.max()))
+            assert len(set(sizes[r0:r1].tolist())) > 1
+        for i, rule in zip(index, _failed_rules(ideals._Tables(braces), owner, masks)):
+            got[i] = (rule is None, rule)
+    assert got == want
+    assert [is_ideal(B, S) for B, S in member_sets] == want
 
 
 def test_enumerate_matches_powerset(R4, S3at, corpus8):

@@ -26,7 +26,7 @@ from brace_forge import (
     verify_lemma32,
     wreath_base,
 )
-from brace_forge import autos, ideals, verify
+from brace_forge import autos, core, ideals, verify
 from brace_forge.cli import main as cli_main
 from brace_forge.docio import parse_int_grid
 from brace_forge.ideals import DEFAULT_IDEAL_CAP, Ideal, SemiprimeVerdict
@@ -428,10 +428,10 @@ class TestFailurePaths:
         assert (result.info, result.witness) == ("invalid witness via fast", (0, 1))
 
     def test_raising_case_replays_sigma(self, monkeypatch):
-        def broken(*args):
+        def broken(args):
             raise ValueError("bad action")
 
-        monkeypatch.setitem(verify._CASE_FUNCS, "q34", broken)
+        monkeypatch.setitem(verify._BATCH_FUNCS, "q34", broken)
         one = group_brace("c1", "trivial", name="c1#0")
         result = verify._dispatch(("q34", "q34:c1#0:c1#0:s0", one, one,
                                    SigmaAction(one, one, [[0]]), 0))
@@ -470,11 +470,18 @@ def _case_items(R4, T2):
     }
 
 
+def test_each_kind_has_one_case_body():
+    # a kind runs either item by item or in batches, never both ways
+    assert not set(verify._CASE_FUNCS) & set(verify._BATCH_FUNCS)
+    assert set(verify._BATCH_FUNCS) == {"classify", "cor28", "q34"}
+
+
 @pytest.mark.parametrize("outcome", ["fails", "raises", "passes"])
-@pytest.mark.parametrize("kind", sorted(verify._CASE_FUNCS))
+@pytest.mark.parametrize("kind", sorted({*verify._CASE_FUNCS, *verify._BATCH_FUNCS}))
 def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
-    # only _dispatch attaches REPLAY documents: the item's braces, then its
-    # sigma table, for a failed case of any kind, and none for a pass
+    # only _dispatch and the batch path attach REPLAY documents: the item's
+    # braces, then its sigma table, for a failed case of any kind, and none
+    # for a pass
     item = _case_items(R4, T2)[kind]
 
     def case(case_id, *args):
@@ -483,8 +490,13 @@ def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
             raise RuntimeError("boom")
         return CaseResult(case_id, outcome == "passes", "stub", witness=(0, 2))
 
-    monkeypatch.setitem(verify._CASE_FUNCS, kind, case)
+    if kind in verify._BATCH_FUNCS:
+        monkeypatch.setitem(verify._BATCH_FUNCS, kind, lambda args: [case(*a) for a in args])
+    else:
+        monkeypatch.setitem(verify._CASE_FUNCS, kind, case)
     result = verify._dispatch(item)
+    # a run of three items, in one batch where the kind has a batch function
+    assert verify._run_chunk([item] * 3) == [result] * 3
     assert result.case_id == item[1]
     if outcome == "passes":
         assert result == CaseResult(item[1], True, "stub", witness=(0, 2))
@@ -502,6 +514,113 @@ def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
     for text, perms in zip(result.documents[len(braces):], tables):
         grid = parse_int_grid(text, rows=T2.order, cols=R4.order, limit=R4.order)
         assert np.array_equal(grid, perms)
+
+
+def _sweep_items(monkeypatch, sweep, *args, **kwargs) -> list[tuple]:
+    """The items a sweep builds, without running them."""
+    captured = []
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_sweep", lambda _s, items, *rest: captured.extend(items))
+        sweep(*args, **kwargs)
+    return captured
+
+
+@pytest.fixture(scope="module")
+def batched_items():
+    """The items of the default cor28 sweep and of the q34-wide search
+    (``search q34 --max-order 8 --max-h 2``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        cor28 = _sweep_items(patch, verify_cor28_thm33, statements=("cor28",))
+        q34 = _sweep_items(patch, search_q34, max_g=8, max_h=2)
+    assert (len(cor28), len(q34)) == (308, 1467)
+    return cor28 + q34
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks):
+    # classify, cor28 and q34 runs give what each item gives alone: info,
+    # witness and documents
+    if one_row_blocks:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    calls = []
+    real = verify.semiprime_verdicts
+
+    def counting(braces, method):
+        calls.append(len(braces))
+        return real(braces, method)
+
+    monkeypatch.setattr(verify, "semiprime_verdicts", counting)
+    batched = verify._run_chunk(batched_items)
+    products = len(calls)
+    assert batched == [verify._dispatch(item) for item in batched_items]
+    assert {item[0] for item in batched_items} == {"classify", "cor28", "q34"}
+    # one verdict call per product block: one block for a run of tiny
+    # products, one block a product when a block holds one entry
+    assert products == (1468 if one_row_blocks else 2)
+    assert len(calls) == products + 1468
+
+
+def test_product_batches_hold_about_a_block_of_table_entries(monkeypatch):
+    # the sweep of `search q34 --max-order 60`: products of order up to 32
+    items = _sweep_items(monkeypatch, search_q34, max_g=8, max_h=4)
+    entries = []
+    real = verify.semiprime_verdicts
+
+    def counting(braces, method):
+        assert method == "fast"
+        entries.append(sum(2 * B.order ** 2 for B in braces))    # add and circ
+        return real(braces, method)
+
+    monkeypatch.setattr(verify, "semiprime_verdicts", counting)
+    results = verify._run_chunk(items)
+    assert len(results) == 16279 and all(r.ok for r in results)
+    assert sum(entries) == sum(2 * (it[2].order * it[3].order) ** 2 for it in items)
+    # one run, cut greedily: every block but the last is nearly full
+    assert max(entries) <= core._BLOCK_ENTRIES
+    assert min(entries[:-1]) > core._BLOCK_ENTRIES - 2 * 32 ** 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_raising_batch_reruns_its_run_item_by_item(monkeypatch, capfd, batched_items, jobs):
+    # the raising item is the last q34 item, in the worker's chunk at two
+    # processes; every other case keeps its result, and the raising one
+    # gets _dispatch's traceback, info and REPLAY documents
+    items = batched_items[-40:]
+    bad = items[-1][1]
+    real = verify._BATCH_FUNCS["q34"]
+
+    def flaky(args):
+        if any(a[0] == bad for a in args):
+            raise RuntimeError("boom")
+        return real(args)
+
+    want = verify._run_chunk(items)
+    monkeypatch.setitem(verify._BATCH_FUNCS, "q34", flaky)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forks = _fork_spy(monkeypatch)
+    got = verify._run_items(items, jobs)
+    sys.stderr.flush()
+    err = capfd.readouterr().err
+    assert len(forks) == jobs - 1
+    assert got[:-1] == want[:-1]
+    assert (got[-1].ok, got[-1].info) == (False, "raised RuntimeError: boom")
+    assert got[-1].documents == verify._dispatch(items[-1]).documents
+    assert len(got[-1].documents) == 3
+    assert err.count("Traceback") == err.count(f"# case {bad} raised:\nTraceback") == 1
+    _assert_no_child_left()
+
+
+def test_only_a_batched_case_prints_what_the_sweep_prints():
+    full = _render(search_q34(max_g=4, max_h=2)).splitlines()
+    cor = _render(verify_cor28_thm33(corpus_max=4, statements=("cor28",))["cor28"]).splitlines()
+    for case_line in [full[3], full[-2], cor[1], cor[5], cor[-2]]:
+        case_id = case_line.split()[1]
+        statement = case_id.split(":")[0]
+        if statement == "q34":
+            report = search_q34(max_g=4, max_h=2, only=case_id)
+        else:
+            report = verify_cor28_thm33(corpus_max=4, statements=("cor28",), only=case_id)["cor28"]
+        assert _render(report).splitlines()[-2] == case_line
 
 
 def _tables(brace):
@@ -547,13 +666,13 @@ def test_cor28_scans_each_corpus_brace_once(monkeypatch):
     batched, built = _count_fast_scans(monkeypatch)
     report = verify_cor28_thm33(corpus_max=4, statements=("cor28",))["cor28"]
     # the set-up classifies each corpus brace once by each method, in one
-    # batch per order, and the classify cases read those verdicts; each
-    # product case classifies its own product, of order 1 here
+    # batch per order, and the classify cases read those verdicts; the
+    # cor28 batch classifies each product once, of order 1 here
     products = [c for c in report.cases if c.case_id.startswith("cor28:")]
     assert products and all(c.info == "order=1 semiprime" for c in products)
     corpus = standard_corpus(4)
-    assert batched == _each_once(corpus, "fast", "exhaustive")
     one = _tables(group_brace("c1", "trivial"))
+    assert batched == _each_once(corpus, "fast", "exhaustive") + Counter({("fast", one): len(products)})
     assert built == Counter(_tables(B) for B in corpus) + Counter({one: len(products)})
 
 
@@ -568,23 +687,34 @@ def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
         return real(batch, principal)
 
     monkeypatch.setattr(ideals, "_batch_ideals", counting)
-    mapped = Counter()
-    real_maps = ideals._orbit_maps
+    # a brace's own map work is its circle half; the additive half is
+    # made once per distinct additive table of a batch
+    mapped, added = Counter(), Counter()
+    real_maps, real_added = ideals._circle_maps, ideals._additive_maps
 
     def counting_maps(brace):
         mapped[_tables(brace)] += 1
         return real_maps(brace)
 
-    monkeypatch.setattr(ideals, "_orbit_maps", counting_maps)
+    def counting_added(add, neg):
+        added[add.tobytes() if isinstance(add, np.ndarray) else id(add)] += 1   # id: a PairTable
+        return real_added(add, neg)
+
+    monkeypatch.setattr(ideals, "_circle_maps", counting_maps)
+    monkeypatch.setattr(ideals, "_additive_maps", counting_added)
     reports = verify_cor28_thm33(corpus_max=4, statements=("cor28", "thm33"))
     for report in reports.values():
         classified = [c for c in report.cases if c.case_id.startswith("classify:")]
         assert len(classified) == len(standard_corpus(4)) and all(c.ok for c in classified)
-    assert batched == _each_once(standard_corpus(4), "fast", "exhaustive")
+    one = _tables(group_brace("c1", "trivial"))
+    assert batched == _each_once(standard_corpus(4), "fast", "exhaustive") + Counter({("fast", one): 1})
     assert enumerated == Counter(_tables(B) for B in standard_corpus(4))
     # both methods read one map table per brace (the order-1 products
     # classify c1's tables again)
     assert all(mapped[_tables(B)] == 1 for B in standard_corpus(4) if B.order > 1)
+    adds = {B.add.tobytes() for B in standard_corpus(4) if B.order > 1}
+    assert len(adds) < len(standard_corpus(4)) - 1
+    assert all(added[a] == 1 for a in adds)
     # each product case classifies its own product: c1 x c1 in cor28 and
     # thm33, and the stand-in bases of A5at in thm33
     A5at = group_brace("a5", "almost_trivial")
