@@ -32,6 +32,7 @@ from .ideals import (
 )
 from .products import SigmaAction, semidirect, trivial_sigma, wreath
 from .verify import (
+    DEFAULT_CORPUS_MAX,
     DEFAULT_SIGMA_BUDGET,
     render_report,
     search_q34,
@@ -205,6 +206,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     max_g = 6 if args.max_order is None else args.max_order
+    if max(max_g, args.max_h) > DEFAULT_CORPUS_MAX:
+        print(f"# note: search q34 takes G and H from the corpus of order <= {DEFAULT_CORPUS_MAX}, "
+              f"so it searches as --max-order {min(max_g, DEFAULT_CORPUS_MAX)} "
+              f"--max-h {min(args.max_h, DEFAULT_CORPUS_MAX)}", file=sys.stderr)
     report = search_q34(max_g=max_g, max_h=args.max_h,
                         sigma_budget=args.sigma_budget,
                         jobs=args.jobs, only=args.only)

@@ -6,26 +6,23 @@ a SweepReport whose counterexamples carry the serialized inputs needed to
 replay them.  A case reads only its item: a sweep's set-up classifies
 the corpus with one ``semiprime_verdicts`` call and puts each verdict a
 case reads into that case's item; a cor28 or q34 item carries the
-``SigmaAction`` that ``sigma_actions`` built.  The only state cases
-share is the lemma31 caches ``_BASE_MEMO`` and ``_g_ideals``.  With
-``jobs`` > 1 the cases are cut into contiguous chunks: this process runs
-the first and one ``os.fork`` worker runs each other chunk, and the
-results are joined in chunk order, so the output is byte-identical for
-any process count.
+``SigmaAction`` that ``sigma_actions`` built.  With ``jobs`` > 1 the
+cases are cut into contiguous chunks: this process runs the first and
+one ``os.fork`` worker runs each other chunk, and the results are joined
+in chunk order, so the output is byte-identical for any process count.
 
-A case kind has either a case function (``_CASE_FUNCS``), called once
-per item, or a batch function (``_BATCH_FUNCS``: classify, cor28 and
-q34), called with each maximal run of consecutive items of its kind
-within a chunk and returning one result per item.  A kind's single
-case is its batch of one, so each kind has one body, and a batch gives
-what its items give alone; where chunk bounds cut a run does not change
-the output.
+Every case kind has one batch function (``_BATCH_FUNCS``), called with
+each maximal run of consecutive items of its kind within a chunk and
+returning one result per item.  A kind's single case is its batch of
+one, so each kind has one body, and a batch gives what its items give
+alone; where chunk bounds cut a run does not change the output.
+Nothing a batch computes outlives it, so a case does the same work
+whatever ran before it in the process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import os
 import pickle
@@ -157,15 +154,14 @@ def _with_documents(item: tuple, result: CaseResult) -> CaseResult:
 
 
 def _dispatch(item: tuple) -> CaseResult:
-    """Run one case: a kind with a batch function runs it as a batch of
-    one.  A failed case, whether its function returned a failure or
-    raised, carries its REPLAY documents (``_with_documents``).  A case
-    that raises is a failed case, not an aborted sweep: its info names the
-    exception and its traceback goes to stderr."""
+    """Run one case as a batch of one of its kind's batch function.  A
+    failed case, whether its batch returned a failure or raised, carries
+    its REPLAY documents (``_with_documents``).  A case that raises is a
+    failed case, not an aborted sweep: its info names the exception and
+    its traceback goes to stderr."""
     kind, case_id = item[0], item[1]
     try:
-        batch = _BATCH_FUNCS.get(kind)
-        result = batch([item[1:]])[0] if batch else _CASE_FUNCS[kind](*item[1:])
+        result = _BATCH_FUNCS[kind]([item[1:]])[0]
     except Exception as exc:
         print(f"# case {case_id} raised:\n{traceback.format_exc()}", end="", file=sys.stderr)
         result = CaseResult(case_id, False, f"raised {type(exc).__name__}: {exc}")
@@ -174,22 +170,20 @@ def _dispatch(item: tuple) -> CaseResult:
 
 def _run_chunk(items: list[tuple]) -> list[CaseResult]:
     """Run the cases in order.  Each maximal run of consecutive items of
-    a kind with a batch function (``_BATCH_FUNCS``) goes to it as one
-    batch of the items' fields after the kind, and it returns one
+    one kind goes to its batch function (``_BATCH_FUNCS``) as one batch
+    of the items' fields after the kind, and it returns one
     ``CaseResult`` per item, in order.  A batch that raises is dropped
-    and its run goes through ``_dispatch`` item by item, so a failing
-    case gets the message, stderr traceback and REPLAY documents it gets
-    alone."""
+    and its run goes through ``_dispatch`` item by item, so a failing case
+    gets the message, stderr traceback and REPLAY documents it gets alone."""
     results = []
     for kind, run in itertools.groupby(items, key=lambda item: item[0]):
         run = list(run)
-        if kind in _BATCH_FUNCS:
-            try:
-                done = _BATCH_FUNCS[kind]([item[1:] for item in run])
-                results += [_with_documents(item, r) for item, r in zip(run, done, strict=True)]
-                continue
-            except Exception:
-                pass                # the run goes item by item, below
+        try:
+            done = _BATCH_FUNCS[kind]([item[1:] for item in run])
+            results += [_with_documents(item, r) for item, r in zip(run, done, strict=True)]
+            continue
+        except Exception:
+            pass    # the run goes item by item below, out of the handler: no chained traceback
         results += map(_dispatch, run)
     return results
 
@@ -296,27 +290,13 @@ def _sweep(statement: str, items: list[tuple], only: str | None, jobs: int,
 # lemma31: every ideal of the function-space base projects positionwise
 # to an ideal of the bottom brace
 
-# base tables and their ideal masks depend only on (G, positions), and the
-# ideal masks of G only on G; cache per process so repeated pairs are free.
-# Braces hash and compare by their tables.
-_BASE_MEMO: dict[tuple[FiniteSkewBrace, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _base_ideals(G: FiniteSkewBrace, H: FiniteSkewBrace):
-    key = (G, H.order)
-    hit = _BASE_MEMO.get(key)
-    if hit is None:
-        W, ctx = wreath_base(G, H)
-        hit = _BASE_MEMO[key] = (ctx.digit_matrix(), ideal_masks(W))
-    return hit
-
-
-_g_ideals = functools.lru_cache(maxsize=None)(ideal_masks)
-
-
-def _case_lemma31(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    """A projection is an ideal of G exactly when its mask is a row of
-    G's ideal masks; ``is_ideal`` runs only on a miss, to name the rule.
+def _lemma31_case(case_id: str, G: FiniteSkewBrace, positions: int, digits: np.ndarray,
+                  masks: np.ndarray, g_masks: np.ndarray) -> CaseResult:
+    """The case of G and an H with ``positions`` = |H|, given the base's
+    ``digits`` (``WreathContext.digit_matrix``) and ideal ``masks`` and
+    G's ideal masks ``g_masks``.  A projection is an ideal of G exactly
+    when its mask is a row of ``g_masks``; ``is_ideal`` runs only on a
+    miss, to name the rule.
 
     All projections come from one scatter: proj[i, h, d] is set when some
     member of ideal i has digit d at position h, so proj[i, h] is the mask
@@ -326,11 +306,10 @@ def _case_lemma31(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseR
     ideal by ideal, then position by position, so the first failure, its
     info and its witness are those of checking one projection at a time.
     """
-    digits, masks = _base_ideals(G, H)
     rows, cols = np.nonzero(masks)
-    proj = np.zeros((len(masks), H.order, G.order), dtype=bool)
-    proj[rows[:, None], np.arange(H.order), digits[cols]] = True
-    hits = (proj[:, :, None, :] == _g_ideals(G)).all(axis=-1).any(axis=-1)
+    proj = np.zeros((len(masks), positions, G.order), dtype=bool)
+    proj[rows[:, None], np.arange(positions), digits[cols]] = True
+    hits = (proj[:, :, None, :] == g_masks).all(axis=-1).any(axis=-1)
     for i, h in np.argwhere(~hits):
         members = np.flatnonzero(proj[i, h])
         ok, rule = is_ideal(G, members)
@@ -340,7 +319,22 @@ def _case_lemma31(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseR
                 f"ideal={fmt_members(np.flatnonzero(masks[i]))} h={h} fails {rule}",
                 witness=tuple(int(x) for x in members),
             )
-    return CaseResult(case_id, True, f"ideals={len(masks)} positions={H.order}")
+    return CaseResult(case_id, True, f"ideals={len(masks)} positions={positions}")
+
+
+def _batch_lemma31(args: list[tuple]) -> list[CaseResult]:
+    """The lemma31 cases (case id, G, H) of a run.  G's ideal masks are
+    made once per run of cases with one G, and a base's digits and ideal
+    masks once per |H| within it, as the base depends on G and |H| only."""
+    results = []
+    for G, cases in itertools.groupby(args, key=lambda arg: arg[1]):
+        g_masks, bases = ideal_masks(G), {}
+        for case_id, _, H in cases:
+            if H.order not in bases:
+                W, ctx = wreath_base(G, H)
+                bases[H.order] = ctx.digit_matrix(), ideal_masks(W)
+            results.append(_lemma31_case(case_id, G, H.order, *bases[H.order], g_masks))
+    return results
 
 
 def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_MAX,
@@ -369,20 +363,44 @@ def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_
 # lemma32: base of a semiprime brace is semiprime; lifted witnesses
 # certify the converse direction on non-semiprime bottoms
 
-def _product_case(case_id: str, P: FiniteSkewBrace, verdict: SemiprimeVerdict,
-                  failure: str) -> CaseResult:
-    """A case that claims the product ``P`` is semiprime: it passes when
-    its fast ``verdict`` agrees, else fails with ``failure`` and the
-    witness."""
-    if verdict.semiprime:
-        return CaseResult(case_id, True, f"order={P.order} semiprime")
-    return CaseResult(case_id, False, f"order={P.order} {failure}",
-                      witness=verdict.witness.sorted())
+def _fast_verdicts(products):
+    """(product, fast verdict) for each of ``products``, in order, with one
+    ``semiprime_verdicts`` call per block of consecutive products that hold
+    about ``core._BLOCK_ENTRIES`` add and circ entries together (one
+    product, if it alone holds more).  Products are taken one at a time,
+    so at most one product beyond a block is built ahead of its verdicts."""
+    block, entries = [], 0
+    for P in products:
+        size = 2 * P.order ** 2
+        if block and entries + size > core._BLOCK_ENTRIES:
+            yield from zip(block, semiprime_verdicts(block, "fast"))
+            block, entries = [], 0
+        block.append(P)
+        entries += size
+    if block:
+        yield from zip(block, semiprime_verdicts(block, "fast"))
 
 
-def _case_lemma32_base(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    W = wreath_base(G, H)[0]
-    return _product_case(case_id, W, is_semiprime(W, method="fast"), "unexpectedly not semiprime")
+def _product_cases(args: list[tuple], products, failure: str) -> list[CaseResult]:
+    """The cases of a run that claim each of ``products``, one per item of
+    ``args``, is semiprime.  A case passes when its product's fast verdict
+    (``_fast_verdicts``) agrees, else it fails with the witness and
+    ``failure``, formatted with the item's last field as ``tag``."""
+    results = []
+    for (case_id, *_, tag), (P, verdict) in zip(args, _fast_verdicts(products)):
+        if verdict.semiprime:
+            results.append(CaseResult(case_id, True, f"order={P.order} semiprime"))
+        else:
+            results.append(CaseResult(case_id, False, f"order={P.order} {failure.format(tag=tag)}",
+                                      witness=verdict.witness.sorted()))
+    return results
+
+
+def _batch_lemma32_base(args: list[tuple]) -> list[CaseResult]:
+    """The cases (case id, G, H) of a run that claim the base of G and H
+    is semiprime: lemma32's base case and thm33's stand-in."""
+    return _product_cases(args, (wreath_base(G, H)[0] for _, G, H in args),
+                          "unexpectedly not semiprime")
 
 
 def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
@@ -476,33 +494,13 @@ def _batch_classification(args: list[tuple]) -> list[CaseResult]:
     return results
 
 
-def _semidirect_verdicts(args: list[tuple]):
-    """(product, fast verdict) for each (case id, G, H, sigma, tag) of a
-    cor28 or q34 run, in order.  The products are built with
-    ``semidirect`` and classified by one ``semiprime_verdicts`` call per
-    block of consecutive products that hold about ``core._BLOCK_ENTRIES``
-    table entries together (one product, if it alone holds more), so
-    no more than a block's products are built ahead of their verdicts."""
-    sizes = [2 * (G.order * H.order) ** 2 for _, G, H, _, _ in args]   # add and circ
-    start = 0
-    while start < len(args):
-        stop, entries = start + 1, sizes[start]
-        while stop < len(args) and entries + sizes[stop] <= core._BLOCK_ENTRIES:
-            entries += sizes[stop]
-            stop += 1
-        products = [semidirect(G, H, sigma) for _, G, H, sigma, _ in args[start:stop]]
-        yield from zip(products, semiprime_verdicts(products, "fast"))
-        start = stop
-
-
 def _batch_cor28(args: list[tuple]) -> list[CaseResult]:
-    return [_product_case(case_id, P, verdict, f"not semiprime under sigma {tag}")
-            for (case_id, *_, tag), (P, verdict) in zip(args, _semidirect_verdicts(args))]
+    return _product_cases(args, (semidirect(G, H, sigma) for _, G, H, sigma, _ in args),
+                          "not semiprime under sigma {tag}")
 
 
-def _case_thm33(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace) -> CaseResult:
-    W = wreath(G, H)[0]
-    return _product_case(case_id, W, is_semiprime(W, method="fast"), "not semiprime")
+def _batch_thm33(args: list[tuple]) -> list[CaseResult]:
+    return _product_cases(args, (wreath(G, H)[0] for _, G, H in args), "not semiprime")
 
 
 def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
@@ -559,11 +557,12 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
 
 def _batch_q34(args: list[tuple]) -> list[CaseResult]:
     """The q34 cases of a run: a product that is not semiprime passes; one
-    that fast ``semiprime_verdicts`` finds semiprime is confirmed by
+    that ``_fast_verdicts`` finds semiprime is confirmed by
     exhaustive ``is_semiprime``, item by item, and fails as a
     counterexample."""
+    products = (semidirect(G, H, sigma) for _, G, H, sigma, _ in args)
     results = []
-    for (case_id, *_), (sd, fast) in zip(args, _semidirect_verdicts(args)):
+    for (case_id, *_), (sd, fast) in zip(args, _fast_verdicts(products)):
         if not fast.semiprime:
             results.append(CaseResult(case_id, True,
                                       f"order={sd.order} not semiprime "
@@ -595,18 +594,13 @@ def search_q34(max_g: int = 6, max_h: int = 4,
     return _sweep("q34", items, only, jobs, t0, ())
 
 
-# kind -> case function, called with the item's fields after the kind
-_CASE_FUNCS = {
-    "lemma31": _case_lemma31,
-    "lemma32-base": _case_lemma32_base,
-    "lemma32-lift": _case_lemma32_lift,
-    "thm33": _case_thm33,
-}
-
-# kind -> batch function, called with a list of such field tuples; a
-# kind is in one of the two tables
+# kind -> batch function, called with a list of the items' fields after the kind
 _BATCH_FUNCS = {
+    "lemma31": _batch_lemma31,
+    "lemma32-base": _batch_lemma32_base,
+    "lemma32-lift": lambda args: list(itertools.starmap(_case_lemma32_lift, args)),
     "classify": _batch_classification,
     "cor28": _batch_cor28,
+    "thm33": _batch_thm33,
     "q34": _batch_q34,
 }

@@ -455,7 +455,7 @@ def pairwise_join_ideals(brace) -> list[frozenset[int]]:
 
 def lemma31_case_loop(G, H):
     """The lemma31 case checked one projection at a time, the reference
-    for the projection scatter of ``verify._case_lemma31``: for each ideal
+    for the projection scatter of ``verify._lemma31_case``: for each ideal
     of the base, then each position h, the sorted digits at h are looked
     up among the ideals of G, and ``is_ideal`` names the rule on a miss.
     Returns (ok, info, witness)."""

@@ -297,6 +297,35 @@ def test_search_q34_small(capsys):
     assert out.endswith("q34: 2 cases, 0 counterexamples\n")
 
 
+def _q34_note(max_g, max_h):
+    return (f"# note: search q34 takes G and H from the corpus of order <= 8, "
+            f"so it searches as --max-order {max_g} --max-h {max_h}\n")
+
+
+@pytest.mark.parametrize("argv, note", [(["--max-order", "9", "--max-h", "2"], _q34_note(8, 2)),
+                                        (["--max-order", "2", "--max-h", "60"], _q34_note(2, 8))],
+                         ids=["max-order", "max-h"])
+def test_search_q34_notes_the_corpus_bound(capsys, argv, note):
+    # G and H come from the corpus of order <= 8, so a bound above 8
+    # searches as 8: stderr says so in one line, and stdout is that of
+    # the bounds it names
+    case = ["--only", "q34:T2:T2:s0"]
+    assert main(["search", "q34", *argv, *case]) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith(note) and err.count("# note:") == 1
+    bounds = note.split("searches as ")[1].split()
+    assert main(["search", "q34", *bounds, *case]) == 0
+    assert capsys.readouterr().out == out == "CASE q34:T2:T2:s0 PASS order=4 not semiprime " \
+        "witness={0,1}\nq34: 1 cases, 0 counterexamples\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["--max-order", "8", "--max-h", "2"]])
+def test_search_q34_within_the_corpus_prints_no_note(capsys, argv):
+    assert main(["search", "q34", *argv, "--only", "q34:T2:T2:s0"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("# q34 elapsed ") and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
@@ -418,7 +447,8 @@ def test_ctrl_c_ends_a_forked_sweep_without_a_traceback():
             proc.wait()
     assert proc.returncode == 130, err
     assert "Traceback" not in err
-    assert err == "error: interrupted\n"
+    # the search names its corpus bound first, as --max-order 60 exceeds it
+    assert err == _q34_note(8, 4) + "error: interrupted\n"
     assert out == ""
     deadline = time.monotonic() + 10
     while _group_pids(proc.pid):

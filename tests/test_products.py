@@ -401,7 +401,7 @@ def test_lemma32_base_scan_never_builds_a_dense_table(monkeypatch, A5at, T2):
         raise AssertionError("a dense table was built")
 
     monkeypatch.setattr(PairTable, "__array__", refuse)
-    result = verify._case_lemma32_base("lemma32:base:A5at:m2", A5at, T2)
+    result = verify._dispatch(("lemma32-base", "lemma32:base:A5at:m2", A5at, T2))
     assert result.ok and result.info == "order=3600 semiprime"
     with pytest.raises(AssertionError, match="dense table"):
         np.asarray(wreath_base(A5at, T2)[0].add)

@@ -107,17 +107,17 @@ class TestLemma31:
     def test_raising_case_is_a_failed_case(self, monkeypatch, capfd, corpus8):
         # the last case is in the worker's chunk when two processes run
         case = "lemma31:c2xc2#3:c1#0"
-        real = verify._CASE_FUNCS["lemma31"]
+        real = verify._BATCH_FUNCS["lemma31"]
         parent = os.getpid()
 
-        def flaky(case_id, G, H):
-            if case_id == case:
+        def flaky(args):
+            if any(case_id == case for case_id, *_ in args):
                 if os.getpid() != parent:
                     print("# raising in a worker", file=sys.stderr)
                 raise RuntimeError("boom")
-            return real(case_id, G, H)
+            return real(args)
 
-        monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", flaky)
+        monkeypatch.setitem(verify._BATCH_FUNCS, "lemma31", flaky)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         forks = _fork_spy(monkeypatch)
         outs = []
@@ -141,15 +141,15 @@ class TestLemma31:
         _assert_no_child_left()
 
     def test_dead_worker_is_an_error(self, monkeypatch, capfd):
-        real = verify._CASE_FUNCS["lemma31"]
+        real = verify._BATCH_FUNCS["lemma31"]
         parent = os.getpid()
 
-        def crash(case_id, G, H):
+        def crash(args):
             if os.getpid() != parent:
                 os._exit(7)
-            return real(case_id, G, H)
+            return real(args)
 
-        monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", crash)
+        monkeypatch.setitem(verify._BATCH_FUNCS, "lemma31", crash)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert cli_main(["verify", "lemma31", "--max-order", "4", "--jobs", "2"]) == 2
         sys.stdout.flush()
@@ -161,15 +161,15 @@ class TestLemma31:
         _assert_no_child_left()
 
     def test_worker_ending_by_system_exit_reports_its_status_alone(self, monkeypatch, capfd):
-        real = verify._CASE_FUNCS["lemma31"]
+        real = verify._BATCH_FUNCS["lemma31"]
         parent = os.getpid()
 
-        def leave(case_id, G, H):
+        def leave(args):
             if os.getpid() != parent:
                 raise SystemExit(3)
-            return real(case_id, G, H)
+            return real(args)
 
-        monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", leave)
+        monkeypatch.setitem(verify._BATCH_FUNCS, "lemma31", leave)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert cli_main(["verify", "lemma31", "--max-order", "4", "--jobs", "2"]) == 2
         sys.stdout.flush()
@@ -182,16 +182,16 @@ class TestLemma31:
         _assert_no_child_left()
 
     def test_interrupt_in_this_process_kills_the_workers(self, monkeypatch):
-        real = verify._CASE_FUNCS["lemma31"]
+        real = verify._BATCH_FUNCS["lemma31"]
         parent = os.getpid()
 
-        def interrupted(case_id, G, H):
+        def interrupted(args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)  # a worker still running when the sweep ends
-            return real(case_id, G, H)
+            return real(args)
 
-        monkeypatch.setitem(verify._CASE_FUNCS, "lemma31", interrupted)
+        monkeypatch.setitem(verify._BATCH_FUNCS, "lemma31", interrupted)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
@@ -201,21 +201,27 @@ class TestLemma31:
 
     @staticmethod
     def _inject(monkeypatch, G, H, *member_sets):
-        """Append member masks to the memoized ideal masks of the base."""
-        hit = verify._base_ideals(G, H)
-        key = next(k for k, v in verify._BASE_MEMO.items() if v is hit)
-        digits, masks = hit
-        bad = np.zeros((len(member_sets), masks.shape[1]), dtype=bool)
-        for row, members in zip(bad, member_sets):
-            row[list(members)] = True
-        monkeypatch.setitem(verify._BASE_MEMO, key, (digits, np.vstack([masks, bad])))
+        """Append member masks to the ideal masks of the base of G and H
+        that the lemma31 batch reads."""
+        W = wreath_base(G, H)[0]
+        real = verify.ideal_masks
+
+        def masks(brace):
+            if brace != W:
+                return real(brace)
+            bad = np.zeros((len(member_sets), W.order), dtype=bool)
+            for row, members in zip(bad, member_sets):
+                row[list(members)] = True
+            return np.vstack([real(brace), bad])
+
+        monkeypatch.setattr(verify, "ideal_masks", masks)
 
     def test_miss_names_the_is_ideal_rule(self, monkeypatch, R4, T2):
         # a base "ideal" whose first projection {0,1} is no ideal of R4
-        digits = verify._base_ideals(R4, T2)[0]
+        digits = wreath_base(R4, T2)[1].digit_matrix()
         w = int(np.flatnonzero((digits == [1, 0]).all(axis=1))[0])
         self._inject(monkeypatch, R4, T2, [0, w])
-        result = verify._case_lemma31("lemma31:R4:T2", R4, T2)
+        result = verify._dispatch(("lemma31", "lemma31:R4:T2", R4, T2))
         ok, rule = is_ideal(R4, [0, 1])
         assert not ok
         assert not result.ok
@@ -225,11 +231,11 @@ class TestLemma31:
     def test_first_miss_is_ideal_major_then_position(self, monkeypatch, R4, T2):
         # two ideals after the real ones: {0,u} fails only at h=1, the next
         # {0,w} at h=0, so a position-major walk would report {0,w}
-        digits = verify._base_ideals(R4, T2)[0]
+        digits = wreath_base(R4, T2)[1].digit_matrix()
         u = int(np.flatnonzero((digits == [0, 1]).all(axis=1))[0])
         w = int(np.flatnonzero((digits == [1, 0]).all(axis=1))[0])
         self._inject(monkeypatch, R4, T2, [0, u], [0, w])
-        result = verify._case_lemma31("lemma31:R4:T2", R4, T2)
+        result = verify._dispatch(("lemma31", "lemma31:R4:T2", R4, T2))
         _, rule = is_ideal(R4, [0, 1])
         assert not result.ok
         assert result.info == f"ideal={{0,{u}}} h=1 fails {rule}"
@@ -471,13 +477,15 @@ def _case_items(R4, T2):
 
 
 def test_each_kind_has_one_case_body():
-    # a kind runs either item by item or in batches, never both ways
-    assert not set(verify._CASE_FUNCS) & set(verify._BATCH_FUNCS)
-    assert set(verify._BATCH_FUNCS) == {"classify", "cor28", "q34"}
+    # one table: every kind runs in batches, and a single case is its
+    # kind's batch of one
+    assert not hasattr(verify, "_CASE_FUNCS")
+    assert set(verify._BATCH_FUNCS) == {"lemma31", "lemma32-base", "lemma32-lift", "classify",
+                                        "cor28", "thm33", "q34"}
 
 
 @pytest.mark.parametrize("outcome", ["fails", "raises", "passes"])
-@pytest.mark.parametrize("kind", sorted({*verify._CASE_FUNCS, *verify._BATCH_FUNCS}))
+@pytest.mark.parametrize("kind", sorted(verify._BATCH_FUNCS))
 def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
     # only _dispatch and the batch path attach REPLAY documents: the item's
     # braces, then its sigma table, for a failed case of any kind, and none
@@ -490,12 +498,9 @@ def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
             raise RuntimeError("boom")
         return CaseResult(case_id, outcome == "passes", "stub", witness=(0, 2))
 
-    if kind in verify._BATCH_FUNCS:
-        monkeypatch.setitem(verify._BATCH_FUNCS, kind, lambda args: [case(*a) for a in args])
-    else:
-        monkeypatch.setitem(verify._CASE_FUNCS, kind, case)
+    monkeypatch.setitem(verify._BATCH_FUNCS, kind, lambda args: [case(*a) for a in args])
     result = verify._dispatch(item)
-    # a run of three items, in one batch where the kind has a batch function
+    # a run of three items, in one batch
     assert verify._run_chunk([item] * 3) == [result] * 3
     assert result.case_id == item[1]
     if outcome == "passes":
@@ -527,19 +532,24 @@ def _sweep_items(monkeypatch, sweep, *args, **kwargs) -> list[tuple]:
 
 @pytest.fixture(scope="module")
 def batched_items():
-    """The items of the default cor28 sweep and of the q34-wide search
-    (``search q34 --max-order 8 --max-h 2``)."""
+    """The items of the lemma31 sweep at base cap 16, of the default
+    lemma32, thm33 and cor28 sweeps and of the q34-wide search (``search
+    q34 --max-order 8 --max-h 2``), sweep by sweep."""
     with pytest.MonkeyPatch.context() as patch:
+        lemma31 = _sweep_items(patch, verify_lemma31, base_cap=16)
+        lemma32 = _sweep_items(patch, verify_lemma32)
+        thm33 = _sweep_items(patch, verify_cor28_thm33, statements=("thm33",))
         cor28 = _sweep_items(patch, verify_cor28_thm33, statements=("cor28",))
         q34 = _sweep_items(patch, search_q34, max_g=8, max_h=2)
-    assert (len(cor28), len(q34)) == (308, 1467)
-    return cor28 + q34
+    assert [len(items) for items in (lemma31, lemma32, thm33, cor28, q34)] == [628, 307, 310, 308,
+                                                                               1467]
+    return lemma31 + lemma32 + thm33 + cor28 + q34
 
 
 @pytest.mark.parametrize("one_row_blocks", [False, True])
 def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks):
-    # classify, cor28 and q34 runs give what each item gives alone: info,
-    # witness and documents
+    # runs of every kind give what each item gives alone: info, witness
+    # and documents
     if one_row_blocks:
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
     calls = []
@@ -553,11 +563,13 @@ def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks
     batched = verify._run_chunk(batched_items)
     products = len(calls)
     assert batched == [verify._dispatch(item) for item in batched_items]
-    assert {item[0] for item in batched_items} == {"classify", "cor28", "q34"}
+    assert {item[0] for item in batched_items} == set(verify._BATCH_FUNCS)
     # one verdict call per product block: one block for a run of tiny
-    # products, one block a product when a block holds one entry
-    assert products == (1468 if one_row_blocks else 2)
-    assert len(calls) == products + 1468
+    # products, one block a product when a block holds one entry; the
+    # lemma32 base and the thm33 stand-ins (orders 3600, 60 and 3600)
+    # hold a block each either way
+    assert products == (1472 if one_row_blocks else 6)
+    assert len(calls) == products + 1472
 
 
 def test_product_batches_hold_about_a_block_of_table_entries(monkeypatch):
@@ -582,45 +594,88 @@ def test_product_batches_hold_about_a_block_of_table_entries(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_raising_batch_reruns_its_run_item_by_item(monkeypatch, capfd, batched_items, jobs):
-    # the raising item is the last q34 item, in the worker's chunk at two
-    # processes; every other case keeps its result, and the raising one
-    # gets _dispatch's traceback, info and REPLAY documents
-    items = batched_items[-40:]
-    bad = items[-1][1]
-    real = verify._BATCH_FUNCS["q34"]
+    # a q34 run and a lemma31 run, each with one raising item: the q34
+    # one in this process and the last lemma31 item in the worker's chunk
+    # at two processes; every other case keeps its result, and each
+    # raising one gets _dispatch's traceback, info and REPLAY documents
+    lemma31 = [item for item in batched_items if item[0] == "lemma31"]
+    items = batched_items[-40:] + lemma31[-40:]
+    bad = {items[5][1], items[-1][1]}
 
-    def flaky(args):
-        if any(a[0] == bad for a in args):
-            raise RuntimeError("boom")
-        return real(args)
+    def flaky(real):
+        def batch(args):
+            if any(a[0] in bad for a in args):
+                raise RuntimeError("boom")
+            return real(args)
+        return batch
 
     want = verify._run_chunk(items)
-    monkeypatch.setitem(verify._BATCH_FUNCS, "q34", flaky)
+    for kind in ("lemma31", "q34"):
+        monkeypatch.setitem(verify._BATCH_FUNCS, kind, flaky(verify._BATCH_FUNCS[kind]))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     forks = _fork_spy(monkeypatch)
     got = verify._run_items(items, jobs)
     sys.stderr.flush()
     err = capfd.readouterr().err
     assert len(forks) == jobs - 1
-    assert got[:-1] == want[:-1]
-    assert (got[-1].ok, got[-1].info) == (False, "raised RuntimeError: boom")
-    assert got[-1].documents == verify._dispatch(items[-1]).documents
-    assert len(got[-1].documents) == 3
-    assert err.count("Traceback") == err.count(f"# case {bad} raised:\nTraceback") == 1
+    assert err.count("Traceback") == 2
+    for item, g, w in zip(items, got, want, strict=True):
+        if item[1] not in bad:
+            assert g == w
+            continue
+        assert (g.ok, g.info) == (False, "raised RuntimeError: boom")
+        assert err.count(f"# case {item[1]} raised:\nTraceback") == 1
+        assert len(g.documents) == {"q34": 3, "lemma31": 2}[item[0]]
+        assert g.documents == verify._dispatch(item).documents
     _assert_no_child_left()
 
 
 def test_only_a_batched_case_prints_what_the_sweep_prints():
-    full = _render(search_q34(max_g=4, max_h=2)).splitlines()
-    cor = _render(verify_cor28_thm33(corpus_max=4, statements=("cor28",))["cor28"]).splitlines()
-    for case_line in [full[3], full[-2], cor[1], cor[5], cor[-2]]:
-        case_id = case_line.split()[1]
-        statement = case_id.split(":")[0]
-        if statement == "q34":
-            report = search_q34(max_g=4, max_h=2, only=case_id)
-        else:
-            report = verify_cor28_thm33(corpus_max=4, statements=("cor28",), only=case_id)["cor28"]
+    sweeps = {
+        "lemma31": lambda **kw: verify_lemma31(base_cap=16, **kw),
+        "lemma32": lambda **kw: verify_lemma32(**kw),
+        "thm33": lambda **kw: verify_cor28_thm33(corpus_max=4, statements=("thm33",), **kw)["thm33"],
+        "cor28": lambda **kw: verify_cor28_thm33(corpus_max=4, statements=("cor28",), **kw)["cor28"],
+        "q34": lambda **kw: search_q34(max_g=4, max_h=2, **kw),
+    }
+    full = {statement: _render(sweep()).splitlines() for statement, sweep in sweeps.items()}
+    picks = [("q34", 3), ("q34", -2), ("cor28", 1), ("cor28", 5), ("cor28", -2),
+             ("lemma31", 1), ("lemma32", 0), ("thm33", -4)]
+    lines = [(statement, full[statement][i]) for statement, i in picks]
+    assert [line.split()[1] for _, line in lines[5:]] == [
+        "lemma31:T2:R4", "lemma32:base:A5at:m2", "thm33:c1#0:c1#0"]
+    for statement, case_line in lines:
+        report = sweeps[statement](only=case_line.split()[1])
         assert _render(report).splitlines()[-2] == case_line
+
+
+def test_no_case_state_outlives_its_batch(monkeypatch):
+    # a sweep run twice in one process does the same work both times, and
+    # a case run alone after a full sweep builds its base and masks anew
+    counts = Counter()
+
+    def counting(name):
+        real = getattr(verify, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("wreath_base", "ideal_masks"):
+        monkeypatch.setattr(verify, name, counting(name))
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        report = verify_lemma31(base_cap=16)
+        runs.append(dict(counts))
+    assert runs[0] == runs[1]
+    assert runs[0]["wreath_base"] > 0
+    line = next(line for line in _render(report).splitlines() if " lemma31:R4:T2 " in line)
+    counts.clear()
+    alone = verify_lemma31(base_cap=16, only="lemma31:R4:T2")
+    assert counts == {"wreath_base": 1, "ideal_masks": 2}   # the base, its masks and R4's
+    assert _render(alone).splitlines()[-2] == line
 
 
 def _tables(brace):
@@ -706,8 +761,13 @@ def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
     for report in reports.values():
         classified = [c for c in report.cases if c.case_id.startswith("classify:")]
         assert len(classified) == len(standard_corpus(4)) and all(c.ok for c in classified)
-    one = _tables(group_brace("c1", "trivial"))
-    assert batched == _each_once(standard_corpus(4), "fast", "exhaustive") + Counter({("fast", one): 1})
+    # the product cases classify their products through the same call:
+    # c1 x c1 in cor28 and c1 wr c1 in thm33, and the stand-in bases of
+    # A5at in thm33
+    A5at = group_brace("a5", "almost_trivial")
+    products = [group_brace("c1", "trivial")] * 2 + [
+        wreath_base(A5at, H)[0] for H in standard_corpus(4) if H.order <= 2]
+    assert batched == _each_once(standard_corpus(4), "fast", "exhaustive") + _each_once(products, "fast")
     assert enumerated == Counter(_tables(B) for B in standard_corpus(4))
     # both methods read one map table per brace (the order-1 products
     # classify c1's tables again)
@@ -715,11 +775,7 @@ def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
     adds = {B.add.tobytes() for B in standard_corpus(4) if B.order > 1}
     assert len(adds) < len(standard_corpus(4)) - 1
     assert all(added[a] == 1 for a in adds)
-    # each product case classifies its own product: c1 x c1 in cor28 and
-    # thm33, and the stand-in bases of A5at in thm33
-    A5at = group_brace("a5", "almost_trivial")
-    products = [group_brace("c1", "trivial")] * 2 + [
-        wreath_base(A5at, H)[0] for H in standard_corpus(4) if H.order <= 2]
+    # each product case classifies its own product
     assert [c.info for c in reports["thm33"].cases if c.case_id.startswith("thm33:standin:")] \
         == [f"order={P.order} semiprime" for P in products[2:]]
     assert built == Counter(_tables(B) for B in [*standard_corpus(4), *products])
@@ -732,9 +788,9 @@ def test_lemma32_scans_each_corpus_brace_once(monkeypatch):
     assert report.attempted == 9 and not report.counterexamples
     # the set-up classifies each corpus brace once (the bottom c1 is one
     # of them), and the lift cases read those verdicts; the base case
-    # classifies the order-1 base
+    # classifies the order-1 base through the same call
     corpus = standard_corpus(4)
-    assert batched == _each_once(corpus, "fast")
+    assert batched == _each_once(corpus, "fast") + _each_once([one], "fast")
     assert built == Counter(_tables(B) for B in corpus) + Counter({_tables(one): 1})
 
 
