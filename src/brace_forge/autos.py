@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .core import _BLOCK_ENTRIES, FiniteSkewBrace, PreconditionError, SizeCapExceeded, closure_generators
-from .groups import perm_composition
+from .groups import _COMPOSITION_LIMIT, perm_composition
 from .products import SigmaAction
 
 __all__ = [
@@ -43,7 +43,9 @@ def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
 
     The search runs once per distinct table per process: results are
     cached on the table's exact order, dtype and bytes, and each call
-    returns them in a fresh list.  A search that raises is not cached.
+    returns them in a fresh list.  A search that raises is not cached,
+    and neither is a result too large for ``perm_composition`` to compose
+    (``_automorphisms_of``).
     """
     return list(automorphism_array(table))
 
@@ -51,29 +53,49 @@ def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
 def automorphism_array(table: np.ndarray) -> np.ndarray:
     """``group_automorphisms`` as one read-only (count, order) array."""
     table = np.asarray(table)
-    return _automorphisms_of(table.shape[0], table.dtype, table.tobytes())
+    try:
+        return _automorphisms_of(table.shape[0], table.dtype, table.tobytes())
+    except _Uncomposable as exc:
+        return exc.auts
+
+
+class _Uncomposable(Exception):
+    """Carries automorphisms out of ``_automorphisms_of`` past its cache."""
+
+    def __init__(self, auts: np.ndarray):
+        self.auts = auts
 
 
 @functools.lru_cache(maxsize=128)
 def _automorphisms_of(n: int, dtype: np.dtype, data: bytes) -> np.ndarray:
     """The bijective rows of ``_homomorphisms``: one bool scatter marks
-    the labels each endomorphism hits."""
+    the labels each endomorphism hits.
+
+    k automorphisms that ``perm_composition`` would refuse to compose
+    (k * k * n entries above its limit) leave by ``_Uncomposable``, which
+    the cache does not keep: the holomorph search composes every
+    automorphism of its group, so it refuses such a group as soon as the
+    search ends, and the result (86,016 permutations, 11 MB, for C4^3)
+    does not stay for the life of the process.
+    """
     table = np.frombuffer(data, dtype=dtype).reshape(n, n)
     endos = _homomorphisms(table, table)
     hit = np.zeros(endos.shape, dtype=bool)
     hit[np.arange(len(endos))[:, None], endos] = True
     auts = endos[hit.all(axis=1)].astype(dtype)
     auts.setflags(write=False)
+    if len(auts) ** 2 * n > _COMPOSITION_LIMIT:
+        raise _Uncomposable(auts)
     return auts
 
 
 def skew_automorphisms(brace: FiniteSkewBrace) -> list[np.ndarray]:
     """All permutations preserving add and circ, identity first: the
     automorphisms of (A, +) (all fix 0) that respect circ on the circle
-    generators, which suffices by the module lemma; one stacked gather."""
-    circ = brace.circ
+    generators the brace's builder gave (``circ_gens``), which suffices by
+    the module lemma; one stacked gather."""
+    circ, cg = brace.circ, np.array(brace.circ_gens, dtype=np.int64)
     P = automorphism_array(brace.add)                    # (k, n)
-    cg = np.array(closure_generators(circ)[0], dtype=np.int64)
     keep = (P[:, circ[:, cg]] == circ[P[:, :, None], P[:, None, cg]]).all(axis=(1, 2))
     return list(P[keep])
 

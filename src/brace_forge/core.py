@@ -7,8 +7,9 @@ validated braces (``products._product``) and the holomorph-enumerated
 braces (``corpus._holomorph_braces``).  A brace holds read-only tables
 of both operations and inverses: numpy arrays, or for a product above
 the ideal cap ``groups.PairTable``s that compute each entry from the
-factors' tables when it is gathered.  ``lam_block`` gathers lambda from
-them, so downstream closure sweeps are pure table gathers.
+factors' tables when it is gathered, and a generating set of each group
+that its builder gives.  ``lam_block`` gathers lambda from them, so
+downstream closure sweeps are pure table gathers.
 """
 
 from __future__ import annotations
@@ -389,7 +390,9 @@ def validate(add, circ, name: str = "", mode: str | None = None,
     Verifies the group axioms of both tables, the shared identity at
     index 0, and the compatibility relation a o (b+c) = (a o b) - a + (a o c)
     over all triples.  Returns a report; ``report.brace`` is the constructed
-    carrier when everything passes.
+    carrier when everything passes, with the greedy generators
+    (``closure_generators``) of both tables: those the fast mode checks
+    on, and in exhaustive mode searched once the group axioms hold.
 
     ``mode`` is "exhaustive", "fast", or None to pick by order.  Both modes
     verify the same statements (the fast mode checks associativity and the
@@ -423,7 +426,10 @@ def validate(add, circ, name: str = "", mode: str | None = None,
     if violations:
         return ValidationReport(n, violations, mode)
 
-    brace = FiniteSkewBrace(n, add, circ, _derive_neg(add), _derive_neg(circ), name)
+    if mode == "exhaustive":
+        add_gens, circ_gens = closure_generators(add)[0], closure_generators(circ)[0]
+    brace = FiniteSkewBrace(n, add, circ, _derive_neg(add), _derive_neg(circ),
+                            add_gens, circ_gens, name)
     if mode == "exhaustive":
         violations = _brace_relation_violation_full(brace)
     else:
@@ -447,20 +453,27 @@ class FiniteSkewBrace:
     and ``circ`` are too, except on a product above the ideal cap, where
     they are read-only ``groups.PairTable``s (``products._product``).
     Readers of a whole table take ``np.asarray`` of it.
+
+    ``add_gens`` and ``circ_gens`` generate (A, +) and (A, o): tuples of
+    labels, without 0, that the builder gives.  ``validate`` gives the
+    greedy sets of ``closure_generators``; a holomorph brace shares its
+    group's additive set and has the greedy set of its circle table; a
+    product lifts its factors' sets (``products._product``).
+    Readers that need some generating set, not a greedy one, read them
+    (the orbit maps and the ideal rules of ``ideals``, and
+    ``autos.skew_automorphisms``).  They are not part of equality,
+    hashing or serialization.
     """
 
-    __slots__ = ("order", "add", "circ", "neg", "inv", "name")
+    __slots__ = ("order", "add", "circ", "neg", "inv", "add_gens", "circ_gens", "name")
 
-    def __init__(self, order, add, circ, neg, inv, name=""):
-        self.order = int(order)
-        self.add = add
-        self.circ = circ
-        self.neg = neg
-        self.inv = inv
-        self.name = name
+    def __init__(self, order, add, circ, neg, inv, add_gens, circ_gens, name=""):
         for arr in (add, circ, neg, inv):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
+        values = (int(order), add, circ, neg, inv, tuple(add_gens), tuple(circ_gens), name)
+        for slot, value in zip(FiniteSkewBrace.__slots__, values):
+            object.__setattr__(self, slot, value)
 
     @property
     def lam(self) -> np.ndarray:
@@ -486,7 +499,7 @@ class FiniteSkewBrace:
 
     def with_name(self, name: str) -> "FiniteSkewBrace":
         clone = FiniteSkewBrace.__new__(FiniteSkewBrace)
-        for slot in ("order", "add", "circ", "neg", "inv"):
+        for slot in ("order", "add", "circ", "neg", "inv", "add_gens", "circ_gens"):
             object.__setattr__(clone, slot, getattr(self, slot))
         object.__setattr__(clone, "name", name)
         return clone

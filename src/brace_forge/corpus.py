@@ -20,6 +20,7 @@ from .core import (
     SizeCapExceeded,
     _derive_neg,
     brace_from_tables,
+    closure_generators,
     table_dtype,
 )
 from .autos import automorphism_array, group_automorphisms
@@ -203,13 +204,17 @@ def _holomorph_braces(add: np.ndarray, prefix: str) -> list[FiniteSkewBrace]:
     (a o c) is additivity of lambda_a: {(a, lambda_a)} is a regular
     subgroup of Hol(N) (Guarnieri and Vendramin 2017).  The tables are
     distinct: the search reaches each lambda-assignment once, and circ row
-    a is add row a after lambda_a, which fixes lambda_a."""
+    a is add row a after lambda_a, which fixes lambda_a.
+
+    Every brace shares the group's table, ``neg`` and additive generators;
+    its circle generators are the greedy set of its circle table."""
     group = brace_from_tables(add, add)
     add, neg = group.add, group.neg
     rows = np.arange(add.shape[0])[:, None]
     circs = [add[rows, lam] for lam in _lambda_system_search(add, automorphism_array(add))]
     circs.sort(key=lambda circ: circ.ravel().tolist())
-    return [FiniteSkewBrace(add.shape[0], add, circ, neg, _derive_neg(circ), f"{prefix}#{i}")
+    return [FiniteSkewBrace(add.shape[0], add, circ, neg, _derive_neg(circ), group.add_gens,
+                            closure_generators(circ)[0], f"{prefix}#{i}")
             for i, circ in enumerate(circs)]
 
 

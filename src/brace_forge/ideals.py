@@ -21,7 +21,6 @@ from .core import (
     _member_labels,
     _row_blocks,
     brace_from_tables,
-    closure_generators,
     fmt_members,
     lam_block,
     normalize_members,
@@ -89,47 +88,63 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
     owner[r] of ``tables``.
 
     Every rule is a membership test over the members s of a row and,
-    for the last three, every label a:
+    for the last three, every generator g its brace's builder gave
+    (``_Tables``):
 
     - circ-subgroup: 0, s o t and s' are members;
-    - circ-normality: a o s o a' is a member;
-    - lambda-invariance: lambda_a(s) = -a + a o s is a member;
-    - coset-symmetry: (a + s) - a is a member.  That is a + I within
-      I + a, since x is in I + a exactly when x - a is in I; both sets
-      have |I| elements (a row and a column of ``add`` are permutations),
-      so it is a + I = I + a.
+    - circ-normality: g o s o g' is a member, g a generator of (A, o);
+    - lambda-invariance: lambda_g(s) = -g + g o s is a member, g a
+      generator of (A, o);
+    - coset-symmetry: (g + s) - g is a member, g a generator of (A, +).
+      For every a in place of g, that is a + I within I + a, since x is
+      in I + a exactly when x - a is in I; both sets have |I| elements (a
+      row and a column of ``add`` are permutations), so it is a + I =
+      I + a.
 
-    Only the member columns are gathered.  A block of ``_row_blocks``
-    rows holds about ``_BLOCK_ENTRIES`` entries (R n K for K members a
-    row), and each row's members fill a row of an (R, K) label table
-    padded with 0 up to the block's largest row.  A row holding 0 only
-    repeats a member, which changes no membership test.  A row without 0
-    fails circ-subgroup whatever the padding gives, and so does an empty
-    row.  The four rules are decided for every row of a block at once.
+    The generators decide each rule for every label a, by the monoid
+    argument of ``_orbit_maps``: the a whose map (conjugation by a in
+    (A, o), lambda_a, conjugation by a in (A, +)) sends the members into
+    the row form a monoid, since each map is a homomorphism of its group
+    into the maps of A; it holds the generators, so the group they
+    generate, every a.  So a row fails a rule for some a exactly when it
+    fails it for some generator, and the first failed rule is the same.
+    Padding label 0 maps every member to itself.
+
+    Rows are cut into blocks of one member count K, so no row is padded:
+    a block of ``_row_blocks`` rows gathers about ``_BLOCK_ENTRIES``
+    entries, R K (K + k) for k generator columns, and each row's members
+    fill a row of an (R, K) label table.  An empty row fails
+    circ-subgroup.  The four rules are decided for every row of a block
+    at once.
     """
     n, add, circ, neg, inv = tables.n, tables.add, tables.circ, tables.neg, tables.inv
     sizes = masks.sum(axis=1)
     first = np.empty(len(masks), dtype=np.int64)
-    for r0, r1 in _row_blocks(n, len(masks), n * max(1, int(sizes.max(initial=1)))):
-        m, k, R = masks[r0:r1], sizes[r0:r1], r1 - r0
-        rows, cols = np.nonzero(m)                              # row-major: ascending members
-        S = np.zeros((R, max(1, int(k.max()))), dtype=np.int64)
-        S[rows, np.arange(rows.size) - (np.cumsum(k) - k)[rows]] = cols
-        base = owner[r0:r1, None, None] * n                     # each row's brace in the flat tables
-        at = np.arange(R)[:, None, None] * n                    # each row in the flat masks
+    by_size = np.argsort(sizes, kind="stable")
+    cuts = np.flatnonzero(np.diff(sizes[by_size])) + 1
+    width = tables.circ_gens.shape[1] * 2 + tables.add_gens.shape[1]
+    for index in np.split(by_size, cuts) if len(masks) else []:
+        K = int(sizes[index[0]])
+        for r0, r1 in _row_blocks(n, index.size, max(1, K * (K + width))):
+            r = index[r0:r1]
+            m, R = masks[r], r1 - r0
+            S = np.nonzero(m)[1].reshape(R, K)                  # row-major: ascending members
+            base = owner[r, None, None] * n                     # each row's brace in the flat tables
+            at = np.arange(R)[:, None, None] * n                # each row in the flat masks
 
-        def inside(x):                                          # whether all of x is in its row
-            return m.reshape(-1)[at + x].reshape(R, -1).all(axis=1)
+            def inside(x):                                      # whether all of x is in its row
+                return m.reshape(-1)[at + x].reshape(R, -1).all(axis=1)
 
-        a = base + np.arange(n)[:, None]                        # (R, n, 1): every label
-        s = S[:, None, :]                                       # (R, 1, K): the members
-        a_s = circ[a, s]                                        # a o s
-        fails = np.ones((len(IDEAL_RULES) + 1, R), dtype=bool)
-        fails[0] = ~m[:, 0] | ~inside(circ[base + S[:, :, None], s]) | ~inside(inv[base + s])
-        fails[1] = ~inside(circ[base + a_s, inv[a]])
-        fails[2] = ~inside(add[base + neg[a], a_s])
-        fails[3] = ~inside(add[base + add[a, s], neg[a]])
-        first[r0:r1] = fails.argmax(axis=0)
+            cg = base + tables.circ_gens[owner[r], :, None]     # (R, kc, 1): circle generators
+            ag = base + tables.add_gens[owner[r], :, None]      # (R, ka, 1): additive generators
+            s = S[:, None, :]                                   # (R, 1, K): the members
+            g_s = circ[cg, s]                                   # g o s
+            fails = np.ones((len(IDEAL_RULES) + 1, R), dtype=bool)
+            fails[0] = ~m[:, 0] | ~inside(circ[base + S[:, :, None], s]) | ~inside(inv[base + s])
+            fails[1] = ~inside(circ[base + g_s, inv[cg]])
+            fails[2] = ~inside(add[base + neg[cg], g_s])
+            fails[3] = ~inside(add[base + add[ag, s], neg[ag]])
+            first[r] = fails.argmax(axis=0)
     rules = (*IDEAL_RULES, None)
     return [rules[i] for i in first.tolist()]
 
@@ -147,9 +162,9 @@ def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
     """The element maps of ``_ideal_families`` and
     ``_orbit_representatives`` as one stacked (k, n) table, row i the map
     a -> maps[i, a]: a -> a', and for each generator g the maps lambda_g
-    and a -> g o a o g' (g a greedy generator of (A, o),
-    ``closure_generators``) and a -> g + a - g (g a greedy generator of
-    (A, +)).  The rows are ``_circle_maps``, then ``_additive_maps``.
+    and a -> g o a o g' (g a generator of (A, o) the builder supplies,
+    ``circ_gens``) and a -> g + a - g (g a generator of (A, +),
+    ``add_gens``).  A batch of one of ``_stacked_maps``.
 
     A set closed under these maps is closed under lambda_x,
     a -> x o a o x' and a -> x + a - x for every x.  lambda_{x o y} =
@@ -159,55 +174,34 @@ def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
     generators.  Every map is a permutation of a finite set, so that
     monoid holds the group they generate: the maps of every x.  Closures,
     and so orbits, principal ideals, ideal lists and their order, and
-    witnesses are those of the maps by every x.
+    witnesses are those of the maps by every x, whichever generating sets
+    the builder gave.
     """
-    return np.concatenate([_circle_maps(brace), _additive_maps(brace.add, brace.neg)])
+    return _stacked_maps(_Tables([brace]))[0]
 
 
-def _circle_maps(brace: FiniteSkewBrace) -> np.ndarray:
-    """The rows a -> a', lambda_g and a -> g o a o g' of ``_orbit_maps``."""
-    circ, inv = brace.circ, brace.inv
-    cg = np.array(closure_generators(circ)[0], dtype=np.int64)
-    return np.concatenate([
-        inv[None, :],
-        lam_block(brace, cg, np.arange(brace.order)),   # lambda_g
-        circ[circ[cg], inv[cg][:, None]],         # g o a o g^-1
-    ])
-
-
-def _additive_maps(add, neg) -> np.ndarray:
-    """The rows a -> g + a - g of ``_orbit_maps``, g a greedy generator
-    of (A, +).  They read ``add`` and ``neg`` alone, and ``neg`` is read
-    off ``add`` (-g is the x with g + x = 0), so braces with one additive
-    table have one additive half."""
-    ag = np.array(closure_generators(add)[0], dtype=np.int64)
-    return add[add[ag], neg[ag][:, None]]
-
-
-def _stacked_maps(braces: list[FiniteSkewBrace]) -> np.ndarray:
-    """The ``_orbit_maps`` tables of braces of one order n as one
-    (B, K, n) array, each padded to K rows with the identity map.  The
+def _stacked_maps(tables: _Tables) -> np.ndarray:
+    """The ``_orbit_maps`` tables of the braces of ``tables`` as one
+    (B, K, n) array in the tables' dtype, from one gather per kind of map
+    over the flat tables: row 0 a -> a', then lambda_g and a -> g o a o g'
+    for each column g of ``tables.circ_gens`` and a -> g + a - g for each
+    column g of ``tables.add_gens``.  Those matrices pad a brace with
+    fewer generators with label 0, whose maps are the identity.  The
     identity fixes every set, so the padding changes no orbit and no
     closure: its images of a frontier are members already, and in
-    ``_orbit_representatives`` it maps label[a] to itself.
-
-    The additive half (``_additive_maps``) is made once per distinct
-    additive table: the corpus braces of one order share a few, and all
-    products of one pair (G, H) share one."""
-    if len(braces) == 1:
-        return _orbit_maps(braces[0])[None]
-    additive = {}
-    tables = []
-    for b in braces:
-        key = b.add.tobytes()
-        if key not in additive:
-            additive[key] = _additive_maps(b.add, b.neg)
-        tables.append(np.concatenate([_circle_maps(b), additive[key]]))
-    n, k = braces[0].order, max(len(t) for t in tables)
-    maps = np.broadcast_to(np.arange(n, dtype=tables[0].dtype), (len(tables), k, n)).copy()
-    for b, t in enumerate(tables):
-        maps[b, :len(t)] = t
-    return maps
+    ``_orbit_representatives`` it maps label[a] to itself."""
+    add, circ, neg, inv, n = tables.add, tables.circ, tables.neg, tables.inv, tables.n
+    base = np.arange(len(tables.braces))[:, None, None] * n    # each brace in the flat tables
+    a = np.arange(n)
+    cg = base + tables.circ_gens[:, :, None]                   # (B, kc, 1): rows g of circ
+    ag = base + tables.add_gens[:, :, None]
+    g_a = circ[cg, a]                                          # g o a
+    return np.concatenate([
+        inv.reshape(-1, 1, n),
+        add[base + neg[cg], g_a],                              # lambda_g(a) = -g + g o a
+        circ[base + g_a, inv[cg]],                             # g o a o g'
+        add[base + add[ag, a], neg[ag]],                       # g + a - g
+    ], axis=1)
 
 
 def _ideal_families(brace: FiniteSkewBrace, maps: np.ndarray):
@@ -226,8 +220,8 @@ def _ideal_families(brace: FiniteSkewBrace, maps: np.ndarray):
 def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
     """Least ideal containing ``seed``: fixed point under circle products
     and inverses and the maps of ``_orbit_maps`` (lambda_g, circle and
-    additive conjugation by greedy generators g; closed under those, it is
-    closed under lambda_x and both conjugations by every element x)."""
+    additive conjugation by the brace's generators g; closed under those,
+    it is closed under lambda_x and both conjugations by every element x)."""
     families = _ideal_families(brace, _orbit_maps(brace))
     return Ideal(brace, seeded_closure(brace.order, seed, families))
 
@@ -240,8 +234,10 @@ def _check_ideal_cap(n: int) -> None:
 class _Tables:
     """Braces of one order n on a leading brace axis: add and circ as flat
     (B * n, n) tables and neg and inv as flat (B * n,) arrays, row
-    b * n + a the row of label a in brace b.  A stack of one reads its
-    brace's own tables, so a ``groups.PairTable`` is never made dense."""
+    b * n + a the row of label a in brace b, and each brace's
+    ``add_gens`` and ``circ_gens`` as row b of a (B, k) int64 matrix,
+    padded with label 0.  A stack of one reads its brace's own tables, so
+    a ``groups.PairTable`` is never made dense."""
 
     def __init__(self, braces: list[FiniteSkewBrace]):
         self.braces = braces
@@ -252,6 +248,10 @@ class _Tables:
         else:
             tables = [np.concatenate([getattr(b, t) for b in braces]) for t in names]
         self.add, self.circ, self.neg, self.inv = tables
+        for name in ("add_gens", "circ_gens"):
+            sets = [getattr(b, name) for b in braces]
+            columns = list(itertools.zip_longest(*sets, fillvalue=0))
+            setattr(self, name, np.array(columns, dtype=np.int64).reshape(-1, len(sets)).T)
 
 
 class _Batch(_Tables):
@@ -261,7 +261,7 @@ class _Batch(_Tables):
 
     def __init__(self, braces: list[FiniteSkewBrace]):
         super().__init__(braces)
-        self.maps = _stacked_maps(braces)
+        self.maps = _stacked_maps(self)
         self.owner, self.reps = _orbit_representatives(self.maps)
 
 
@@ -450,7 +450,7 @@ def _orbit_representatives(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by brace, then ascending.  All orbits are found before the arrays are
     returned, in a fixed number of numpy calls per round.
 
-    ``maps[b]`` holds a' and the maps of greedy generators, whose orbits
+    ``maps[b]`` holds a' and the maps of the generators, whose orbits
     are those of the maps of every x (the argument is in ``_orbit_maps``).
     It has no a -> -a, but -a = lambda_a(a') is already in the orbit of a.
 
@@ -586,10 +586,9 @@ def _vanishing_ideals(pairs: list[tuple[FiniteSkewBrace, Iterable[int]]]) -> lis
     good = [False] * len(pairs)
     for n, index in by_order.items():
         owner = np.arange(len(index))
-        sets = [list(pairs[i][1]) for i in index]
+        sets = [_member_labels(n, pairs[i][1]) for i in index]
         masks = np.zeros((len(index), n), dtype=bool)
-        masks[np.repeat(owner, [len(m) for m in sets]),
-              _member_labels(n, itertools.chain.from_iterable(sets))] = True
+        masks[np.repeat(owner, [m.size for m in sets]), np.concatenate(sets)] = True
         tables = _Tables([pairs[i][0] for i in index])
         ideal = np.array([rule is None for rule in _failed_rules(tables, owner, masks)])
         for i, ok in zip(index, ideal & _stars_vanish(tables, owner, masks)):

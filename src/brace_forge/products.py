@@ -126,6 +126,15 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray | None,
     -(g, h) = (-g, -h), (g, h)' = (sigma(h')(g'), h') and
     lambda_(g1, h1)(g2, h2) = (lambda_g1(sigma(h1)(g2)), lambda_h1(h2)).
 
+    The generators are lifted from the factors': (g, 0) = g*|H| for each
+    generator g of G and (0, h) = h for each generator h of H, in both
+    tables.  For +, (g, h) = (g, 0) + (0, h), and the (g, 0) and the
+    (0, h) add as G and H do.  For o, (g, h) = (g, 0) o (0, h) since
+    sigma(0) is the identity, (g1, 0) o (g2, 0) = (g1 o g2, 0), and
+    (0, h1) o (0, h2) = (0, h1 o h2) since sigma(h1) fixes 0.  So each
+    lifted set generates its table, a ``wreath_base`` power's too, whose
+    factor sets are lifted digit by digit.
+
     Both tables are ``_pair_table(left, right)`` of the factors' tables,
     read in place: left = G.add, right = H.add for +, and left =
     G.circ[:, perms] (G.circ for the identity), right = H.circ for o.  Up
@@ -154,6 +163,8 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray | None,
         table(circ, H.circ, dt),
         (G.neg.astype(dt)[:, None] * m + H.neg).ravel(),
         (inv.astype(dt) * m + H.inv).ravel(),
+        tuple(g * m for g in G.add_gens) + H.add_gens,
+        tuple(g * m for g in G.circ_gens) + H.circ_gens,
         name,
     )
 

@@ -363,22 +363,35 @@ def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_
 # lemma32: base of a semiprime brace is semiprime; lifted witnesses
 # certify the converse direction on non-semiprime bottoms
 
+def _in_blocks(entries, limit: int, check):
+    """(entry, result) for each of ``entries``, tuples whose first field
+    is a brace, in order, with one ``check(block)`` call, which gives one
+    result per entry, per block of consecutive entries whose braces hold
+    at most ``limit`` add and circ entries together (one entry, if it
+    alone holds more).  Entries are taken one at a time and a block is
+    dropped before the next is built, so at most one block and one entry
+    beyond it are held at once."""
+    block, size = [], 0
+    for entry in entries:
+        tables = 2 * entry[0].order ** 2
+        if block and size + tables > limit:
+            yield from zip(block, check(block))
+            block, size = [], 0
+        block.append(entry)
+        size += tables
+    if block:
+        yield from zip(block, check(block))
+
+
 def _fast_verdicts(products):
     """(product, fast verdict) for each of ``products``, in order, with one
-    ``semiprime_verdicts`` call per block of consecutive products that hold
-    about ``core._BLOCK_ENTRIES`` add and circ entries together (one
-    product, if it alone holds more).  Products are taken one at a time,
-    so at most one product beyond a block is built ahead of its verdicts."""
-    block, entries = [], 0
-    for P in products:
-        size = 2 * P.order ** 2
-        if block and entries + size > core._BLOCK_ENTRIES:
-            yield from zip(block, semiprime_verdicts(block, "fast"))
-            block, entries = [], 0
-        block.append(P)
-        entries += size
-    if block:
-        yield from zip(block, semiprime_verdicts(block, "fast"))
+    ``semiprime_verdicts`` call per block of about ``core._BLOCK_ENTRIES``
+    entries (``_in_blocks``)."""
+    def verdicts(block):
+        return semiprime_verdicts([P for P, in block], "fast")
+
+    for (P,), verdict in _in_blocks(((P,) for P in products), core._BLOCK_ENTRIES, verdicts):
+        yield P, verdict
 
 
 def _product_cases(args: list[tuple], products, failure: str) -> list[CaseResult]:
@@ -405,6 +418,8 @@ def _batch_lemma32_base(args: list[tuple]) -> list[CaseResult]:
 
 def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
                        verdict: SemiprimeVerdict) -> CaseResult:
+    """The case of G and H alone: the pointwise lift of G's witness to the
+    base of G and H is an ideal of the base whose stars vanish."""
     if verdict.semiprime:
         return CaseResult(case_id, False, "expected a non-semiprime bottom brace")
     W, ctx = wreath_base(G, H)
@@ -417,10 +432,45 @@ def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
         return CaseResult(case_id, False, f"lift fails {rule}", witness=wit)
     if star_block(W, lifted, lifted).any():
         return CaseResult(case_id, False, "lifted stars do not vanish", witness=wit)
+    return _lift_certifies(case_id, verdict, lifted, W)
+
+
+def _lift_certifies(case_id: str, verdict: SemiprimeVerdict, lifted: np.ndarray,
+                    W: FiniteSkewBrace) -> CaseResult:
     return CaseResult(
         case_id, True,
         f"witness={fmt_members(verdict.witness.members)} lift_size={lifted.size} "
         f"certifies W order={W.order} not semiprime")
+
+
+def _batch_lemma32_lift(args: list[tuple]) -> list[CaseResult]:
+    """The lift cases (case id, G, H, verdict) of a run.  Each base and
+    its lift are built as the run reaches them, and each block of at most
+    ``core._BLOCK_ENTRIES // 4`` entries (32 order-64 bases, ``_in_blocks``)
+    is checked by one ``_vanishing_ideals`` call.  A case whose lift that
+    check rejects, and one that it does not cover (a semiprime G, a base
+    above the ideal cap, a zero lift), is ``_case_lemma32_lift``, so its
+    message and witness are those of the case alone."""
+    results: list[CaseResult | None] = [None] * len(args)
+
+    def lifts():
+        for i, (_, G, H, verdict) in enumerate(args):
+            if not verdict.semiprime and G.order ** H.order <= DEFAULT_IDEAL_CAP:
+                W, ctx = wreath_base(G, H)
+                lifted = pointwise_lift(ctx, verdict.witness.sorted())
+                if lifted.size > 1:
+                    yield W, lifted, i
+                    continue
+            results[i] = _case_lemma32_lift(*args[i])
+
+    def check(block):
+        return _vanishing_ideals([(W, lifted) for W, lifted, _ in block])
+
+    for (W, lifted, i), ok in _in_blocks(lifts(), core._BLOCK_ENTRIES // 4, check):
+        case_id, *_, verdict = args[i]
+        results[i] = (_lift_certifies(case_id, verdict, lifted, W) if ok
+                      else _case_lemma32_lift(*args[i]))
+    return results
 
 
 def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None = None,
@@ -598,7 +648,7 @@ def search_q34(max_g: int = 6, max_h: int = 4,
 _BATCH_FUNCS = {
     "lemma31": _batch_lemma31,
     "lemma32-base": _batch_lemma32_base,
-    "lemma32-lift": lambda args: list(itertools.starmap(_case_lemma32_lift, args)),
+    "lemma32-lift": _batch_lemma32_lift,
     "classify": _batch_classification,
     "cor28": _batch_cor28,
     "thm33": _batch_thm33,

@@ -322,7 +322,7 @@ def test_skew_automorphisms_of_a_lazy_product():
     lazy = wreath_base(group_brace("c12", "trivial"), group_brace("c2", "trivial"))[0]
     assert isinstance(lazy.add, PairTable) and isinstance(lazy.circ, PairTable)
     dense = FiniteSkewBrace(lazy.order, np.asarray(lazy.add), np.asarray(lazy.circ),
-                            lazy.neg, lazy.inv)
+                            lazy.neg, lazy.inv, lazy.add_gens, lazy.circ_gens)
     got = skew_automorphisms(lazy)
     assert len(got) == 96 * 48
     assert np.array_equal(got, skew_automorphisms(dense))

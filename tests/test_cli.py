@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brace_forge import core, serialize_document
+from brace_forge import autos, core, serialize_document
 from brace_forge.cli import main
 from brace_forge.docio import parse_document, parse_documents
 from brace_forge.groups import direct_product_table
@@ -263,11 +263,14 @@ def test_corpus_bad_group(capsys):
                                          ("c2xc2xc2xc4", 32), ("c4xc4xc4", 64)])
 def test_corpus_group_with_many_automorphisms_is_refused(capsys, group, order):
     # composing their 11,232 to 86,016 automorphisms would gather 3.4e9 to
-    # 4.7e11 entries; the size check refuses it before the gather
+    # 4.7e11 entries; the size check refuses it before the gather, and the
+    # automorphism cache does not keep them
+    cached = autos._automorphisms_of.cache_info().currsize
     assert main(["corpus", "enumerate", "--group", group, "--max-order", str(order)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: composing ") and captured.err.count("\n") == 1
+    assert autos._automorphisms_of.cache_info().currsize == cached
 
 
 def test_verify_lemma31_single_case(capsys):
@@ -477,6 +480,31 @@ def test_sweeps_do_not_import_numpy_ma():
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("statement", ["lemma32", "cor28"])
+def test_a_default_sweep_process_never_imports_numpy_ma(statement):
+    """``python -m brace_forge verify <statement>`` at its defaults, in a
+    fresh process of its own, never loads ``numpy.ma`` (about 14 ms a
+    process) unless a bare ``import numpy`` does."""
+    code = (
+        "import runpy, sys\n"
+        "import numpy\n"
+        "bare = 'numpy.ma' in sys.modules\n"
+        f"sys.argv = ['brace_forge', 'verify', {statement!r}]\n"
+        "try:\n"
+        "    runpy.run_module('brace_forge', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, None), exc.code\n"
+        "assert bare or 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    cases = {"lemma32": 307, "cor28": 308}[statement]
+    assert proc.stdout.endswith(f"{statement}: {cases} cases, 0 counterexamples\n")
 
 
 def test_star_quotient_and_extension_do_not_import_numpy_ma():

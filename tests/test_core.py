@@ -91,6 +91,44 @@ def test_greedy_generators_generate_the_additive_group(corpus8, A5at_square):
             assert oracles.generated_by(table, gens) == set(range(brace.order)), brace.name
 
 
+def test_every_builder_gives_generators_of_both_tables(monkeypatch, corpus8, A5at,
+                                                     A5at_square):
+    # validate (the named examples), the holomorph corpus, and products:
+    # the lemma31 bases, the q34-wide products, the lazy A5at^2 and A5at
+    # x| A5at under a few actions
+    from brace_forge import corpus, verify
+    from brace_forge import semidirect, sigma_actions, wreath_base
+
+    items = []
+    monkeypatch.setattr(verify, "_sweep", lambda _s, found, *rest: items.extend(found))
+    verify.search_q34(max_g=8, max_h=2)
+    monkeypatch.undo()
+    assert len(items) == 1467
+    bases = {(G.name, H.order): wreath_base(G, H)[0] for G in corpus8 for H in corpus8
+             if G.order ** H.order <= 64}
+    actions = sigma_actions(A5at, A5at)
+    braces = [*corpus._named_examples(60), *corpus8, *bases.values(),
+              *(semidirect(G, H, act) for _, _, G, H, act, _ in items), A5at_square,
+              *(semidirect(A5at, A5at, actions[i]) for i in (0, 1, 60, 120))]
+    lifted = 0
+    for brace in braces:
+        for gens, table in ((brace.add_gens, brace.add), (brace.circ_gens, brace.circ)):
+            assert isinstance(gens, tuple) and all(type(g) is int for g in gens), brace.name
+            assert 0 not in gens, brace.name
+            assert oracles.generated_by(table, gens) == set(range(brace.order)), brace.name
+            lifted += set(gens) != set(closure_generators(table)[0])
+    assert lifted > 100
+
+
+def test_generators_are_kept_but_not_compared(R4, A5at_square):
+    for brace in (R4, A5at_square):
+        for copy in (pickle.loads(pickle.dumps(brace)), brace.with_name("other")):
+            assert (copy.add_gens, copy.circ_gens) == (brace.add_gens, brace.circ_gens)
+    other = FiniteSkewBrace(R4.order, R4.add, R4.circ, R4.neg, R4.inv, [3], [2, 1])
+    assert (other.add_gens, other.circ_gens) == ((3,), (2, 1)) != (R4.add_gens, R4.circ_gens)
+    assert other == R4 and hash(other) == hash(R4)
+
+
 def test_generator_search_matches_the_magma_closure_search(corpus8, A5at, A5at_square):
     tables = {}
     for table in ([group_table(spec) for spec in CORPUS_GROUPS]

@@ -90,13 +90,20 @@ def test_naive_is_ideal_agreement(R4, S3at, corpus8):
             assert got == oracles.naive_is_ideal(brace, S), (brace.name, sorted(S))
 
 
+def _lifted_not_greedy(brace) -> bool:
+    """Whether a generating set of the brace is not its table's greedy set."""
+    return any(set(gens) != set(core.closure_generators(table)[0])
+               for gens, table in ((brace.add_gens, brace.add), (brace.circ_gens, brace.circ)))
+
+
 @pytest.fixture(scope="module")
 def member_sets(corpus8, T2):
     """(brace, members) pairs of mixed sizes: every subset of each corpus
-    brace of order <= 4; for the order-8 braces and every 20th of
-    lemma32's order-64 bases, their ideals, each ideal with one label
-    added or taken away, and seeded random subsets; and every lifted
-    witness of ``verify lemma32``."""
+    brace of order <= 4; for the order-8 braces, every 20th of lemma32's
+    order-64 bases and the products of orders 8 to 18 whose generators are
+    not greedy, their ideals, each ideal with one label added or taken
+    away, and seeded random subsets; and every lifted witness of ``verify
+    lemma32``."""
     rng = np.random.default_rng(25)
     pairs = []
     for B in corpus8:
@@ -104,7 +111,12 @@ def member_sets(corpus8, T2):
             pairs += [(B, [a for a in range(B.order) if bits >> a & 1])
                       for bits in range(1 << B.order)]
     bases = [wreath_base(B, T2) for B in corpus8 if B.order == 8]
-    for B in [B for B in corpus8 if B.order == 8] + [W for W, _ in bases[::20]]:
+    # products whose lifted generators are not the greedy sets (14 of 60)
+    acted = [P for G in corpus8 if G.order in (4, 6) for H in corpus8 if H.order in (2, 3)
+             for P in (semidirect(G, H, act) for act in sigma_actions(G, H))
+             if _lifted_not_greedy(P)]
+    assert len(acted) == 14
+    for B in [B for B in corpus8 if B.order == 8] + [W for W, _ in bases[::20]] + acted:
         n = B.order
         for row in ideals.ideal_masks(B):
             I = np.flatnonzero(row)
@@ -135,10 +147,9 @@ def test_rule_kernel_matches_the_per_set_check(member_sets, monkeypatch, one_row
         for row, i in zip(masks, index):
             row[np.asarray(member_sets[i][1], dtype=np.int64)] = True
         if not one_row_blocks:
-            # a block holds sets of many sizes: the small ones are padded
-            sizes = masks.sum(axis=1)
-            r0, r1 = next(core._row_blocks(n, len(index), n * sizes.max()))
-            assert len(set(sizes[r0:r1].tolist())) > 1
+            # the sets of one call come in many sizes, which the kernel
+            # cuts into blocks of one size
+            assert len(set(masks.sum(axis=1).tolist())) > 1
         for i, rule in zip(index, _failed_rules(ideals._Tables(braces), owner, masks)):
             got[i] = (rule is None, rule)
     assert got == want
@@ -342,6 +353,22 @@ def _representatives(brace):
     return reps.tolist()
 
 
+def test_stacked_maps_give_each_brace_its_own_orbits(corpus8):
+    # one gather over each order's flat tables, the generator rows padded
+    # with label 0, gives every corpus brace the orbits of its own maps
+    by_order = {}
+    for brace in corpus8:
+        by_order.setdefault(brace.order, []).append(brace)
+    for n, braces in by_order.items():
+        maps = ideals._stacked_maps(ideals._Tables(braces))
+        assert maps.dtype == braces[0].add.dtype and maps.shape[::2] == (len(braces), n)
+        owner, reps = _orbit_representatives(maps)
+        for b, brace in enumerate(braces):
+            orbits = oracles.element_orbits(brace)
+            assert reps[owner == b].tolist() == _representatives(brace) \
+                == [min(orbit) for orbit in orbits[1:]], brace.name
+
+
 def test_orbits_share_their_principal_ideal(corpus8):
     # the package maps act by generators, the oracle's by every element
     for brace in [*corpus8, *_lemma31_bases(corpus8)]:
@@ -532,21 +559,26 @@ def test_is_trivial_scans_blocks_without_a_star_table(corpus8, A5at, T2, monkeyp
 
 
 def test_element_maps_are_built_once_per_call(corpus8, monkeypatch):
-    # one search of each table's generators per enumeration, scan or closure
+    # one gather of the maps per enumeration, scan or closure, from the
+    # generators the brace carries: no generator search
     calls = []
-    real = ideals.closure_generators
+    real = ideals._stacked_maps
 
-    def counting(t):
-        calls.append(t)
-        return real(t)
+    def counting(tables):
+        calls.append(tables.braces)
+        return real(tables)
 
-    monkeypatch.setattr(ideals, "closure_generators", counting)
+    def refuse(t):
+        raise AssertionError("a generator search")
+
+    monkeypatch.setattr(ideals, "_stacked_maps", counting)
+    monkeypatch.setattr(core, "closure_generators", refuse)
     brace = next(b for b in corpus8 if b.order == 8 and not is_trivial(b))
     for run in (lambda: enumerate_ideals(brace), lambda: is_semiprime(brace, "fast"),
                 lambda: ideal_closure(brace, [1])):
         calls.clear()
         run()
-        assert len(calls) == 2
+        assert calls == [[brace]]
 
 
 def test_fast_witness_is_the_ascending_scan_witness(corpus8, A5at):

@@ -17,6 +17,7 @@ from brace_forge import (
     group_brace,
     is_ideal,
     is_semiprime,
+    is_trivial,
     parse_documents,
     render_report,
     search_q34,
@@ -559,9 +560,18 @@ def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks
         calls.append(len(braces))
         return real(braces, method)
 
+    lifts = []
+    real_lifts = verify._vanishing_ideals
+
+    def counting_lifts(pairs):
+        if pairs and all(W.name.endswith("^2)") for W, _ in pairs):   # lemma32 bases
+            lifts.append([2 * W.order ** 2 for W, _ in pairs])
+        return real_lifts(pairs)
+
     monkeypatch.setattr(verify, "semiprime_verdicts", counting)
+    monkeypatch.setattr(verify, "_vanishing_ideals", counting_lifts)
     batched = verify._run_chunk(batched_items)
-    products = len(calls)
+    products, blocks = len(calls), len(lifts)
     assert batched == [verify._dispatch(item) for item in batched_items]
     assert {item[0] for item in batched_items} == set(verify._BATCH_FUNCS)
     # one verdict call per product block: one block for a run of tiny
@@ -570,6 +580,38 @@ def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks
     # hold a block each either way
     assert products == (1472 if one_row_blocks else 6)
     assert len(calls) == products + 1472
+    # one _vanishing_ideals call per block of the 306 lifts: one base a
+    # block when a block holds one entry, else blocks of at most a quarter
+    # of _BLOCK_ENTRIES add and circ entries (32 order-64 bases), cut
+    # greedily
+    assert sum(map(len, lifts[:blocks])) == 306
+    assert len(lifts) == blocks + 306           # and each alone, by _dispatch
+    if one_row_blocks:
+        assert blocks == 306
+    else:
+        entries = [sum(block) for block in lifts[:blocks]]
+        assert max(entries) <= core._BLOCK_ENTRIES // 4
+        assert min(entries[:-1]) > core._BLOCK_ENTRIES // 4 - 2 * 64 ** 2
+
+
+def test_a_rejected_lift_gets_the_message_of_its_case_alone(batched_items):
+    # two bad witnesses injected into a run of lifts: a set that is not an
+    # ideal, and the whole carrier, whose lift is an ideal whose stars do
+    # not vanish; each rerun alone gives its message and witness
+    lifts = [item[1:] for item in batched_items if item[0] == "lemma32-lift"]
+    case_id, B, H, _ = next(arg for arg in lifts
+                            if arg[1].order == 8 and not is_ideal(arg[1], [0, 1])[0]
+                            and not is_trivial(arg[1]))
+    bad = [(f"{case_id}:{what}", B, H, SemiprimeVerdict(False, Ideal(B, members), "fast"))
+           for what, members in (("pair", frozenset({0, 1})), ("all", frozenset(range(8))))]
+    args = [*lifts[:40], bad[0], *lifts[40:70], bad[1], *lifts[70:]]
+    got = verify._BATCH_FUNCS["lemma32-lift"](args)
+    assert got == [verify._case_lemma32_lift(*arg) for arg in args]
+    rejected = [r for r in got if not r.ok]
+    assert [r.case_id for r in rejected] == [case_id for case_id, *_ in bad]
+    assert rejected[0].info.startswith("lift fails ") and rejected[0].info != "lift fails None"
+    assert rejected[1].info == "lifted stars do not vanish"
+    assert [len(r.witness) for r in rejected] == [4, 64]
 
 
 def test_product_batches_hold_about_a_block_of_table_entries(monkeypatch):
@@ -742,21 +784,15 @@ def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
         return real(batch, principal)
 
     monkeypatch.setattr(ideals, "_batch_ideals", counting)
-    # a brace's own map work is its circle half; the additive half is
-    # made once per distinct additive table of a batch
-    mapped, added = Counter(), Counter()
-    real_maps, real_added = ideals._circle_maps, ideals._additive_maps
+    # each brace's maps are gathered in one stacked gather per batch
+    mapped = Counter()
+    real_maps = ideals._stacked_maps
 
-    def counting_maps(brace):
-        mapped[_tables(brace)] += 1
-        return real_maps(brace)
+    def counting_maps(tables):
+        mapped.update(_tables(B) for B in tables.braces)
+        return real_maps(tables)
 
-    def counting_added(add, neg):
-        added[add.tobytes() if isinstance(add, np.ndarray) else id(add)] += 1   # id: a PairTable
-        return real_added(add, neg)
-
-    monkeypatch.setattr(ideals, "_circle_maps", counting_maps)
-    monkeypatch.setattr(ideals, "_additive_maps", counting_added)
+    monkeypatch.setattr(ideals, "_stacked_maps", counting_maps)
     reports = verify_cor28_thm33(corpus_max=4, statements=("cor28", "thm33"))
     for report in reports.values():
         classified = [c for c in report.cases if c.case_id.startswith("classify:")]
@@ -772,9 +808,6 @@ def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
     # both methods read one map table per brace (the order-1 products
     # classify c1's tables again)
     assert all(mapped[_tables(B)] == 1 for B in standard_corpus(4) if B.order > 1)
-    adds = {B.add.tobytes() for B in standard_corpus(4) if B.order > 1}
-    assert len(adds) < len(standard_corpus(4)) - 1
-    assert all(added[a] == 1 for a in adds)
     # each product case classifies its own product
     assert [c.info for c in reports["thm33"].cases if c.case_id.startswith("thm33:standin:")] \
         == [f"order={P.order} semiprime" for P in products[2:]]

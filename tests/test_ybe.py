@@ -147,6 +147,6 @@ def test_solution_map_of_a_lazy_product(S3at):
     lazy = wreath_base(S3at, group_brace("c3", "trivial"))[0]
     assert isinstance(lazy.circ, PairTable)
     dense = FiniteSkewBrace(lazy.order, np.asarray(lazy.add), np.asarray(lazy.circ),
-                            lazy.neg, lazy.inv)
+                            lazy.neg, lazy.inv, lazy.add_gens, lazy.circ_gens)
     got, want = solution_map(lazy), solution_map(dense)
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
