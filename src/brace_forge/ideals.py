@@ -22,7 +22,6 @@ from .core import (
     _row_blocks,
     brace_from_tables,
     fmt_members,
-    lam_block,
     normalize_members,
     seeded_closure,
     sorted_unique,
@@ -73,19 +72,21 @@ def is_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> tuple[bool, str 
     """Decide whether ``members`` is an ideal; returns (flag, first failed rule).
 
     Rules are checked in the fixed order circ-subgroup, circ-normality,
-    lambda-invariance, coset-symmetry.  A batch of one of ``_failed_rules``.
+    lambda-invariance, coset-symmetry.  A batch of one of ``_failed_rules``;
+    a set that fails only its last check, "stars", is an ideal.
     """
     n = brace.order
     mask = np.zeros((1, n), dtype=bool)
     mask[0, normalize_members(n, members)] = True
     rule = _failed_rules(_Tables([brace]), np.zeros(1, dtype=np.int64), mask)[0]
-    return rule is None, rule
+    ok = rule in (None, "stars")
+    return ok, None if ok else rule
 
 
 def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list[str | None]:
-    """The first rule of ``IDEAL_RULES`` that each row fails, or None for
-    an ideal: row r of the (R, n) bool ``masks`` is a member set of brace
-    owner[r] of ``tables``.
+    """The first check each row fails, of the rules of ``IDEAL_RULES``
+    and then "stars", or None for an ideal I with I * I = 0: row r of the
+    (R, n) bool ``masks`` is a member set of brace owner[r] of ``tables``.
 
     Every rule is a membership test over the members s of a row and,
     for the last three, every generator g its brace's builder gave
@@ -110,14 +111,22 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
     fails it for some generator, and the first failed rule is the same.
     Padding label 0 maps every member to itself.
 
+    The last check, stars, fails when s o t != s + t for some members s,
+    t.  s * t = lambda_s(t) - t with lambda_s(t) = -s + s o t, so s * t =
+    0 exactly when s o t = s + t.  The circ gather of circ-subgroup holds
+    s o t for every ordered pair of members, and one add gather of the
+    same pairs holds s + t, so an ideal passes exactly when every star of
+    its members vanishes: I * I, generated by them, is 0.
+
     Rows are cut into blocks of one member count K, so no row is padded:
     a block of ``_row_blocks`` rows gathers about ``_BLOCK_ENTRIES``
-    entries, R K (K + k) for k generator columns, and each row's members
+    entries, R K (2 K + k) for k generator columns, and each row's members
     fill a row of an (R, K) label table.  An empty row fails
-    circ-subgroup.  The four rules are decided for every row of a block
-    at once.
+    circ-subgroup.  The five checks are made for every row of a block at
+    once.
     """
     n, add, circ, neg, inv = tables.n, tables.add, tables.circ, tables.neg, tables.inv
+    checks = (*IDEAL_RULES, "stars", None)
     sizes = masks.sum(axis=1)
     first = np.empty(len(masks), dtype=np.int64)
     by_size = np.argsort(sizes, kind="stable")
@@ -125,7 +134,7 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
     width = tables.circ_gens.shape[1] * 2 + tables.add_gens.shape[1]
     for index in np.split(by_size, cuts) if len(masks) else []:
         K = int(sizes[index[0]])
-        for r0, r1 in _row_blocks(n, index.size, max(1, K * (K + width))):
+        for r0, r1 in _row_blocks(n, index.size, max(1, K * (2 * K + width))):
             r = index[r0:r1]
             m, R = masks[r], r1 - r0
             S = np.nonzero(m)[1].reshape(R, K)                  # row-major: ascending members
@@ -138,15 +147,17 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
             cg = base + tables.circ_gens[owner[r], :, None]     # (R, kc, 1): circle generators
             ag = base + tables.add_gens[owner[r], :, None]      # (R, ka, 1): additive generators
             s = S[:, None, :]                                   # (R, 1, K): the members
+            t = base + S[:, :, None]                            # (R, K, 1): the members' rows
             g_s = circ[cg, s]                                   # g o s
-            fails = np.ones((len(IDEAL_RULES) + 1, R), dtype=bool)
-            fails[0] = ~m[:, 0] | ~inside(circ[base + S[:, :, None], s]) | ~inside(inv[base + s])
+            t_s = circ[t, s]                                    # t o s, every ordered pair
+            fails = np.ones((len(checks), R), dtype=bool)
+            fails[0] = ~m[:, 0] | ~inside(t_s) | ~inside(inv[base + s])
             fails[1] = ~inside(circ[base + g_s, inv[cg]])
             fails[2] = ~inside(add[base + neg[cg], g_s])
             fails[3] = ~inside(add[base + add[ag, s], neg[ag]])
+            fails[4] = (t_s != add[t, s]).reshape(R, -1).any(axis=1)
             first[r] = fails.argmax(axis=0)
-    rules = (*IDEAL_RULES, None)
-    return [rules[i] for i in first.tolist()]
+    return [checks[i] for i in first.tolist()]
 
 
 def as_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> Ideal:
@@ -422,7 +433,7 @@ def restrict(brace: FiniteSkewBrace, members: Iterable[int], name: str = "") -> 
 
 def is_trivial(brace: FiniteSkewBrace) -> bool:
     """True when a * b = 0 everywhere.  a * b = 0 exactly when
-    a o b = a + b (``_stars_vanish``), so this compares the two tables in
+    a o b = a + b (``_failed_rules``), so this compares the two tables in
     the row blocks of ``_row_blocks`` and stops at the first block where
     they differ; no star table is gathered or kept."""
     return all(np.array_equal(brace.add[a0:a1], brace.circ[a0:a1])
@@ -561,39 +572,32 @@ def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray
     return masks, vanish
 
 
-def _stars_vanish(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """(R,) bool: whether a * c = 0 for all members a, c of row r, a set
-    of brace owner[r] of ``tables``: whether a o c = a + c for all of
-    them (``_principal_masks``).  Blocks of ``_row_blocks(n, R)`` rows
-    gather about 2^20 entries."""
-    n = tables.n
-    differ = (tables.add != tables.circ).reshape(-1, n, n)     # a o c != a + c
-    vanish = np.empty(len(masks), dtype=bool)
-    for r0, r1 in _row_blocks(n, len(masks)):
-        m = masks[r0:r1]
-        vanish[r0:r1] = ~(differ[owner[r0:r1]] & m[:, :, None] & m[:, None, :]).any(axis=(1, 2))
-    return vanish
-
-
-def _vanishing_ideals(pairs: list[tuple[FiniteSkewBrace, Iterable[int]]]) -> list[bool]:
-    """For each (brace, members), braces within the ideal cap: whether the
-    members form an ideal with I * I = 0, from one ``_failed_rules`` call
-    and one ``_stars_vanish`` call per order.  A member out of range
-    raises ``PreconditionError``, as in ``is_ideal``."""
+def _batches(braces: list[FiniteSkewBrace]):
+    """The index lists of ``braces`` that share one ``_Tables``: one per
+    order up to ``DEFAULT_IDEAL_CAP``, in order of first appearance, and
+    one per brace above it, so no table above the cap is copied."""
     by_order: dict[int, list[int]] = {}
-    for i, (brace, _) in enumerate(pairs):
+    for i, brace in enumerate(braces):
         by_order.setdefault(brace.order, []).append(i)
-    good = [False] * len(pairs)
     for n, index in by_order.items():
-        owner = np.arange(len(index))
-        sets = [_member_labels(n, pairs[i][1]) for i in index]
-        masks = np.zeros((len(index), n), dtype=bool)
+        yield from [index] if n <= DEFAULT_IDEAL_CAP else ([i] for i in index)
+
+
+def _vanishing_ideals(pairs: list[tuple[FiniteSkewBrace, Iterable[int]]]) -> list[str | None]:
+    """For each (brace, members), braces of any order: the first check of
+    ``_failed_rules`` the members fail, or None for an ideal with I * I =
+    0, from one ``_failed_rules`` call per group of ``_batches``.  A
+    member out of range raises ``PreconditionError``, as in ``is_ideal``."""
+    checks: list[str | None] = [None] * len(pairs)
+    for group in _batches([brace for brace, _ in pairs]):
+        n, owner = pairs[group[0]][0].order, np.arange(len(group))
+        sets = [_member_labels(n, pairs[i][1]) for i in group]
+        masks = np.zeros((len(group), n), dtype=bool)
         masks[np.repeat(owner, [m.size for m in sets]), np.concatenate(sets)] = True
-        tables = _Tables([pairs[i][0] for i in index])
-        ideal = np.array([rule is None for rule in _failed_rules(tables, owner, masks)])
-        for i, ok in zip(index, ideal & _stars_vanish(tables, owner, masks)):
-            good[i] = bool(ok)
-    return good
+        tables = _Tables([pairs[i][0] for i in group])
+        for i, check in zip(group, _failed_rules(tables, owner, masks)):
+            checks[i] = check
+    return checks
 
 
 def is_semiprime(brace: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdict:
@@ -630,19 +634,15 @@ def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[st
         if m not in ("fast", "exhaustive"):
             raise PreconditionError(f"unknown method {m!r}, expected 'fast' or 'exhaustive'")
     braces = list(braces)
-    by_order: dict[int, list[int]] = {}
-    for i, brace in enumerate(braces):
-        by_order.setdefault(brace.order, []).append(i)
     witnesses = {m: [None] * len(braces) for m in methods}
-    for n, index in by_order.items():
+    for group in _batches(braces):
         if "exhaustive" in methods:
-            _check_ideal_cap(n)
-        for group in [index] if n <= DEFAULT_IDEAL_CAP else [[i] for i in index]:
-            batch = _Batch([braces[i] for i in group])
-            principal, vanish = _principal_masks(batch, methods == ("fast",))
-            for m in methods:
-                for i, witness in zip(group, _batch_witnesses(batch, m, principal, vanish)):
-                    witnesses[m][i] = witness
+            _check_ideal_cap(braces[group[0]].order)
+        batch = _Batch([braces[i] for i in group])
+        principal, vanish = _principal_masks(batch, methods == ("fast",))
+        for m in methods:
+            for i, witness in zip(group, _batch_witnesses(batch, m, principal, vanish)):
+                witnesses[m][i] = witness
     lists = [[SemiprimeVerdict(w is None, w, m) for w in witnesses[m]] for m in methods]
     return lists[0] if isinstance(method, str) else tuple(lists)
 
@@ -651,13 +651,16 @@ def _batch_witnesses(batch: _Batch, method: str, principal: np.ndarray,
                      vanish: np.ndarray) -> list[Ideal | None]:
     """The witness of each brace of the batch (``semiprime_verdicts``),
     None for a semiprime one, from the ``_principal_masks`` of the batch:
-    its first candidate row whose stars vanish."""
+    its first candidate row whose stars vanish.  The exhaustive candidates
+    are the nonzero ideals of ``_batch_ideals``, which ``_failed_rules``
+    checks: an ideal fails no rule, so it passes when its stars vanish."""
     owner, masks = batch.owner, principal
     if method == "exhaustive":
         owner, masks = _batch_ideals(batch, principal)
         nonzero = masks[:, 1:].any(axis=1)
         owner, masks = owner[nonzero], masks[nonzero]
-        vanish = _stars_vanish(batch, owner, masks)
+        vanish = np.array([check is None for check in _failed_rules(batch, owner, masks)],
+                          dtype=bool)
     hits = np.flatnonzero(vanish)[::-1]
     first = dict(zip(owner[hits].tolist(), hits.tolist()))     # the last write, the first hit, wins
     return [Ideal(brace, frozenset(np.flatnonzero(masks[first[b]]).tolist())) if b in first else None

@@ -13,9 +13,10 @@ in chunk order, so the output is byte-identical for any process count.
 
 Every case kind has one batch function (``_BATCH_FUNCS``), called with
 each maximal run of consecutive items of its kind within a chunk and
-returning one result per item.  A kind's single case is its batch of
-one, so each kind has one body, and a batch gives what its items give
-alone; where chunk bounds cut a run does not change the output.
+returning one result per item, each written by the batch itself.  A
+kind's single case is its batch of one, so each kind has one body, and a
+batch gives what its items give alone; where chunk bounds cut a run does
+not change the output.
 Nothing a batch computes outlives it, so a case does the same work
 whatever ran before it in the process.
 """
@@ -43,13 +44,11 @@ from .core import (
     PreconditionError,
     fmt_members,
     max_order,
-    star_block,
 )
 from .corpus import group_brace, standard_corpus
 from .docio import format_int_row, serialize_document
 from .ideals import (
     DEFAULT_IDEAL_CAP,
-    SemiprimeVerdict,
     _vanishing_ideals,
     ideal_masks,
     is_ideal,
@@ -416,60 +415,43 @@ def _batch_lemma32_base(args: list[tuple]) -> list[CaseResult]:
                           "unexpectedly not semiprime")
 
 
-def _case_lemma32_lift(case_id: str, G: FiniteSkewBrace, H: FiniteSkewBrace,
-                       verdict: SemiprimeVerdict) -> CaseResult:
-    """The case of G and H alone: the pointwise lift of G's witness to the
-    base of G and H is an ideal of the base whose stars vanish."""
-    if verdict.semiprime:
-        return CaseResult(case_id, False, "expected a non-semiprime bottom brace")
-    W, ctx = wreath_base(G, H)
-    lifted = pointwise_lift(ctx, verdict.witness.sorted())
-    wit = tuple(int(x) for x in lifted)
-    if lifted.size <= 1:
-        return CaseResult(case_id, False, "lift is zero", witness=wit)
-    ok, rule = is_ideal(W, lifted)
-    if not ok:
-        return CaseResult(case_id, False, f"lift fails {rule}", witness=wit)
-    if star_block(W, lifted, lifted).any():
-        return CaseResult(case_id, False, "lifted stars do not vanish", witness=wit)
-    return _lift_certifies(case_id, verdict, lifted, W)
-
-
-def _lift_certifies(case_id: str, verdict: SemiprimeVerdict, lifted: np.ndarray,
-                    W: FiniteSkewBrace) -> CaseResult:
-    return CaseResult(
-        case_id, True,
-        f"witness={fmt_members(verdict.witness.members)} lift_size={lifted.size} "
-        f"certifies W order={W.order} not semiprime")
-
-
 def _batch_lemma32_lift(args: list[tuple]) -> list[CaseResult]:
-    """The lift cases (case id, G, H, verdict) of a run.  Each base and
-    its lift are built as the run reaches them, and each block of at most
-    ``core._BLOCK_ENTRIES // 4`` entries (32 order-64 bases, ``_in_blocks``)
-    is checked by one ``_vanishing_ideals`` call.  A case whose lift that
-    check rejects, and one that it does not cover (a semiprime G, a base
-    above the ideal cap, a zero lift), is ``_case_lemma32_lift``, so its
-    message and witness are those of the case alone."""
+    """The lift cases (case id, G, H, verdict) of a run, each the claim
+    that the pointwise lift of G's witness to the base of G and H is a
+    nonzero ideal of the base whose stars vanish.  Each base and its lift
+    are built as the run reaches them, and each block of at most
+    ``core._BLOCK_ENTRIES // 4`` entries (32 order-64 bases, one base of
+    order 512, ``_in_blocks``) is checked by one ``_vanishing_ideals``
+    call, at any base order; a semiprime G or a zero lift fails before
+    it."""
     results: list[CaseResult | None] = [None] * len(args)
 
     def lifts():
-        for i, (_, G, H, verdict) in enumerate(args):
-            if not verdict.semiprime and G.order ** H.order <= DEFAULT_IDEAL_CAP:
-                W, ctx = wreath_base(G, H)
-                lifted = pointwise_lift(ctx, verdict.witness.sorted())
-                if lifted.size > 1:
-                    yield W, lifted, i
-                    continue
-            results[i] = _case_lemma32_lift(*args[i])
+        for i, (case_id, G, H, verdict) in enumerate(args):
+            if verdict.semiprime:
+                results[i] = CaseResult(case_id, False, "expected a non-semiprime bottom brace")
+                continue
+            W, ctx = wreath_base(G, H)
+            lifted = pointwise_lift(ctx, verdict.witness.sorted())
+            if lifted.size <= 1:
+                results[i] = CaseResult(case_id, False, "lift is zero",
+                                        witness=tuple(lifted.tolist()))
+                continue
+            yield W, lifted, i
 
     def check(block):
         return _vanishing_ideals([(W, lifted) for W, lifted, _ in block])
 
-    for (W, lifted, i), ok in _in_blocks(lifts(), core._BLOCK_ENTRIES // 4, check):
+    for (W, lifted, i), failed in _in_blocks(lifts(), core._BLOCK_ENTRIES // 4, check):
         case_id, *_, verdict = args[i]
-        results[i] = (_lift_certifies(case_id, verdict, lifted, W) if ok
-                      else _case_lemma32_lift(*args[i]))
+        if failed is None:
+            results[i] = CaseResult(
+                case_id, True,
+                f"witness={fmt_members(verdict.witness.members)} lift_size={lifted.size} "
+                f"certifies W order={W.order} not semiprime")
+        else:
+            info = "lifted stars do not vanish" if failed == "stars" else f"lift fails {failed}"
+            results[i] = CaseResult(case_id, False, info, witness=tuple(lifted.tolist()))
     return results
 
 
@@ -487,9 +469,8 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
     if base_max is None:
         base_max = max_order()
     corpus = standard_corpus(corpus_max)
-    braces = dict.fromkeys([G, *corpus])    # a G that is a corpus brace is classified once
-    verdicts = dict(zip(braces, semiprime_verdicts(braces, "fast")))
-    if not verdicts[G].semiprime:
+    verdicts = semiprime_verdicts([G, *corpus], "fast")
+    if not verdicts[0].semiprime:
         raise PreconditionError(f"{G.name or 'G'} is not semiprime")
     notes = []
     items = []
@@ -497,9 +478,9 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
         items.append(("lemma32-base", f"lemma32:base:{G.name}:m{H.order}", G, H))
     else:
         notes.append(f"base case skipped: {G.order}^{H.order} exceeds {base_max}")
-    for B in corpus:
-        if B.order ** H.order <= base_max and not verdicts[B].semiprime:
-            items.append(("lemma32-lift", f"lemma32:lift:{B.name}:m{H.order}", B, H, verdicts[B]))
+    for B, verdict in zip(corpus, verdicts[1:]):
+        if B.order ** H.order <= base_max and not verdict.semiprime:
+            items.append(("lemma32-lift", f"lemma32:lift:{B.name}:m{H.order}", B, H, verdict))
     return _sweep("lemma32", items, only, jobs, t0, notes)
 
 
@@ -526,7 +507,7 @@ def _batch_classification(args: list[tuple]) -> list[CaseResult]:
     ``_vanishing_ideals`` call."""
     pairs = [(B, v.witness.sorted()) for _, B, fast, exhaustive in args
              if not (fast.semiprime or exhaustive.semiprime) for v in (fast, exhaustive)]
-    good = iter(_vanishing_ideals(pairs))
+    good = (check is None for check in _vanishing_ideals(pairs))
     results = []
     for case_id, B, fast, exhaustive in args:
         if fast.semiprime != exhaustive.semiprime:

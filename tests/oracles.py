@@ -6,7 +6,7 @@ cancel itself out in the comparison.  The exceptions are former fast
 paths kept as the references for the ones that replaced them:
 ``is_ideal_per_set``, ``ascending_principal_scan``,
 ``principal_star_scan``, ``orbit_representatives_loop``,
-``pairwise_join_ideals``, ``lemma31_case_loop``,
+``pairwise_join_ideals``, ``lemma31_case_loop``, ``lemma32_lift_case``,
 ``perm_composition_lookup``, ``lambda_system_search_loop`` and
 ``homomorphisms_loop``.
 """
@@ -32,7 +32,8 @@ from brace_forge.ideals import (
     ideal_closure,
     is_ideal,
 )
-from brace_forge.products import wreath_base
+from brace_forge.products import pointwise_lift, wreath_base
+from brace_forge.verify import CaseResult
 
 
 def is_group_table(t) -> bool:
@@ -122,11 +123,12 @@ def naive_is_ideal(brace, members) -> bool:
 
 
 def is_ideal_per_set(brace, members) -> tuple[bool, str | None]:
-    """``is_ideal`` one member set at a time, the reference for the
-    batched rule kernel ``ideals._failed_rules``: (flag, first failed
-    rule) in the order circ-subgroup, circ-normality, lambda-invariance,
-    coset-symmetry, with coset-symmetry a comparison of the sorted rows
-    a + I and I + a."""
+    """One member set at a time, the reference for the batched rule
+    kernel ``ideals._failed_rules``: (flag, first failed check) in the
+    order circ-subgroup, circ-normality, lambda-invariance,
+    coset-symmetry, stars, with coset-symmetry a comparison of the sorted
+    rows a + I and I + a and stars a nonzero a * c of members a, c
+    (``star_block``)."""
     n = brace.order
     S = normalize_members(n, members)
     mask = np.zeros(n, dtype=bool)
@@ -144,7 +146,32 @@ def is_ideal_per_set(brace, members) -> tuple[bool, str | None]:
     right = np.sort(brace.add[S, :].T, axis=1)    # row a: I + a
     if not np.array_equal(left, right):
         return False, "coset-symmetry"
+    if star_block(brace, S, S).any():
+        return False, "stars"
     return True, None
+
+
+def lemma32_lift_case(case_id, G, H, verdict):
+    """One lemma32 lift case alone, the reference for the batched
+    ``verify._batch_lemma32_lift``: the pointwise lift of G's witness to
+    the base of G and H must be a nonzero ideal (``is_ideal``) whose stars
+    vanish (``star_block``)."""
+    if verdict.semiprime:
+        return CaseResult(case_id, False, "expected a non-semiprime bottom brace")
+    W, ctx = wreath_base(G, H)
+    lifted = pointwise_lift(ctx, verdict.witness.sorted())
+    wit = tuple(int(x) for x in lifted)
+    if lifted.size <= 1:
+        return CaseResult(case_id, False, "lift is zero", witness=wit)
+    ok, rule = is_ideal(W, lifted)
+    if not ok:
+        return CaseResult(case_id, False, f"lift fails {rule}", witness=wit)
+    if star_block(W, lifted, lifted).any():
+        return CaseResult(case_id, False, "lifted stars do not vanish", witness=wit)
+    return CaseResult(
+        case_id, True,
+        f"witness={fmt_members(verdict.witness.members)} lift_size={lifted.size} "
+        f"certifies W order={W.order} not semiprime")
 
 
 def powerset_ideals(brace) -> list[tuple[int, ...]]:

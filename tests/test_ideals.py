@@ -130,9 +130,10 @@ def member_sets(corpus8, T2):
 @pytest.mark.parametrize("one_row_blocks", [False, True])
 def test_rule_kernel_matches_the_per_set_check(member_sets, monkeypatch, one_row_blocks):
     # the batched kernel and is_ideal, its batch of one, against the
-    # per-set reference: flag and first failed rule
+    # per-set reference: flag and first failed check; is_ideal takes an
+    # ideal whose stars do not vanish for an ideal
     want = [oracles.is_ideal_per_set(B, S) for B, S in member_sets]
-    assert {rule for _, rule in want} == {None, *IDEAL_RULES}
+    assert {rule for _, rule in want} == {None, *IDEAL_RULES, "stars"}
     if one_row_blocks:
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
     by_order = {}
@@ -153,7 +154,8 @@ def test_rule_kernel_matches_the_per_set_check(member_sets, monkeypatch, one_row
         for i, rule in zip(index, _failed_rules(ideals._Tables(braces), owner, masks)):
             got[i] = (rule is None, rule)
     assert got == want
-    assert [is_ideal(B, S) for B, S in member_sets] == want
+    assert [is_ideal(B, S) for B, S in member_sets] == [
+        (True, None) if rule == "stars" else (ok, rule) for ok, rule in want]
 
 
 def test_enumerate_matches_powerset(R4, S3at, corpus8):

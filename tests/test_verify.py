@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -36,7 +37,6 @@ from brace_forge.verify import (
     Counterexample,
     STATEMENTS,
     _assemble,
-    _case_lemma32_lift,
 )
 
 import oracles
@@ -300,6 +300,28 @@ class TestLemma32:
         assert lift.case_id == "lemma32:lift:R4:m3"
         assert "lift_size=8" in lift.info  # |{0,2}|^3
 
+    def test_lifts_above_the_ideal_cap_run_in_the_batch(self, monkeypatch):
+        # with H = T3 the bottoms of orders 6, 7 and 8 lift to bases of
+        # orders 216, 343 and 512, above the ideal cap (those of order 512
+        # lazy); their lifts are checked by the same _vanishing_ideals
+        # blocks as the smaller ones, an order-512 base a block
+        blocks = []
+        real = verify._vanishing_ideals
+
+        def counting(pairs):
+            blocks.append([W.order for W, _ in pairs])
+            return real(pairs)
+
+        monkeypatch.setattr(verify, "_vanishing_ideals", counting)
+        report = verify_lemma32(H=group_brace("c3", "trivial", name="T3"), base_max=512)
+        assert report.attempted == 306 and not report.counterexamples
+        orders = Counter(order for block in blocks for order in block)
+        assert orders == Counter({512: 286, 216: 10, 343: 1, 125: 1, 64: 6, 27: 1, 8: 1})
+        assert sum(k for order, k in orders.items() if order > DEFAULT_IDEAL_CAP) == 297
+        assert all(block == [512] for block in blocks if 512 in block)
+        digest = hashlib.sha256(_render(report).encode()).hexdigest()
+        assert digest == "12f3a218fe7800b55d4ce4adcbab62f69c7980f2f1b6ccb4a767e5a61caa266f"
+
     def test_rejects_non_semiprime_bottom(self, T2):
         with pytest.raises(PreconditionError):
             verify_lemma32(G=T2)
@@ -414,9 +436,11 @@ class TestFailurePaths:
         assert [d.to_brace() == T2 for d in docs] == [True, True]
 
     def test_lift_case_rejects_semiprime_bottom(self, A5at, T2):
-        result = _case_lemma32_lift("lemma32:lift:A5at:m2", A5at, T2, is_semiprime(A5at))
+        item = ("lemma32-lift", "lemma32:lift:A5at:m2", A5at, T2, is_semiprime(A5at))
+        result = verify._dispatch(item)
         assert not result.ok
         assert result.info == "expected a non-semiprime bottom brace"
+        assert result.witness == ()
 
     def test_classify_case_rejects_disagreeing_verdicts(self, R4):
         fast = is_semiprime(R4, "fast")
@@ -597,7 +621,7 @@ def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks
 def test_a_rejected_lift_gets_the_message_of_its_case_alone(batched_items):
     # two bad witnesses injected into a run of lifts: a set that is not an
     # ideal, and the whole carrier, whose lift is an ideal whose stars do
-    # not vanish; each rerun alone gives its message and witness
+    # not vanish; each gets the message and witness of the per-lift check
     lifts = [item[1:] for item in batched_items if item[0] == "lemma32-lift"]
     case_id, B, H, _ = next(arg for arg in lifts
                             if arg[1].order == 8 and not is_ideal(arg[1], [0, 1])[0]
@@ -606,7 +630,7 @@ def test_a_rejected_lift_gets_the_message_of_its_case_alone(batched_items):
            for what, members in (("pair", frozenset({0, 1})), ("all", frozenset(range(8))))]
     args = [*lifts[:40], bad[0], *lifts[40:70], bad[1], *lifts[70:]]
     got = verify._BATCH_FUNCS["lemma32-lift"](args)
-    assert got == [verify._case_lemma32_lift(*arg) for arg in args]
+    assert got == [oracles.lemma32_lift_case(*arg) for arg in args]
     rejected = [r for r in got if not r.ok]
     assert [r.case_id for r in rejected] == [case_id for case_id, *_ in bad]
     assert rejected[0].info.startswith("lift fails ") and rejected[0].info != "lift fails None"
@@ -819,12 +843,13 @@ def test_lemma32_scans_each_corpus_brace_once(monkeypatch):
     one = group_brace("c1", "trivial")
     report = verify_lemma32(G=one, corpus_max=4)
     assert report.attempted == 9 and not report.counterexamples
-    # the set-up classifies each corpus brace once (the bottom c1 is one
-    # of them), and the lift cases read those verdicts; the base case
-    # classifies the order-1 base through the same call
+    # the set-up classifies the bottom c1 and each corpus brace once, in
+    # one call (c1 is also a corpus brace, so it is classified twice), and
+    # the lift cases read those verdicts; the base case classifies the
+    # order-1 base through the same call
     corpus = standard_corpus(4)
-    assert batched == _each_once(corpus, "fast") + _each_once([one], "fast")
-    assert built == Counter(_tables(B) for B in corpus) + Counter({_tables(one): 1})
+    assert batched == _each_once(corpus, "fast") + _each_once([one, one], "fast")
+    assert built == Counter(_tables(B) for B in corpus) + Counter({_tables(one): 2})
 
 
 def test_q34_items_search_each_add_table_once(monkeypatch):
