@@ -34,8 +34,6 @@ __all__ = [
     "validate",
     "brace_from_tables",
     "table_eval",
-    "frontier_closure",
-    "seeded_closure",
     "generated_subbrace",
     "lam_block",
     "star_block",
@@ -226,25 +224,6 @@ def _inverse_violation_full(t: np.ndarray, prefix: str) -> list[Violation]:
     if bad.size:
         return [(f"{prefix}-inverses", (int(bad[0]), 0, 0))]
     return []
-
-
-def frontier_closure(mask: np.ndarray, frontier: np.ndarray, families) -> np.ndarray:
-    """Grow ``mask`` in place to a fixed point, expanding only from ``frontier``.
-
-    Members already set in ``mask`` count as processed unless they are in
-    ``frontier``.  Each round ``families(F, M)`` returns the candidate
-    arrays generated by the frontier F against all members M, and the
-    candidates not yet in ``mask`` form the next frontier.  Returns ``mask``.
-
-    The candidates are deduplicated by one bool scatter, and the next
-    frontier is the ``flatnonzero`` of the new ones, so it is ascending.
-    """
-    while frontier.size:
-        hit = np.zeros_like(mask)
-        hit[np.concatenate(families(frontier, np.flatnonzero(mask)))] = True
-        frontier = np.flatnonzero(hit & ~mask)
-        mask[frontier] = True
-    return mask
 
 
 def closure_generators(t: np.ndarray) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -460,9 +439,10 @@ class FiniteSkewBrace:
     group's additive set and has the greedy set of its circle table; a
     product lifts its factors' sets (``products._product``).
     Readers that need some generating set, not a greedy one, read them
-    (the orbit maps and the ideal rules of ``ideals``, and
-    ``autos.skew_automorphisms``).  They are not part of equality,
-    hashing or serialization.
+    (the element maps of ``ideals._stacked_maps``, whose docstring shows
+    that any generating sets give the same closures, the ideal rules of
+    ``ideals``, and ``autos.skew_automorphisms``).  They are not part of
+    equality, hashing or serialization.
     """
 
     __slots__ = ("order", "add", "circ", "neg", "inv", "add_gens", "circ_gens", "name")
@@ -543,7 +523,9 @@ def brace_from_tables(add, circ, name: str = "") -> FiniteSkewBrace:
 
 
 def _check_index(n: int, value: int, what: str = "index") -> int:
-    v = int(value)
+    """``value`` as an int in 0..n-1; otherwise ``PreconditionError``,
+    also for a value that is not an integer (``_member``)."""
+    v = _member(value, what)
     if not 0 <= v < n:
         raise PreconditionError(f"{what} {value} out of range 0..{n - 1}")
     return v
@@ -572,14 +554,14 @@ def _member_labels(n: int, members: Iterable[int]) -> np.ndarray:
     return arr
 
 
-def _member(value) -> int:
+def _member(value, what: str = "member") -> int:
     """``value`` as an int, when it is one."""
     try:
         v = int(value)
     except (TypeError, ValueError):
         v = None
     if v is None or v != value:
-        raise PreconditionError(f"member {value} is not an integer")
+        raise PreconditionError(f"{what} {value} is not an integer")
     return v
 
 
@@ -621,28 +603,28 @@ def table_eval(brace: FiniteSkewBrace, kind: str, a: int, b: int | None = None) 
     return brace.star(a, b)
 
 
-def seeded_closure(n: int, seed: Iterable[int], families) -> frozenset[int]:
-    """Fixed point of ``families`` (see ``frontier_closure``) over {0} and ``seed``."""
+def generated_subbrace(brace: FiniteSkewBrace, seed: Iterable[int]) -> frozenset[int]:
+    """Smallest subset containing ``seed`` and 0 that is closed under add,
+    circ, and both kinds of inverse.  A fixed-point loop: each round makes
+    f + m, m + f, f o m, m o f, -f and f' for every member m and frontier
+    entry f (first 0 and the seed), and the candidates that are not
+    members yet are the next frontier."""
+    add, circ, neg, inv, n = brace.add, brace.circ, brace.neg, brace.inv, brace.order
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
     mask[normalize_members(n, seed)] = True
-    frontier_closure(mask, np.flatnonzero(mask), families)
-    return frozenset(int(x) for x in np.flatnonzero(mask))
-
-
-def generated_subbrace(brace: FiniteSkewBrace, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subset containing ``seed`` and 0 that is closed under add,
-    circ, and both kinds of inverse.  Deterministic fixed-point sweep."""
-    add, circ, neg, inv = brace.add, brace.circ, brace.neg, brace.inv
-
-    def families(F, M):
-        return [
-            add[np.ix_(F, M)].ravel(), add[np.ix_(M, F)].ravel(),
-            circ[np.ix_(F, M)].ravel(), circ[np.ix_(M, F)].ravel(),
-            neg[F], inv[F],
-        ]
-
-    return seeded_closure(brace.order, seed, families)
+    frontier = np.flatnonzero(mask)
+    while frontier.size:
+        members = np.flatnonzero(mask)
+        hit = np.zeros_like(mask)
+        for table in (add, circ):
+            hit[table[np.ix_(frontier, members)]] = True
+            hit[table[np.ix_(members, frontier)]] = True
+        hit[neg[frontier]] = True
+        hit[inv[frontier]] = True
+        frontier = np.flatnonzero(hit & ~mask)
+        mask[frontier] = True
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def lam_block(brace: FiniteSkewBrace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from .core import (
     brace_from_tables,
     fmt_members,
     normalize_members,
-    seeded_closure,
     sorted_unique,
     star_product,
 )
@@ -103,7 +102,7 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
       I + a.
 
     The generators decide each rule for every label a, by the monoid
-    argument of ``_orbit_maps``: the a whose map (conjugation by a in
+    argument of ``_stacked_maps``: the a whose map (conjugation by a in
     (A, o), lambda_a, conjugation by a in (A, +)) sends the members into
     the row form a monoid, since each map is a homomorphism of its group
     into the maps of A; it holds the generators, so the group they
@@ -169,13 +168,18 @@ def as_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> Ideal:
     return Ideal(brace, S)
 
 
-def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
-    """The element maps of ``_ideal_families`` and
-    ``_orbit_representatives`` as one stacked (k, n) table, row i the map
-    a -> maps[i, a]: a -> a', and for each generator g the maps lambda_g
-    and a -> g o a o g' (g a generator of (A, o) the builder supplies,
-    ``circ_gens``) and a -> g + a - g (g a generator of (A, +),
-    ``add_gens``).  A batch of one of ``_stacked_maps``.
+def _stacked_maps(tables: _Tables) -> np.ndarray:
+    """The element maps of the braces of ``tables`` as one (B, K, n) array
+    in the tables' dtype, row i of brace b the map a -> maps[b, i, a],
+    from one gather per kind of map over the flat tables: row 0 a -> a',
+    then lambda_g and a -> g o a o g' for each column g of
+    ``tables.circ_gens`` (generators of (A, o) the builder supplies) and
+    a -> g + a - g for each column g of ``tables.add_gens`` (generators of
+    (A, +)).  Those matrices pad a brace with fewer generators with label
+    0, whose maps are the identity.  The identity fixes every set, so the
+    padding changes no orbit and no closure: its images of a frontier are
+    members already, and in ``_orbit_representatives`` it maps label[a]
+    to itself.
 
     A set closed under these maps is closed under lambda_x,
     a -> x o a o x' and a -> x + a - x for every x.  lambda_{x o y} =
@@ -186,21 +190,7 @@ def _orbit_maps(brace: FiniteSkewBrace) -> np.ndarray:
     monoid holds the group they generate: the maps of every x.  Closures,
     and so orbits, principal ideals, ideal lists and their order, and
     witnesses are those of the maps by every x, whichever generating sets
-    the builder gave.
-    """
-    return _stacked_maps(_Tables([brace]))[0]
-
-
-def _stacked_maps(tables: _Tables) -> np.ndarray:
-    """The ``_orbit_maps`` tables of the braces of ``tables`` as one
-    (B, K, n) array in the tables' dtype, from one gather per kind of map
-    over the flat tables: row 0 a -> a', then lambda_g and a -> g o a o g'
-    for each column g of ``tables.circ_gens`` and a -> g + a - g for each
-    column g of ``tables.add_gens``.  Those matrices pad a brace with
-    fewer generators with label 0, whose maps are the identity.  The
-    identity fixes every set, so the padding changes no orbit and no
-    closure: its images of a frontier are members already, and in
-    ``_orbit_representatives`` it maps label[a] to itself."""
+    the builder gave."""
     add, circ, neg, inv, n = tables.add, tables.circ, tables.neg, tables.inv, tables.n
     base = np.arange(len(tables.braces))[:, None, None] * n    # each brace in the flat tables
     a = np.arange(n)
@@ -215,26 +205,17 @@ def _stacked_maps(tables: _Tables) -> np.ndarray:
     ], axis=1)
 
 
-def _ideal_families(brace: FiniteSkewBrace, maps: np.ndarray):
-    """Candidate generators of the least ideal for ``frontier_closure``:
-    circle products with the members, and the images under ``maps``, the
-    table of ``_orbit_maps(brace)``."""
-    circ = brace.circ
-
-    def families(F, M):
-        return [circ[F[:, None], M].ravel(), circ[M[:, None], F].ravel(),
-                maps[:, F].ravel()]
-
-    return families
-
-
 def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
-    """Least ideal containing ``seed``: fixed point under circle products
-    and inverses and the maps of ``_orbit_maps`` (lambda_g, circle and
-    additive conjugation by the brace's generators g; closed under those,
-    it is closed under lambda_x and both conjugations by every element x)."""
-    families = _ideal_families(brace, _orbit_maps(brace))
-    return Ideal(brace, seeded_closure(brace.order, seed, families))
+    """Least ideal containing ``seed``: the one row of ``_principal_masks``
+    seeded with {0} and ``seed``, on the brace's own tables and
+    ``_stacked_maps`` (a ``groups.PairTable`` is read in place, never
+    made dense).  A seed member that is out of range or not an integer
+    raises ``PreconditionError``."""
+    seeds = np.zeros((1, brace.order), dtype=bool)
+    seeds[0, 0] = True
+    seeds[0, normalize_members(brace.order, seed)] = True
+    masks, _ = _principal_masks(_Batch([brace], seeds), False)
+    return Ideal(brace, frozenset(np.flatnonzero(masks[0]).tolist()))
 
 
 def _check_ideal_cap(n: int) -> None:
@@ -266,14 +247,24 @@ class _Tables:
 
 
 class _Batch(_Tables):
-    """``_Tables`` with the ``_stacked_maps`` of its braces and the
-    (brace, representative) pairs ``owner`` and ``reps`` of
-    ``_orbit_representatives``."""
+    """``_Tables`` with the ``_stacked_maps`` of its braces and the rows of
+    ``_principal_masks``: row t closes the member mask seeds[t] in brace
+    owner[t].  By default the rows are the (brace, representative) pairs
+    ``owner`` and ``reps`` of ``_orbit_representatives``, row t seeded
+    with {0, reps[t]}; given the (R, n) bool ``seeds``, the batch holds
+    one brace and a row for each seed."""
 
-    def __init__(self, braces: list[FiniteSkewBrace]):
+    def __init__(self, braces: list[FiniteSkewBrace], seeds: np.ndarray | None = None):
         super().__init__(braces)
         self.maps = _stacked_maps(self)
-        self.owner, self.reps = _orbit_representatives(self.maps)
+        if seeds is None:
+            self.owner, self.reps = _orbit_representatives(self.maps)
+            seeds = np.zeros((self.reps.size, self.n), dtype=bool)
+            seeds[:, 0] = True
+            seeds[np.arange(self.reps.size), self.reps] = True
+        else:
+            self.owner = np.zeros(len(seeds), dtype=np.int64)
+        self.seeds = seeds
 
 
 def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
@@ -462,7 +453,7 @@ def _orbit_representatives(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     returned, in a fixed number of numpy calls per round.
 
     ``maps[b]`` holds a' and the maps of the generators, whose orbits
-    are those of the maps of every x (the argument is in ``_orbit_maps``).
+    are those of the maps of every x (the argument is in ``_stacked_maps``).
     It has no a -> -a, but -a = lambda_a(a') is already in the orbit of a.
 
     One gather loop of min-label propagation, in every brace at once: each
@@ -489,15 +480,16 @@ def _orbit_representatives(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, vanish): row t of the (R, n) bool ``masks`` is the
-    principal ideal of reps[t] in brace b = owner[t] of the batch, the
-    least ideal holding it, and vanish[t] says whether a * c = 0 for all
-    its members a, c.  With ``abort`` a row stops at its first nonzero
-    star, with vanish[t] False and masks[t] part of the ideal, and the
-    rows of a brace with a vanishing row in an earlier block are not
-    closed at all (a block of them all is skipped): only each brace's
-    first vanishing row is then exact, which is all ``semiprime_verdicts``
-    reads when "fast" is its only method.
+    """(masks, vanish): row t of the (R, n) bool ``masks`` is the least
+    ideal of brace b = owner[t] of the batch that holds the member mask
+    seeds[t] (``_Batch``), by default the principal ideal of reps[t], and
+    vanish[t] says whether a * c = 0 for all its members a, c.  With
+    ``abort`` a row stops at its first nonzero star, with vanish[t] False
+    and masks[t] part of the ideal, and the rows of a brace with a
+    vanishing row in an earlier block are not closed at all (a block of
+    them all is skipped): only each brace's first vanishing row is then
+    exact, which is all ``semiprime_verdicts`` reads when "fast" is its
+    only method.
 
     Every label has its orbit representative's principal ideal.  Each map
     of ``_orbit_representatives`` sends a into every ideal that holds a,
@@ -506,47 +498,48 @@ def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray
     by themselves), so all of an orbit has one principal ideal.
 
     Each row keeps its members M_t and frontier F_t (within M_t), seeded
-    with {0, reps[t]} and {reps[t]}.  A round scatters, for all rows of a
-    block, maps[b, :, f] over the frontier entries f and f o m over each
-    pair of a frontier entry f and a member m of its row; the candidates
-    outside M_t are the next F_t.  Rows never mix, so row t reaches the
-    fixed point of its own closure.  That is the closure of
-    ``frontier_closure`` over ``_ideal_families``, whose families make
-    each candidate made here and m o f too, under which the fixed point is
-    closed as well.  It is closed under the maps, so under conjugation by
-    every element (``_orbit_maps``), and under a o c for members a, c: if
-    c came no later than a, a o c was scattered in a's round; if a came
-    earlier, a o c = a o (c o a) o a' is a conjugate of the c o a
-    scattered in c's round.
+    with seeds[t], which holds 0, and seeds[t] without 0.  A round
+    scatters, for all rows of a block, maps[b, :, f] over the frontier
+    entries f and f o m over each pair of a frontier entry f and a member
+    m of its row; the candidates outside M_t are the next F_t.  Rows never
+    mix, so row t reaches the fixed point of its own closure.  Leaving 0
+    out of the first frontier loses nothing: every map fixes 0, 0 o m = m
+    is a member, and 0 * m = m * 0 = 0.  The fixed point is closed under
+    the maps, so under conjugation by every element (``_stacked_maps``),
+    and under a o c for members a, c.  Say a member came in the round
+    where it entered the frontier, every seed in the first (0 in none):
+    if c came no later than a, a o c was scattered in a's round; if a
+    came earlier, a o c = a o (c o a) o a' is a conjugate of the c o a
+    scattered in c's round; if either is 0, a o c is the other.  So it is
+    an ideal, and every candidate lies in each ideal that holds the seed:
+    it is the least one.
 
     a * c = lambda_a(c) - c with lambda_a(c) = -a + a o c, so a * c = 0
     exactly when a o c = a + c, and each round tests that both ways on
     the same pairs.  Every pair of members is tested: in the round where
     the later of the two (either, if they came together) is in the
-    frontier, the other is a member.  So a row that closes without a
-    nonzero star vanishes, and a star found in a round is one between
-    members of the final ideal, which then does not vanish.
+    frontier, the other is a member; a pair with 0 has only zero stars.
+    So a row that closes without a nonzero star vanishes, and a star
+    found in a round is one between members of the final ideal, which
+    then does not vanish.
 
     A row has at most n frontier entries and n members, so a block of
     ``_row_blocks(n, R)`` rows pairs at most about 2^20 of them a round.
     Above order 1024 a block is one row, and its pairs are gathered for
     chunks of at most about 2^20 / n frontier entries.
     """
-    add, circ, maps, owner, reps, n = (batch.add, batch.circ, batch.maps, batch.owner,
-                                       batch.reps, batch.n)
-    masks = np.zeros((reps.size, n), dtype=bool)
-    masks[:, 0] = True
-    masks[np.arange(reps.size), reps] = True
-    vanish = np.zeros(reps.size, dtype=bool)
+    add, circ, maps, owner, n = batch.add, batch.circ, batch.maps, batch.owner, batch.n
+    masks = batch.seeds.copy()
+    vanish = np.zeros(len(masks), dtype=bool)
     witnessed = np.zeros(len(batch.braces), dtype=bool)   # a vanishing row so far
-    for t0, t1 in _row_blocks(n, reps.size):
+    for t0, t1 in _row_blocks(n, len(masks)):
         block = owner[t0:t1]
         stopped = abort & witnessed[block]        # a star showed, or (abort) never started
         if stopped.all():
             continue
         members = masks[t0:t1]                    # a view: grows masks in place
-        frontier = np.zeros_like(members)
-        frontier[np.arange(t1 - t0), reps[t0:t1]] = ~stopped
+        frontier = members & ~stopped[:, None]
+        frontier[:, 0] = False
         while True:
             rows, F = np.nonzero(frontier)
             if not rows.size:

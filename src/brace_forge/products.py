@@ -23,8 +23,10 @@ from .core import (
     FiniteSkewBrace,
     PreconditionError,
     SizeCapExceeded,
+    _check_index,
+    _member_labels,
     max_order,
-    sorted_unique,
+    normalize_members,
     table_dtype,
 )
 from .groups import PairTable, _pair_table
@@ -203,16 +205,15 @@ class WreathContext:
         self.weights = (base_order ** np.arange(positions - 1, -1, -1)).astype(np.int64)
 
     def encode(self, digits) -> int:
+        """The label of ``digits``; a digit out of range or not an integer
+        raises ``PreconditionError`` (``core._member_labels``)."""
         digits = np.asarray(digits)
         if digits.shape != (self.positions,):
             raise PreconditionError(f"expected {self.positions} digits, got {digits.shape}")
-        if digits.min(initial=0) < 0 or digits.max(initial=0) >= self.base_order:
-            raise PreconditionError("digit out of range")
-        return int(digits @ self.weights)
+        return int(_member_labels(self.base_order, digits) @ self.weights)
 
     def decode(self, label: int) -> np.ndarray:
-        if not 0 <= label < self.order:
-            raise PreconditionError(f"label {label} out of range")
+        label = _check_index(self.order, label, "label")
         return (label // self.weights) % self.base_order
 
     def digit_matrix(self) -> np.ndarray:
@@ -253,26 +254,20 @@ def wreath(G: FiniteSkewBrace, H: FiniteSkewBrace,
 
 def delta_function(ctx: WreathContext, position: int, value: int) -> int:
     """Label of the function supported at one position."""
-    digits = np.zeros(ctx.positions, dtype=np.int64)
-    if not 0 <= position < ctx.positions:
-        raise PreconditionError(f"position {position} out of range")
-    digits[position] = value
+    digits = [0] * ctx.positions
+    digits[_check_index(ctx.positions, position, "position")] = value
     return ctx.encode(digits)
 
 
 def rho_projection(ctx: WreathContext, label: int, position: int) -> int:
     """Digit of a function label at one position."""
-    if not 0 <= position < ctx.positions:
-        raise PreconditionError(f"position {position} out of range")
-    return int(ctx.decode(label)[position])
+    return int(ctx.decode(label)[_check_index(ctx.positions, position, "position")])
 
 
 def pointwise_lift(ctx: WreathContext, members) -> np.ndarray:
     """Labels of all functions whose every digit lies in ``members``
     (the lift of a base-brace subset to the function space), ascending."""
-    members = sorted_unique(np.asarray(list(members), dtype=np.int64))
-    if members.size and (members[0] < 0 or members[-1] >= ctx.base_order):
-        raise PreconditionError("member out of range")
+    members = normalize_members(ctx.base_order, members)
     labels = members
     for _ in range(ctx.positions - 1):
         labels = (labels[:, None] * ctx.base_order + members[None, :]).ravel()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSkewBrace, PreconditionError
+from .core import FiniteSkewBrace, PreconditionError, _first_violation, _row_blocks
 
 __all__ = ["SolutionMap", "solution_map", "check_braid", "check_nondegenerate"]
 
@@ -48,44 +48,41 @@ def solution_map(brace: FiniteSkewBrace) -> SolutionMap:
 def check_braid(sol: SolutionMap) -> tuple[bool, tuple[int, int, int] | None]:
     """Braid relation (r x id)(id x r)(r x id) = (id x r)(r x id)(id x r)
     on all triples; returns the lexicographically first failing triple.
-    Time and memory are O(n^3) and O(n^2)."""
+
+    Both sides are gathered for every (b, c) of a block of rows a
+    (``core._row_blocks``), each side's three components as one int64
+    code (x n + y) n + z, which two sides share exactly when all three
+    components agree; ``core._first_violation`` gives the first triple
+    where the codes differ.  Time is O(n^3); memory is that of one block,
+    about 2^20 triples and at least n^2."""
     u, v, n = sol.u, sol.v, sol.n
-    b = np.arange(n)[:, None]
-    c = np.arange(n)[None, :]
-    bb = np.broadcast_to(b, (n, n))
-    cc = np.broadcast_to(c, (n, n))
-    for a in range(n):
-        # left: r12, r23, r12
-        a1 = u[a, bb]
-        b1 = v[a, bb]
-        b2 = u[b1, cc]
-        c2 = v[b1, cc]
-        la = u[a1, b2]
-        lb = v[a1, b2]
-        lc = c2
-        # right: r23, r12, r23
-        b3 = u[bb, cc]
-        c3 = v[bb, cc]
-        a4 = u[a, b3]
-        b4 = v[a, b3]
-        ra = a4
-        rb = u[b4, c3]
-        rc = v[b4, c3]
-        diff = (la != ra) | (lb != rb) | (lc != rc)
-        if diff.any():
-            i, j = np.argwhere(diff)[0]
-            return False, (a, int(i), int(j))
+    b, c = np.arange(n)[:, None], np.arange(n)
+
+    def code(x, y, z):                        # up to n^3 - 1: int64 before int16 overflows
+        return (x.astype(np.int64) * n + y) * n + z
+
+    b3, c3 = u[b, c], v[b, c]                 # right: r23 on (b, c)
+    for r0, r1 in _row_blocks(n):
+        a = np.arange(r0, r1)[:, None, None]
+        a1, b1 = u[a, b], v[a, b]             # left: r12, r23, r12
+        b2, c2 = u[b1, c], v[b1, c]
+        left = code(u[a1, b2], v[a1, b2], c2)
+        a4, b4 = u[a, b3], v[a, b3]           # right: r12, then r23 on (b4, c3)
+        witness = _first_violation(left, code(a4, u[b4, c3], v[b4, c3]), r0)
+        if witness is not None:
+            return False, witness
     return True, None
 
 
 def check_nondegenerate(sol: SolutionMap) -> tuple[bool, tuple[str, int] | None]:
     """Left nondegeneracy: every row of u is a permutation.  Right:
-    every column of v is one.  Returns the first failing line."""
+    every column of v is one.  Returns the first failing line, from one
+    sort of each table."""
     ident = np.arange(sol.n)
-    for a in range(sol.n):
-        if not np.array_equal(np.sort(sol.u[a]), ident):
-            return False, ("row", a)
-    for b in range(sol.n):
-        if not np.array_equal(np.sort(sol.v[:, b]), ident):
-            return False, ("col", b)
+    rows = np.flatnonzero((np.sort(sol.u, axis=1) != ident).any(axis=1))
+    if rows.size:
+        return False, ("row", int(rows[0]))
+    cols = np.flatnonzero((np.sort(sol.v, axis=0) != ident[:, None]).any(axis=0))
+    if cols.size:
+        return False, ("col", int(cols[0]))
     return True, None

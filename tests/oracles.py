@@ -4,11 +4,11 @@ Everything here is written from the definitions with plain loops, no
 shortcuts shared with the package, so a bug in the fast paths cannot
 cancel itself out in the comparison.  The exceptions are former fast
 paths kept as the references for the ones that replaced them:
-``is_ideal_per_set``, ``ascending_principal_scan``,
-``principal_star_scan``, ``orbit_representatives_loop``,
-``pairwise_join_ideals``, ``lemma31_case_loop``, ``lemma32_lift_case``,
-``perm_composition_lookup``, ``lambda_system_search_loop`` and
-``homomorphisms_loop``.
+``is_ideal_per_set``, ``frontier_ideal_closure``,
+``ascending_principal_scan``, ``principal_star_scan``,
+``orbit_representatives_loop``, ``pairwise_join_ideals``,
+``lemma31_case_loop``, ``lemma32_lift_case``, ``perm_composition_lookup``,
+``lambda_system_search_loop``, ``homomorphisms_loop`` and ``braid_loop``.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ import numpy as np
 from brace_forge.core import (
     closure_generators,
     fmt_members,
-    frontier_closure,
     lam_block,
     normalize_members,
     star_block,
 )
 from brace_forge.ideals import (
-    _ideal_families,
-    _orbit_maps,
     _orbit_representatives,
-    ideal_closure,
+    _stacked_maps,
+    _Tables,
     is_ideal,
 )
 from brace_forge.products import pointwise_lift, wreath_base
@@ -348,9 +346,52 @@ def element_orbits(brace) -> list[set[int]]:
     return orbits
 
 
+def frontier_closure(mask: np.ndarray, frontier: np.ndarray, families) -> np.ndarray:
+    """Grow ``mask`` in place to a fixed point, expanding only from
+    ``frontier``: each round ``families(F, M)`` returns the candidate
+    arrays generated by the frontier F against all members M, and the
+    candidates not yet in ``mask`` form the next frontier.  Returns
+    ``mask``.  The closure engine ``ideals._principal_masks`` replaced."""
+    while frontier.size:
+        hit = np.zeros_like(mask)
+        hit[np.concatenate(families(frontier, np.flatnonzero(mask)))] = True
+        frontier = np.flatnonzero(hit & ~mask)
+        mask[frontier] = True
+    return mask
+
+
+def orbit_maps(brace) -> np.ndarray:
+    """The (k, n) element maps of one brace, ``ideals._stacked_maps``."""
+    return _stacked_maps(_Tables([brace]))[0]
+
+
+def ideal_families(brace, maps):
+    """Candidate generators of the least ideal for ``frontier_closure``:
+    circle products with the members both ways (m o f on purpose: the
+    kernel scatters f o m only), and the images under ``maps``."""
+    circ = brace.circ
+
+    def families(F, M):
+        return [circ[F[:, None], M].ravel(), circ[M[:, None], F].ravel(),
+                maps[:, F].ravel()]
+
+    return families
+
+
+def frontier_ideal_closure(brace, seed) -> frozenset[int]:
+    """Least ideal holding 0 and ``seed`` by ``frontier_closure`` over
+    ``ideal_families``: the engine ``ideal_closure`` ran before it became
+    a row of ``ideals._principal_masks``, the reference for that kernel."""
+    mask = np.zeros(brace.order, dtype=bool)
+    mask[0] = True
+    mask[normalize_members(brace.order, seed)] = True
+    frontier_closure(mask, np.flatnonzero(mask), ideal_families(brace, orbit_maps(brace)))
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def _star_free_closure(brace, a, families):
     """The principal ideal of ``a`` grown one frontier at a time by
-    ``families`` (``_ideal_families``), as a mask, or None at the first
+    ``families`` (``ideal_families``), as a mask, or None at the first
     round whose frontier has a nonzero star with a member, either way
     round."""
     mask = np.zeros(brace.order, dtype=bool)
@@ -374,7 +415,7 @@ def ascending_principal_scan(brace):
     the first nonzero star, so it shares those maps with the fast path;
     ``test_fast_witness_is_least_principal_witness`` checks them apart
     from it.  Returns the first witness's sorted members, or None."""
-    families = _ideal_families(brace, _orbit_maps(brace))
+    families = ideal_families(brace, orbit_maps(brace))
     for a in range(1, brace.order):
         mask = _star_free_closure(brace, a, families)
         if mask is not None:
@@ -388,8 +429,8 @@ def principal_star_scan(brace):
     orbit representative (``_orbit_representatives``), ascending, grown
     until its first nonzero star.  Returns the first closure that
     completes as sorted members, or None."""
-    maps = _orbit_maps(brace)
-    families = _ideal_families(brace, maps)
+    maps = orbit_maps(brace)
+    families = ideal_families(brace, maps)
     for a in _orbit_representatives(maps[None])[1].tolist():
         mask = _star_free_closure(brace, a, families)
         if mask is not None:
@@ -399,10 +440,10 @@ def principal_star_scan(brace):
 
 def orbit_representatives_loop(brace) -> list[int]:
     """The least label of each orbit but {0} under the maps of
-    ``_orbit_maps``, ascending, by one ``frontier_closure`` of the maps per
+    ``orbit_maps``, ascending, by one ``frontier_closure`` of the maps per
     orbit: the loop that the min-label propagation of
     ``_orbit_representatives`` replaced."""
-    maps = _orbit_maps(brace)
+    maps = orbit_maps(brace)
 
     def images(F, M):
         return [maps[:, F].ravel()]
@@ -469,7 +510,7 @@ def pairwise_join_ideals(brace) -> list[frozenset[int]]:
     zero[0] = True
     known = {np.packbits(zero).tobytes(): zero}
     for a in orbit_representatives_loop(brace):
-        P = np.fromiter(sorted(ideal_closure(brace, [a]).members), dtype=np.int64)
+        P = np.fromiter(sorted(frontier_ideal_closure(brace, [a])), dtype=np.int64)
         for base in list(known.values()):
             if base[a]:
                 continue
@@ -595,3 +636,24 @@ def homomorphisms_loop(table, target, budget=None) -> list[np.ndarray]:
             if budget is not None and len(out) >= budget:
                 break
     return out
+
+
+def braid_loop(sol) -> tuple[bool, tuple[int, int, int] | None]:
+    """The braid relation checked one row a at a time, both sides'
+    components compared apart: the loop the row-blocked scan of
+    ``ybe.check_braid`` replaced.  Returns the first failing triple."""
+    u, v, n = sol.u, sol.v, sol.n
+    bb = np.broadcast_to(np.arange(n)[:, None], (n, n))
+    cc = np.broadcast_to(np.arange(n)[None, :], (n, n))
+    for a in range(n):
+        a1, b1 = u[a, bb], v[a, bb]            # left: r12, r23, r12
+        b2, c2 = u[b1, cc], v[b1, cc]
+        la, lb, lc = u[a1, b2], v[a1, b2], c2
+        b3, c3 = u[bb, cc], v[bb, cc]          # right: r23, r12, r23
+        a4, b4 = u[a, b3], v[a, b3]
+        ra, rb, rc = a4, u[b4, c3], v[b4, c3]
+        diff = (la != ra) | (lb != rb) | (lc != rc)
+        if diff.any():
+            i, j = np.argwhere(diff)[0]
+            return False, (a, int(i), int(j))
+    return True, None

@@ -474,6 +474,14 @@ def test_table_eval_errors(R4):
         table_eval(R4, "add", 0, 9)
     with pytest.raises(PreconditionError):
         table_eval(R4, "neg", 0, 1)
+    # a non-integral label is an error, not a truncated one
+    with pytest.raises(PreconditionError, match=r"^a 1.5 is not an integer$"):
+        table_eval(R4, "add", 1.5, 2)
+    with pytest.raises(PreconditionError, match=r"^b 2.9 is not an integer$"):
+        table_eval(R4, "circ", 1, 2.9)
+    with pytest.raises(PreconditionError, match=r"^a x is not an integer$"):
+        table_eval(R4, "neg", "x")
+    assert table_eval(R4, "add", 1.0, np.int16(2)) == table_eval(R4, "add", 1, 2)
 
 
 def test_fmt_members():

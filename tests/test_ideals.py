@@ -27,7 +27,6 @@ from brace_forge import core, groups, ideals
 from brace_forge.ideals import (
     IDEAL_RULES,
     _failed_rules,
-    _orbit_maps,
     _orbit_representatives,
     _principal_masks,
 )
@@ -175,7 +174,8 @@ def test_sum_of_ideals_is_their_join(corpus8):
         for I in ideals:
             for J in ideals:
                 total = tuple(np.unique(brace.add[np.ix_(I, J)]).tolist())
-                assert total == ideal_closure(brace, [*I, *J]).sorted(), brace.name
+                assert total == tuple(sorted(oracles.frontier_ideal_closure(brace, [*I, *J]))), \
+                    brace.name
                 assert total in listed, brace.name
 
 
@@ -185,8 +185,8 @@ def test_enumeration_is_join_closure_of_principals(corpus8, g_name, h_name, coun
     # the reference joins by closure, never by sums
     named = {b.name: b for b in corpus8}
     W, _ = wreath_base(named[g_name], named[h_name])
-    principals = [ideal_closure(W, [a]).members for a in range(W.order)]
-    want = oracles.join_closure(principals, lambda X, Y: ideal_closure(W, X | Y).members)
+    principals = [oracles.frontier_ideal_closure(W, [a]) for a in range(W.order)]
+    want = oracles.join_closure(principals, lambda X, Y: oracles.frontier_ideal_closure(W, X | Y))
     got = [i.members for i in enumerate_ideals(W)]
     assert len(got) == count
     assert got == want
@@ -255,12 +255,44 @@ def test_ideal_closure(R4, S3at):
     assert ok
 
 
+def test_ideal_closure_matches_the_frontier_reference(corpus8):
+    # every order-8 corpus brace, every singleton {a} and pair {a, n-1-a}
+    seeds = 0
+    for brace in corpus8:
+        n = brace.order
+        for seed in [*([a] for a in range(n)), *([a, n - 1 - a] for a in range(n))]:
+            want = oracles.frontier_ideal_closure(brace, seed)
+            assert ideal_closure(brace, seed).members == want, (brace.name, seed)
+            seeds += 1
+    assert seeds == 4780
+
+
+def test_ideal_closure_reads_a_lazy_product_in_place(A5at_square, monkeypatch):
+    # seeds in A5at x 0, 0 x A5at and both: ideals of 60, 60 and 3600 labels
+    seeds = [[1], [60], [61], [1, 60]]
+    want = [oracles.frontier_ideal_closure(A5at_square, seed) for seed in seeds]
+    assert [len(w) for w in want] == [60, 60, 3600, 3600]
+
+    def dense(self, dtype=None, copy=None):
+        raise AssertionError("a PairTable was made dense")
+
+    monkeypatch.setattr(groups.PairTable, "__array__", dense)
+    assert isinstance(A5at_square.circ, groups.PairTable)
+    assert [ideal_closure(A5at_square, seed).members for seed in seeds] == want
+
+
+def test_ideal_closure_rejects_bad_seeds(R4):
+    for seed in ([4], [-1], [0, 2.9], ["x"]):
+        with pytest.raises(PreconditionError):
+            ideal_closure(R4, seed)
+
+
 def test_closure_is_minimal(R4, S3at, corpus8):
     # every enumerated ideal containing the seed contains its closure
     for brace in [R4, S3at] + list(corpus8[:8]):
         ideals = enumerate_ideals(brace)
         for a in range(1, brace.order):
-            closed = ideal_closure(brace, [a]).members
+            closed = oracles.frontier_ideal_closure(brace, [a])
             smallest = min((i.members for i in ideals if a in i.members), key=len)
             assert closed == smallest, (brace.name, a)
 
@@ -350,7 +382,7 @@ def test_fast_witness_is_least_principal_witness(corpus8):
 
 
 def _representatives(brace):
-    owner, reps = _orbit_representatives(_orbit_maps(brace)[None])
+    owner, reps = _orbit_representatives(oracles.orbit_maps(brace)[None])
     assert not owner.any()
     return reps.tolist()
 
@@ -377,9 +409,9 @@ def test_orbits_share_their_principal_ideal(corpus8):
         orbits = oracles.element_orbits(brace)
         assert _representatives(brace) == [min(o) for o in orbits[1:]], brace.name
         for orbit in orbits:
-            principal = ideal_closure(brace, [min(orbit)]).members
+            principal = oracles.frontier_ideal_closure(brace, [min(orbit)])
             for x in orbit:
-                assert ideal_closure(brace, [x]).members == principal, (brace.name, x)
+                assert oracles.frontier_ideal_closure(brace, [x]) == principal, (brace.name, x)
 
 
 def _lemma31_bases(corpus8):
@@ -424,8 +456,8 @@ def test_batched_principal_ideals_match_one_closure_each(batch_braces, monkeypat
         assert masks.shape == (len(batch.reps), brace.order), brace.name
         stars = brace.star_table()
         for a, row, zero in zip(batch.reps.tolist(), masks, vanish):
-            assert set(np.flatnonzero(row).tolist()) == ideal_closure(brace, [a]).members, \
-                (brace.name, a)
+            want = oracles.frontier_ideal_closure(brace, [a])
+            assert set(np.flatnonzero(row).tolist()) == want, (brace.name, a)
             assert zero == (not stars[np.ix_(row, row)].any()), (brace.name, a)
 
 
@@ -446,7 +478,7 @@ def test_semiprime_verdicts_match_one_brace_at_a_time(mixed_braces, monkeypatch,
     # tables of a batch are padded with identity rows
     lengths = {}
     for brace in mixed_braces:
-        lengths.setdefault(brace.order, set()).add(len(_orbit_maps(brace)))
+        lengths.setdefault(brace.order, set()).add(len(oracles.orbit_maps(brace)))
     assert sum(len(k) > 1 for k in lengths.values()) >= 3
     both = semiprime_verdicts(mixed_braces, ("fast", "exhaustive"))
     for method, shared in zip(("fast", "exhaustive"), both):

@@ -143,6 +143,21 @@ class TestCodec:
             ctx.encode([1, 2, 3])
         with pytest.raises(PreconditionError):
             ctx.decode(16)
+        # non-integral digits, labels and positions are errors, not truncated
+        with pytest.raises(PreconditionError, match="1.5 is not an integer"):
+            ctx.encode([1.5, 2])
+        with pytest.raises(PreconditionError, match="3.5 is not an integer"):
+            ctx.decode(3.5)
+        with pytest.raises(PreconditionError, match="2.9 is not an integer"):
+            delta_function(ctx, 1, 2.9)
+        with pytest.raises(PreconditionError, match="0.5 is not an integer"):
+            rho_projection(ctx, 3, 0.5)
+        with pytest.raises(PreconditionError):
+            delta_function(ctx, 2, 1)
+        with pytest.raises(PreconditionError):
+            rho_projection(ctx, 3, -1)
+        assert ctx.encode([1.0, 2]) == 6 and delta_function(ctx, 1, 2.0) == 2
+        assert ctx.decode(6.0).tolist() == [1, 2] and rho_projection(ctx, 6, 1.0) == 2
         with pytest.raises(SizeCapExceeded):
             WreathContext(60, 3)
 
@@ -240,6 +255,9 @@ def test_pointwise_lift(R4, T2):
     assert full.tolist() == list(range(16))
     with pytest.raises(PreconditionError):
         pointwise_lift(ctx, [4])
+    with pytest.raises(PreconditionError, match="2.9 is not an integer"):
+        pointwise_lift(ctx, [0, 2.9])
+    assert pointwise_lift(ctx, [2.0, 0, 2]).tolist() == [0, 2, 8, 10]
 
 
 def _assert_matches_validate(power):

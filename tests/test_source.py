@@ -7,8 +7,17 @@ import pytest
 
 import brace_forge
 
-MODULES = sorted(p for p in Path(brace_forge.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(brace_forge.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The names a module's ``__all__`` assignment lists, or []."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,11 +33,23 @@ def unused_imports(source: str) -> list[str]:
             bound.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
-    return sorted(bound - read)
+    return sorted(bound - read - set(exported_names(tree)))
+
+
+def unbound_exports(source: str) -> list[str]:
+    """The names in ``__all__`` of ``source`` that no top-level statement
+    binds (a def, class, assignment or import), in ``__all__`` order."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [name for name in exported_names(tree) if name not in bound]
 
 
 def test_unused_imports_finds_what_is_never_read():
@@ -45,3 +66,15 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unbound_exports_finds_a_stale_name():
+    source = ("import os\nfrom json import dumps as d\nX: int = 1\nY, Z = 2, 3\n"
+              "def f(): pass\nclass C: pass\n"
+              "__all__ = ['os', 'd', 'X', 'Y', 'Z', 'f', 'C', 'gone', 'dumps']\n")
+    assert unbound_exports(source) == ["gone", "dumps"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_binds_every_name_it_exports(path):
+    assert unbound_exports(path.read_text()) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brace_forge import core
 from brace_forge import (
     FiniteSkewBrace,
     PreconditionError,
@@ -116,6 +117,31 @@ def test_corrupted_solution_fails_braid(R4):
         if found:
             break
     assert witness == found
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_braid_witness_matches_the_row_loop(corpus8, R4, monkeypatch, one_row_blocks):
+    # every corpus brace, intact and with one entry of u or v changed: the
+    # same first witness as the per-row loop the blocked scan replaced
+    if one_row_blocks:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    rng = np.random.default_rng(0)
+    failing = 0
+    big = wreath_base(R4, group_brace("c3", "trivial"))[0]   # order 64: codes past int16
+    for brace in [*corpus8, big]:
+        sol = solution_map(brace)
+        n = brace.order
+        solutions = [sol]
+        for part in ("u", "v"):
+            tables = {"u": np.array(sol.u), "v": np.array(sol.v)}
+            a, b = rng.integers(n, size=2)
+            tables[part][a, b] = (tables[part][a, b] + rng.integers(1, n)) % n if n > 1 else 0
+            solutions.append(SolutionMap(n, tables["u"], tables["v"]))
+        for s in solutions:
+            got = check_braid(s)
+            assert got == oracles.braid_loop(s), brace.name
+            failing += not got[0]
+    assert failing > 300
 
 
 def test_degenerate_detection(R4):
