@@ -492,7 +492,8 @@ class FiniteSkewBrace:
     # -- scalar calculus ------------------------------------------------
 
     def star(self, a: int, b: int) -> int:
-        """a * b = lambda_a(b) - b."""
+        """a * b = lambda_a(b) - b; labels are checked by ``_check_index``."""
+        a, b = _check_index(self.order, a, "a"), _check_index(self.order, b, "b")
         return int(star_block(self, np.array([a]), np.array([b]))[0, 0])
 
     def star_table(self) -> np.ndarray:
@@ -529,6 +530,19 @@ def _check_index(n: int, value: int, what: str = "index") -> int:
     if not 0 <= v < n:
         raise PreconditionError(f"{what} {value} out of range 0..{n - 1}")
     return v
+
+
+def _label_table(table, n: int, what: str) -> np.ndarray:
+    """``table`` as a read-only array of ``table_dtype(n)``, when every
+    entry is an integer in 0..n-1 (an integral float such as 2.0 is taken
+    as 2); otherwise ``PreconditionError``."""
+    table = np.asarray(table)
+    if table.size and (table.dtype.kind not in "iuf" or table.min() < 0 or table.max() >= n
+                       or table.dtype.kind == "f" and not (table == np.floor(table)).all()):
+        raise PreconditionError(f"{what} entries must be integers in 0..{n - 1}")
+    table = table.astype(table_dtype(n), copy=False)
+    table.setflags(write=False)
+    return table
 
 
 def normalize_members(n: int, members: Iterable[int]) -> np.ndarray:

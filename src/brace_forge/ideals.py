@@ -71,13 +71,10 @@ def is_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> tuple[bool, str 
     """Decide whether ``members`` is an ideal; returns (flag, first failed rule).
 
     Rules are checked in the fixed order circ-subgroup, circ-normality,
-    lambda-invariance, coset-symmetry.  A batch of one of ``_failed_rules``;
-    a set that fails only its last check, "stars", is an ideal.
+    lambda-invariance, coset-symmetry.  A batch of one of
+    ``_vanishing_ideals``; a set that fails only "stars" is an ideal.
     """
-    n = brace.order
-    mask = np.zeros((1, n), dtype=bool)
-    mask[0, normalize_members(n, members)] = True
-    rule = _failed_rules(_Tables([brace]), np.zeros(1, dtype=np.int64), mask)[0]
+    rule = _vanishing_ideals([(brace, members)])[0]
     ok = rule in (None, "stars")
     return ok, None if ok else rule
 
@@ -91,7 +88,8 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
     for the last three, every generator g its brace's builder gave
     (``_Tables``):
 
-    - circ-subgroup: 0, s o t and s' are members;
+    - circ-subgroup: 0 and s o t are members.  Then s' is one too, a
+      power of s in the finite circle group: the set is a subgroup;
     - circ-normality: g o s o g' is a member, g a generator of (A, o);
     - lambda-invariance: lambda_g(s) = -g + g o s is a member, g a
       generator of (A, o);
@@ -150,7 +148,7 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
             g_s = circ[cg, s]                                   # g o s
             t_s = circ[t, s]                                    # t o s, every ordered pair
             fails = np.ones((len(checks), R), dtype=bool)
-            fails[0] = ~m[:, 0] | ~inside(t_s) | ~inside(inv[base + s])
+            fails[0] = ~m[:, 0] | ~inside(t_s)
             fails[1] = ~inside(circ[base + g_s, inv[cg]])
             fails[2] = ~inside(add[base + neg[cg], g_s])
             fails[3] = ~inside(add[base + add[ag, s], neg[ag]])
@@ -206,15 +204,15 @@ def _stacked_maps(tables: _Tables) -> np.ndarray:
 
 
 def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
-    """Least ideal containing ``seed``: the one row of ``_principal_masks``
-    seeded with {0} and ``seed``, on the brace's own tables and
-    ``_stacked_maps`` (a ``groups.PairTable`` is read in place, never
-    made dense).  A seed member that is out of range or not an integer
-    raises ``PreconditionError``."""
+    """Least ideal containing ``seed``: the one row of a closing
+    ``_principal_masks`` pass seeded with {0} and ``seed``, on the brace's
+    own tables and ``_stacked_maps`` (a ``groups.PairTable`` is read in
+    place, never made dense); no star is read.  A seed member that is out
+    of range or not an integer raises ``PreconditionError``."""
     seeds = np.zeros((1, brace.order), dtype=bool)
     seeds[0, 0] = True
     seeds[0, normalize_members(brace.order, seed)] = True
-    masks, _ = _principal_masks(_Batch([brace], seeds), False)
+    masks = _principal_masks(_Batch([brace]), False, (np.zeros(1, dtype=np.int64), seeds))
     return Ideal(brace, frozenset(np.flatnonzero(masks[0]).tolist()))
 
 
@@ -247,24 +245,15 @@ class _Tables:
 
 
 class _Batch(_Tables):
-    """``_Tables`` with the ``_stacked_maps`` of its braces and the rows of
-    ``_principal_masks``: row t closes the member mask seeds[t] in brace
-    owner[t].  By default the rows are the (brace, representative) pairs
-    ``owner`` and ``reps`` of ``_orbit_representatives``, row t seeded
-    with {0, reps[t]}; given the (R, n) bool ``seeds``, the batch holds
-    one brace and a row for each seed."""
+    """``_Tables`` with the ``_stacked_maps`` of its braces and their
+    nonzero orbit representatives, the pairs (owner[t], reps[t]) of
+    ``_orbit_representatives``, whose principal ideals are the default
+    rows of ``_principal_masks``."""
 
-    def __init__(self, braces: list[FiniteSkewBrace], seeds: np.ndarray | None = None):
+    def __init__(self, braces: list[FiniteSkewBrace]):
         super().__init__(braces)
         self.maps = _stacked_maps(self)
-        if seeds is None:
-            self.owner, self.reps = _orbit_representatives(self.maps)
-            seeds = np.zeros((self.reps.size, self.n), dtype=bool)
-            seeds[:, 0] = True
-            seeds[np.arange(self.reps.size), self.reps] = True
-        else:
-            self.owner = np.zeros(len(seeds), dtype=np.int64)
-        self.seeds = seeds
+        self.owner, self.reps = _orbit_representatives(self.maps)
 
 
 def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
@@ -310,7 +299,7 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     """
     _check_ideal_cap(brace.order)
     batch = _Batch([brace])
-    _, masks = _batch_ideals(batch, _principal_masks(batch, False)[0])
+    _, masks = _batch_ideals(batch, _principal_masks(batch, False))
     masks.setflags(write=False)
     return masks
 
@@ -398,7 +387,6 @@ def quotient(brace: FiniteSkewBrace, ideal) -> tuple[FiniteSkewBrace, np.ndarray
     reps = sorted_unique(coset_min)
     assert reps[0] == 0
     coset_index = np.searchsorted(reps, coset_min)
-    k = reps.size
     qadd = coset_index[brace.add[np.ix_(reps, reps)]]
     qcirc = coset_index[brace.circ[np.ix_(reps, reps)]]
     name = f"{brace.name}/{fmt_members(I.members)}" if brace.name else ""
@@ -479,17 +467,20 @@ def _orbit_representatives(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         label = lower
 
 
-def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, vanish): row t of the (R, n) bool ``masks`` is the least
-    ideal of brace b = owner[t] of the batch that holds the member mask
-    seeds[t] (``_Batch``), by default the principal ideal of reps[t], and
-    vanish[t] says whether a * c = 0 for all its members a, c.  With
-    ``abort`` a row stops at its first nonzero star, with vanish[t] False
-    and masks[t] part of the ideal, and the rows of a brace with a
-    vanishing row in an earlier block are not closed at all (a block of
-    them all is skipped): only each brace's first vanishing row is then
-    exact, which is all ``semiprime_verdicts`` reads when "fast" is its
-    only method.
+def _principal_masks(batch: _Batch, abort: bool,
+                     seeds: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Row t of the (R, n) bool result is the least ideal of brace
+    owner[t] of the batch that holds the member mask masks[t], for the
+    rows ``seeds`` = (owner, masks); each seed holds 0.  By default the
+    rows are the principal seeds {0, reps[t]} in brace owner[t] of
+    ``_Batch``, and row t is the principal ideal of reps[t].
+
+    Without ``abort`` every row is closed and no star is read.  With
+    ``abort`` the rows are star-tested too: a row stops at its first
+    nonzero star, and so, unstarted, does every row of a brace with a
+    vanishing row in an earlier block; a stopped row comes back empty.
+    So every nonempty row is an ideal whose stars vanish, and each
+    brace's first vanishing row is one (no row before it vanishes).
 
     Every label has its orbit representative's principal ideal.  Each map
     of ``_orbit_representatives`` sends a into every ideal that holds a,
@@ -498,52 +489,50 @@ def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray
     by themselves), so all of an orbit has one principal ideal.
 
     Each row keeps its members M_t and frontier F_t (within M_t), seeded
-    with seeds[t], which holds 0, and seeds[t] without 0.  A round
-    scatters, for all rows of a block, maps[b, :, f] over the frontier
-    entries f and f o m over each pair of a frontier entry f and a member
-    m of its row; the candidates outside M_t are the next F_t.  Rows never
-    mix, so row t reaches the fixed point of its own closure.  Leaving 0
-    out of the first frontier loses nothing: every map fixes 0, 0 o m = m
-    is a member, and 0 * m = m * 0 = 0.  The fixed point is closed under
-    the maps, so under conjugation by every element (``_stacked_maps``),
-    and under a o c for members a, c.  Say a member came in the round
-    where it entered the frontier, every seed in the first (0 in none):
-    if c came no later than a, a o c was scattered in a's round; if a
-    came earlier, a o c = a o (c o a) o a' is a conjugate of the c o a
-    scattered in c's round; if either is 0, a o c is the other.  So it is
-    an ideal, and every candidate lies in each ideal that holds the seed:
-    it is the least one.
+    with masks[t] and masks[t] without 0.  A round scatters, for all rows
+    of a block, maps[b, :, f] over the frontier entries f and f o m over
+    each pair of a frontier entry f and a member m of its row; the
+    candidates outside M_t are the next F_t.  Rows never mix, so row t
+    reaches the fixed point of its own closure.  Leaving 0 out of the
+    first frontier loses nothing: every map fixes 0, 0 o m = m is a
+    member, and 0 * m = m * 0 = 0.  The fixed point is closed under the
+    maps, so under conjugation by every element (``_stacked_maps``), and
+    under a o c for members a, c.  Say a member came in the round where it
+    entered the frontier, every seed in the first (0 in none): if c came
+    no later than a, a o c was scattered in a's round; if a came earlier,
+    a o c = a o (c o a) o a' is a conjugate of the c o a scattered in c's
+    round; if either is 0, a o c is the other.  So it is an ideal, and
+    every candidate lies in each ideal that holds the seed: it is the
+    least one.
 
     a * c = lambda_a(c) - c with lambda_a(c) = -a + a o c, so a * c = 0
-    exactly when a o c = a + c, and each round tests that both ways on
-    the same pairs.  Every pair of members is tested: in the round where
-    the later of the two (either, if they came together) is in the
-    frontier, the other is a member; a pair with 0 has only zero stars.
-    So a row that closes without a nonzero star vanishes, and a star
-    found in a round is one between members of the final ideal, which
-    then does not vanish.
+    exactly when a o c = a + c, and an aborting round tests that both
+    ways on the same pairs.  Every pair of members is tested: in the
+    round where the later of the two (either, if they came together) is
+    in the frontier, the other is a member; a pair with 0 has only zero
+    stars.  So a row that closes without a nonzero star vanishes, and a
+    star found in a round is one between members of the final ideal,
+    which then does not vanish.  A seed that is already an ideal closes
+    in round 1, where every ordered pair of its members is tested.
 
     A row has at most n frontier entries and n members, so a block of
     ``_row_blocks(n, R)`` rows pairs at most about 2^20 of them a round.
     Above order 1024 a block is one row, and its pairs are gathered for
     chunks of at most about 2^20 / n frontier entries.
     """
-    add, circ, maps, owner, n = batch.add, batch.circ, batch.maps, batch.owner, batch.n
-    masks = batch.seeds.copy()
-    vanish = np.zeros(len(masks), dtype=bool)
+    add, circ, maps, n = batch.add, batch.circ, batch.maps, batch.n
+    if seeds is None:                             # the principal seeds {0, reps[t]}
+        seeds = batch.owner, (np.arange(n) == 0) | (np.arange(n) == batch.reps[:, None])
+    owner, masks = seeds[0], seeds[1].copy()
     witnessed = np.zeros(len(batch.braces), dtype=bool)   # a vanishing row so far
     for t0, t1 in _row_blocks(n, len(masks)):
         block = owner[t0:t1]
-        stopped = abort & witnessed[block]        # a star showed, or (abort) never started
-        if stopped.all():
-            continue
+        stopped = abort & witnessed[block]        # a star showed, or never started
         members = masks[t0:t1]                    # a view: grows masks in place
         frontier = members & ~stopped[:, None]
         frontier[:, 0] = False
-        while True:
+        while frontier.any():
             rows, F = np.nonzero(frontier)
-            if not rows.size:
-                break
             b = block[rows]
             base = b * n                          # each entry's brace in the flat tables
             hit = np.zeros_like(members)
@@ -552,17 +541,18 @@ def _principal_masks(batch: _Batch, abort: bool) -> tuple[np.ndarray, np.ndarray
                 e, m = np.nonzero(members[rows[e0:e1]])   # entry e0 + e, member m of its row
                 e += e0
                 f, r = F[e], rows[e]
-                fx, mx = base[e] + f, base[e] + m         # rows of the flat tables
+                fx = base[e] + f                          # rows of the flat tables
                 fm = circ[fx, m]
-                stopped[r[(fm != add[fx, m]) | (circ[mx, f] != add[mx, f])]] = True
                 hit.reshape(-1)[r * n + fm] = True
-            if abort:
-                hit[stopped] = False
+                if abort:
+                    mx = base[e] + m
+                    stopped[r[(fm != add[fx, m]) | (circ[mx, f] != add[mx, f])]] = True
+            hit[stopped] = False
             frontier = hit > members              # hit and not a member
             members |= frontier
-        vanish[t0:t1] = ~stopped
+        members[stopped] = False
         witnessed[block[~stopped]] = True
-    return masks, vanish
+    return masks
 
 
 def _batches(braces: list[FiniteSkewBrace]):
@@ -610,17 +600,9 @@ def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[st
     ``_Batch`` per order up to ``DEFAULT_IDEAL_CAP`` and one per brace
     above it.  ``method`` is "fast", "exhaustive", or a tuple of them; a
     tuple gives one list per method, all read from the same batches, so
-    each brace's maps and principal ideals are built once.  An exhaustive
-    verdict above the cap raises ``SizeCapExceeded``, as ``ideal_masks``
-    does.
-
-    fast: the witness is each brace's first representative row
-    (ascending) whose stars vanish (``_principal_masks``, which aborts
-    rows when "fast" is the only method).  All of an orbit has one
-    principal ideal, so this is the principal ideal of the least label
-    whose principal ideal vanishes.
-    exhaustive: the witness is the first vanishing row after {0} in each
-    brace's ``ideal_masks`` order, the smallest vanishing nonzero ideal.
+    each brace's maps and orbit representatives are built once.  An
+    exhaustive verdict above the cap raises ``SizeCapExceeded``, as
+    ``ideal_masks`` does.  The witnesses are those of ``_batch_witnesses``.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     for m in methods:
@@ -632,29 +614,33 @@ def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[st
         if "exhaustive" in methods:
             _check_ideal_cap(braces[group[0]].order)
         batch = _Batch([braces[i] for i in group])
-        principal, vanish = _principal_masks(batch, methods == ("fast",))
         for m in methods:
-            for i, witness in zip(group, _batch_witnesses(batch, m, principal, vanish)):
+            for i, witness in zip(group, _batch_witnesses(batch, m)):
                 witnesses[m][i] = witness
     lists = [[SemiprimeVerdict(w is None, w, m) for w in witnesses[m]] for m in methods]
     return lists[0] if isinstance(method, str) else tuple(lists)
 
 
-def _batch_witnesses(batch: _Batch, method: str, principal: np.ndarray,
-                     vanish: np.ndarray) -> list[Ideal | None]:
+def _batch_witnesses(batch: _Batch, method: str) -> list[Ideal | None]:
     """The witness of each brace of the batch (``semiprime_verdicts``),
-    None for a semiprime one, from the ``_principal_masks`` of the batch:
-    its first candidate row whose stars vanish.  The exhaustive candidates
-    are the nonzero ideals of ``_batch_ideals``, which ``_failed_rules``
-    checks: an ideal fails no rule, so it passes when its stars vanish."""
-    owner, masks = batch.owner, principal
+    None for a semiprime one: its first candidate row that vanishes in one
+    aborting ``_principal_masks`` pass over the candidates.
+
+    fast: the candidates are the principal seeds, one per representative,
+    ascending.  All of an orbit has one principal ideal, so the witness is
+    the principal ideal of the least label whose principal ideal vanishes.
+    exhaustive: the candidates are the nonzero ideals of ``_batch_ideals``
+    over the principal ideals of a closing pass, in ``ideal_masks``
+    order, so the witness is the smallest vanishing nonzero ideal.
+    """
+    seeds = None
     if method == "exhaustive":
-        owner, masks = _batch_ideals(batch, principal)
+        owner, masks = _batch_ideals(batch, _principal_masks(batch, False))
         nonzero = masks[:, 1:].any(axis=1)
-        owner, masks = owner[nonzero], masks[nonzero]
-        vanish = np.array([check is None for check in _failed_rules(batch, owner, masks)],
-                          dtype=bool)
-    hits = np.flatnonzero(vanish)[::-1]
+        seeds = owner[nonzero], masks[nonzero]
+    owner = batch.owner if seeds is None else seeds[0]
+    masks = _principal_masks(batch, True, seeds)
+    hits = np.flatnonzero(masks[:, 0])[::-1]
     first = dict(zip(owner[hits].tolist(), hits.tolist()))     # the last write, the first hit, wins
     return [Ideal(brace, frozenset(np.flatnonzero(masks[first[b]]).tolist())) if b in first else None
             for b, brace in enumerate(batch.braces)]

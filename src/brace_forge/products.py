@@ -24,6 +24,7 @@ from .core import (
     PreconditionError,
     SizeCapExceeded,
     _check_index,
+    _label_table,
     _member_labels,
     max_order,
     normalize_members,
@@ -61,15 +62,11 @@ class SigmaAction:
         perms, m, n = np.asarray(self.perms), self.source.order, self.target.order
         if perms.shape != (m, n):
             raise PreconditionError(f"sigma table must be {m}x{n}, got {perms.shape}")
-        if (perms.dtype.kind not in "iuf" or perms.min() < 0 or perms.max() >= n
-                or perms.dtype.kind == "f" and not (perms == np.floor(perms)).all()):
-            raise PreconditionError(f"sigma table entries must be integers in 0..{n - 1}")
-        perms = perms.astype(table_dtype(n))
-        perms.setflags(write=False)
-        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "perms", _label_table(perms, n, "sigma table"))
 
     def apply(self, h: int, g: int) -> int:
-        return int(self.perms[h, g])
+        h = _check_index(self.source.order, h, "h")
+        return int(self.perms[h, _check_index(self.target.order, g, "g")])
 
 
 def validate_sigma(sigma: SigmaAction) -> list[tuple[int, str, tuple]]:

@@ -11,14 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSkewBrace, PreconditionError, _first_violation, _row_blocks
+from .core import (FiniteSkewBrace, PreconditionError, _check_index, _first_violation,
+                   _label_table, _row_blocks)
 
 __all__ = ["SolutionMap", "solution_map", "check_braid", "check_nondegenerate"]
 
 
 @dataclass(frozen=True)
 class SolutionMap:
-    """r(a, b) = (u[a, b], v[a, b]) on {0..n-1}."""
+    """r(a, b) = (u[a, b], v[a, b]) on {0..n-1}.  Entries and labels that
+    are not integers in 0..n-1 raise ``PreconditionError``."""
     n: int
     u: np.ndarray
     v: np.ndarray
@@ -28,12 +30,11 @@ class SolutionMap:
         v = np.asarray(self.v)
         if u.shape != (self.n, self.n) or v.shape != (self.n, self.n):
             raise PreconditionError("component tables must be n x n")
-        u.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _label_table(u, self.n, "component table"))
+        object.__setattr__(self, "v", _label_table(v, self.n, "component table"))
 
     def apply(self, a: int, b: int) -> tuple[int, int]:
+        a, b = _check_index(self.n, a, "a"), _check_index(self.n, b, "b")
         return int(self.u[a, b]), int(self.v[a, b])
 
 

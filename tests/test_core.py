@@ -484,6 +484,15 @@ def test_table_eval_errors(R4):
     assert table_eval(R4, "add", 1.0, np.int16(2)) == table_eval(R4, "add", 1, 2)
 
 
+def test_star_checks_its_labels(R4):
+    # a negative label is not read from the end of the table, and a bad
+    # label is a PreconditionError, not a numpy IndexError
+    assert R4.star(3, 1) == R4.star(3.0, np.int16(1)) == 2
+    for a, b in ((-1, 1), (9, 0), (0, 4), (1.5, 1), (1, 2.9)):
+        with pytest.raises(PreconditionError):
+            R4.star(a, b)
+
+
 def test_fmt_members():
     assert fmt_members([2, 0]) == "{0,2}"
     assert fmt_members([]) == "{}"

@@ -204,10 +204,10 @@ def test_enumerate_closes_one_principal_ideal_per_orbit(corpus8, monkeypatch):
     batch_rows = []
     real = ideals._principal_masks
 
-    def counting(batch, abort):
-        masks, vanish = real(batch, abort)
+    def counting(batch, abort, seeds=None):
+        masks = real(batch, abort, seeds)
         batch_rows.append(masks.shape[0])
-        return masks, vanish
+        return masks
 
     monkeypatch.setattr(ideals, "_principal_masks", counting)
     named = {b.name: b for b in corpus8}
@@ -447,18 +447,51 @@ def batch_braces(corpus8):
 @pytest.mark.parametrize("one_row_blocks", [False, True])
 def test_batched_principal_ideals_match_one_closure_each(batch_braces, monkeypatch,
                                                          one_row_blocks):
+    # a closing pass gives every principal ideal; an aborting pass keeps
+    # exactly the rows whose stars vanish, and each brace's first one is
+    # the fast witness of the single-brace scan
     if one_row_blocks:
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
         assert list(core._row_blocks(64, 3)) == [(0, 1), (1, 2), (2, 3)]
     for brace in batch_braces:
         batch = ideals._Batch([brace])
-        masks, vanish = _principal_masks(batch, False)
+        masks = _principal_masks(batch, False)
         assert masks.shape == (len(batch.reps), brace.order), brace.name
-        stars = brace.star_table()
-        for a, row, zero in zip(batch.reps.tolist(), masks, vanish):
+        for a, row in zip(batch.reps.tolist(), masks):
             want = oracles.frontier_ideal_closure(brace, [a])
             assert set(np.flatnonzero(row).tolist()) == want, (brace.name, a)
-            assert zero == (not stars[np.ix_(row, row)].any()), (brace.name, a)
+        vanishing = _principal_masks(batch, True)
+        kept = vanishing.any(axis=1)
+        assert np.array_equal(vanishing[kept], masks[kept]), brace.name
+        stars = brace.star_table()
+        assert not any(stars[np.ix_(row, row)].any() for row in vanishing[kept]), brace.name
+        first = tuple(np.flatnonzero(vanishing[kept][0]).tolist()) if kept.any() else None
+        assert first == oracles.principal_star_scan(brace), brace.name
+
+
+def test_a_closing_pass_reads_no_add_entry(corpus8, A5at_square):
+    # only the aborting pass tests stars: a closing pass never reads add,
+    # on stacked corpus tables and on a lazy product read in place
+    class NoReads:
+        def __getitem__(self, index):
+            raise AssertionError("an add entry was read")
+
+    W = A5at_square
+    assert isinstance(W.add, groups.PairTable)
+    by_order = {}
+    for brace in corpus8:
+        by_order.setdefault(brace.order, []).append(brace)
+    seed = np.zeros((1, W.order), dtype=bool)
+    seed[0, [0, 61]] = True
+    runs = [(ideals._Batch(group), None) for group in by_order.values() if group[0].order > 1]
+    runs.append((ideals._Batch([W]), (np.zeros(1, dtype=np.int64), seed)))
+    for batch, seeds in runs:
+        want = _principal_masks(batch, False, seeds)
+        batch.add = NoReads()
+        assert np.array_equal(_principal_masks(batch, False, seeds), want)
+        with pytest.raises(AssertionError, match="add entry"):
+            _principal_masks(batch, True, seeds)
+    assert want[0].all()                    # the ideal of 61 is all of W
 
 
 @pytest.fixture(scope="module")
@@ -495,7 +528,7 @@ def test_semiprime_verdicts_match_one_brace_at_a_time(mixed_braces, monkeypatch,
         by_order.setdefault(brace.order, []).append(brace)
     for group in by_order.values():
         batch = ideals._Batch(group)
-        owner, masks = ideals._batch_ideals(batch, _principal_masks(batch, False)[0])
+        owner, masks = ideals._batch_ideals(batch, _principal_masks(batch, False))
         counts = np.bincount(owner, minlength=len(group))
         for brace, count, rows in zip(group, counts, np.split(masks, np.cumsum(counts)[:-1])):
             assert count == len(ideals.ideal_masks(brace)), brace.name
@@ -623,15 +656,27 @@ def test_fast_witness_is_the_ascending_scan_witness(corpus8, A5at):
         assert (None if fast.semiprime else fast.witness.sorted()) == expected, brace.name
 
 
-def test_exhaustive_witness_is_smallest(S3at):
+def test_exhaustive_witness_is_smallest(S3at, corpus8, mixed_braces, monkeypatch):
+    # every corpus8, A4 and S4 brace, also with one row per block: the
+    # witness is the smallest nonzero ideal whose stars all vanish, by
+    # size, then sorted members
     verdict = is_semiprime(S3at, "exhaustive")
-    assert not verdict.semiprime
-    assert verdict.witness.sorted() == (0, 3, 4)
-    ideals = enumerate_ideals(S3at)
-    vanishing = [i.sorted() for i in ideals
-                 if len(i) > 1 and all(S3at.star(a, b) == 0
-                                       for a in i.members for b in i.members)]
-    assert verdict.witness.sorted() == min(vanishing, key=lambda s: (len(s), s))
+    assert not verdict.semiprime and verdict.witness.sorted() == (0, 3, 4)
+    braces = mixed_braces[:-200]
+    assert len(braces) == len(corpus8) + 142
+    want = []
+    for brace in braces:
+        stars = brace.star_table()
+        vanishing = [i.sorted() for i in enumerate_ideals(brace)
+                     if len(i) > 1 and not stars[np.ix_(i.sorted(), i.sorted())].any()]
+        want.append(min(vanishing, key=lambda s: (len(s), s)) if vanishing else None)
+    # semiprime braces, and witnesses that are not the fast witness
+    assert None in want[len(corpus8):]
+    assert any(w != f for w, f in zip(want, _witnesses(semiprime_verdicts(braces))))
+    for entries in (core._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", entries)
+        assert _witnesses(semiprime_verdicts(braces, "exhaustive")) == want
+        assert _witnesses([is_semiprime(B, "exhaustive") for B in braces]) == want
 
 
 def test_order_one_is_semiprime():

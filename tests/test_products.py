@@ -77,6 +77,15 @@ def test_sigma_rejects_entries_it_would_change(R4, T2):
         [[0, 1, 2, 3], [0, 3, 2, 1]]
 
 
+def test_sigma_apply_checks_its_labels(R4, T2):
+    # h in 0..|H|-1 and g in 0..|G|-1; -1 is not read from the end
+    sigma = trivial_sigma(R4, T2)
+    assert sigma.apply(1, 3) == sigma.apply(1.0, np.int16(3)) == 3
+    for h, g in ((-1, 0), (5, 0), (2, 0), (0, 4), (0, -1), (0, 1.5), (0.5, 0)):
+        with pytest.raises(PreconditionError):
+            sigma.apply(h, g)
+
+
 def test_nontrivial_sigma_semidirect(R4, T2):
     # x -> 3x respects both R4 tables and squares to the identity
     phi = [0, 3, 2, 1]

@@ -161,6 +161,31 @@ def test_solution_shape_check():
         SolutionMap(3, np.zeros((2, 3), dtype=int), np.zeros((3, 3), dtype=int))
 
 
+def test_solution_map_checks_entries_and_labels(R4):
+    # entries and labels must be integers in 0..n-1: a fraction is not
+    # truncated, -1 is not read from the end, and check_braid never meets
+    # a raw numpy IndexError or a false witness
+    sol = solution_map(R4)
+    for a, b in ((0, 7), (4, 0), (-1, 0), (0, 1.5)):
+        with pytest.raises(PreconditionError):
+            sol.apply(a, b)
+    with pytest.raises(PreconditionError,
+                       match=r"^component table entries must be integers in 0\.\.1$"):
+        SolutionMap(2, [[0, 1.5], [1, 0]], [[0, 1], [1, 0]])
+    for bad in (1.5, 5, -1):
+        for part in ("u", "v"):
+            tables = {"u": np.array(sol.u, dtype=float), "v": np.array(sol.v, dtype=float)}
+            tables[part][0, 1] = bad
+            with pytest.raises(PreconditionError, match="integers in 0..3"):
+                SolutionMap(4, tables["u"], tables["v"])
+    with pytest.raises(PreconditionError, match="integers in 0..3"):
+        SolutionMap(4, np.array(sol.u, dtype=object), sol.v)
+    # integral floats are taken as labels: the flip r(a, b) = (b, a)
+    flip = SolutionMap(2, [[0.0, 1.0], [0.0, 1.0]], [[0, 0], [1, 1]])
+    assert flip.apply(0, 1) == (1, 0)
+    assert check_braid(flip) == (True, None)
+
+
 def test_order_one():
     one = group_brace("c1", "trivial")
     sol = solution_map(one)
