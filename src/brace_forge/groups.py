@@ -104,12 +104,14 @@ def _pair_table(left, right, dt) -> np.ndarray:
     Each is an array or a ``PairTable``.  The sum is one broadcast add into
     a C-ordered ``(n1, n2, n1, n2)`` array, whose reshape labels the pair
     (a1, a2) as a1*n2 + a2.  The caller picks a ``dt`` that holds every entry.
+    Stacks of B factors, brace b's rows of left and right from b*n1 and
+    b*n2, give the B tables as one ``(B*n1*n2, n1*n2)`` stack.
     """
-    n1, n2 = left.shape[0], right.shape[0]
-    out = np.empty((n1, n2, n1, n2), dt)
-    np.add((np.asarray(left, dt) * n2).reshape(n1, -1, n1, 1),
-           np.asarray(right, dt)[None, :, None, :], out=out)
-    return out.reshape(n1 * n2, n1 * n2)
+    n1, n2, B = left.shape[-1], right.shape[1], right.shape[0] // right.shape[1]
+    out = np.empty((B, n1, n2, n1, n2), dt)
+    np.add((np.asarray(left, dt) * n2).reshape(B, n1, -1, n1, 1),
+           np.asarray(right, dt).reshape(B, 1, n2, 1, n2), out=out)
+    return out.reshape(B * n1 * n2, n1 * n2)
 
 
 class PairTable:
@@ -124,6 +126,10 @@ class PairTable:
     splits into a1 < 0, so it wraps as a dense index does, and a label
     past the end hits an ``IndexError``.
 
+    On a stack (``_pair_table``), row x of brace b = x // (n1*n2) splits
+    into a1, which counts b's rows of left, and a2, whose row of right is
+    b*n2 + a2; a stack of one is the square table.
+
     The index forms are the ones the kernels use: a pair of ints;
     ``t[rows]``; ``t[a0:a1]``; ``t[:, S]``; ``t[S, :]``; ``t[:, g]``; and
     integer arrays that broadcast, ``np.ix_`` and ``[:, None]`` included.
@@ -135,17 +141,17 @@ class PairTable:
     ndim = 2
 
     def __init__(self, left, right, dt):
-        n = left.shape[0] * right.shape[0]
-        self._left, self._right, self.dtype, self.shape = left, right, np.dtype(dt), (n, n)
+        self._left, self._right, self.dtype = left, right, np.dtype(dt)
+        self.shape = (left.shape[0] * right.shape[1], left.shape[-1] * right.shape[1])
 
     def __array__(self, dtype=None, copy=None):
         table = _pair_table(self._left, self._right, self.dtype)
         return table if dtype is None else table.astype(dtype, copy=False)
 
-    def _labels(self, index) -> tuple[np.ndarray, bool]:
-        """The labels ``index`` selects on one axis, and whether it is a slice."""
+    def _labels(self, index, size: int) -> tuple[np.ndarray, bool]:
+        """The labels ``index`` selects on an axis of ``size``, and whether it is a slice."""
         if isinstance(index, slice):
-            return np.arange(*index.indices(self.shape[0])), True
+            return np.arange(*index.indices(size)), True
         if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
             return np.asarray(index), False
         if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
@@ -157,14 +163,16 @@ class PairTable:
             key = (key, slice(None))
         if len(key) != 2:
             raise TypeError("PairTable takes one or two indices")
-        (x, x_slice), (y, y_slice) = map(self._labels, key)
+        (x, x_slice), (y, y_slice) = map(self._labels, key, self.shape)
         if x_slice:                          # a slice's axis comes first
             x = x.reshape(x.shape + (1,) * y.ndim)
         elif y_slice:                        # and last after an array
             x = x[..., None]
-        n2 = self._right.shape[0]
+        n2 = self._right.shape[1]
         (a1, a2), (b1, b2) = np.divmod(x, n2), np.divmod(y, n2)
         left = self._left[a1, b1] if self._left.ndim == 2 else self._left[a1, a2, b1]
+        if self.shape[0] > self.shape[1]:    # a stack: brace x // (n1*n2) reads its right rows
+            a2 = a2 + x // self.shape[1] * n2
         out = np.asarray(left).astype(self.dtype, copy=False)   # a fresh array
         out *= n2
         out += self._right[a2, b2]

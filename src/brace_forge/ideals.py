@@ -8,6 +8,7 @@ additive closure and normality, which downstream code relies on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -245,15 +246,19 @@ class _Tables:
 
 
 class _Batch(_Tables):
-    """``_Tables`` with the ``_stacked_maps`` of its braces and their
-    nonzero orbit representatives, the pairs (owner[t], reps[t]) of
-    ``_orbit_representatives``, whose principal ideals are the default
-    rows of ``_principal_masks``."""
+    """``_Tables`` with the ``_stacked_maps`` of its braces and, made on
+    first read, their nonzero orbit representatives ``orbits``, the pairs
+    (owner[t], reps[t]) of ``_orbit_representatives``, whose principal
+    ideals are the default rows of ``_principal_masks``; a seeded pass
+    (``ideal_closure``) never makes them."""
 
     def __init__(self, braces: list[FiniteSkewBrace]):
         super().__init__(braces)
         self.maps = _stacked_maps(self)
-        self.owner, self.reps = _orbit_representatives(self.maps)
+
+    @functools.cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        return _orbit_representatives(self.maps)
 
 
 def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
@@ -329,7 +334,7 @@ def _batch_ideals(batch: _Batch, principal: np.ndarray) -> tuple[np.ndarray, np.
     S = M would be in K), and M passes the test.  An I that passes it
     holds every such P_s, so I = M.
     """
-    add, owner, reps = batch.add, batch.owner, batch.reps
+    add, (owner, reps) = batch.add, batch.orbits
     B, n = len(batch.braces), batch.n
     step = np.arange(reps.size) - np.searchsorted(owner, owner)   # t of each (brace, r_t)
     steps = int(step.max(initial=-1)) + 1
@@ -473,7 +478,7 @@ def _principal_masks(batch: _Batch, abort: bool,
     owner[t] of the batch that holds the member mask masks[t], for the
     rows ``seeds`` = (owner, masks); each seed holds 0.  By default the
     rows are the principal seeds {0, reps[t]} in brace owner[t] of
-    ``_Batch``, and row t is the principal ideal of reps[t].
+    ``_Batch.orbits``, and row t is the principal ideal of reps[t].
 
     Without ``abort`` every row is closed and no star is read.  With
     ``abort`` the rows are star-tested too: a row stops at its first
@@ -522,7 +527,7 @@ def _principal_masks(batch: _Batch, abort: bool,
     """
     add, circ, maps, n = batch.add, batch.circ, batch.maps, batch.n
     if seeds is None:                             # the principal seeds {0, reps[t]}
-        seeds = batch.owner, (np.arange(n) == 0) | (np.arange(n) == batch.reps[:, None])
+        seeds = batch.orbits[0], (np.arange(n) == 0) | (np.arange(n) == batch.orbits[1][:, None])
     owner, masks = seeds[0], seeds[1].copy()
     witnessed = np.zeros(len(batch.braces), dtype=bool)   # a vanishing row so far
     for t0, t1 in _row_blocks(n, len(masks)):
@@ -638,7 +643,7 @@ def _batch_witnesses(batch: _Batch, method: str) -> list[Ideal | None]:
         owner, masks = _batch_ideals(batch, _principal_masks(batch, False))
         nonzero = masks[:, 1:].any(axis=1)
         seeds = owner[nonzero], masks[nonzero]
-    owner = batch.owner if seeds is None else seeds[0]
+    owner = batch.orbits[0] if seeds is None else seeds[0]
     masks = _principal_masks(batch, True, seeds)
     hits = np.flatnonzero(masks[:, 0])[::-1]
     first = dict(zip(owner[hits].tolist(), hits.tolist()))     # the last write, the first hit, wins

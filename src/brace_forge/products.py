@@ -15,6 +15,7 @@ circle inverse.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .core import (
     table_dtype,
 )
 from .groups import PairTable, _pair_table
-from .ideals import DEFAULT_IDEAL_CAP
+from .ideals import DEFAULT_IDEAL_CAP, _Tables
 
 __all__ = [
     "SigmaAction",
@@ -144,11 +145,11 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray | None,
     ``_Batch`` of its own (``ideals``), which reads its tables at a few
     frontier x member pairs, so a dense build there (two 25.9 MB tables
     at order 3600) would mostly go unread.  At or below the cap a brace
-    may be stacked with others, whose tables a batch concatenates, and a
-    build costs less than the extra work of every lazy gather: with every
-    product lazy, ``verify_lemma32()`` (306 of its 307 cases lift to
-    products of order <= 64) took 0.14-0.19 s instead of 0.10-0.13 s (ten
-    runs each, on a 2-core host).
+    may be stacked with others, and a batch that concatenates tables
+    builds a lazy one dense anyway: with every product lazy, the 16,279
+    products of ``search_q34(8, 4)`` (orders <= 32) took 4.45 s against
+    4.60 s, within the spread (median of six in-process runs each, 2-core
+    host).
     """
     m = H.order
     n = G.order * m
@@ -229,6 +230,30 @@ def wreath_base(G: FiniteSkewBrace, H: FiniteSkewBrace) -> tuple[FiniteSkewBrace
     for k in range(2, H.order + 1):
         power = _product(power, G, None, f"({G.name}^{k})")
     return power if H.order > 1 else G.with_name(f"({G.name}^1)"), ctx
+
+
+def _stacked_power(braces: list[FiniteSkewBrace], positions: int) -> _Tables:
+    """The ``ideals._Tables`` of the ``wreath_base``s of ``braces`` (one
+    order N, ``braces`` kept as given) over an H of order ``positions``,
+    with no base built: each ``_product`` step of ``wreath_base`` is taken
+    on the stacks, its add and circ a ``PairTable`` (read at the entries a
+    kernel gathers, at any order) and its neg, inv and generators lifted
+    as ``_product`` lifts them.  Keeps ``wreath_base``'s order cap."""
+    WreathContext(braces[0].order, positions)
+    stack = _Tables(braces)
+    power = copy.copy(stack)
+    B, N = len(braces), stack.n
+    for _ in range(positions - 1):
+        power.n *= N
+        dt = table_dtype(power.n)
+        power.add = PairTable(power.add, stack.add, dt)
+        power.circ = PairTable(power.circ, stack.circ, dt)
+        power.neg, power.inv = ((getattr(power, t).astype(dt).reshape(B, -1, 1) * N
+                                 + getattr(stack, t).reshape(B, 1, N)).ravel()
+                                for t in ("neg", "inv"))
+        power.add_gens = np.hstack([power.add_gens * N, stack.add_gens])
+        power.circ_gens = np.hstack([power.circ_gens * N, stack.circ_gens])
+    return power
 
 
 def _shift_perms(ctx: WreathContext, H: FiniteSkewBrace) -> np.ndarray:

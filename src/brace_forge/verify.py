@@ -42,6 +42,7 @@ from .core import (
     BraceForgeError,
     FiniteSkewBrace,
     PreconditionError,
+    _member_labels,
     fmt_members,
     max_order,
 )
@@ -49,13 +50,14 @@ from .corpus import group_brace, standard_corpus
 from .docio import format_int_row, serialize_document
 from .ideals import (
     DEFAULT_IDEAL_CAP,
+    _failed_rules,
     _vanishing_ideals,
     ideal_masks,
     is_ideal,
     is_semiprime,
     semiprime_verdicts,
 )
-from .products import SigmaAction, pointwise_lift, semidirect, wreath, wreath_base
+from .products import SigmaAction, _stacked_power, semidirect, wreath, wreath_base
 
 __all__ = [
     "Counterexample",
@@ -362,35 +364,22 @@ def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_
 # lemma32: base of a semiprime brace is semiprime; lifted witnesses
 # certify the converse direction on non-semiprime bottoms
 
-def _in_blocks(entries, limit: int, check):
-    """(entry, result) for each of ``entries``, tuples whose first field
-    is a brace, in order, with one ``check(block)`` call, which gives one
-    result per entry, per block of consecutive entries whose braces hold
-    at most ``limit`` add and circ entries together (one entry, if it
-    alone holds more).  Entries are taken one at a time and a block is
-    dropped before the next is built, so at most one block and one entry
-    beyond it are held at once."""
-    block, size = [], 0
-    for entry in entries:
-        tables = 2 * entry[0].order ** 2
-        if block and size + tables > limit:
-            yield from zip(block, check(block))
-            block, size = [], 0
-        block.append(entry)
-        size += tables
-    if block:
-        yield from zip(block, check(block))
-
-
 def _fast_verdicts(products):
     """(product, fast verdict) for each of ``products``, in order, with one
-    ``semiprime_verdicts`` call per block of about ``core._BLOCK_ENTRIES``
-    entries (``_in_blocks``)."""
-    def verdicts(block):
-        return semiprime_verdicts([P for P, in block], "fast")
-
-    for (P,), verdict in _in_blocks(((P,) for P in products), core._BLOCK_ENTRIES, verdicts):
-        yield P, verdict
+    ``semiprime_verdicts`` call per block of consecutive products whose add
+    and circ tables hold at most ``core._BLOCK_ENTRIES`` entries together
+    (one product, if it alone holds more).  Products are taken one at a
+    time and a block is dropped before the next is built, so at most one
+    block and one product beyond it are held at once."""
+    block, size = [], 0
+    for P in products:
+        if block and size + 2 * P.order ** 2 > core._BLOCK_ENTRIES:
+            yield from zip(block, semiprime_verdicts(block, "fast"))
+            block, size = [], 0
+        block.append(P)
+        size += 2 * P.order ** 2
+    if block:
+        yield from zip(block, semiprime_verdicts(block, "fast"))
 
 
 def _product_cases(args: list[tuple], products, failure: str) -> list[CaseResult]:
@@ -418,40 +407,40 @@ def _batch_lemma32_base(args: list[tuple]) -> list[CaseResult]:
 def _batch_lemma32_lift(args: list[tuple]) -> list[CaseResult]:
     """The lift cases (case id, G, H, verdict) of a run, each the claim
     that the pointwise lift of G's witness to the base of G and H is a
-    nonzero ideal of the base whose stars vanish.  Each base and its lift
-    are built as the run reaches them, and each block of at most
-    ``core._BLOCK_ENTRIES // 4`` entries (32 order-64 bases, one base of
-    order 512, ``_in_blocks``) is checked by one ``_vanishing_ideals``
-    call, at any base order; a semiprime G or a zero lift fails before
-    it."""
+    nonzero ideal of the base whose stars vanish; a semiprime G or a zero
+    lift fails first.  No base is built: the lifts of one |G| and |H| are
+    checked by one ``_failed_rules`` call on the ``_stacked_power`` of
+    their bottoms.  A lift's mask is the |H|-fold outer product of the
+    witness's, whose nonzero labels are ``pointwise_lift``'s."""
     results: list[CaseResult | None] = [None] * len(args)
-
-    def lifts():
-        for i, (case_id, G, H, verdict) in enumerate(args):
-            if verdict.semiprime:
-                results[i] = CaseResult(case_id, False, "expected a non-semiprime bottom brace")
-                continue
-            W, ctx = wreath_base(G, H)
-            lifted = pointwise_lift(ctx, verdict.witness.sorted())
-            if lifted.size <= 1:
-                results[i] = CaseResult(case_id, False, "lift is zero",
-                                        witness=tuple(lifted.tolist()))
-                continue
-            yield W, lifted, i
-
-    def check(block):
-        return _vanishing_ideals([(W, lifted) for W, lifted, _ in block])
-
-    for (W, lifted, i), failed in _in_blocks(lifts(), core._BLOCK_ENTRIES // 4, check):
-        case_id, *_, verdict = args[i]
-        if failed is None:
-            results[i] = CaseResult(
-                case_id, True,
-                f"witness={fmt_members(verdict.witness.members)} lift_size={lifted.size} "
-                f"certifies W order={W.order} not semiprime")
+    by_order: dict[tuple[int, int], list[int]] = {}
+    for i, (case_id, G, H, verdict) in enumerate(args):
+        if verdict.semiprime:
+            results[i] = CaseResult(case_id, False, "expected a non-semiprime bottom brace")
         else:
-            info = "lifted stars do not vanish" if failed == "stars" else f"lift fails {failed}"
-            results[i] = CaseResult(case_id, False, info, witness=tuple(lifted.tolist()))
+            by_order.setdefault((G.order, H.order), []).append(i)
+    for (n, positions), run in by_order.items():
+        witnesses = [args[i][3].witness.sorted() for i in run]
+        masks = np.zeros((len(run), n), dtype=bool)
+        masks[np.repeat(np.arange(len(run)), list(map(len, witnesses))),
+              _member_labels(n, [x for w in witnesses for x in w])] = True
+        lifted = masks
+        for _ in range(positions - 1):
+            lifted = (lifted[:, :, None] & masks[:, None, :]).reshape(len(run), -1)
+        tables = _stacked_power([args[i][1] for i in run], positions)
+        rules = _failed_rules(tables, np.arange(len(run)), lifted)
+        for i, mask, size, rule in zip(run, lifted, masks.sum(axis=1) ** positions, rules):
+            case_id, _, _, verdict = args[i]
+            if size > 1 and rule is None:
+                results[i] = CaseResult(
+                    case_id, True,
+                    f"witness={fmt_members(verdict.witness.members)} lift_size={size} "
+                    f"certifies W order={tables.n} not semiprime")
+                continue
+            info = ("lift is zero" if size <= 1 else "lifted stars do not vanish"
+                    if rule == "stars" else f"lift fails {rule}")
+            witness = tuple(np.flatnonzero(mask).tolist())
+            results[i] = CaseResult(case_id, False, info, witness=witness)
     return results
 
 
@@ -485,13 +474,16 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
 
 
 def _action_items(kind: str, pairs: list[tuple[FiniteSkewBrace, FiniteSkewBrace]],
-                  budget: int) -> list[tuple]:
+                  budget: int, only: str | None) -> list[tuple]:
     """One ``kind`` item per action of ``sigma_actions(G, H, budget)``, for
     each pair whose product is within ``max_order()``, pair by pair: the
-    case id, G, H, the ``SigmaAction`` and its index."""
+    case id, G, H, the ``SigmaAction`` and its index.  Given the case id
+    ``only``, a pair runs ``sigma_actions`` only when its ids could be
+    ``only``, the ones that start ``<kind>:<G>:<H>:s``."""
     cap = max_order()
     return [(kind, f"{kind}:{G.name}:{H.name}:s{i}", G, H, act, i)
             for G, H in pairs if G.order * H.order <= cap
+            and (only is None or only.startswith(f"{kind}:{G.name}:{H.name}:s"))
             for i, act in enumerate(sigma_actions(G, H, budget=budget))]
 
 
@@ -559,7 +551,7 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
                      f"{corpus_max}; the order-60 stand-in exercises the wreath path")
 
     pairs = [(G, H) for G in semiprime_braces for H in semiprime_braces]
-    cor_items = _action_items("cor28", pairs, sigma_budget) if "cor28" in statements else []
+    cor_items = _action_items("cor28", pairs, sigma_budget, only) if "cor28" in statements else []
     thm_items = [("thm33", f"thm33:{G.name}:{H.name}", G, H) for G, H in pairs
                  if "thm33" in statements and G.order ** H.order * H.order <= cap]
     if "thm33" in statements and only_order_one:
@@ -621,7 +613,7 @@ def search_q34(max_g: int = 6, max_h: int = 4,
     small = [B for B in corpus if B.order <= max_g]
     gs = [B for B, v in zip(small, semiprime_verdicts(small, "fast")) if not v.semiprime]
     hs = [B for B in corpus if B.order <= max_h]
-    items = _action_items("q34", [(G, H) for G in gs for H in hs], sigma_budget)
+    items = _action_items("q34", [(G, H) for G in gs for H in hs], sigma_budget, only)
     return _sweep("q34", items, only, jobs, t0, ())
 
 

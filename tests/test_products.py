@@ -293,6 +293,44 @@ def test_wreath_base_is_the_validated_power(corpus8):
                 _assert_matches_validate(wreath_base(G, H)[0])
 
 
+@pytest.mark.parametrize("positions", [1, 2, 3])
+def test_stacked_power_reads_each_base_of_its_stack(corpus8, positions):
+    # the tables of a stack of bottoms of one order at any |H| (8^3 = 512
+    # is above the ideal cap): every read, the dense build, neg, inv and
+    # the lifted generators are those of each bottom's own wreath_base,
+    # for a stack of one too, whose add and circ are the square PairTables
+    H = group_brace(f"c{positions}", "trivial")
+    rng = np.random.default_rng(positions)
+    for order in (2, 4, 8):
+        bottoms = [B for B in corpus8 if B.order == order][:5]
+        for stack in (bottoms, bottoms[-1:]):
+            tables = products._stacked_power(stack, positions)
+            bases = [wreath_base(B, H)[0] for B in stack]
+            n, B = order ** positions, len(stack)
+            assert tables.n == n and tables.braces == stack
+            for name in ("add", "circ", "neg", "inv"):
+                got = getattr(tables, name)
+                want = np.concatenate([np.asarray(getattr(W, name)) for W in bases])
+                assert np.array_equal(np.asarray(got), want), name
+                if name in ("neg", "inv") or positions == 1:
+                    continue
+                assert isinstance(got, PairTable) and got.shape == (B * n, n)
+                assert got.dtype == want.dtype == np.int16
+                rows, cols = rng.integers(-B * n, B * n, 9), rng.integers(-n, n, 4)
+                for key in [(int(rows[0]), int(cols[0])), rows, (slice(None), cols),
+                            (rows[:, None], cols), slice(n - 3, n + 3), (rows, slice(None)),
+                            np.ix_(rows, cols), (slice(None), int(cols[1]))]:
+                    assert np.array_equal(got[key], want[key]), (name, key)
+            for name in ("add_gens", "circ_gens"):
+                for row, W in zip(getattr(tables, name).tolist(), bases):
+                    assert [g for g in row if g] == [g for g in getattr(W, name) if g], name
+
+
+def test_stacked_power_keeps_the_base_order_cap(corpus8):
+    with pytest.raises(SizeCapExceeded, match="function space order 32768"):
+        products._stacked_power([B for B in corpus8 if B.order == 8], 5)
+
+
 def test_wreath_base_a5at_square_is_the_validated_power(A5at_square):
     assert A5at_square.order == 3600
     _assert_matches_validate(A5at_square)

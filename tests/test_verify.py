@@ -28,7 +28,7 @@ from brace_forge import (
     verify_lemma32,
     wreath_base,
 )
-from brace_forge import autos, core, ideals, verify
+from brace_forge import autos, core, groups, ideals, products, verify
 from brace_forge.cli import main as cli_main
 from brace_forge.docio import parse_int_grid
 from brace_forge.ideals import DEFAULT_IDEAL_CAP, Ideal, SemiprimeVerdict
@@ -302,23 +302,24 @@ class TestLemma32:
 
     def test_lifts_above_the_ideal_cap_run_in_the_batch(self, monkeypatch):
         # with H = T3 the bottoms of orders 6, 7 and 8 lift to bases of
-        # orders 216, 343 and 512, above the ideal cap (those of order 512
-        # lazy); their lifts are checked by the same _vanishing_ideals
-        # blocks as the smaller ones, an order-512 base a block
-        blocks = []
-        real = verify._vanishing_ideals
+        # orders 216, 343 and 512, above the ideal cap; their lifts are
+        # checked like the smaller ones, by one _failed_rules call per
+        # bottom order on the lazy stacked cube of the bottoms, in order of
+        # first appearance
+        calls = []
+        real = verify._failed_rules
 
-        def counting(pairs):
-            blocks.append([W.order for W, _ in pairs])
-            return real(pairs)
+        def counting(tables, owner, masks):
+            assert isinstance(tables.add, groups.PairTable) and tables.add.shape == (
+                len(masks) * tables.n, tables.n)
+            calls.append((tables.n, len(masks)))
+            return real(tables, owner, masks)
 
-        monkeypatch.setattr(verify, "_vanishing_ideals", counting)
+        monkeypatch.setattr(verify, "_failed_rules", counting)
         report = verify_lemma32(H=group_brace("c3", "trivial", name="T3"), base_max=512)
         assert report.attempted == 306 and not report.counterexamples
-        orders = Counter(order for block in blocks for order in block)
-        assert orders == Counter({512: 286, 216: 10, 343: 1, 125: 1, 64: 6, 27: 1, 8: 1})
-        assert sum(k for order, k in orders.items() if order > DEFAULT_IDEAL_CAP) == 297
-        assert all(block == [512] for block in blocks if 512 in block)
+        assert calls == [(8, 1), (64, 6), (216, 10), (27, 1), (512, 286), (125, 1), (343, 1)]
+        assert sum(k for order, k in calls if order > DEFAULT_IDEAL_CAP) == 297
         digest = hashlib.sha256(_render(report).encode()).hexdigest()
         assert digest == "12f3a218fe7800b55d4ce4adcbab62f69c7980f2f1b6ccb4a767e5a61caa266f"
 
@@ -585,15 +586,14 @@ def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks
         return real(braces, method)
 
     lifts = []
-    real_lifts = verify._vanishing_ideals
+    real_lifts = verify._failed_rules
 
-    def counting_lifts(pairs):
-        if pairs and all(W.name.endswith("^2)") for W, _ in pairs):   # lemma32 bases
-            lifts.append([2 * W.order ** 2 for W, _ in pairs])
-        return real_lifts(pairs)
+    def counting_lifts(tables, owner, masks):
+        lifts.append((tables.n, len(masks)))
+        return real_lifts(tables, owner, masks)
 
     monkeypatch.setattr(verify, "semiprime_verdicts", counting)
-    monkeypatch.setattr(verify, "_vanishing_ideals", counting_lifts)
+    monkeypatch.setattr(verify, "_failed_rules", counting_lifts)
     batched = verify._run_chunk(batched_items)
     products, blocks = len(calls), len(lifts)
     assert batched == [verify._dispatch(item) for item in batched_items]
@@ -604,18 +604,12 @@ def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks
     # hold a block each either way
     assert products == (1472 if one_row_blocks else 6)
     assert len(calls) == products + 1472
-    # one _vanishing_ideals call per block of the 306 lifts: one base a
-    # block when a block holds one entry, else blocks of at most a quarter
-    # of _BLOCK_ENTRIES add and circ entries (32 order-64 bases), cut
-    # greedily
-    assert sum(map(len, lifts[:blocks])) == 306
-    assert len(lifts) == blocks + 306           # and each alone, by _dispatch
-    if one_row_blocks:
-        assert blocks == 306
-    else:
-        entries = [sum(block) for block in lifts[:blocks]]
-        assert max(entries) <= core._BLOCK_ENTRIES // 4
-        assert min(entries[:-1]) > core._BLOCK_ENTRIES // 4 - 2 * 64 ** 2
+    # the 306 lifts, one run, make one _failed_rules call per bottom
+    # order, in order of first appearance, at any block size (the kernel
+    # cuts its own row blocks); alone, by _dispatch, one call each
+    assert lifts[:blocks] == [(4, 1), (16, 6), (36, 10), (9, 1), (64, 286), (25, 1), (49, 1)]
+    assert lifts[blocks:] == [(B.order ** 2, 1) for _, _, B, *_ in
+                              (item for item in batched_items if item[0] == "lemma32-lift")]
 
 
 def test_a_rejected_lift_gets_the_message_of_its_case_alone(batched_items):
@@ -636,6 +630,64 @@ def test_a_rejected_lift_gets_the_message_of_its_case_alone(batched_items):
     assert rejected[0].info.startswith("lift fails ") and rejected[0].info != "lift fails None"
     assert rejected[1].info == "lifted stars do not vanish"
     assert [len(r.witness) for r in rejected] == [4, 64]
+
+
+LIFT_OUTCOMES = ("lift fails circ-subgroup", "lift fails circ-normality",
+                 "lift fails lambda-invariance", "lift fails coset-symmetry",
+                 "lifted stars do not vanish", "lift is zero",
+                 "expected a non-semiprime bottom brace", "certifies")
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+@pytest.mark.parametrize("positions", [2, 3])
+def test_lift_batch_matches_the_lift_oracle_on_every_outcome(monkeypatch, corpus8, positions,
+                                                              one_row_blocks):
+    # one injected witness for each outcome a set of a corpus brace can
+    # reach, among real lifts of every bottom order 2..8, shuffled so a
+    # run mixes bottom orders; at |H| = 3 the order-8 bottoms lift to
+    # bases of order 512, above the ideal cap
+    if one_row_blocks:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    named = {B.name: B for B in corpus8}
+    H = group_brace(f"c{positions}", "trivial", name=f"T{positions}")
+    whole = next(B for B in corpus8 if B.order == 8 and not is_trivial(B))
+    injected = [(named["R4"], {1, 2}), (named["S3at"], {0, 1}), (named["R4"], {0, 1}),
+                (named["s3#0"], {0, 1}), (whole, set(range(8))), (named["T2"], {0})]
+    args = [(f"lift:{B.name}:{i}", B, H, SemiprimeVerdict(False, Ideal(B, frozenset(S)), "fast"))
+            for i, (B, S) in enumerate(injected)]
+    args.append(("lift:c1", named["c1#0"], H, is_semiprime(named["c1#0"])))
+    for order in range(2, 9):
+        real = [B for B in corpus8 if B.order == order and not is_semiprime(B).semiprime][:3]
+        args += [(f"lift:{B.name}", B, H, is_semiprime(B)) for B in real]
+    order = np.random.default_rng(positions).permutation(len(args))
+    args = [args[i] for i in order]
+    got = verify._BATCH_FUNCS["lemma32-lift"](args)
+    assert got == [oracles.lemma32_lift_case(*arg) for arg in args]
+    reached = Counter(next(o for o in LIFT_OUTCOMES if o in r.info) for r in got)
+    assert set(reached) == set(LIFT_OUTCOMES)
+    assert reached["certifies"] == len(args) - 7
+    assert max(B.order for _, B, _, _ in args) ** positions == (64 if positions == 2 else 512)
+
+
+def test_passing_lifts_build_no_base(monkeypatch, batched_items):
+    # every lift of the default sweep, and its order-8 bottoms at |H| = 3
+    # (bases of order 512), passes without a wreath_base, a _product, a
+    # FiniteSkewBrace or a dense pair table: the bases are only read
+    lifts = [item[1:] for item in batched_items if item[0] == "lemma32-lift"]
+    T3 = group_brace("c3", "trivial", name="T3")
+    lifts += [(f"{case_id}:m3", B, T3, v) for case_id, B, _, v in lifts if B.order == 8][:40]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lift built a base")
+
+    for module, name in ((verify, "wreath_base"), (products, "wreath_base"),
+                         (products, "_product"), (products, "_pair_table"),
+                         (groups, "_pair_table")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(core.FiniteSkewBrace, "__init__", refuse)
+    results = verify._BATCH_FUNCS["lemma32-lift"](lifts)
+    assert len(results) == 346 and all(r.ok for r in results)
+    assert sum("order=512 " in r.info for r in results) == 40
 
 
 def test_product_batches_hold_about_a_block_of_table_entries(monkeypatch):
@@ -713,6 +765,47 @@ def test_only_a_batched_case_prints_what_the_sweep_prints():
     for statement, case_line in lines:
         report = sweeps[statement](only=case_line.split()[1])
         assert _render(report).splitlines()[-2] == case_line
+
+
+def test_only_runs_sigma_actions_for_its_own_pair(monkeypatch, capsys):
+    # --only builds the actions of the one pair its id names, and none for
+    # an id of another kind; an id that matches no case still exits 2
+    calls = []
+    real = verify.sigma_actions
+
+    def counting(G, H, budget):
+        calls.append((G.name, H.name))
+        return real(G, H, budget=budget)
+
+    monkeypatch.setattr(verify, "sigma_actions", counting)
+    sweeps = {
+        "q34": lambda **kw: search_q34(max_g=4, max_h=2, **kw),
+        "cor28": lambda **kw: verify_cor28_thm33(corpus_max=4, statements=("cor28",), **kw)["cor28"],
+    }
+    for statement, sweep in sweeps.items():
+        calls.clear()
+        cases = [line for line in _render(sweep()).splitlines() if line.startswith("CASE ")]
+        assert calls and len(set(calls)) == len(calls)
+        for line in (cases[0], cases[len(cases) // 2], cases[-1]):
+            case_id = line.split()[1]
+            calls.clear()
+            assert _render(sweep(only=case_id)).splitlines()[-2] == line
+            assert calls == ([tuple(case_id.split(":")[1:3])] if case_id.startswith(statement)
+                             else [])
+    calls.clear()
+    assert cli_main(["search", "q34", "--only", "q34:T2:nope:s0"]) == 2
+    assert capsys.readouterr().err == "error: no case matches id 'q34:T2:nope:s0'\n"
+    assert calls == []
+
+
+def test_a_seeded_closure_makes_no_orbit_representatives(monkeypatch, A5at_square):
+    def refuse(maps):
+        raise AssertionError("orbit representatives made")
+
+    monkeypatch.setattr(ideals, "_orbit_representatives", refuse)
+    assert len(ideals.ideal_closure(A5at_square, [1])) == 60
+    with pytest.raises(AssertionError, match="orbit representatives made"):
+        ideals.is_semiprime(A5at_square)
 
 
 def test_no_case_state_outlives_its_batch(monkeypatch):
