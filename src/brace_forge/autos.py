@@ -205,7 +205,11 @@ def sigma_actions(G: FiniteSkewBrace, H: FiniteSkewBrace,
                   budget: int | None = None) -> list[SigmaAction]:
     """All actions of (H, o) on G by skew brace automorphisms, i.e. the
     homomorphisms from the circle group of H into the automorphisms of G,
-    in a fixed order, truncated at ``budget``."""
+    in a fixed order, truncated at ``budget``.  Each is an action by
+    construction (``products.SIGMA_RULES``): every row is a skew
+    automorphism, row 0 (the image of 0) is the identity, listed first,
+    and the generator check of ``_homomorphisms`` makes h -> row a
+    homomorphism (the module lemma)."""
     auts = np.ascontiguousarray(skew_automorphisms(G))
     homs = _homomorphisms(H.circ, perm_composition(auts), budget)
     return [SigmaAction(G, H, perms) for perms in auts[homs]]

@@ -3,13 +3,13 @@
 A brace lives on the carrier {0..n-1} with the shared identity of both
 group operations pinned at index 0.  Construction goes through
 validation, except for the semidirect products and direct powers of
-validated braces (``products._product``) and the holomorph-enumerated
-braces (``corpus._holomorph_braces``).  A brace holds read-only tables
-of both operations and inverses: numpy arrays, or for a product above
-the ideal cap ``groups.PairTable``s that compute each entry from the
-factors' tables when it is gathered, and a generating set of each group
-that its builder gives.  ``lam_block`` gathers lambda from them, so
-downstream closure sweeps are pure table gathers.
+validated braces (``products._product`` and ``wreath_base``) and the
+holomorph-enumerated braces (``corpus._holomorph_braces``).  A brace
+holds read-only tables of both operations and inverses: numpy arrays, or
+for a product above the ideal cap ``groups.PairTable``s that compute each
+entry from the factors' tables when it is gathered, and a generating set
+of each group that its builder gives.  ``lam_block`` gathers lambda from
+them, so downstream closure sweeps are pure table gathers.
 """
 
 from __future__ import annotations
@@ -422,9 +422,9 @@ class FiniteSkewBrace:
     """Immutable finite skew brace on {0..n-1} with identity 0.
 
     Do not call the constructor directly on unchecked tables; use
-    ``brace_from_tables`` or ``validate``.  The two exceptions are
-    ``products._product``, whose semidirect product of validated braces
-    under a validated action is a brace, and ``corpus._holomorph_braces``,
+    ``brace_from_tables`` or ``validate``.  The exceptions are
+    ``products._product`` and ``wreath_base``, whose products of validated
+    braces under an action are braces, and ``corpus._holomorph_braces``,
     whose lambda-systems on a validated additive group are braces, each by
     the argument in its docstring.  It holds ``add``, ``circ``, ``neg``
     and ``inv``; ``lam`` and ``star_table()`` are gathered from them on

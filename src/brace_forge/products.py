@@ -1,8 +1,9 @@
 """Semidirect and wreath products of finite skew braces.
 
 A semidirect product needs an action of the circle group of H on G by
-skew brace automorphisms.  Actions are permutation tables wrapped in
-``SigmaAction`` so they can be validated once and reused.
+skew brace automorphisms, a permutation table wrapped in ``SigmaAction``.
+Only ``semidirect`` checks one (``validate_sigma``): the shift of ``wreath``
+and the actions of ``autos.sigma_actions`` are actions by construction.
 
 The wreath product carrier is the set of functions H -> G encoded as
 big-endian mixed-radix integers (the digit at position 0 is most
@@ -78,9 +79,8 @@ def validate_sigma(sigma: SigmaAction) -> list[tuple[int, str, tuple]]:
     into the permutations under composition.
     """
     G, H, perms = sigma.target, sigma.source, sigma.perms
-    n = G.order
     bad = []
-    ident = np.arange(n)
+    ident = np.arange(G.order)
     tables = (("add-morphism", np.asarray(G.add)), ("circ-morphism", np.asarray(G.circ)))
     for h in range(H.order):
         row = perms[h]
@@ -110,17 +110,17 @@ def trivial_sigma(target: FiniteSkewBrace, source: FiniteSkewBrace) -> SigmaActi
     return SigmaAction(target, source, np.tile(np.arange(target.order), (source.order, 1)))
 
 
-def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray | None,
-             name: str) -> FiniteSkewBrace:
+def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
+             name: str | None = None) -> FiniteSkewBrace:
     """G x|_sigma H on pairs (g, h) encoded as g*|H| + h, row h of ``perms``
-    being sigma(h) (the identity for None), built without ``validate``:
+    being sigma(h), built without ``validate`` or ``validate_sigma``:
     (g1, h1) + (g2, h2) = (g1 + g2, h1 + h2) and
     (g1, h1) o (g2, h2) = (g1 o sigma(h1)(g2), h1 o h2).
 
     For validated G and H and a homomorphism sigma from (H, o) into the
-    automorphisms of both tables of G (``validate_sigma``, or the identity
-    action) this is a skew brace (Smoktunowicz and Vendramin, "On skew
-    braces", J. Comb. Algebra 2 (2018)): + is a direct and o a semidirect
+    automorphisms of both tables of G (the ``SIGMA_RULES``) this is a skew
+    brace (Smoktunowicz and Vendramin, "On skew braces", J. Comb.
+    Algebra 2 (2018)): + is a direct and o a semidirect
     product of groups, both with identity (0, 0) at label 0, and since
     sigma(h1) is additive the brace relation splits into G's and H's.  So
     -(g, h) = (-g, -h), (g, h)' = (sigma(h')(g'), h') and
@@ -132,13 +132,12 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray | None,
     (0, h) add as G and H do.  For o, (g, h) = (g, 0) o (0, h) since
     sigma(0) is the identity, (g1, 0) o (g2, 0) = (g1 o g2, 0), and
     (0, h1) o (0, h2) = (0, h1 o h2) since sigma(h1) fixes 0.  So each
-    lifted set generates its table, a ``wreath_base`` power's too, whose
-    factor sets are lifted digit by digit.
+    lifted set generates its table.
 
     Both tables are ``_pair_table(left, right)`` of the factors' tables,
     read in place: left = G.add, right = H.add for +, and left =
-    G.circ[:, perms] (G.circ for the identity), right = H.circ for o.  Up
-    to order ``DEFAULT_IDEAL_CAP`` they are built dense; above it they are
+    G.circ[:, perms], right = H.circ for o.  Up to order
+    ``DEFAULT_IDEAL_CAP`` they are built dense; above it they are
     ``PairTable``s, which keep only left and right, a lazy factor's own
     ``PairTable`` too, and compute what a kernel gathers.  A product
     above the cap is never enumerated, and its fast verdict comes from a
@@ -146,26 +145,21 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray | None,
     frontier x member pairs, so a dense build there (two 25.9 MB tables
     at order 3600) would mostly go unread.  At or below the cap a brace
     may be stacked with others, and a batch that concatenates tables
-    builds a lazy one dense anyway: with every product lazy, the 16,279
-    products of ``search_q34(8, 4)`` (orders <= 32) took 4.45 s against
-    4.60 s, within the spread (median of six in-process runs each, 2-core
-    host).
+    builds a lazy one dense anyway.
     """
     m = H.order
     n = G.order * m
     dt = table_dtype(n)
     table = _pair_table if n <= DEFAULT_IDEAL_CAP else PairTable
-    circ = G.circ if perms is None else G.circ[:, perms]
-    inv = G.inv[:, None] if perms is None else perms[H.inv, G.inv[:, None]]
     return FiniteSkewBrace(
         n,
         table(G.add, H.add, dt),
-        table(circ, H.circ, dt),
+        table(G.circ[:, perms], H.circ, dt),
         (G.neg.astype(dt)[:, None] * m + H.neg).ravel(),
-        (inv.astype(dt) * m + H.inv).ravel(),
+        (perms[H.inv, G.inv[:, None]].astype(dt) * m + H.inv).ravel(),
         tuple(g * m for g in G.add_gens) + H.add_gens,
         tuple(g * m for g in G.circ_gens) + H.circ_gens,
-        name,
+        f"({G.name} x| {H.name})" if name is None else name,
     )
 
 
@@ -173,9 +167,8 @@ def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,
                name: str | None = None) -> FiniteSkewBrace:
     """Semidirect product G x|_sigma H on pairs (g, h) encoded as g*|H| + h
     (see ``_product``).  ``sigma`` must pass ``validate_sigma``."""
-    if sigma.target is not G or sigma.source is not H:
-        if not (sigma.target == G and sigma.source == H):
-            raise PreconditionError("sigma does not act on these braces")
+    if (sigma.target, sigma.source) != (G, H):   # identity first, then equal tables
+        raise PreconditionError("sigma does not act on these braces")
     bad = validate_sigma(sigma)
     if bad:
         h, rule, witness = bad[0]
@@ -183,7 +176,7 @@ def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,
     n = G.order * H.order
     if n > max_order():
         raise SizeCapExceeded(f"product order {n} exceeds the cap {max_order()}")
-    return _product(G, H, sigma.perms, f"({G.name} x| {H.name})" if name is None else name)
+    return _product(G, H, sigma.perms, name)
 
 
 class WreathContext:
@@ -222,23 +215,23 @@ class WreathContext:
 
 def wreath_base(G: FiniteSkewBrace, H: FiniteSkewBrace) -> tuple[FiniteSkewBrace, WreathContext]:
     """The direct power brace of functions H -> G under pointwise
-    operations, plus its codec: G x| G x| ... x| G under identity actions,
-    built by ``_product`` with the first factor most significant, which is
-    the codec's digit order."""
-    ctx = WreathContext(G.order, H.order)
-    power = G
-    for k in range(2, H.order + 1):
-        power = _product(power, G, None, f"({G.name}^{k})")
-    return power if H.order > 1 else G.with_name(f"({G.name}^1)"), ctx
+    operations, plus its codec: the stack of one ``_stacked_power([G], |H|)``,
+    dense at or below ``DEFAULT_IDEAL_CAP`` as ``_product`` decides."""
+    power = _stacked_power([G], H.order)
+    read = np.asarray if power.n <= DEFAULT_IDEAL_CAP else (lambda table: table)
+    base = FiniteSkewBrace(power.n, read(power.add), read(power.circ), power.neg, power.inv,
+                           power.add_gens[0].tolist(), power.circ_gens[0].tolist(),
+                           f"({G.name}^{H.order})")
+    return base, WreathContext(G.order, H.order)
 
 
 def _stacked_power(braces: list[FiniteSkewBrace], positions: int) -> _Tables:
-    """The ``ideals._Tables`` of the ``wreath_base``s of ``braces`` (one
-    order N, ``braces`` kept as given) over an H of order ``positions``,
-    with no base built: each ``_product`` step of ``wreath_base`` is taken
-    on the stacks, its add and circ a ``PairTable`` (read at the entries a
-    kernel gathers, at any order) and its neg, inv and generators lifted
-    as ``_product`` lifts them.  Keeps ``wreath_base``'s order cap."""
+    """The ``ideals._Tables`` of the powers G^positions of ``braces`` (one
+    order N, kept as given), first factor most significant as in the
+    ``WreathContext`` digit order.  Each step is ``_product``'s under the
+    identity action on the stacks: add and circ a ``PairTable`` (read at
+    the entries a kernel gathers), neg, inv and generators lifted as
+    ``_product`` lifts them.  Keeps the ``WreathContext`` order cap."""
     WreathContext(braces[0].order, positions)
     stack = _Tables(braces)
     power = copy.copy(stack)
@@ -257,21 +250,23 @@ def _stacked_power(braces: list[FiniteSkewBrace], positions: int) -> _Tables:
 
 
 def _shift_perms(ctx: WreathContext, H: FiniteSkewBrace) -> np.ndarray:
+    """Row h sends f to x -> f(h' o x), which meets the ``SIGMA_RULES`` by
+    construction: it reorders the positions, so it permutes the pointwise
+    + and o; row 0 is the identity; and row h1 o h2 is x -> f(h2' o h1' o
+    x), row h1 after row h2 (the module docstring)."""
     return (ctx.digit_matrix()[:, H.circ[H.inv]] @ ctx.weights).T  # row h, digit x: h' o x
 
 
 def wreath(G: FiniteSkewBrace, H: FiniteSkewBrace,
            name: str | None = None) -> tuple[FiniteSkewBrace, WreathContext]:
     """Wreath product: the function-space base extended by H shifting
-    arguments.  Pairs (f, h) are encoded as f*|H| + h."""
+    arguments (``_shift_perms``).  Pairs (f, h) are encoded as f*|H| + h."""
     base, ctx = wreath_base(G, H)
     if base.order * H.order > max_order():
         raise SizeCapExceeded(
             f"wreath order {base.order * H.order} exceeds the cap {max_order()}")
-    sigma = SigmaAction(base, H, _shift_perms(ctx, H))
-    if name is None:
-        name = f"({G.name} wr {H.name})"
-    return semidirect(base, H, sigma, name=name), ctx
+    name = f"({G.name} wr {H.name})" if name is None else name
+    return _product(base, H, _shift_perms(ctx, H), name), ctx
 
 
 def delta_function(ctx: WreathContext, position: int, value: int) -> int:

@@ -36,7 +36,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import core
+from . import core, products
 from .autos import sigma_actions
 from .core import (
     BraceForgeError,
@@ -57,7 +57,7 @@ from .ideals import (
     is_semiprime,
     semiprime_verdicts,
 )
-from .products import SigmaAction, _stacked_power, semidirect, wreath, wreath_base
+from .products import SigmaAction, _stacked_power, wreath, wreath_base
 
 __all__ = [
     "Counterexample",
@@ -477,9 +477,9 @@ def _action_items(kind: str, pairs: list[tuple[FiniteSkewBrace, FiniteSkewBrace]
                   budget: int, only: str | None) -> list[tuple]:
     """One ``kind`` item per action of ``sigma_actions(G, H, budget)``, for
     each pair whose product is within ``max_order()``, pair by pair: the
-    case id, G, H, the ``SigmaAction`` and its index.  Given the case id
-    ``only``, a pair runs ``sigma_actions`` only when its ids could be
-    ``only``, the ones that start ``<kind>:<G>:<H>:s``."""
+    case id, G, H, the ``SigmaAction`` (an action by construction) and its
+    index.  Given the case id ``only``, a pair runs ``sigma_actions`` only
+    when its ids could be ``only``, the ones that start ``<kind>:<G>:<H>:s``."""
     cap = max_order()
     return [(kind, f"{kind}:{G.name}:{H.name}:s{i}", G, H, act, i)
             for G, H in pairs if G.order * H.order <= cap
@@ -518,8 +518,8 @@ def _batch_classification(args: list[tuple]) -> list[CaseResult]:
 
 
 def _batch_cor28(args: list[tuple]) -> list[CaseResult]:
-    return _product_cases(args, (semidirect(G, H, sigma) for _, G, H, sigma, _ in args),
-                          "not semiprime under sigma {tag}")
+    built = (products._product(G, H, sigma.perms) for _, G, H, sigma, _ in args)
+    return _product_cases(args, built, "not semiprime under sigma {tag}")
 
 
 def _batch_thm33(args: list[tuple]) -> list[CaseResult]:
@@ -583,9 +583,9 @@ def _batch_q34(args: list[tuple]) -> list[CaseResult]:
     that ``_fast_verdicts`` finds semiprime is confirmed by
     exhaustive ``is_semiprime``, item by item, and fails as a
     counterexample."""
-    products = (semidirect(G, H, sigma) for _, G, H, sigma, _ in args)
+    built = (products._product(G, H, sigma.perms) for _, G, H, sigma, _ in args)
     results = []
-    for (case_id, *_), (sd, fast) in zip(args, _fast_verdicts(products)):
+    for (case_id, *_), (sd, fast) in zip(args, _fast_verdicts(built)):
         if not fast.semiprime:
             results.append(CaseResult(case_id, True,
                                       f"order={sd.order} not semiprime "

@@ -340,10 +340,11 @@ def test_sweep_products_match_validate(monkeypatch, A5at):
     # every brace the product kernel builds in the default cor28, thm33
     # and q34 sweeps, the q34-wide search and A5at x| A5at equals the one
     # validate derives from its add and circ tables
-    kernel, built = products._product, {}
+    kernel, built, calls = products._product, {}, []
 
     def recording(*args):
         P = kernel(*args)
+        calls.append(P.order)
         key = hashlib.sha256()
         for table in (P.add, P.circ, P.neg, P.inv, P.lam):
             key.update(str(table.dtype).encode() + np.asarray(table).tobytes())
@@ -351,9 +352,16 @@ def test_sweep_products_match_validate(monkeypatch, A5at):
         return P
 
     monkeypatch.setattr(products, "_product", recording)
-    verify_cor28_thm33()
-    search_q34()
-    search_q34(max_g=8, max_h=2)
+    ids = [case.case_id for report in verify_cor28_thm33().values() for case in report.cases]
+    # one product per cor28 action and per thm33 wreath; the classify cases
+    # and the thm33 stand-in (a wreath_base) build none
+    cor28 = sum(i.startswith("cor28:") for i in ids)
+    thm33 = sum(i.startswith("thm33:") and ":standin:" not in i for i in ids)
+    assert cor28 > 0 and len(calls) == cor28 + thm33
+    for search in (search_q34, lambda: search_q34(max_g=8, max_h=2)):
+        before = len(calls)
+        report = search()
+        assert report.attempted > 0 and len(calls) - before == report.attempted
     semidirect(A5at, A5at, trivial_sigma(A5at, A5at))
     monkeypatch.undo()
     assert 3600 in {P.order for P in built.values()}
@@ -423,6 +431,52 @@ def test_products_never_validate(monkeypatch, R4, T2, S3at):
     assert semidirect(R4, T2, sigma).order == 8
     assert wreath_base(R4, T2)[0].order == 16
     assert wreath(T2, S3at)[0].order == 2 ** 6 * 6
+
+
+def test_derived_actions_are_never_validated(monkeypatch, R4, T2, S3at):
+    # the sweeps and wreath build their products from actions that are
+    # actions by construction; only semidirect runs validate_sigma
+    def refuse(*args, **kwargs):
+        raise AssertionError("a derived action was validated")
+
+    with monkeypatch.context() as m:
+        m.setattr(products, "validate_sigma", refuse)
+        reports = [*verify_cor28_thm33(corpus_max=4).values(), search_q34(max_g=4, max_h=2)]
+        for report in reports:
+            assert report.attempted > 0 and report.passed == report.attempted, report.statement
+        assert wreath(T2, S3at)[0].order == 2 ** 6 * 6
+        with pytest.raises(AssertionError, match="derived action"):
+            semidirect(R4, T2, trivial_sigma(R4, T2))
+    not_an_action = SigmaAction(R4, T2, [[0, 1, 2, 3], [1, 0, 3, 2]])
+    with pytest.raises(PreconditionError, match="invalid action: h=1 breaks add-morphism"):
+        semidirect(R4, T2, not_an_action)
+
+
+def test_derived_actions_pass_validate_sigma(monkeypatch, corpus8, A5at):
+    # the slow path agrees that every action the sweeps and wreath build
+    # unchecked is one: the 1,467 actions of the q34-wide search, all 121
+    # of A5at on A5at, and the shift of every wreath_base pair of
+    # test_wreath_base_is_the_validated_power
+    found = []
+
+    def recording(*args, **kwargs):
+        actions = sigma_actions(*args, **kwargs)
+        found.extend(actions)
+        return actions
+
+    monkeypatch.setattr(verify, "sigma_actions", recording)
+    search_q34(max_g=8, max_h=2)
+    monkeypatch.undo()
+    assert len(found) == 1467
+    found += sigma_actions(A5at, A5at)
+    assert len(found) == 1467 + 121
+    for G in corpus8:
+        for H in (group_brace(f"c{m}", "trivial") for m in (1, 2, 3)):
+            if G.order ** H.order <= 729:
+                base, ctx = wreath_base(G, H)
+                found.append(SigmaAction(base, H, _shift_perms(ctx, H)))
+    for action in found:
+        assert validate_sigma(action) == [], (action.target.name, action.source.name)
 
 
 def test_lazy_products_match_the_dense_build(monkeypatch, A5at, T2):
