@@ -430,14 +430,14 @@ class FiniteSkewBrace:
     and ``inv``; ``lam`` and ``star_table()`` are gathered from them on
     each access.  ``neg`` and ``inv`` are read-only numpy arrays; ``add``
     and ``circ`` are too, except on a product above the ideal cap, where
-    they are read-only ``groups.PairTable``s (``products._product``).
+    they are read-only ``groups.PairTable``s (``products._brace``).
     Readers of a whole table take ``np.asarray`` of it.
 
     ``add_gens`` and ``circ_gens`` generate (A, +) and (A, o): tuples of
     labels, without 0, that the builder gives.  ``validate`` gives the
     greedy sets of ``closure_generators``; a holomorph brace shares its
     group's additive set and has the greedy set of its circle table; a
-    product lifts its factors' sets (``products._product``).
+    product lifts its factors' sets (``products._stacked_product``).
     Readers that need some generating set, not a greedy one, read them
     (the element maps of ``ideals._stacked_maps``, whose docstring shows
     that any generating sets give the same closures, the ideal rules of
@@ -651,7 +651,7 @@ def lam_block(brace: FiniteSkewBrace, rows: np.ndarray, cols: np.ndarray) -> np.
     ``validate`` stored this gather on all labels; a holomorph brace has
     a o b = a + lambda_a(b) (``corpus._holomorph_braces``); and a product
     stored (lambda_g1(sigma(h1)(g2)), lambda_h1(h2)), which is
-    -(g1, h1) + (g1, h1) o (g2, h2) by the formulas of ``products._product``.
+    -(g1, h1) + (g1, h1) o (g2, h2) by the formulas of ``products._stacked_product``.
     Every builder's ``add`` has the dtype ``table_dtype(n)`` the stored
     tables had.
     """

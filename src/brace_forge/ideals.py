@@ -191,7 +191,7 @@ def _stacked_maps(tables: _Tables) -> np.ndarray:
     witnesses are those of the maps by every x, whichever generating sets
     the builder gave."""
     add, circ, neg, inv, n = tables.add, tables.circ, tables.neg, tables.inv, tables.n
-    base = np.arange(len(tables.braces))[:, None, None] * n    # each brace in the flat tables
+    base = np.arange(len(tables))[:, None, None] * n           # each brace in the flat tables
     a = np.arange(n)
     cg = base + tables.circ_gens[:, :, None]                   # (B, kc, 1): rows g of circ
     ag = base + tables.add_gens[:, :, None]
@@ -213,7 +213,7 @@ def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
     seeds = np.zeros((1, brace.order), dtype=bool)
     seeds[0, 0] = True
     seeds[0, normalize_members(brace.order, seed)] = True
-    masks = _principal_masks(_Batch([brace]), False, (np.zeros(1, dtype=np.int64), seeds))
+    masks = _principal_masks(_Batch(_Tables([brace])), False, (np.zeros(1, dtype=np.int64), seeds))
     return Ideal(brace, frozenset(np.flatnonzero(masks[0]).tolist()))
 
 
@@ -227,8 +227,8 @@ class _Tables:
     (B * n, n) tables and neg and inv as flat (B * n,) arrays, row
     b * n + a the row of label a in brace b, and each brace's
     ``add_gens`` and ``circ_gens`` as row b of a (B, k) int64 matrix,
-    padded with label 0.  A stack of one reads its brace's own tables, so
-    a ``groups.PairTable`` is never made dense."""
+    padded with label 0; ``len`` is B.  A stack of one reads its brace's
+    own tables, so a ``groups.PairTable`` is never made dense."""
 
     def __init__(self, braces: list[FiniteSkewBrace]):
         self.braces = braces
@@ -244,16 +244,21 @@ class _Tables:
             columns = list(itertools.zip_longest(*sets, fillvalue=0))
             setattr(self, name, np.array(columns, dtype=np.int64).reshape(-1, len(sets)).T)
 
+    def __len__(self):
+        return len(self.add_gens)
+
 
 class _Batch(_Tables):
-    """``_Tables`` with the ``_stacked_maps`` of its braces and, made on
-    first read, their nonzero orbit representatives ``orbits``, the pairs
-    (owner[t], reps[t]) of ``_orbit_representatives``, whose principal
-    ideals are the default rows of ``_principal_masks``; a seeded pass
-    (``ideal_closure``) never makes them."""
+    """A ``_Tables`` stack, read dense at or below ``DEFAULT_IDEAL_CAP``,
+    with its ``_stacked_maps`` and, made on first read, its nonzero orbit
+    representatives ``orbits``, the pairs (owner[t], reps[t]) of
+    ``_orbit_representatives``, whose principal ideals are the default rows
+    of ``_principal_masks``; a seeded pass (``ideal_closure``) never makes them."""
 
-    def __init__(self, braces: list[FiniteSkewBrace]):
-        super().__init__(braces)
+    def __init__(self, tables: _Tables):
+        vars(self).update(vars(tables))
+        if self.n <= DEFAULT_IDEAL_CAP:
+            self.add, self.circ = np.asarray(self.add), np.asarray(self.circ)
         self.maps = _stacked_maps(self)
 
     @functools.cached_property
@@ -303,7 +308,7 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     principal ideals are closed in full, since all of them are summed.
     """
     _check_ideal_cap(brace.order)
-    batch = _Batch([brace])
+    batch = _Batch(_Tables([brace]))
     _, masks = _batch_ideals(batch, _principal_masks(batch, False))
     masks.setflags(write=False)
     return masks
@@ -335,7 +340,7 @@ def _batch_ideals(batch: _Batch, principal: np.ndarray) -> tuple[np.ndarray, np.
     holds every such P_s, so I = M.
     """
     add, (owner, reps) = batch.add, batch.orbits
-    B, n = len(batch.braces), batch.n
+    B, n = len(batch), batch.n
     step = np.arange(reps.size) - np.searchsorted(owner, owner)   # t of each (brace, r_t)
     steps = int(step.max(initial=-1)) + 1
     rank = np.full((B, n), steps, dtype=np.int16)                 # t of a label r_t, else steps
@@ -529,7 +534,7 @@ def _principal_masks(batch: _Batch, abort: bool,
     if seeds is None:                             # the principal seeds {0, reps[t]}
         seeds = batch.orbits[0], (np.arange(n) == 0) | (np.arange(n) == batch.orbits[1][:, None])
     owner, masks = seeds[0], seeds[1].copy()
-    witnessed = np.zeros(len(batch.braces), dtype=bool)   # a vanishing row so far
+    witnessed = np.zeros(len(batch), dtype=bool)  # a vanishing row so far
     for t0, t1 in _row_blocks(n, len(masks)):
         block = owner[t0:t1]
         stopped = abort & witnessed[block]        # a star showed, or never started
@@ -607,7 +612,7 @@ def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[st
     tuple gives one list per method, all read from the same batches, so
     each brace's maps and orbit representatives are built once.  An
     exhaustive verdict above the cap raises ``SizeCapExceeded``, as
-    ``ideal_masks`` does.  The witnesses are those of ``_batch_witnesses``.
+    ``ideal_masks`` does.  The witnesses are ``_batch_witnesses``' masks.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     for m in methods:
@@ -618,16 +623,17 @@ def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[st
     for group in _batches(braces):
         if "exhaustive" in methods:
             _check_ideal_cap(braces[group[0]].order)
-        batch = _Batch([braces[i] for i in group])
+        batch = _Batch(_Tables([braces[i] for i in group]))
         for m in methods:
-            for i, witness in zip(group, _batch_witnesses(batch, m)):
-                witnesses[m][i] = witness
+            for i, mask in zip(group, _batch_witnesses(batch, m)):
+                if mask is not None:
+                    witnesses[m][i] = Ideal(braces[i], frozenset(np.flatnonzero(mask).tolist()))
     lists = [[SemiprimeVerdict(w is None, w, m) for w in witnesses[m]] for m in methods]
     return lists[0] if isinstance(method, str) else tuple(lists)
 
 
-def _batch_witnesses(batch: _Batch, method: str) -> list[Ideal | None]:
-    """The witness of each brace of the batch (``semiprime_verdicts``),
+def _batch_witnesses(batch: _Batch, method: str) -> list[np.ndarray | None]:
+    """The witness member mask of each brace of the batch, in stack order,
     None for a semiprime one: its first candidate row that vanishes in one
     aborting ``_principal_masks`` pass over the candidates.
 
@@ -647,8 +653,7 @@ def _batch_witnesses(batch: _Batch, method: str) -> list[Ideal | None]:
     masks = _principal_masks(batch, True, seeds)
     hits = np.flatnonzero(masks[:, 0])[::-1]
     first = dict(zip(owner[hits].tolist(), hits.tolist()))     # the last write, the first hit, wins
-    return [Ideal(brace, frozenset(np.flatnonzero(masks[first[b]]).tolist())) if b in first else None
-            for b, brace in enumerate(batch.braces)]
+    return [masks[first[b]] if b in first else None for b in range(len(batch))]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ to x -> f(h' o x) with h' the circle inverse of h.  Using the inverse
 makes the action a homomorphism; composing without it reverses the
 order of composition and only agrees when every element of H is its own
 circle inverse.
+
+Every product is a stack of the one pair step ``_stacked_product``:
+``_product`` is its stack of one, ``_stacked_power`` its fold under the
+identity action, and the cor28 and q34 sweeps stack many actions at once.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from .core import (
     _check_index,
     _label_table,
     _member_labels,
+    _row_blocks,
     max_order,
     normalize_members,
     table_dtype,
 )
-from .groups import PairTable, _pair_table
+from .groups import PairTable
 from .ideals import DEFAULT_IDEAL_CAP, _Tables
 
 __all__ = [
@@ -48,8 +53,7 @@ __all__ = [
     "pointwise_lift",
 ]
 
-SIGMA_RULES = ("permutation", "identity-action", "add-morphism",
-               "circ-morphism", "homomorphism")
+SIGMA_RULES = ("permutation", "identity-action", "add-morphism", "circ-morphism", "homomorphism")
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,12 @@ def trivial_sigma(target: FiniteSkewBrace, source: FiniteSkewBrace) -> SigmaActi
     return SigmaAction(target, source, np.tile(np.arange(target.order), (source.order, 1)))
 
 
-def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
-             name: str | None = None) -> FiniteSkewBrace:
-    """G x|_sigma H on pairs (g, h) encoded as g*|H| + h, row h of ``perms``
-    being sigma(h), built without ``validate`` or ``validate_sigma``:
-    (g1, h1) + (g2, h2) = (g1 + g2, h1 + h2) and
-    (g1, h1) o (g2, h2) = (g1 o sigma(h1)(g2), h1 o h2).
+def _stacked_product(left: _Tables, right: _Tables, perms: np.ndarray | None) -> _Tables:
+    """The products G_b x|_sigma_b H_b of the rows b of two stacks of B
+    braces on pairs (g, h) encoded as g*|H| + h, sigma_b(h) row h of
+    perms[b] ((B, |H|, |G|)) or the identity for ``perms`` None, built
+    without ``validate`` or ``validate_sigma``: (g1, h1) + (g2, h2) =
+    (g1 + g2, h1 + h2) and (g1, h1) o (g2, h2) = (g1 o sigma(h1)(g2), h1 o h2).
 
     For validated G and H and a homomorphism sigma from (H, o) into the
     automorphisms of both tables of G (the ``SIGMA_RULES``) this is a skew
@@ -132,41 +136,66 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
     (0, h) add as G and H do.  For o, (g, h) = (g, 0) o (0, h) since
     sigma(0) is the identity, (g1, 0) o (g2, 0) = (g1 o g2, 0), and
     (0, h1) o (0, h2) = (0, h1 o h2) since sigma(h1) fixes 0.  So each
-    lifted set generates its table.
+    lifted set generates its table; a padding label 0 lifts to 0.
 
-    Both tables are ``_pair_table(left, right)`` of the factors' tables,
-    read in place: left = G.add, right = H.add for +, and left =
-    G.circ[:, perms], right = H.circ for o.  Up to order
-    ``DEFAULT_IDEAL_CAP`` they are built dense; above it they are
-    ``PairTable``s, which keep only left and right, a lazy factor's own
-    ``PairTable`` too, and compute what a kernel gathers.  A product
-    above the cap is never enumerated, and its fast verdict comes from a
-    ``_Batch`` of its own (``ideals``), which reads its tables at a few
-    frontier x member pairs, so a dense build there (two 25.9 MB tables
-    at order 3600) would mostly go unread.  At or below the cap a brace
-    may be stacked with others, and a batch that concatenates tables
-    builds a lazy one dense anyway.
-    """
-    m = H.order
-    n = G.order * m
-    dt = table_dtype(n)
-    table = _pair_table if n <= DEFAULT_IDEAL_CAP else PairTable
-    return FiniteSkewBrace(
-        n,
-        table(G.add, H.add, dt),
-        table(G.circ[:, perms], H.circ, dt),
-        (G.neg.astype(dt)[:, None] * m + H.neg).ravel(),
-        (perms[H.inv, G.inv[:, None]].astype(dt) * m + H.inv).ravel(),
-        tuple(g * m for g in G.add_gens) + H.add_gens,
-        tuple(g * m for g in G.circ_gens) + H.circ_gens,
-        f"({G.name} x| {H.name})" if name is None else name,
-    )
+    add and circ are ``groups.PairTable``s of the factors' stacked tables,
+    read in place, a lazy factor's too: left = G.add, right = H.add for +,
+    and left = G.circ[:, sigma(.)] ((B |G|, |H|, |G|); G.circ for the
+    identity), right = H.circ for o; ``_brace`` and ``ideals._Batch`` read
+    them dense at or below ``DEFAULT_IDEAL_CAP``.  It keeps ``left.braces``."""
+    B, n1, m = len(left), left.n, right.n
+    out = copy.copy(left)
+    out.n = n1 * m
+    dt = table_dtype(out.n)
+    circ, g_inv, h_inv = left.circ, left.inv.reshape(B, n1, 1), right.inv.reshape(B, 1, m)
+    if perms is not None:                    # one brace: G.circ[:, perms[0]], numpy's fast path
+        rows = np.arange(B * n1).reshape(B, n1, 1, 1) if B > 1 else slice(None)
+        circ = left.circ[rows, perms[:, None]].reshape(B * n1, m, n1)
+        g_inv = perms[np.arange(B)[:, None, None], h_inv, g_inv]
+    out.add, out.circ = PairTable(left.add, right.add, dt), PairTable(circ, right.circ, dt)
+    out.neg = (left.neg.astype(dt).reshape(B, n1, 1) * m + right.neg.reshape(B, 1, m)).ravel()
+    out.inv = (g_inv.astype(dt) * m + h_inv).ravel()
+    out.add_gens = np.hstack([left.add_gens * m, right.add_gens])
+    out.circ_gens = np.hstack([left.circ_gens * m, right.circ_gens])
+    return out
+
+
+def _brace(tables: _Tables, name: str) -> FiniteSkewBrace:
+    """The brace of a stack of one, dense at or below ``DEFAULT_IDEAL_CAP``:
+    above it a product is never enumerated and its fast verdict reads a few
+    frontier x member pairs, so two dense 25.9 MB tables at order 3600 would go unread."""
+    read = np.asarray if tables.n <= DEFAULT_IDEAL_CAP else (lambda table: table)
+    return FiniteSkewBrace(tables.n, read(tables.add), read(tables.circ), tables.neg, tables.inv,
+                           tables.add_gens[0].tolist(), tables.circ_gens[0].tolist(), name)
+
+
+def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
+             name: str | None = None) -> FiniteSkewBrace:
+    """G x|_sigma H, row h of ``perms`` being sigma(h): a ``_brace`` stack of one."""
+    name = f"({G.name} x| {H.name})" if name is None else name
+    return _brace(_stacked_product(_Tables([G]), _Tables([H]), perms[None]), name)
+
+
+def _action_stacks(actions: list[tuple[FiniteSkewBrace, FiniteSkewBrace, SigmaAction]]):
+    """(index, stack) for the products G x|_sigma H of the (G, H, sigma) at
+    index, one ``_stacked_product`` at a time: those of one |G| and |H| in
+    stacks of about ``core._BLOCK_ENTRIES`` add and circ entries, and one
+    above ``DEFAULT_IDEAL_CAP`` a lazy stack of its own (``ideals._batches``)."""
+    groups: dict[tuple[int, int, int], list[int]] = {}          # (|G||H|, |G|, -1 or i): actions
+    for i, (G, H, _) in enumerate(actions):
+        n = G.order * H.order
+        groups.setdefault((n, G.order, i if n > DEFAULT_IDEAL_CAP else -1), []).append(i)
+    for (n, _, _), index in groups.items():
+        for i0, i1 in _row_blocks(n, len(index), 2 * n * n):
+            Gs, Hs, sigmas = zip(*(actions[i] for i in index[i0:i1]))
+            perms = np.stack([sigma.perms for sigma in sigmas])
+            yield index[i0:i1], _stacked_product(_Tables(list(Gs)), _Tables(list(Hs)), perms)
 
 
 def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,
                name: str | None = None) -> FiniteSkewBrace:
     """Semidirect product G x|_sigma H on pairs (g, h) encoded as g*|H| + h
-    (see ``_product``).  ``sigma`` must pass ``validate_sigma``."""
+    (see ``_stacked_product``).  ``sigma`` must pass ``validate_sigma``."""
     if (sigma.target, sigma.source) != (G, H):   # identity first, then equal tables
         raise PreconditionError("sigma does not act on these braces")
     bad = validate_sigma(sigma)
@@ -215,37 +244,20 @@ class WreathContext:
 
 def wreath_base(G: FiniteSkewBrace, H: FiniteSkewBrace) -> tuple[FiniteSkewBrace, WreathContext]:
     """The direct power brace of functions H -> G under pointwise
-    operations, plus its codec: the stack of one ``_stacked_power([G], |H|)``,
-    dense at or below ``DEFAULT_IDEAL_CAP`` as ``_product`` decides."""
-    power = _stacked_power([G], H.order)
-    read = np.asarray if power.n <= DEFAULT_IDEAL_CAP else (lambda table: table)
-    base = FiniteSkewBrace(power.n, read(power.add), read(power.circ), power.neg, power.inv,
-                           power.add_gens[0].tolist(), power.circ_gens[0].tolist(),
-                           f"({G.name}^{H.order})")
+    operations, plus its codec: the ``_brace`` of ``_stacked_power([G], |H|)``."""
+    base = _brace(_stacked_power([G], H.order), f"({G.name}^{H.order})")
     return base, WreathContext(G.order, H.order)
 
 
 def _stacked_power(braces: list[FiniteSkewBrace], positions: int) -> _Tables:
     """The ``ideals._Tables`` of the powers G^positions of ``braces`` (one
     order N, kept as given), first factor most significant as in the
-    ``WreathContext`` digit order.  Each step is ``_product``'s under the
-    identity action on the stacks: add and circ a ``PairTable`` (read at
-    the entries a kernel gathers), neg, inv and generators lifted as
-    ``_product`` lifts them.  Keeps the ``WreathContext`` order cap."""
+    ``WreathContext`` digit order: the fold of ``_stacked_product`` under
+    the identity action, lazy at every order.  Keeps the order cap."""
     WreathContext(braces[0].order, positions)
-    stack = _Tables(braces)
-    power = copy.copy(stack)
-    B, N = len(braces), stack.n
+    power = stack = _Tables(braces)
     for _ in range(positions - 1):
-        power.n *= N
-        dt = table_dtype(power.n)
-        power.add = PairTable(power.add, stack.add, dt)
-        power.circ = PairTable(power.circ, stack.circ, dt)
-        power.neg, power.inv = ((getattr(power, t).astype(dt).reshape(B, -1, 1) * N
-                                 + getattr(stack, t).reshape(B, 1, N)).ravel()
-                                for t in ("neg", "inv"))
-        power.add_gens = np.hstack([power.add_gens * N, stack.add_gens])
-        power.circ_gens = np.hstack([power.circ_gens * N, stack.circ_gens])
+        power = _stacked_product(power, stack, None)
     return power
 
 
@@ -263,8 +275,7 @@ def wreath(G: FiniteSkewBrace, H: FiniteSkewBrace,
     arguments (``_shift_perms``).  Pairs (f, h) are encoded as f*|H| + h."""
     base, ctx = wreath_base(G, H)
     if base.order * H.order > max_order():
-        raise SizeCapExceeded(
-            f"wreath order {base.order * H.order} exceeds the cap {max_order()}")
+        raise SizeCapExceeded(f"wreath order {base.order * H.order} exceeds the cap {max_order()}")
     name = f"({G.name} wr {H.name})" if name is None else name
     return _product(base, H, _shift_perms(ctx, H), name), ctx
 

@@ -36,7 +36,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import core, products
+from . import products
 from .autos import sigma_actions
 from .core import (
     BraceForgeError,
@@ -50,6 +50,9 @@ from .corpus import group_brace, standard_corpus
 from .docio import format_int_row, serialize_document
 from .ideals import (
     DEFAULT_IDEAL_CAP,
+    _Batch,
+    _Tables,
+    _batch_witnesses,
     _failed_rules,
     _vanishing_ideals,
     ideal_masks,
@@ -364,44 +367,26 @@ def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_
 # lemma32: base of a semiprime brace is semiprime; lifted witnesses
 # certify the converse direction on non-semiprime bottoms
 
-def _fast_verdicts(products):
-    """(product, fast verdict) for each of ``products``, in order, with one
-    ``semiprime_verdicts`` call per block of consecutive products whose add
-    and circ tables hold at most ``core._BLOCK_ENTRIES`` entries together
-    (one product, if it alone holds more).  Products are taken one at a
-    time and a block is dropped before the next is built, so at most one
-    block and one product beyond it are held at once."""
-    block, size = [], 0
-    for P in products:
-        if block and size + 2 * P.order ** 2 > core._BLOCK_ENTRIES:
-            yield from zip(block, semiprime_verdicts(block, "fast"))
-            block, size = [], 0
-        block.append(P)
-        size += 2 * P.order ** 2
-    if block:
-        yield from zip(block, semiprime_verdicts(block, "fast"))
-
-
-def _product_cases(args: list[tuple], products, failure: str) -> list[CaseResult]:
-    """The cases of a run that claim each of ``products``, one per item of
-    ``args``, is semiprime.  A case passes when its product's fast verdict
-    (``_fast_verdicts``) agrees, else it fails with the witness and
-    ``failure``, formatted with the item's last field as ``tag``."""
-    results = []
-    for (case_id, *_, tag), (P, verdict) in zip(args, _fast_verdicts(products)):
-        if verdict.semiprime:
-            results.append(CaseResult(case_id, True, f"order={P.order} semiprime"))
-        else:
-            results.append(CaseResult(case_id, False, f"order={P.order} {failure.format(tag=tag)}",
-                                      witness=verdict.witness.sorted()))
+def _product_cases(args: list[tuple], stacks, failure: str) -> list[CaseResult]:
+    """The cases of a run that claim each of its products is semiprime:
+    ``stacks`` yields (index, the ``ideals._Tables`` stack of the products
+    of the items at index), each classified in place as one ``_Batch``.  A
+    case fails with its product's fast witness and ``failure`` (``tag``: the item's last field)."""
+    results = [None] * len(args)
+    for index, stack in stacks:
+        for i, mask in zip(index, _batch_witnesses(_Batch(stack), "fast")):
+            case_id, *_, tag = args[i]
+            info = f"order={stack.n} " + ("semiprime" if mask is None else failure.format(tag=tag))
+            witness = () if mask is None else tuple(np.flatnonzero(mask).tolist())
+            results[i] = CaseResult(case_id, mask is None, info, witness=witness)
     return results
 
 
 def _batch_lemma32_base(args: list[tuple]) -> list[CaseResult]:
     """The cases (case id, G, H) of a run that claim the base of G and H
     is semiprime: lemma32's base case and thm33's stand-in."""
-    return _product_cases(args, (wreath_base(G, H)[0] for _, G, H in args),
-                          "unexpectedly not semiprime")
+    stacks = (([i], _Tables([wreath_base(G, H)[0]])) for i, (_, G, H) in enumerate(args))
+    return _product_cases(args, stacks, "unexpectedly not semiprime")
 
 
 def _batch_lemma32_lift(args: list[tuple]) -> list[CaseResult]:
@@ -518,12 +503,13 @@ def _batch_classification(args: list[tuple]) -> list[CaseResult]:
 
 
 def _batch_cor28(args: list[tuple]) -> list[CaseResult]:
-    built = (products._product(G, H, sigma.perms) for _, G, H, sigma, _ in args)
-    return _product_cases(args, built, "not semiprime under sigma {tag}")
+    return _product_cases(args, products._action_stacks([arg[1:4] for arg in args]),
+                          "not semiprime under sigma {tag}")
 
 
 def _batch_thm33(args: list[tuple]) -> list[CaseResult]:
-    return _product_cases(args, (wreath(G, H)[0] for _, G, H in args), "not semiprime")
+    stacks = (([i], _Tables([wreath(G, H)[0]])) for i, (_, G, H) in enumerate(args))
+    return _product_cases(args, stacks, "not semiprime")
 
 
 def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
@@ -579,24 +565,22 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
 # q34: search for a semiprime semidirect product over a non-semiprime G
 
 def _batch_q34(args: list[tuple]) -> list[CaseResult]:
-    """The q34 cases of a run: a product that is not semiprime passes; one
-    that ``_fast_verdicts`` finds semiprime is confirmed by
-    exhaustive ``is_semiprime``, item by item, and fails as a
-    counterexample."""
-    built = (products._product(G, H, sigma.perms) for _, G, H, sigma, _ in args)
-    results = []
-    for (case_id, *_), (sd, fast) in zip(args, _fast_verdicts(built)):
-        if not fast.semiprime:
-            results.append(CaseResult(case_id, True,
-                                      f"order={sd.order} not semiprime "
-                                      f"witness={fmt_members(fast.witness.members)}"))
-        elif not is_semiprime(sd, method="exhaustive").semiprime:
-            # methods must agree; this would be an implementation bug
-            results.append(CaseResult(case_id, False, "fast and exhaustive verdicts disagree"))
-        else:
-            results.append(CaseResult(
-                case_id, False,
-                f"order={sd.order} SEMIPRIME (exhaustively confirmed) - counterexample"))
+    """The q34 cases of a run, their ``products._action_stacks`` classified
+    as in ``_product_cases``: a product with a fast witness passes; one
+    without is built, confirmed by exhaustive ``is_semiprime`` and fails."""
+    results = [None] * len(args)
+    for index, stack in products._action_stacks([arg[1:4] for arg in args]):
+        for i, mask in zip(index, _batch_witnesses(_Batch(stack), "fast")):
+            case_id, G, H, sigma, _ = args[i]
+            if mask is not None:
+                results[i] = CaseResult(case_id, True, f"order={stack.n} not semiprime "
+                                        f"witness={fmt_members(np.flatnonzero(mask))}")
+            elif not is_semiprime(products._product(G, H, sigma.perms), "exhaustive").semiprime:
+                # methods must agree; this would be an implementation bug
+                results[i] = CaseResult(case_id, False, "fast and exhaustive verdicts disagree")
+            else:
+                results[i] = CaseResult(case_id, False, f"order={stack.n} SEMIPRIME "
+                                        "(exhaustively confirmed) - counterexample")
     return results
 
 

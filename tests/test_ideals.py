@@ -454,7 +454,7 @@ def test_batched_principal_ideals_match_one_closure_each(batch_braces, monkeypat
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
         assert list(core._row_blocks(64, 3)) == [(0, 1), (1, 2), (2, 3)]
     for brace in batch_braces:
-        batch = ideals._Batch([brace])
+        batch = ideals._Batch(ideals._Tables([brace]))
         masks = _principal_masks(batch, False)
         reps = batch.orbits[1]
         assert masks.shape == (len(reps), brace.order), brace.name
@@ -484,8 +484,9 @@ def test_a_closing_pass_reads_no_add_entry(corpus8, A5at_square):
         by_order.setdefault(brace.order, []).append(brace)
     seed = np.zeros((1, W.order), dtype=bool)
     seed[0, [0, 61]] = True
-    runs = [(ideals._Batch(group), None) for group in by_order.values() if group[0].order > 1]
-    runs.append((ideals._Batch([W]), (np.zeros(1, dtype=np.int64), seed)))
+    runs = [(ideals._Batch(ideals._Tables(group)), None)
+            for group in by_order.values() if group[0].order > 1]
+    runs.append((ideals._Batch(ideals._Tables([W])), (np.zeros(1, dtype=np.int64), seed)))
     for batch, seeds in runs:
         want = _principal_masks(batch, False, seeds)
         batch.add = NoReads()
@@ -528,7 +529,7 @@ def test_semiprime_verdicts_match_one_brace_at_a_time(mixed_braces, monkeypatch,
     for brace in mixed_braces:
         by_order.setdefault(brace.order, []).append(brace)
     for group in by_order.values():
-        batch = ideals._Batch(group)
+        batch = ideals._Batch(ideals._Tables(group))
         owner, masks = ideals._batch_ideals(batch, _principal_masks(batch, False))
         counts = np.bincount(owner, minlength=len(group))
         for brace, count, rows in zip(group, counts, np.split(masks, np.cumsum(counts)[:-1])):

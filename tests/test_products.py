@@ -28,7 +28,7 @@ from brace_forge import (
     wreath,
     wreath_base,
 )
-from brace_forge import core, products, verify
+from brace_forge import core, ideals, products, verify
 from brace_forge.groups import PairTable, _pair_table, dihedral_table, direct_product_table
 from brace_forge.products import SIGMA_RULES, _shift_perms
 
@@ -336,37 +336,121 @@ def test_wreath_base_a5at_square_is_the_validated_power(A5at_square):
     _assert_matches_validate(A5at_square)
 
 
+def _stack_row(tables, b, name=""):
+    """Row b of an ``ideals._Tables`` stack as a brace, its tables read
+    dense and its generators without the padding label 0."""
+    rows = slice(b * tables.n, (b + 1) * tables.n)
+    add, circ = (np.asarray(getattr(tables, t)[rows]) for t in ("add", "circ"))
+    gens = ([g for g in getattr(tables, k)[b].tolist() if g] for k in ("add_gens", "circ_gens"))
+    return core.FiniteSkewBrace(tables.n, add, circ, tables.neg[rows], tables.inv[rows], *gens, name)
+
+
 def test_sweep_products_match_validate(monkeypatch, A5at):
-    # every brace the product kernel builds in the default cor28, thm33
-    # and q34 sweeps, the q34-wide search and A5at x| A5at equals the one
-    # validate derives from its add and circ tables
-    kernel, built, calls = products._product, {}, []
+    # every product the one builder stacks under an action in the default
+    # cor28, thm33 and q34 sweeps, the q34-wide search and A5at x| A5at:
+    # each row of each stack equals the brace validate derives from its add
+    # and circ tables.  The builder is recorded, not _product, since the
+    # cor28 and q34 batches stack their actions without building a brace
+    kernel, stacks = products._stacked_product, []
 
-    def recording(*args):
-        P = kernel(*args)
-        calls.append(P.order)
-        key = hashlib.sha256()
-        for table in (P.add, P.circ, P.neg, P.inv, P.lam):
-            key.update(str(table.dtype).encode() + np.asarray(table).tobytes())
-        built.setdefault(key.digest(), P)
-        return P
+    def recording(left, right, perms):
+        tables = kernel(left, right, perms)
+        if perms is not None:           # the identity steps of a power: its own tests
+            stacks.append(tables)
+        return tables
 
-    monkeypatch.setattr(products, "_product", recording)
+    def rows():
+        return sum(len(tables) for tables in stacks)
+
+    monkeypatch.setattr(products, "_stacked_product", recording)
     ids = [case.case_id for report in verify_cor28_thm33().values() for case in report.cases]
     # one product per cor28 action and per thm33 wreath; the classify cases
     # and the thm33 stand-in (a wreath_base) build none
     cor28 = sum(i.startswith("cor28:") for i in ids)
     thm33 = sum(i.startswith("thm33:") and ":standin:" not in i for i in ids)
-    assert cor28 > 0 and len(calls) == cor28 + thm33
+    assert cor28 > 0 and rows() == cor28 + thm33
     for search in (search_q34, lambda: search_q34(max_g=8, max_h=2)):
-        before = len(calls)
+        before = rows()
         report = search()
-        assert report.attempted > 0 and len(calls) - before == report.attempted
+        assert report.attempted > 0 and rows() - before == report.attempted
     semidirect(A5at, A5at, trivial_sigma(A5at, A5at))
     monkeypatch.undo()
+    built = {}
+    for tables in stacks:
+        for b in range(len(tables)):
+            P = _stack_row(tables, b)
+            key = hashlib.sha256()
+            for table in (P.add, P.circ, P.neg, P.inv):
+                key.update(str(table.dtype).encode() + table.tobytes())
+            built.setdefault(key.digest(), P)
     assert 3600 in {P.order for P in built.values()}
     for P in built.values():
         _assert_matches_validate(P)
+
+
+def _assert_stack_rows_are(tables, wants, rng):
+    """Row b of the stack ``tables`` has the neg, inv, generators, add and
+    circ of wants[b]; add and circ are read at the index forms of
+    test_stacked_power_reads_each_base_of_its_stack, each entry [x, y] of
+    the stack checked against wants[x // n][x % n, y]."""
+    B, n = len(wants), tables.n
+    assert len(tables) == B and all(W.order == n for W in wants)
+    for name in ("neg", "inv"):
+        assert np.array_equal(getattr(tables, name), np.concatenate([getattr(W, name) for W in wants]))
+    for name in ("add_gens", "circ_gens"):
+        for row, W in zip(getattr(tables, name).tolist(), wants):
+            assert [g for g in row if g] == list(getattr(W, name)), name
+    # the row and column label of each entry a key selects, in numpy's layout
+    labels = [np.broadcast_to(np.arange(size).reshape(shape), (B * n, n))
+              for size, shape in ((B * n, (-1, 1)), (n, (1, -1)))]
+    rows, cols = rng.integers(-B * n, B * n, 9), rng.integers(-n, n, 4)
+    for key in [(int(rows[0]), int(cols[0])), rows, (slice(None), cols), (rows[:, None], cols),
+                slice(n - 3, n + 3), (rows, slice(None)), np.ix_(rows, cols),
+                (slice(None), int(cols[1]))]:
+        x, y = (np.asarray(label[key]) for label in labels)
+        for name in ("add", "circ"):
+            got, want = np.asarray(getattr(tables, name)[key]), np.empty(x.shape, np.int64)
+            for b in np.unique(x // n).tolist():
+                at = x // n == b
+                want[at] = getattr(wants[b], name)[x[at] % n, y[at]]
+            assert got.dtype == wants[0].add.dtype and np.array_equal(got, want), (name, key)
+
+
+def test_action_stacks_match_each_product(monkeypatch, A5at):
+    # every row of a stack of actions has the tables and generators of
+    # _product under its action: the actions of each (G, H) pair of the
+    # q34-wide search (1,467) as one stack, the sweep's own stacks of them
+    # (the pairs of one |G| and |H| together), and all 121 actions of A5at
+    # on A5at, above the ideal cap and read lazily
+    items = []
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_sweep", lambda _s, found, *rest: items.extend(found))
+        search_q34(max_g=8, max_h=2)
+    assert len(items) == 1467
+    rng = np.random.default_rng(34)
+    pairs = {}
+    for _, _, G, H, sigma, _ in items:
+        pairs.setdefault((G, H), []).append(sigma.perms)
+    for (G, H), actions in pairs.items():
+        perms = np.stack(actions)
+        B = len(perms)
+        tables = products._stacked_product(ideals._Tables([G] * B), ideals._Tables([H] * B), perms)
+        _assert_stack_rows_are(tables, [products._product(G, H, p) for p in perms], rng)
+    actions = [item[2:5] for item in items]
+    stacked = 0
+    for index, tables in products._action_stacks(actions):
+        wants = [products._product(G, H, sigma.perms) for G, H, sigma in (actions[i] for i in index)]
+        _assert_stack_rows_are(tables, wants, rng)
+        stacked += len(index)
+    assert stacked == len(items) and len(pairs) == 612
+    perms = np.stack([sigma.perms for sigma in sigma_actions(A5at, A5at, budget=121)])
+    assert perms.shape == (121, 60, 60)
+    tables = products._stacked_product(ideals._Tables([A5at] * 121), ideals._Tables([A5at] * 121),
+                                       perms)
+    assert isinstance(tables.add, PairTable) and isinstance(tables.circ, PairTable)
+    wants = [products._product(A5at, A5at, p) for p in perms]
+    assert all(isinstance(W.circ, PairTable) for W in wants)
+    _assert_stack_rows_are(tables, wants, rng)
 
 
 def test_product_lam_is_the_pair_formula(R4, S3at, T2, A5at):

@@ -579,11 +579,11 @@ def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks
     if one_row_blocks:
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
     calls = []
-    real = verify.semiprime_verdicts
+    real = verify._batch_witnesses
 
-    def counting(braces, method):
-        calls.append(len(braces))
-        return real(braces, method)
+    def counting(batch, method):
+        calls.append(len(batch))
+        return real(batch, method)
 
     lifts = []
     real_lifts = verify._failed_rules
@@ -592,18 +592,18 @@ def test_batches_match_batches_of_one(batched_items, monkeypatch, one_row_blocks
         lifts.append((tables.n, len(masks)))
         return real_lifts(tables, owner, masks)
 
-    monkeypatch.setattr(verify, "semiprime_verdicts", counting)
+    monkeypatch.setattr(verify, "_batch_witnesses", counting)
     monkeypatch.setattr(verify, "_failed_rules", counting_lifts)
     batched = verify._run_chunk(batched_items)
     products, blocks = len(calls), len(lifts)
     assert batched == [verify._dispatch(item) for item in batched_items]
     assert {item[0] for item in batched_items} == set(verify._BATCH_FUNCS)
-    # one verdict call per product block: one block for a run of tiny
-    # products, one block a product when a block holds one entry; the
-    # lemma32 base and the thm33 stand-ins (orders 3600, 60 and 3600)
-    # hold a block each either way
-    assert products == (1472 if one_row_blocks else 6)
-    assert len(calls) == products + 1472
+    # one verdict call per product stack: the q34-wide run in one stack
+    # per |G| and |H| (14), the cor28 product, the thm33 wreath, and the
+    # lemma32 base and the thm33 stand-ins (orders 3600, 60 and 3600) in a
+    # stack each; one stack a product when a block holds one entry
+    assert products == (1472 if one_row_blocks else 19)
+    assert sum(calls[:products]) == 1472 and len(calls) == products + 1472
     # the 306 lifts, one run, make one _failed_rules call per bottom
     # order, in order of first appearance, at any block size (the kernel
     # cuts its own row blocks); alone, by _dispatch, one call each
@@ -681,8 +681,7 @@ def test_passing_lifts_build_no_base(monkeypatch, batched_items):
         raise AssertionError("a lift built a base")
 
     for module, name in ((verify, "wreath_base"), (products, "wreath_base"),
-                         (products, "_product"), (products, "_pair_table"),
-                         (groups, "_pair_table")):
+                         (products, "_product"), (groups, "_pair_table")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(core.FiniteSkewBrace, "__init__", refuse)
     results = verify._BATCH_FUNCS["lemma32-lift"](lifts)
@@ -690,24 +689,57 @@ def test_passing_lifts_build_no_base(monkeypatch, batched_items):
     assert sum("order=512 " in r.info for r in results) == 40
 
 
+def test_products_above_the_cap_are_lazy_stacks_of_their_own(monkeypatch, A5at):
+    # three actions of A5at on A5at (order 3600) and three of T3 on A5at
+    # (order 180, where a block would hold many) in one cor28 run: each is
+    # a stack of one, classified without a dense table, as it is alone
+    T3 = group_brace("c3", "trivial", name="T3")
+    items = [*verify._action_items("cor28", [(A5at, A5at)], 121, None)[::60],
+             *verify._action_items("cor28", [(A5at, T3)], 121, None)[:3]]
+    alone = [verify._dispatch(item) for item in items]
+    stacks = []
+    real = verify._batch_witnesses
+
+    def counting(batch, method):
+        stacks.append((batch.n, len(batch), type(batch.add), type(batch.circ)))
+        return real(batch, method)
+
+    def dense(self, dtype=None, copy=None):
+        raise AssertionError("a PairTable was made dense")
+
+    monkeypatch.setattr(verify, "_batch_witnesses", counting)
+    monkeypatch.setattr(groups.PairTable, "__array__", dense)
+    results = verify._BATCH_FUNCS["cor28"]([item[1:] for item in items])
+    assert [verify._with_documents(item, r) for item, r in zip(items, results)] == alone
+    assert [r.info for r in results[:4]] == ["order=3600 semiprime"] * 3 + [
+        "order=180 not semiprime under sigma 0"]
+    assert stacks == [(n, 1, groups.PairTable, groups.PairTable) for n in (3600,) * 3 + (180,) * 3]
+
+
 def test_product_batches_hold_about_a_block_of_table_entries(monkeypatch):
-    # the sweep of `search q34 --max-order 60`: products of order up to 32
+    # the sweep of `search q34 --max-order 60`: products of order up to 32,
+    # stacked by |G| and |H| in order of first appearance, each cut
+    # greedily into stacks of at most a block of add and circ entries and
+    # read dense
     items = _sweep_items(monkeypatch, search_q34, max_g=8, max_h=4)
-    entries = []
-    real = verify.semiprime_verdicts
+    stacks = []
+    real = verify._batch_witnesses
 
-    def counting(braces, method):
+    def counting(batch, method):
         assert method == "fast"
-        entries.append(sum(2 * B.order ** 2 for B in braces))    # add and circ
-        return real(braces, method)
+        assert isinstance(batch.add, np.ndarray) and isinstance(batch.circ, np.ndarray)
+        stacks.append((batch.braces[0].order, batch.n, len(batch)))   # |G|, order, products
+        return real(batch, method)
 
-    monkeypatch.setattr(verify, "semiprime_verdicts", counting)
+    monkeypatch.setattr(verify, "_batch_witnesses", counting)
     results = verify._run_chunk(items)
     assert len(results) == 16279 and all(r.ok for r in results)
-    assert sum(entries) == sum(2 * (it[2].order * it[3].order) ** 2 for it in items)
-    # one run, cut greedily: every block but the last is nearly full
-    assert max(entries) <= core._BLOCK_ENTRIES
-    assert min(entries[:-1]) > core._BLOCK_ENTRIES - 2 * 32 ** 2
+    want = []
+    for (g, h), count in Counter((it[2].order, it[3].order) for it in items).items():
+        full = core._BLOCK_ENTRIES // (2 * (g * h) ** 2)
+        want += [(g, g * h, full)] * (count // full) + [(g, g * h, count % full)] * (count % full > 0)
+    assert stacks == want and sum(B for *_, B in stacks) == len(items)
+    assert max(2 * n * n * B for _, n, B in stacks) <= core._BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -841,13 +873,23 @@ def _tables(brace):
     return brace.order, np.asarray(brace.add).tobytes(), np.asarray(brace.circ).tobytes()
 
 
+def _stack_rows(tables):
+    """``_tables`` of each brace of an ``ideals._Tables`` stack, a product
+    stack's rows included; a lazy row is read dense."""
+    n = tables.n
+    return [(n, *(np.asarray(t[b * n:(b + 1) * n]).tobytes() for t in (tables.add, tables.circ)))
+            for b in range(len(tables))]
+
+
 def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
     """Count semiprimality checks by the tables they check: the braces of
-    the sweeps' batches (``semiprime_verdicts``), by method, and the
-    braces of every ``ideals._Batch`` built, the sweeps' batches and the
-    single ``is_semiprime`` checks alike."""
+    the sweeps' set-up batches (``semiprime_verdicts``) and the rows of
+    their product stacks (``_batch_witnesses``), by method, and the rows
+    of every ``ideals._Batch`` built, the sweeps' batches and the single
+    ``is_semiprime`` checks alike."""
     batched, built = Counter(), Counter()
-    real_batch, real_build = verify.semiprime_verdicts, ideals._Batch
+    real_batch, real_stack, real_build = (verify.semiprime_verdicts, verify._batch_witnesses,
+                                          ideals._Batch)
 
     def batch(braces, method):
         braces = list(braces)
@@ -855,13 +897,19 @@ def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
         batched.update((m, _tables(B)) for m in methods for B in braces)
         return real_batch(braces, method)
 
+    def stack(batch, method):
+        batched.update((method, row) for row in _stack_rows(batch))
+        return real_stack(batch, method)
+
     class Build(real_build):
-        def __init__(self, braces):
-            built.update(_tables(B) for B in braces)
-            super().__init__(braces)
+        def __init__(self, tables):
+            built.update(_stack_rows(tables))
+            super().__init__(tables)
 
     monkeypatch.setattr(verify, "semiprime_verdicts", batch)
+    monkeypatch.setattr(verify, "_batch_witnesses", stack)
     monkeypatch.setattr(ideals, "_Batch", Build)
+    monkeypatch.setattr(verify, "_Batch", Build)
     return batched, built
 
 
@@ -897,7 +945,7 @@ def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
     real = ideals._batch_ideals
 
     def counting(batch, principal):
-        enumerated.update(_tables(B) for B in batch.braces)
+        enumerated.update(_stack_rows(batch))
         return real(batch, principal)
 
     monkeypatch.setattr(ideals, "_batch_ideals", counting)
@@ -906,7 +954,7 @@ def test_cor28_and_thm33_check_each_corpus_brace_exhaustively_once(monkeypatch):
     real_maps = ideals._stacked_maps
 
     def counting_maps(tables):
-        mapped.update(_tables(B) for B in tables.braces)
+        mapped.update(_stack_rows(tables))
         return real_maps(tables)
 
     monkeypatch.setattr(ideals, "_stacked_maps", counting_maps)
