@@ -176,8 +176,8 @@ def _identity_violation(t: np.ndarray, prefix: str) -> list[Violation]:
     return []
 
 
-# entries gathered per block by the exhaustive checks, ``is_trivial``, the
-# principal closures and star tests of ``ideals`` and ``autos._homomorphisms``
+# entries per block of the exhaustive checks, ``is_trivial``, ``autos._homomorphisms``,
+# and the closures, star tests and stacks (``_batches``) of ``ideals``
 _BLOCK_ENTRIES = 1 << 20
 
 

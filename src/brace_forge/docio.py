@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DocumentSyntaxError, FiniteSkewBrace, brace_from_tables, table_dtype
+from .core import (DocumentSyntaxError, FiniteSkewBrace, SizeCapExceeded, brace_from_tables,
+                   max_order, table_dtype)
 
 __all__ = [
     "BraceDocument",
@@ -127,6 +128,8 @@ def _parse_one(stream: _Lines, check: bool) -> BraceDocument:
         raise DocumentSyntaxError(f"bad order {value!r}", line=lineno) from None
     if n < 1:
         raise DocumentSyntaxError(f"order must be positive, got {n}", line=lineno)
+    if n > max_order():     # validate's rejection, before any row is parsed
+        raise SizeCapExceeded(f"order {n} exceeds the size cap {max_order()}")
 
     tables = {}
     for label in ("add", "circ"):

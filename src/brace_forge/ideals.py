@@ -100,14 +100,9 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
       row and a column of ``add`` are permutations), so it is a + I =
       I + a.
 
-    The generators decide each rule for every label a, by the monoid
-    argument of ``_stacked_maps``: the a whose map (conjugation by a in
-    (A, o), lambda_a, conjugation by a in (A, +)) sends the members into
-    the row form a monoid, since each map is a homomorphism of its group
-    into the maps of A; it holds the generators, so the group they
-    generate, every a.  So a row fails a rule for some a exactly when it
+    The generators decide each rule for every label a (the argument is in
+    ``_generator_maps``): a row fails a rule for some a exactly when it
     fails it for some generator, and the first failed rule is the same.
-    Padding label 0 maps every member to itself.
 
     The last check, stars, fails when s o t != s + t for some members s,
     t.  s * t = lambda_s(t) - t with lambda_s(t) = -s + s o t, so s * t =
@@ -123,7 +118,7 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
     circ-subgroup.  The five checks are made for every row of a block at
     once.
     """
-    n, add, circ, neg, inv = tables.n, tables.add, tables.circ, tables.neg, tables.inv
+    n, add, circ = tables.n, tables.add, tables.circ
     checks = (*IDEAL_RULES, "stars", None)
     sizes = masks.sum(axis=1)
     first = np.empty(len(masks), dtype=np.int64)
@@ -139,20 +134,15 @@ def _failed_rules(tables: _Tables, owner: np.ndarray, masks: np.ndarray) -> list
             base = owner[r, None, None] * n                     # each row's brace in the flat tables
             at = np.arange(R)[:, None, None] * n                # each row in the flat masks
 
-            def inside(x):                                      # whether all of x is in its row
-                return m.reshape(-1)[at + x].reshape(R, -1).all(axis=1)
+            def leaves(x):                                      # some of x outside its row
+                return ~m.reshape(-1)[at + x].reshape(R, -1).all(axis=1)
 
-            cg = base + tables.circ_gens[owner[r], :, None]     # (R, kc, 1): circle generators
-            ag = base + tables.add_gens[owner[r], :, None]      # (R, ka, 1): additive generators
             s = S[:, None, :]                                   # (R, 1, K): the members
             t = base + S[:, :, None]                            # (R, K, 1): the members' rows
-            g_s = circ[cg, s]                                   # g o s
             t_s = circ[t, s]                                    # t o s, every ordered pair
             fails = np.ones((len(checks), R), dtype=bool)
-            fails[0] = ~m[:, 0] | ~inside(t_s)
-            fails[1] = ~inside(circ[base + g_s, inv[cg]])
-            fails[2] = ~inside(add[base + neg[cg], g_s])
-            fails[3] = ~inside(add[base + add[ag, s], neg[ag]])
+            fails[0] = ~m[:, 0] | leaves(t_s)
+            fails[1:4] = list(map(leaves, _generator_maps(tables, owner[r], s)))  # one at a time
             fails[4] = (t_s != add[t, s]).reshape(R, -1).any(axis=1)
             first[r] = fails.argmax(axis=0)
     return [checks[i] for i in first.tolist()]
@@ -169,39 +159,41 @@ def as_ideal(brace: FiniteSkewBrace, members: Iterable[int]) -> Ideal:
 
 def _stacked_maps(tables: _Tables) -> np.ndarray:
     """The element maps of the braces of ``tables`` as one (B, K, n) array
-    in the tables' dtype, row i of brace b the map a -> maps[b, i, a],
-    from one gather per kind of map over the flat tables: row 0 a -> a',
-    then lambda_g and a -> g o a o g' for each column g of
-    ``tables.circ_gens`` (generators of (A, o) the builder supplies) and
-    a -> g + a - g for each column g of ``tables.add_gens`` (generators of
-    (A, +)).  Those matrices pad a brace with fewer generators with label
-    0, whose maps are the identity.  The identity fixes every set, so the
-    padding changes no orbit and no closure: its images of a frontier are
-    members already, and in ``_orbit_representatives`` it maps label[a]
-    to itself.
-
-    A set closed under these maps is closed under lambda_x,
-    a -> x o a o x' and a -> x + a - x for every x.  lambda_{x o y} =
-    lambda_x lambda_y, and conjugation by x is a homomorphism from
-    (A, o), resp. from (A, +), to the permutations of A.  So the maps that
-    leave the set closed form a monoid, and it holds the maps of the
-    generators.  Every map is a permutation of a finite set, so that
-    monoid holds the group they generate: the maps of every x.  Closures,
+    in the tables' dtype, row i of brace b the map a -> maps[b, i, a]: row
+    0 a -> a', then the ``_generator_maps`` at every label.  A set closed
+    under them is closed under the maps of every x (``_generator_maps``),
+    and the identity maps of the padding label 0 change no closure (their
+    images of a frontier are members already) and no orbit (in
+    ``_orbit_representatives`` they map label[a] to itself).  So closures,
     and so orbits, principal ideals, ideal lists and their order, and
     witnesses are those of the maps by every x, whichever generating sets
     the builder gave."""
+    maps = _generator_maps(tables, np.arange(len(tables)), np.arange(tables.n))
+    return np.concatenate([tables.inv.reshape(len(tables), 1, -1), *maps], axis=1)
+
+
+def _generator_maps(tables: _Tables, owner: np.ndarray, x: np.ndarray) -> Iterable[np.ndarray]:
+    """The one gather, one kind at a time, of (g o x o g', lambda_g(x))
+    for each column g of ``circ_gens``, (R, kc, K), and g + x - g for each
+    of ``add_gens``, (R, ka, K), at the labels x ((R, 1, K) or (K,)) of
+    brace owner[r]: the generators of (A, o) and of (A, +) its builder
+    supplied, padded with label 0, whose maps are the identity.
+
+    A set closed under these maps is closed under lambda_a, x -> a o x o a'
+    and x -> a + x - a for every a.  lambda_{a o b} = lambda_a lambda_b,
+    and conjugation by a is a homomorphism from (A, o), resp. from (A, +),
+    to the permutations of A.  So, for each kind of map, the a whose map
+    keeps the set form a monoid that holds the generators.  Every map is a
+    permutation of a finite set, so that monoid holds the group they
+    generate: every a."""
     add, circ, neg, inv, n = tables.add, tables.circ, tables.neg, tables.inv, tables.n
-    base = np.arange(len(tables))[:, None, None] * n           # each brace in the flat tables
-    a = np.arange(n)
-    cg = base + tables.circ_gens[:, :, None]                   # (B, kc, 1): rows g of circ
-    ag = base + tables.add_gens[:, :, None]
-    g_a = circ[cg, a]                                          # g o a
-    return np.concatenate([
-        inv.reshape(-1, 1, n),
-        add[base + neg[cg], g_a],                              # lambda_g(a) = -g + g o a
-        circ[base + g_a, inv[cg]],                             # g o a o g'
-        add[base + add[ag, a], neg[ag]],                       # g + a - g
-    ], axis=1)
+    base = owner[:, None, None] * n                            # each row's brace in the tables
+    cg = base + tables.circ_gens[owner, :, None]               # (R, kc, 1): rows g of circ
+    ag = base + tables.add_gens[owner, :, None]                # (R, ka, 1): rows g of add
+    g_x = circ[cg, x]                                          # g o x
+    yield circ[base + g_x, inv[cg]]                            # g o x o g'
+    yield add[base + neg[cg], g_x]                             # lambda_g(x) = -g + g o x
+    yield add[base + add[ag, x], neg[ag]]                      # g + x - g
 
 
 def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
@@ -213,7 +205,7 @@ def ideal_closure(brace: FiniteSkewBrace, seed: Iterable[int]) -> Ideal:
     seeds = np.zeros((1, brace.order), dtype=bool)
     seeds[0, 0] = True
     seeds[0, normalize_members(brace.order, seed)] = True
-    masks = _principal_masks(_Batch(_Tables([brace])), False, (np.zeros(1, dtype=np.int64), seeds))
+    masks = _principal_masks(_Tables([brace]), False, (np.zeros(1, dtype=np.int64), seeds))
     return Ideal(brace, frozenset(np.flatnonzero(masks[0]).tolist()))
 
 
@@ -223,22 +215,21 @@ def _check_ideal_cap(n: int) -> None:
 
 
 class _Tables:
-    """Braces of one order n on a leading brace axis: add and circ as flat
-    (B * n, n) tables and neg and inv as flat (B * n,) arrays, row
-    b * n + a the row of label a in brace b, and each brace's
+    """The one stack of braces of one order n on a leading brace axis: add
+    and circ as flat (B * n, n) tables and neg and inv as flat (B * n,)
+    arrays, row b * n + a the row of label a in brace b, and each brace's
     ``add_gens`` and ``circ_gens`` as row b of a (B, k) int64 matrix,
     padded with label 0; ``len`` is B.  A stack of one reads its brace's
-    own tables, so a ``groups.PairTable`` is never made dense."""
+    own tables, lazy ones too (only ``products`` makes a stack dense).
+    ``maps`` (``_stacked_maps``) and ``orbits`` (the pairs (owner[t],
+    reps[t]) of ``_orbit_representatives``) are made on first read, so
+    never by ``_failed_rules``, and ``orbits`` never by a seeded pass."""
 
     def __init__(self, braces: list[FiniteSkewBrace]):
-        self.braces = braces
         self.n = braces[0].order
-        names = ("add", "circ", "neg", "inv")
-        if len(braces) == 1:
-            tables = [getattr(braces[0], t) for t in names]
-        else:
-            tables = [np.concatenate([getattr(b, t) for b in braces]) for t in names]
-        self.add, self.circ, self.neg, self.inv = tables
+        for name in ("add", "circ", "neg", "inv"):     # a stack of one is its brace's tables
+            tables = [getattr(b, name) for b in braces]
+            setattr(self, name, tables[0] if len(tables) == 1 else np.concatenate(tables))
         for name in ("add_gens", "circ_gens"):
             sets = [getattr(b, name) for b in braces]
             columns = list(itertools.zip_longest(*sets, fillvalue=0))
@@ -247,19 +238,9 @@ class _Tables:
     def __len__(self):
         return len(self.add_gens)
 
-
-class _Batch(_Tables):
-    """A ``_Tables`` stack, read dense at or below ``DEFAULT_IDEAL_CAP``,
-    with its ``_stacked_maps`` and, made on first read, its nonzero orbit
-    representatives ``orbits``, the pairs (owner[t], reps[t]) of
-    ``_orbit_representatives``, whose principal ideals are the default rows
-    of ``_principal_masks``; a seeded pass (``ideal_closure``) never makes them."""
-
-    def __init__(self, tables: _Tables):
-        vars(self).update(vars(tables))
-        if self.n <= DEFAULT_IDEAL_CAP:
-            self.add, self.circ = np.asarray(self.add), np.asarray(self.circ)
-        self.maps = _stacked_maps(self)
+    @functools.cached_property
+    def maps(self) -> np.ndarray:
+        return _stacked_maps(self)
 
     @functools.cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -308,13 +289,13 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     principal ideals are closed in full, since all of them are summed.
     """
     _check_ideal_cap(brace.order)
-    batch = _Batch(_Tables([brace]))
+    batch = _Tables([brace])
     _, masks = _batch_ideals(batch, _principal_masks(batch, False))
     masks.setflags(write=False)
     return masks
 
 
-def _batch_ideals(batch: _Batch, principal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _batch_ideals(batch: _Tables, principal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, masks): every ideal of every brace of ``batch``, mask row r
     an ideal of brace owner[r], ordered by brace, then as in
     ``ideal_masks``, from the ``principal`` masks of ``_principal_masks``.
@@ -477,13 +458,13 @@ def _orbit_representatives(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         label = lower
 
 
-def _principal_masks(batch: _Batch, abort: bool,
+def _principal_masks(batch: _Tables, abort: bool,
                      seeds: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Row t of the (R, n) bool result is the least ideal of brace
     owner[t] of the batch that holds the member mask masks[t], for the
     rows ``seeds`` = (owner, masks); each seed holds 0.  By default the
     rows are the principal seeds {0, reps[t]} in brace owner[t] of
-    ``_Batch.orbits``, and row t is the principal ideal of reps[t].
+    ``_Tables.orbits``, and row t is the principal ideal of reps[t].
 
     Without ``abort`` every row is closed and no star is read.  With
     ``abort`` the rows are star-tested too: a row stops at its first
@@ -565,15 +546,19 @@ def _principal_masks(batch: _Batch, abort: bool,
     return masks
 
 
-def _batches(braces: list[FiniteSkewBrace]):
-    """The index lists of ``braces`` that share one ``_Tables``: one per
-    order up to ``DEFAULT_IDEAL_CAP``, in order of first appearance, and
-    one per brace above it, so no table above the cap is copied."""
-    by_order: dict[int, list[int]] = {}
-    for i, brace in enumerate(braces):
-        by_order.setdefault(brace.order, []).append(i)
-    for n, index in by_order.items():
-        yield from [index] if n <= DEFAULT_IDEAL_CAP else ([i] for i in index)
+def _batches(orders: list[int], keys: list | None = None):
+    """The one plan of ``_Tables`` stacks (``semiprime_verdicts``,
+    ``_vanishing_ideals``, ``products._action_stacks``): the index lists of
+    the items of one order orders[i] and key keys[i], in order of first
+    appearance, cut by ``_row_blocks`` at about ``_BLOCK_ENTRIES`` add and
+    circ entries, and one item per stack above ``DEFAULT_IDEAL_CAP``, so no
+    table above the cap is copied."""
+    groups: dict[tuple, list[int]] = {}
+    for i, n in enumerate(orders):
+        key = (n, None if keys is None else keys[i], i if n > DEFAULT_IDEAL_CAP else -1)
+        groups.setdefault(key, []).append(i)
+    for (n, *_), index in groups.items():
+        yield from (index[i0:i1] for i0, i1 in _row_blocks(n, len(index), 2 * n * n))
 
 
 def _vanishing_ideals(pairs: list[tuple[FiniteSkewBrace, Iterable[int]]]) -> list[str | None]:
@@ -582,7 +567,7 @@ def _vanishing_ideals(pairs: list[tuple[FiniteSkewBrace, Iterable[int]]]) -> lis
     0, from one ``_failed_rules`` call per group of ``_batches``.  A
     member out of range raises ``PreconditionError``, as in ``is_ideal``."""
     checks: list[str | None] = [None] * len(pairs)
-    for group in _batches([brace for brace, _ in pairs]):
+    for group in _batches([brace.order for brace, _ in pairs]):
         n, owner = pairs[group[0]][0].order, np.arange(len(group))
         sets = [_member_labels(n, pairs[i][1]) for i in group]
         masks = np.zeros((len(group), n), dtype=bool)
@@ -606,24 +591,23 @@ def is_semiprime(brace: FiniteSkewBrace, method: str = "fast") -> SemiprimeVerdi
 
 def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[str, ...] = "fast"
                        ) -> list[SemiprimeVerdict] | tuple[list[SemiprimeVerdict], ...]:
-    """``is_semiprime`` of every brace, in input order, with one
-    ``_Batch`` per order up to ``DEFAULT_IDEAL_CAP`` and one per brace
-    above it.  ``method`` is "fast", "exhaustive", or a tuple of them; a
-    tuple gives one list per method, all read from the same batches, so
-    each brace's maps and orbit representatives are built once.  An
-    exhaustive verdict above the cap raises ``SizeCapExceeded``, as
-    ``ideal_masks`` does.  The witnesses are ``_batch_witnesses``' masks.
-    """
+    """``is_semiprime`` of every brace, in input order, from one ``_Tables``
+    stack per index list of ``_batches``.  ``method`` is "fast",
+    "exhaustive", or a tuple of them; a tuple gives one list per method,
+    all read from the same stacks, so each brace's maps and orbit
+    representatives are built once.  An exhaustive verdict above the cap
+    raises ``SizeCapExceeded``, as ``ideal_masks`` does.  The witnesses are
+    ``_batch_witnesses``' masks."""
     methods = (method,) if isinstance(method, str) else tuple(method)
     for m in methods:
         if m not in ("fast", "exhaustive"):
             raise PreconditionError(f"unknown method {m!r}, expected 'fast' or 'exhaustive'")
     braces = list(braces)
     witnesses = {m: [None] * len(braces) for m in methods}
-    for group in _batches(braces):
+    for group in _batches([brace.order for brace in braces]):
         if "exhaustive" in methods:
             _check_ideal_cap(braces[group[0]].order)
-        batch = _Batch(_Tables([braces[i] for i in group]))
+        batch = _Tables([braces[i] for i in group])
         for m in methods:
             for i, mask in zip(group, _batch_witnesses(batch, m)):
                 if mask is not None:
@@ -632,7 +616,7 @@ def semiprime_verdicts(braces: Iterable[FiniteSkewBrace], method: str | tuple[st
     return lists[0] if isinstance(method, str) else tuple(lists)
 
 
-def _batch_witnesses(batch: _Batch, method: str) -> list[np.ndarray | None]:
+def _batch_witnesses(batch: _Tables, method: str) -> list[np.ndarray | None]:
     """The witness member mask of each brace of the batch, in stack order,
     None for a semiprime one: its first candidate row that vanishes in one
     aborting ``_principal_masks`` pass over the candidates.

@@ -20,7 +20,6 @@ identity action, and the cor28 and q34 sweeps stack many actions at once.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,12 @@ from .core import (
     _check_index,
     _label_table,
     _member_labels,
-    _row_blocks,
     max_order,
     normalize_members,
     table_dtype,
 )
 from .groups import PairTable
-from .ideals import DEFAULT_IDEAL_CAP, _Tables
+from .ideals import DEFAULT_IDEAL_CAP, _batches, _Tables
 
 __all__ = [
     "SigmaAction",
@@ -141,10 +139,9 @@ def _stacked_product(left: _Tables, right: _Tables, perms: np.ndarray | None) ->
     add and circ are ``groups.PairTable``s of the factors' stacked tables,
     read in place, a lazy factor's too: left = G.add, right = H.add for +,
     and left = G.circ[:, sigma(.)] ((B |G|, |H|, |G|); G.circ for the
-    identity), right = H.circ for o; ``_brace`` and ``ideals._Batch`` read
-    them dense at or below ``DEFAULT_IDEAL_CAP``.  It keeps ``left.braces``."""
+    identity), right = H.circ for o, made dense only by ``_dense``."""
     B, n1, m = len(left), left.n, right.n
-    out = copy.copy(left)
+    out = _Tables.__new__(_Tables)
     out.n = n1 * m
     dt = table_dtype(out.n)
     circ, g_inv, h_inv = left.circ, left.inv.reshape(B, n1, 1), right.inv.reshape(B, 1, m)
@@ -160,12 +157,19 @@ def _stacked_product(left: _Tables, right: _Tables, perms: np.ndarray | None) ->
     return out
 
 
-def _brace(tables: _Tables, name: str) -> FiniteSkewBrace:
-    """The brace of a stack of one, dense at or below ``DEFAULT_IDEAL_CAP``:
+def _dense(tables: _Tables) -> _Tables:
+    """``tables``, its add and circ made dense in place at or below ``DEFAULT_IDEAL_CAP``:
     above it a product is never enumerated and its fast verdict reads a few
     frontier x member pairs, so two dense 25.9 MB tables at order 3600 would go unread."""
-    read = np.asarray if tables.n <= DEFAULT_IDEAL_CAP else (lambda table: table)
-    return FiniteSkewBrace(tables.n, read(tables.add), read(tables.circ), tables.neg, tables.inv,
+    if tables.n <= DEFAULT_IDEAL_CAP:
+        tables.add, tables.circ = np.asarray(tables.add), np.asarray(tables.circ)
+    return tables
+
+
+def _brace(tables: _Tables, name: str) -> FiniteSkewBrace:
+    """The brace of a stack of one, read as ``_dense`` does."""
+    tables = _dense(tables)
+    return FiniteSkewBrace(tables.n, tables.add, tables.circ, tables.neg, tables.inv,
                            tables.add_gens[0].tolist(), tables.circ_gens[0].tolist(), name)
 
 
@@ -178,18 +182,13 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
 
 def _action_stacks(actions: list[tuple[FiniteSkewBrace, FiniteSkewBrace, SigmaAction]]):
     """(index, stack) for the products G x|_sigma H of the (G, H, sigma) at
-    index, one ``_stacked_product`` at a time: those of one |G| and |H| in
-    stacks of about ``core._BLOCK_ENTRIES`` add and circ entries, and one
-    above ``DEFAULT_IDEAL_CAP`` a lazy stack of its own (``ideals._batches``)."""
-    groups: dict[tuple[int, int, int], list[int]] = {}          # (|G||H|, |G|, -1 or i): actions
-    for i, (G, H, _) in enumerate(actions):
-        n = G.order * H.order
-        groups.setdefault((n, G.order, i if n > DEFAULT_IDEAL_CAP else -1), []).append(i)
-    for (n, _, _), index in groups.items():
-        for i0, i1 in _row_blocks(n, len(index), 2 * n * n):
-            Gs, Hs, sigmas = zip(*(actions[i] for i in index[i0:i1]))
-            perms = np.stack([sigma.perms for sigma in sigmas])
-            yield index[i0:i1], _stacked_product(_Tables(list(Gs)), _Tables(list(Hs)), perms)
+    index: one ``_stacked_product``, read as ``_dense`` does, per index list
+    of ``ideals._batches`` keyed by |G| (above the cap, a lazy stack of one)."""
+    orders = [G.order * H.order for G, H, _ in actions]
+    for index in _batches(orders, [G.order for G, _, _ in actions]):
+        Gs, Hs, sigmas = zip(*(actions[i] for i in index))
+        perms = np.stack([sigma.perms for sigma in sigmas])
+        yield index, _dense(_stacked_product(_Tables(list(Gs)), _Tables(list(Hs)), perms))
 
 
 def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,

@@ -50,14 +50,12 @@ from .corpus import group_brace, standard_corpus
 from .docio import format_int_row, serialize_document
 from .ideals import (
     DEFAULT_IDEAL_CAP,
-    _Batch,
     _Tables,
     _batch_witnesses,
     _failed_rules,
     _vanishing_ideals,
     ideal_masks,
     is_ideal,
-    is_semiprime,
     semiprime_verdicts,
 )
 from .products import SigmaAction, _stacked_power, wreath, wreath_base
@@ -370,13 +368,15 @@ def verify_lemma31(max_g: int = DEFAULT_CORPUS_MAX, max_h: int = DEFAULT_CORPUS_
 def _product_cases(args: list[tuple], stacks, failure: str) -> list[CaseResult]:
     """The cases of a run that claim each of its products is semiprime:
     ``stacks`` yields (index, the ``ideals._Tables`` stack of the products
-    of the items at index), each classified in place as one ``_Batch``.  A
+    of the items at index), classified in place by ``_batch_witnesses``.  A
     case fails with its product's fast witness and ``failure`` (``tag``: the item's last field)."""
     results = [None] * len(args)
     for index, stack in stacks:
-        for i, mask in zip(index, _batch_witnesses(_Batch(stack), "fast")):
+        n, fast = stack.n, _batch_witnesses(stack, "fast")
+        del stack                   # a stack, dense with its maps, goes before the next is built
+        for i, mask in zip(index, fast):
             case_id, *_, tag = args[i]
-            info = f"order={stack.n} " + ("semiprime" if mask is None else failure.format(tag=tag))
+            info = f"order={n} " + ("semiprime" if mask is None else failure.format(tag=tag))
             witness = () if mask is None else tuple(np.flatnonzero(mask).tolist())
             results[i] = CaseResult(case_id, mask is None, info, witness=witness)
     return results
@@ -567,20 +567,19 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
 def _batch_q34(args: list[tuple]) -> list[CaseResult]:
     """The q34 cases of a run, their ``products._action_stacks`` classified
     as in ``_product_cases``: a product with a fast witness passes; one
-    without is built, confirmed by exhaustive ``is_semiprime`` and fails."""
+    without fails, confirmed by an exhaustive ``_batch_witnesses`` pass over
+    its stack, made only then (every q34 product is within the ideal cap)."""
     results = [None] * len(args)
     for index, stack in products._action_stacks([arg[1:4] for arg in args]):
-        for i, mask in zip(index, _batch_witnesses(_Batch(stack), "fast")):
-            case_id, G, H, sigma, _ = args[i]
-            if mask is not None:
-                results[i] = CaseResult(case_id, True, f"order={stack.n} not semiprime "
-                                        f"witness={fmt_members(np.flatnonzero(mask))}")
-            elif not is_semiprime(products._product(G, H, sigma.perms), "exhaustive").semiprime:
-                # methods must agree; this would be an implementation bug
-                results[i] = CaseResult(case_id, False, "fast and exhaustive verdicts disagree")
-            else:
-                results[i] = CaseResult(case_id, False, f"order={stack.n} SEMIPRIME "
-                                        "(exhaustively confirmed) - counterexample")
+        n, fast = stack.n, _batch_witnesses(stack, "fast")
+        confirm = _batch_witnesses(stack, "exhaustive") if any(m is None for m in fast) else fast
+        del stack                   # as in _product_cases
+        for i, mask, exhaustive in zip(index, fast, confirm):
+            info = (f"order={n} not semiprime witness={fmt_members(np.flatnonzero(mask))}"
+                    if mask is not None else "fast and exhaustive verdicts disagree"  # a bug
+                    if exhaustive is not None
+                    else f"order={n} SEMIPRIME (exhaustively confirmed) - counterexample")
+            results[i] = CaseResult(args[i][0], mask is not None, info)
     return results
 
 

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from brace_forge import (
     BraceDocument,
     DocumentSyntaxError,
+    SizeCapExceeded,
     ValidationFailure,
     document_of,
     parse_document,
     parse_documents,
     serialize_document,
+    validate,
 )
 from brace_forge.docio import parse_int_grid
 
@@ -146,6 +148,20 @@ def test_check_flag():
     assert doc.order == 2
     with pytest.raises(ValidationFailure):
         doc.to_brace()
+
+
+def test_an_order_over_the_cap_is_refused_at_its_header(monkeypatch):
+    # validate's message, before any row is read: a header alone gets it,
+    # and so does a document whose first row is bad
+    monkeypatch.setenv("BRACE_FORGE_MAX_ORDER", "8")
+    for text in ("brace big\norder 9\n", "brace big\norder 9\nadd\n0 x\n"):
+        for check in (True, False):
+            with pytest.raises(SizeCapExceeded, match="^order 9 exceeds the size cap 8$"):
+                parse_documents(text, check=check)
+    with pytest.raises(SizeCapExceeded, match="^order 9 exceeds the size cap 8$"):
+        validate(np.zeros((9, 9), dtype=np.int64), np.zeros((9, 9), dtype=np.int64))
+    with pytest.raises(DocumentSyntaxError, match="unexpected end of input"):
+        parse_document("brace x\norder 8\n")
 
 
 def test_document_equality(R4, T2):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -454,7 +456,7 @@ def test_batched_principal_ideals_match_one_closure_each(batch_braces, monkeypat
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
         assert list(core._row_blocks(64, 3)) == [(0, 1), (1, 2), (2, 3)]
     for brace in batch_braces:
-        batch = ideals._Batch(ideals._Tables([brace]))
+        batch = ideals._Tables([brace])
         masks = _principal_masks(batch, False)
         reps = batch.orbits[1]
         assert masks.shape == (len(reps), brace.order), brace.name
@@ -484,9 +486,9 @@ def test_a_closing_pass_reads_no_add_entry(corpus8, A5at_square):
         by_order.setdefault(brace.order, []).append(brace)
     seed = np.zeros((1, W.order), dtype=bool)
     seed[0, [0, 61]] = True
-    runs = [(ideals._Batch(ideals._Tables(group)), None)
+    runs = [(ideals._Tables(group), None)
             for group in by_order.values() if group[0].order > 1]
-    runs.append((ideals._Batch(ideals._Tables([W])), (np.zeros(1, dtype=np.int64), seed)))
+    runs.append((ideals._Tables([W]), (np.zeros(1, dtype=np.int64), seed)))
     for batch, seeds in runs:
         want = _principal_masks(batch, False, seeds)
         batch.add = NoReads()
@@ -529,7 +531,7 @@ def test_semiprime_verdicts_match_one_brace_at_a_time(mixed_braces, monkeypatch,
     for brace in mixed_braces:
         by_order.setdefault(brace.order, []).append(brace)
     for group in by_order.values():
-        batch = ideals._Batch(ideals._Tables(group))
+        batch = ideals._Tables(group)
         owner, masks = ideals._batch_ideals(batch, _principal_masks(batch, False))
         counts = np.bincount(owner, minlength=len(group))
         for brace, count, rows in zip(group, counts, np.split(masks, np.cumsum(counts)[:-1])):
@@ -577,7 +579,7 @@ def test_products_above_the_cap_are_classified_alone_and_never_made_dense(A5at, 
     want = [oracles.principal_star_scan(P) for P in products]
     built = []
 
-    class Build(ideals._Batch):
+    class Build(ideals._Tables):
         def __init__(self, braces):
             built.append(len(braces))
             super().__init__(braces)
@@ -585,12 +587,35 @@ def test_products_above_the_cap_are_classified_alone_and_never_made_dense(A5at, 
     def dense(self, dtype=None, copy=None):
         raise AssertionError("a PairTable was made dense")
 
-    monkeypatch.setattr(ideals, "_Batch", Build)
+    monkeypatch.setattr(ideals, "_Tables", Build)
     monkeypatch.setattr(groups.PairTable, "__array__", dense)
     assert _witnesses(semiprime_verdicts(products, "fast")) == want
     assert built == [1, 1, 1]
     with pytest.raises(SizeCapExceeded):
         semiprime_verdicts(products, ("fast", "exhaustive"))
+
+
+def test_verdict_stacks_hold_about_a_block_of_table_entries(corpus8, monkeypatch):
+    # with 1024-entry blocks an order-8 stack holds 8 braces (128 add and
+    # circ entries each), cut greedily in input order; the verdicts are
+    # those of one stack per order
+    verdicts = semiprime_verdicts(corpus8, ("fast", "exhaustive"))
+    stacks = []
+
+    class Build(ideals._Tables):
+        def __init__(self, braces):
+            stacks.append((braces[0].order, len(braces)))
+            super().__init__(braces)
+
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1024)
+    monkeypatch.setattr(ideals, "_Tables", Build)
+    assert semiprime_verdicts(corpus8, ("fast", "exhaustive")) == verdicts
+    want = []
+    for n, count in Counter(brace.order for brace in corpus8).items():
+        full = 1024 // (2 * n * n)
+        want += [(n, full)] * (count // full) + [(n, count % full)] * (count % full > 0)
+    assert stacks == want and max(2 * n * n * B for n, B in stacks) <= 1024
+    assert sum(B for n, B in stacks if n == 8) > 8
 
 
 def test_semiprime_verdicts_edge_cases(A5at, T2):
@@ -634,7 +659,7 @@ def test_element_maps_are_built_once_per_call(corpus8, monkeypatch):
     real = ideals._stacked_maps
 
     def counting(tables):
-        calls.append(tables.braces)
+        calls.append((tables.add, len(tables)))
         return real(tables)
 
     def refuse(t):
@@ -647,7 +672,7 @@ def test_element_maps_are_built_once_per_call(corpus8, monkeypatch):
                 lambda: ideal_closure(brace, [1])):
         calls.clear()
         run()
-        assert calls == [[brace]]
+        assert [(add is brace.add, count) for add, count in calls] == [(True, 1)]
 
 
 def test_fast_witness_is_the_ascending_scan_witness(corpus8, A5at):

@@ -307,7 +307,7 @@ def test_stacked_power_reads_each_base_of_its_stack(corpus8, positions):
             tables = products._stacked_power(stack, positions)
             bases = [wreath_base(B, H)[0] for B in stack]
             n, B = order ** positions, len(stack)
-            assert tables.n == n and tables.braces == stack
+            assert tables.n == n and len(tables) == B
             for name in ("add", "circ", "neg", "inv"):
                 got = getattr(tables, name)
                 want = np.concatenate([np.asarray(getattr(W, name)) for W in bases])

@@ -486,6 +486,31 @@ class TestFailurePaths:
         grid = parse_int_grid(result.documents[2], rows=1, cols=1, limit=1)
         assert grid.tolist() == [[0]]
 
+    def test_q34_case_rejects_disagreeing_verdicts(self, R4, T2, monkeypatch):
+        # a fast pass that misses the first product's witness: the
+        # exhaustive pass runs on the same stack and finds one, so that case
+        # fails; the second keeps its fast witness.  With no miss, no
+        # exhaustive pass runs.
+        items = [("q34", f"q34:R4:T2:s{i}", R4, T2, SigmaAction(R4, T2, perms), i)
+                 for i, perms in enumerate(([[0, 1, 2, 3]] * 2, [[0, 1, 2, 3], [0, 3, 2, 1]]))]
+        calls, real = [], verify._batch_witnesses
+
+        def recording(stack, method, blind=False):
+            calls.append((method, stack))
+            masks = real(stack, method)
+            return [None, *masks[1:]] if blind and method == "fast" else masks
+
+        monkeypatch.setattr(verify, "_batch_witnesses", recording)
+        ok = verify._BATCH_FUNCS["q34"]([item[1:] for item in items])
+        assert [r.ok for r in ok] == [True, True] and [m for m, _ in calls] == ["fast"]
+        calls.clear()
+        monkeypatch.setattr(verify, "_batch_witnesses",
+                            lambda stack, method: recording(stack, method, blind=True))
+        results = verify._BATCH_FUNCS["q34"]([item[1:] for item in items])
+        assert [m for m, _ in calls] == ["fast", "exhaustive"] and calls[0][1] is calls[1][1]
+        assert [(r.ok, r.info) for r in results] == [
+            (False, "fast and exhaustive verdicts disagree"), (True, ok[1].info)]
+
 
 def _case_items(R4, T2):
     """One item of every case kind, in the layout its sweep builds."""
@@ -722,15 +747,21 @@ def test_product_batches_hold_about_a_block_of_table_entries(monkeypatch):
     # greedily into stacks of at most a block of add and circ entries and
     # read dense
     items = _sweep_items(monkeypatch, search_q34, max_g=8, max_h=4)
-    stacks = []
-    real = verify._batch_witnesses
+    stacks, orders = [], []
+    real, real_stacks = verify._batch_witnesses, products._action_stacks
+
+    def stacking(actions):                  # |G| of each stack, from its first action
+        for index, stack in real_stacks(actions):
+            orders.append(actions[index[0]][0].order)
+            yield index, stack
 
     def counting(batch, method):
         assert method == "fast"
         assert isinstance(batch.add, np.ndarray) and isinstance(batch.circ, np.ndarray)
-        stacks.append((batch.braces[0].order, batch.n, len(batch)))   # |G|, order, products
+        stacks.append((orders[-1], batch.n, len(batch)))   # |G|, order, products
         return real(batch, method)
 
+    monkeypatch.setattr(products, "_action_stacks", stacking)
     monkeypatch.setattr(verify, "_batch_witnesses", counting)
     results = verify._run_chunk(items)
     assert len(results) == 16279 and all(r.ok for r in results)
@@ -885,11 +916,12 @@ def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
     """Count semiprimality checks by the tables they check: the braces of
     the sweeps' set-up batches (``semiprime_verdicts``) and the rows of
     their product stacks (``_batch_witnesses``), by method, and the rows
-    of every ``ideals._Batch`` built, the sweeps' batches and the single
+    of every ``ideals._Tables`` stack whose maps are built
+    (``_stacked_maps``), the sweeps' batches and the single
     ``is_semiprime`` checks alike."""
     batched, built = Counter(), Counter()
-    real_batch, real_stack, real_build = (verify.semiprime_verdicts, verify._batch_witnesses,
-                                          ideals._Batch)
+    real_batch, real_stack, real_maps = (verify.semiprime_verdicts, verify._batch_witnesses,
+                                         ideals._stacked_maps)
 
     def batch(braces, method):
         braces = list(braces)
@@ -901,15 +933,13 @@ def _count_fast_scans(monkeypatch) -> tuple[Counter, Counter]:
         batched.update((method, row) for row in _stack_rows(batch))
         return real_stack(batch, method)
 
-    class Build(real_build):
-        def __init__(self, tables):
-            built.update(_stack_rows(tables))
-            super().__init__(tables)
+    def build(tables):
+        built.update(_stack_rows(tables))
+        return real_maps(tables)
 
     monkeypatch.setattr(verify, "semiprime_verdicts", batch)
     monkeypatch.setattr(verify, "_batch_witnesses", stack)
-    monkeypatch.setattr(ideals, "_Batch", Build)
-    monkeypatch.setattr(verify, "_Batch", Build)
+    monkeypatch.setattr(ideals, "_stacked_maps", build)
     return batched, built
 
 
