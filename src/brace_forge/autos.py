@@ -6,7 +6,9 @@ most 2,000,000 choices, checked before any is tried), extends the choices
 in blocks along the walk of ``core.closure_generators`` and keeps the maps
 that respect each generator.  Group automorphisms are its bijective
 endomorphisms; skew brace automorphisms are the additive ones that also
-respect circ on the circle generators.
+respect circ on the circle generators.  ``_actions`` finds and composes
+one G's skew automorphisms once for the actions of all its Hs; no search
+result is kept between calls.
 
 Lemma: a map phi of finite groups with phi(0) = 0 and phi(x o g) =
 phi(x) o phi(g) for all x and generators g is a homomorphism.  The y with
@@ -17,13 +19,12 @@ they are the whole group.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .core import _BLOCK_ENTRIES, FiniteSkewBrace, PreconditionError, SizeCapExceeded, closure_generators
-from .groups import _COMPOSITION_LIMIT, perm_composition
+from .groups import perm_composition
 from .products import SigmaAction
 
 __all__ = [
@@ -39,53 +40,20 @@ _HOM_SPACE_LIMIT = 2_000_000
 def group_automorphisms(table: np.ndarray) -> list[np.ndarray]:
     """All automorphisms of a group table: the endomorphisms that hit
     every element, as read-only permutation arrays of the table's dtype
-    in lexicographic order (identity first).
-
-    The search runs once per distinct table per process: results are
-    cached on the table's exact order, dtype and bytes, and each call
-    returns them in a fresh list.  A search that raises is not cached,
-    and neither is a result too large for ``perm_composition`` to compose
-    (``_automorphisms_of``).
-    """
+    in lexicographic order (identity first), in a fresh list."""
     return list(automorphism_array(table))
 
 
 def automorphism_array(table: np.ndarray) -> np.ndarray:
-    """``group_automorphisms`` as one read-only (count, order) array."""
+    """``group_automorphisms`` as one read-only (count, order) array: the
+    bijective rows of ``_homomorphisms``, found by one bool scatter that
+    marks the labels each endomorphism hits."""
     table = np.asarray(table)
-    try:
-        return _automorphisms_of(table.shape[0], table.dtype, table.tobytes())
-    except _Uncomposable as exc:
-        return exc.auts
-
-
-class _Uncomposable(Exception):
-    """Carries automorphisms out of ``_automorphisms_of`` past its cache."""
-
-    def __init__(self, auts: np.ndarray):
-        self.auts = auts
-
-
-@functools.lru_cache(maxsize=128)
-def _automorphisms_of(n: int, dtype: np.dtype, data: bytes) -> np.ndarray:
-    """The bijective rows of ``_homomorphisms``: one bool scatter marks
-    the labels each endomorphism hits.
-
-    k automorphisms that ``perm_composition`` would refuse to compose
-    (k * k * n entries above its limit) leave by ``_Uncomposable``, which
-    the cache does not keep: the holomorph search composes every
-    automorphism of its group, so it refuses such a group as soon as the
-    search ends, and the result (86,016 permutations, 11 MB, for C4^3)
-    does not stay for the life of the process.
-    """
-    table = np.frombuffer(data, dtype=dtype).reshape(n, n)
     endos = _homomorphisms(table, table)
     hit = np.zeros(endos.shape, dtype=bool)
     hit[np.arange(len(endos))[:, None], endos] = True
-    auts = endos[hit.all(axis=1)].astype(dtype)
+    auts = endos[hit.all(axis=1)].astype(table.dtype)
     auts.setflags(write=False)
-    if len(auts) ** 2 * n > _COMPOSITION_LIMIT:
-        raise _Uncomposable(auts)
     return auts
 
 
@@ -205,11 +173,20 @@ def sigma_actions(G: FiniteSkewBrace, H: FiniteSkewBrace,
                   budget: int | None = None) -> list[SigmaAction]:
     """All actions of (H, o) on G by skew brace automorphisms, i.e. the
     homomorphisms from the circle group of H into the automorphisms of G,
-    in a fixed order, truncated at ``budget``.  Each is an action by
-    construction (``products.SIGMA_RULES``): every row is a skew
+    in a fixed order, truncated at ``budget``: the rows of ``_actions``,
+    each wrapped in a ``SigmaAction``."""
+    return [SigmaAction(G, H, perms) for perms in _actions(G, [H], budget)[0]]
+
+
+def _actions(G: FiniteSkewBrace, hs: list[FiniteSkewBrace],
+             budget: int | None = None) -> list[np.ndarray]:
+    """Per H in ``hs``, the actions of (H, o) on G as one (A, |H|, |G|)
+    array of G's add dtype, A at most ``budget``; G's skew automorphisms
+    are found and composed once for all of them.  Each row is an action
+    by construction (``products.SIGMA_RULES``): every row is a skew
     automorphism, row 0 (the image of 0) is the identity, listed first,
     and the generator check of ``_homomorphisms`` makes h -> row a
     homomorphism (the module lemma)."""
     auts = np.ascontiguousarray(skew_automorphisms(G))
-    homs = _homomorphisms(H.circ, perm_composition(auts), budget)
-    return [SigmaAction(G, H, perms) for perms in auts[homs]]
+    composition = perm_composition(auts)
+    return [auts[_homomorphisms(H.circ, composition, budget)] for H in hs]

@@ -1,9 +1,10 @@
 """Semidirect and wreath products of finite skew braces.
 
 A semidirect product needs an action of the circle group of H on G by
-skew brace automorphisms, a permutation table wrapped in ``SigmaAction``.
-Only ``semidirect`` checks one (``validate_sigma``): the shift of ``wreath``
-and the actions of ``autos.sigma_actions`` are actions by construction.
+skew brace automorphisms: a permutation table, wrapped in ``SigmaAction``
+for ``semidirect``, which alone checks it (``validate_sigma``).  The shift
+of ``wreath`` and the rows of ``autos._actions`` are actions by
+construction, and the sweeps stack those rows bare (``_action_stacks``).
 
 The wreath product carrier is the set of functions H -> G encoded as
 big-endian mixed-radix integers (the digit at position 0 is most
@@ -180,15 +181,15 @@ def _product(G: FiniteSkewBrace, H: FiniteSkewBrace, perms: np.ndarray,
     return _brace(_stacked_product(_Tables([G]), _Tables([H]), perms[None]), name)
 
 
-def _action_stacks(actions: list[tuple[FiniteSkewBrace, FiniteSkewBrace, SigmaAction]]):
-    """(index, stack) for the products G x|_sigma H of the (G, H, sigma) at
-    index: one ``_stacked_product``, read as ``_dense`` does, per index list
-    of ``ideals._batches`` keyed by |G| (above the cap, a lazy stack of one)."""
+def _action_stacks(actions: list[tuple[FiniteSkewBrace, FiniteSkewBrace, np.ndarray]]):
+    """(index, stack) for the products G x|_sigma H of the (G, H, perms) at
+    index, row h of perms ((|H|, |G|)) being sigma(h): one ``_stacked_product``,
+    read as ``_dense`` does, per index list of ``ideals._batches`` keyed by
+    |G| (above the cap, a lazy stack of one)."""
     orders = [G.order * H.order for G, H, _ in actions]
     for index in _batches(orders, [G.order for G, _, _ in actions]):
-        Gs, Hs, sigmas = zip(*(actions[i] for i in index))
-        perms = np.stack([sigma.perms for sigma in sigmas])
-        yield index, _dense(_stacked_product(_Tables(list(Gs)), _Tables(list(Hs)), perms))
+        Gs, Hs, perms = zip(*(actions[i] for i in index))
+        yield index, _dense(_stacked_product(_Tables(list(Gs)), _Tables(list(Hs)), np.stack(perms)))
 
 
 def semidirect(G: FiniteSkewBrace, H: FiniteSkewBrace, sigma: SigmaAction,

@@ -5,11 +5,12 @@ Every sweep builds a deterministic list of cases, runs them, and returns
 a SweepReport whose counterexamples carry the serialized inputs needed to
 replay them.  A case reads only its item: a sweep's set-up classifies
 the corpus with one ``semiprime_verdicts`` call and puts each verdict a
-case reads into that case's item; a cor28 or q34 item carries the
-``SigmaAction`` that ``sigma_actions`` built.  With ``jobs`` > 1 the
-cases are cut into contiguous chunks: this process runs the first and
-one ``os.fork`` worker runs each other chunk, and the results are joined
-in chunk order, so the output is byte-identical for any process count.
+case reads into that case's item; a cor28 or q34 item carries its
+action's row of the array ``autos._actions`` built for its pair, one
+search per G.  With ``jobs`` > 1 the cases are cut into contiguous
+chunks: this process runs the first and one ``os.fork`` worker runs each
+other chunk, and the results are joined in chunk order, so the output is
+byte-identical for any process count.
 
 Every case kind has one batch function (``_BATCH_FUNCS``), called with
 each maximal run of consecutive items of its kind within a chunk and
@@ -36,8 +37,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import products
-from .autos import sigma_actions
+from . import autos, products
 from .core import (
     BraceForgeError,
     FiniteSkewBrace,
@@ -58,7 +58,7 @@ from .ideals import (
     is_ideal,
     semiprime_verdicts,
 )
-from .products import SigmaAction, _stacked_power, wreath, wreath_base
+from .products import _stacked_power, wreath, wreath_base
 
 __all__ = [
     "Counterexample",
@@ -145,13 +145,12 @@ def _sigma_text(perms: np.ndarray) -> str:
 
 def _with_documents(item: tuple, result: CaseResult) -> CaseResult:
     """``result`` of ``item``; a failed one carries the item's braces and
-    sigma tables as REPLAY documents, in item order, and a passing one
-    carries none."""
+    sigma tables (its ndarray fields) as REPLAY documents, in item order,
+    and a passing one carries none."""
     if result.ok:
         return result
-    docs = tuple(serialize_document(arg) if isinstance(arg, FiniteSkewBrace)
-                 else _sigma_text(arg.perms)
-                 for arg in item[2:] if isinstance(arg, (FiniteSkewBrace, SigmaAction)))
+    docs = tuple(serialize_document(arg) if isinstance(arg, FiniteSkewBrace) else _sigma_text(arg)
+                 for arg in item[2:] if isinstance(arg, (FiniteSkewBrace, np.ndarray)))
     return dataclasses.replace(result, documents=docs)
 
 
@@ -458,18 +457,23 @@ def verify_lemma32(G: FiniteSkewBrace | None = None, H: FiniteSkewBrace | None =
     return _sweep("lemma32", items, only, jobs, t0, notes)
 
 
-def _action_items(kind: str, pairs: list[tuple[FiniteSkewBrace, FiniteSkewBrace]],
+def _action_items(kind: str, gs: list[FiniteSkewBrace], hs: list[FiniteSkewBrace],
                   budget: int, only: str | None) -> list[tuple]:
-    """One ``kind`` item per action of ``sigma_actions(G, H, budget)``, for
-    each pair whose product is within ``max_order()``, pair by pair: the
-    case id, G, H, the ``SigmaAction`` (an action by construction) and its
-    index.  Given the case id ``only``, a pair runs ``sigma_actions`` only
-    when its ids could be ``only``, the ones that start ``<kind>:<G>:<H>:s``."""
+    """One ``kind`` item per action of each H in ``hs`` on each G in ``gs``
+    whose product is within ``max_order()``, G by G: the case id, G, H, the
+    action's row of ``autos._actions`` (an action by construction) and its
+    index.  Given the case id ``only``, a G searches only the Hs whose ids
+    could be ``only``, the ones that start ``<kind>:<G>:<H>:s``, and a G
+    with no such H is not searched."""
     cap = max_order()
-    return [(kind, f"{kind}:{G.name}:{H.name}:s{i}", G, H, act, i)
-            for G, H in pairs if G.order * H.order <= cap
-            and (only is None or only.startswith(f"{kind}:{G.name}:{H.name}:s"))
-            for i, act in enumerate(sigma_actions(G, H, budget=budget))]
+    items = []
+    for G in gs:
+        acting = [H for H in hs if G.order * H.order <= cap
+                  and (only is None or only.startswith(f"{kind}:{G.name}:{H.name}:s"))]
+        for H, actions in zip(acting, autos._actions(G, acting, budget) if acting else ()):
+            items += [(kind, f"{kind}:{G.name}:{H.name}:s{i}", G, H, perms, i)
+                      for i, perms in enumerate(actions)]
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +541,8 @@ def verify_cor28_thm33(corpus_max: int = DEFAULT_CORPUS_MAX,
                      f"{corpus_max}; the order-60 stand-in exercises the wreath path")
 
     pairs = [(G, H) for G in semiprime_braces for H in semiprime_braces]
-    cor_items = _action_items("cor28", pairs, sigma_budget, only) if "cor28" in statements else []
+    cor_items = (_action_items("cor28", semiprime_braces, semiprime_braces, sigma_budget, only)
+                 if "cor28" in statements else [])
     thm_items = [("thm33", f"thm33:{G.name}:{H.name}", G, H) for G, H in pairs
                  if "thm33" in statements and G.order ** H.order * H.order <= cap]
     if "thm33" in statements and only_order_one:
@@ -596,7 +601,7 @@ def search_q34(max_g: int = 6, max_h: int = 4,
     small = [B for B in corpus if B.order <= max_g]
     gs = [B for B, v in zip(small, semiprime_verdicts(small, "fast")) if not v.semiprime]
     hs = [B for B in corpus if B.order <= max_h]
-    items = _action_items("q34", [(G, H) for G in gs for H in hs], sigma_budget, only)
+    items = _action_items("q34", gs, hs, sigma_budget, only)
     return _sweep("q34", items, only, jobs, t0, ())
 
 

@@ -98,7 +98,9 @@ def _same_arrays(got, want):
 def test_blocked_search_matches_the_candidate_loop(corpus8, monkeypatch):
     """Automorphisms, skew automorphisms and actions (at budgets 1, 2, 64
     and none) equal those of the unpruned per-candidate loop: values,
-    order and dtype, on the corpus and on braces over A4 and S4."""
+    order and dtype, on the corpus and on braces over A4 and S4.  The rows
+    of one ``_actions`` search over all the acting braces are those
+    actions too."""
     braces = [*corpus8, *(group_brace(g, v) for g in ("a4", "s4")
                           for v in ("trivial", "almost_trivial"))]
     tables = {(t.dtype.str, t.tobytes()): t for b in braces for t in (b.add, b.circ)}
@@ -108,17 +110,21 @@ def test_blocked_search_matches_the_candidate_loop(corpus8, monkeypatch):
     budgets = (1, 2, 64, None)
 
     def run():
-        autos._automorphisms_of.cache_clear()
         return ([group_automorphisms(t) for t in tables.values()],
                 [skew_automorphisms(b) for b in braces],
                 [[a.perms for a in sigma_actions(G, H, budget)]
                  for G in braces for H in acting for budget in budgets])
 
     got = run()
+    searched = [[autos._actions(G, acting, budget) for budget in budgets] for G in braces]
+    rows = [list(by_budget[b][h]) for by_budget in searched
+            for h in range(len(acting)) for b in range(len(budgets))]
+    assert len(rows) == len(got[2])
+    for g, w in zip(rows, got[2]):
+        _same_arrays(g, w)
     monkeypatch.setattr(autos, "_homomorphisms", lambda table, target, budget=None: np.array(
         oracles.homomorphisms_loop(table, target, budget), dtype=np.int64).reshape(-1, len(table)))
     want = run()
-    autos._automorphisms_of.cache_clear()
     for got_lists, want_lists in zip(got, want):
         assert len(got_lists) == len(want_lists)
         for g, w in zip(got_lists, want_lists):
@@ -131,6 +137,7 @@ def test_a5_searches_match_frozen_digests(A5at):
         actions = sigma_actions(A5at, A5at, budget)
         assert len(actions) == (budget or 121)
         assert _digest([a.perms for a in actions]) == want
+        assert _digest(autos._actions(A5at, [A5at], budget)[0]) == want
 
 
 def test_automorphism_space_capped_before_search(monkeypatch):
@@ -142,7 +149,7 @@ def test_automorphism_space_capped_before_search(monkeypatch):
         raise AssertionError("a candidate was tried")
 
     monkeypatch.setattr(autos, "_candidates", no_candidates)
-    for _ in range(2):   # a search that raises is not cached
+    for _ in range(2):   # a refused search raises on every call
         with pytest.raises(SizeCapExceeded, match=r"\d+ \(order-pruned from 3600\^\d+\) exceeds"):
             group_automorphisms(table)
 
@@ -152,10 +159,8 @@ def test_order_pruning_brings_s4xc2_under_the_cap(monkeypatch):
     # the 20 labels of order dividing 2 per generator, 20^4 = 160,000
     table = group_table("s4xc2")
     got = group_automorphisms(table)
-    autos._automorphisms_of.cache_clear()
     monkeypatch.setattr(autos, "_HOM_SPACE_LIMIT", 48 ** 4)
     want = group_automorphisms(table)
-    autos._automorphisms_of.cache_clear()
     # |Aut(S4 x C2)| = |Aut(S4)| * |Hom(S4, C2)| = 24 * 2
     assert len(got) == 48
     assert [p.tolist() for p in got] == [p.tolist() for p in want]
@@ -172,16 +177,7 @@ def test_elementary_abelian_space_still_capped(monkeypatch):
         group_automorphisms(group_table("c2xc2xc2xc2xc2"))
 
 
-def test_group_automorphisms_searched_once_per_table(monkeypatch):
-    calls = []
-    real = autos._homomorphisms
-
-    def counting(table, target, budget=None):
-        calls.append(table.tobytes())
-        return real(table, target, budget)
-
-    monkeypatch.setattr(autos, "_homomorphisms", counting)
-    autos._automorphisms_of.cache_clear()
+def test_group_automorphisms_are_fresh_lists_of_read_only_rows():
     s3 = group_table("s3")
     first = group_automorphisms(s3)
     assert len(first) == 6 and all(p.dtype == s3.dtype for p in first)
@@ -191,13 +187,12 @@ def test_group_automorphisms_searched_once_per_table(monkeypatch):
     want = [p.tolist() for p in first]
     first.reverse()
     first.append(first[0])
-    # an equal table in a fresh array hits the same entry
+    # an equal table in a fresh array gives the same automorphisms in a fresh list
     again = group_automorphisms(s3.copy())
     assert again is not first and [p.tolist() for p in again] == want
-    assert calls == [s3.tobytes()]
-    # the same values in another dtype are another table
-    assert len(group_automorphisms(s3.astype(np.int64))) == 6
-    assert len(calls) == 2
+    # the same values in another dtype give rows of that dtype
+    wide = group_automorphisms(s3.astype(np.int64))
+    assert len(wide) == 6 and all(p.dtype == np.int64 for p in wide)
 
 
 def test_skew_automorphisms_above_order_nine(A4at):

@@ -97,7 +97,7 @@ def test_every_builder_gives_generators_of_both_tables(monkeypatch, corpus8, A5a
     # the lemma31 bases, the q34-wide products, the lazy A5at^2 and A5at
     # x| A5at under a few actions
     from brace_forge import corpus, verify
-    from brace_forge import semidirect, sigma_actions, wreath_base
+    from brace_forge import SigmaAction, semidirect, sigma_actions, wreath_base
 
     items = []
     monkeypatch.setattr(verify, "_sweep", lambda _s, found, *rest: items.extend(found))
@@ -108,7 +108,8 @@ def test_every_builder_gives_generators_of_both_tables(monkeypatch, corpus8, A5a
              if G.order ** H.order <= 64}
     actions = sigma_actions(A5at, A5at)
     braces = [*corpus._named_examples(60), *corpus8, *bases.values(),
-              *(semidirect(G, H, act) for _, _, G, H, act, _ in items), A5at_square,
+              *(semidirect(G, H, SigmaAction(G, H, perms)) for _, _, G, H, perms, _ in items),
+              A5at_square,
               *(semidirect(A5at, A5at, actions[i]) for i in (0, 1, 60, 120))]
     lifted = 0
     for brace in braces:

@@ -429,8 +429,8 @@ def test_action_stacks_match_each_product(monkeypatch, A5at):
     assert len(items) == 1467
     rng = np.random.default_rng(34)
     pairs = {}
-    for _, _, G, H, sigma, _ in items:
-        pairs.setdefault((G, H), []).append(sigma.perms)
+    for _, _, G, H, perms, _ in items:
+        pairs.setdefault((G, H), []).append(perms)
     for (G, H), actions in pairs.items():
         perms = np.stack(actions)
         B = len(perms)
@@ -439,7 +439,7 @@ def test_action_stacks_match_each_product(monkeypatch, A5at):
     actions = [item[2:5] for item in items]
     stacked = 0
     for index, tables in products._action_stacks(actions):
-        wants = [products._product(G, H, sigma.perms) for G, H, sigma in (actions[i] for i in index)]
+        wants = [products._product(G, H, perms) for G, H, perms in (actions[i] for i in index)]
         _assert_stack_rows_are(tables, wants, rng)
         stacked += len(index)
     assert stacked == len(items) and len(pairs) == 612
@@ -541,16 +541,11 @@ def test_derived_actions_pass_validate_sigma(monkeypatch, corpus8, A5at):
     # unchecked is one: the 1,467 actions of the q34-wide search, all 121
     # of A5at on A5at, and the shift of every wreath_base pair of
     # test_wreath_base_is_the_validated_power
-    found = []
-
-    def recording(*args, **kwargs):
-        actions = sigma_actions(*args, **kwargs)
-        found.extend(actions)
-        return actions
-
-    monkeypatch.setattr(verify, "sigma_actions", recording)
+    items = []
+    monkeypatch.setattr(verify, "_sweep", lambda _s, found, *rest: items.extend(found))
     search_q34(max_g=8, max_h=2)
     monkeypatch.undo()
+    found = [SigmaAction(G, H, perms) for _, _, G, H, perms, _ in items]
     assert len(found) == 1467
     found += sigma_actions(A5at, A5at)
     assert len(found) == 1467 + 121

@@ -357,9 +357,9 @@ class TestCor28Thm33:
     def test_thm33_alone_searches_no_actions(self, monkeypatch):
         # the sigma actions feed cor28's cases only
         def no_actions(*args, **kwargs):
-            raise AssertionError("sigma_actions called for thm33 alone")
+            raise AssertionError("actions searched for thm33 alone")
 
-        monkeypatch.setattr(verify, "sigma_actions", no_actions)
+        monkeypatch.setattr(autos, "_actions", no_actions)
         reports = verify_cor28_thm33(corpus_max=2, statements=("thm33",))
         assert set(reports) == {"thm33"}
         assert reports["thm33"].attempted > 0
@@ -466,7 +466,7 @@ class TestFailurePaths:
         monkeypatch.setitem(verify._BATCH_FUNCS, "q34", broken)
         one = group_brace("c1", "trivial", name="c1#0")
         result = verify._dispatch(("q34", "q34:c1#0:c1#0:s0", one, one,
-                                   SigmaAction(one, one, [[0]]), 0))
+                                   np.zeros((1, 1), dtype=one.add.dtype), 0))
         assert not result.ok
         assert result.info == "raised ValueError: bad action"
         assert len(result.documents) == 3
@@ -477,7 +477,7 @@ class TestFailurePaths:
         # finding (exhaustively confirmed), not hide
         one = group_brace("c1", "trivial", name="c1#0")
         result = verify._dispatch(("q34", "q34:c1#0:c1#0:s0", one, one,
-                                   SigmaAction(one, one, [[0]]), 0))
+                                   np.zeros((1, 1), dtype=one.add.dtype), 0))
         assert not result.ok
         assert "SEMIPRIME (exhaustively confirmed) - counterexample" in result.info
         assert len(result.documents) == 3
@@ -491,7 +491,7 @@ class TestFailurePaths:
         # exhaustive pass runs on the same stack and finds one, so that case
         # fails; the second keeps its fast witness.  With no miss, no
         # exhaustive pass runs.
-        items = [("q34", f"q34:R4:T2:s{i}", R4, T2, SigmaAction(R4, T2, perms), i)
+        items = [("q34", f"q34:R4:T2:s{i}", R4, T2, np.array(perms, dtype=R4.add.dtype), i)
                  for i, perms in enumerate(([[0, 1, 2, 3]] * 2, [[0, 1, 2, 3], [0, 3, 2, 1]]))]
         calls, real = [], verify._batch_witnesses
 
@@ -514,7 +514,7 @@ class TestFailurePaths:
 
 def _case_items(R4, T2):
     """One item of every case kind, in the layout its sweep builds."""
-    sigma = SigmaAction(R4, T2, [[0, 1, 2, 3], [0, 3, 2, 1]])
+    sigma = np.array([[0, 1, 2, 3], [0, 3, 2, 1]], dtype=R4.add.dtype)
     return {
         "lemma31": ("lemma31", "lemma31:R4:T2", R4, T2),
         "lemma32-base": ("lemma32-base", "lemma32:base:R4:m2", R4, T2),
@@ -563,7 +563,7 @@ def test_dispatch_replays_every_failed_case(monkeypatch, R4, T2, kind, outcome):
     else:
         assert (result.info, result.witness) == ("stub", (0, 2))
     braces = [a for a in item[2:] if isinstance(a, FiniteSkewBrace)]
-    tables = [a.perms for a in item[2:] if isinstance(a, SigmaAction)]
+    tables = [a for a in item[2:] if isinstance(a, np.ndarray)]
     assert len(result.documents) == len(braces) + len(tables)
     docs = parse_documents("".join(result.documents[:len(braces)]))
     assert [(d.name, d.to_brace()) for d in docs] == [(b.name, b) for b in braces]
@@ -719,8 +719,8 @@ def test_products_above_the_cap_are_lazy_stacks_of_their_own(monkeypatch, A5at):
     # (order 180, where a block would hold many) in one cor28 run: each is
     # a stack of one, classified without a dense table, as it is alone
     T3 = group_brace("c3", "trivial", name="T3")
-    items = [*verify._action_items("cor28", [(A5at, A5at)], 121, None)[::60],
-             *verify._action_items("cor28", [(A5at, T3)], 121, None)[:3]]
+    items = [*verify._action_items("cor28", [A5at], [A5at], 121, None)[::60],
+             *verify._action_items("cor28", [A5at], [T3], 121, None)[:3]]
     alone = [verify._dispatch(item) for item in items]
     stacks = []
     real = verify._batch_witnesses
@@ -831,34 +831,42 @@ def test_only_a_batched_case_prints_what_the_sweep_prints():
 
 
 def test_only_runs_sigma_actions_for_its_own_pair(monkeypatch, capsys):
-    # --only builds the actions of the one pair its id names, and none for
-    # an id of another kind; an id that matches no case still exits 2
-    calls = []
-    real = verify.sigma_actions
+    # --only searches the actions of the one pair its id names, and no other
+    # G at all: an id of another kind, or one whose H names no brace,
+    # searches nothing; an id that matches no case still exits 2
+    calls, searched = [], []
+    real_actions, real_search = autos._actions, autos.skew_automorphisms
 
-    def counting(G, H, budget):
-        calls.append((G.name, H.name))
-        return real(G, H, budget=budget)
+    def counting(G, hs, budget):
+        calls.extend((G.name, H.name) for H in hs)
+        return real_actions(G, hs, budget)
 
-    monkeypatch.setattr(verify, "sigma_actions", counting)
+    def searching(G):
+        searched.append(G.name)
+        return real_search(G)
+
+    monkeypatch.setattr(autos, "_actions", counting)
+    monkeypatch.setattr(autos, "skew_automorphisms", searching)
     sweeps = {
         "q34": lambda **kw: search_q34(max_g=4, max_h=2, **kw),
         "cor28": lambda **kw: verify_cor28_thm33(corpus_max=4, statements=("cor28",), **kw)["cor28"],
     }
     for statement, sweep in sweeps.items():
-        calls.clear()
+        calls.clear(), searched.clear()
         cases = [line for line in _render(sweep()).splitlines() if line.startswith("CASE ")]
         assert calls and len(set(calls)) == len(calls)
+        assert searched == list(dict.fromkeys(G for G, _ in calls))   # one search per G
         for line in (cases[0], cases[len(cases) // 2], cases[-1]):
             case_id = line.split()[1]
-            calls.clear()
+            calls.clear(), searched.clear()
             assert _render(sweep(only=case_id)).splitlines()[-2] == line
-            assert calls == ([tuple(case_id.split(":")[1:3])] if case_id.startswith(statement)
-                             else [])
-    calls.clear()
+            own = case_id.startswith(statement)
+            assert calls == ([tuple(case_id.split(":")[1:3])] if own else [])
+            assert searched == ([case_id.split(":")[1]] if own else [])
+    calls.clear(), searched.clear()
     assert cli_main(["search", "q34", "--only", "q34:T2:nope:s0"]) == 2
     assert capsys.readouterr().err == "error: no case matches id 'q34:T2:nope:s0'\n"
-    assert calls == []
+    assert calls == [] and searched == []
 
 
 def test_a_seeded_closure_makes_no_orbit_representatives(monkeypatch, A5at_square):
@@ -1023,39 +1031,30 @@ def test_lemma32_scans_each_corpus_brace_once(monkeypatch):
     assert built == Counter(_tables(B) for B in corpus) + Counter({_tables(one): 2})
 
 
-def test_q34_items_search_each_add_table_once(monkeypatch):
-    searched = Counter()
+def test_q34_items_search_each_g_once(monkeypatch):
+    # the item build of `search q34 --max-order 8 --max-h 2`: one
+    # automorphism search per G, one action search per (G, H) pair, and
+    # each item holds its action's bare row: no SigmaAction is built
+    searches = Counter()
     real = autos._homomorphisms
 
     def counting(table, target, budget=None):
-        if target is table:   # an automorphism search, not an action search
-            searched[table.dtype.str, table.tobytes()] += 1
+        searches["automorphisms" if target is table else "actions"] += 1
         return real(table, target, budget)
 
+    def refuse(self):
+        raise AssertionError("a SigmaAction was built")
+
     monkeypatch.setattr(autos, "_homomorphisms", counting)
-    autos._automorphisms_of.cache_clear()
-    captured = []
-    monkeypatch.setattr(verify, "_sweep", lambda _s, items, *rest: captured.extend(items))
-    search_q34(max_g=8, max_h=2)   # the item build of `search q34 --max-order 8 --max-h 2`
+    monkeypatch.setattr(SigmaAction, "__post_init__", refuse)
+    captured = _sweep_items(monkeypatch, search_q34, max_g=8, max_h=2)
     assert len(captured) == 1467
-    assert max(searched.values()) == 1
-    adds = {(G.add.dtype.str, G.add.tobytes()) for _, _, G, *_ in captured}
-    assert adds <= set(searched)
-
-
-def test_q34_builds_each_action_once(monkeypatch):
-    # the item carries the SigmaAction that sigma_actions built, and the
-    # case acts with it: one construction per case
-    built = []
-    real = SigmaAction.__post_init__
-
-    def counting(self):
-        built.append(self)
-        real(self)
-
-    monkeypatch.setattr(SigmaAction, "__post_init__", counting)
-    report = search_q34(max_g=8, max_h=2)
-    assert report.attempted == len(built) == 1467
+    gs = {G.name for _, _, G, *_ in captured}
+    pairs = {(G.name, H.name) for _, _, G, H, *_ in captured}
+    assert len(pairs) == 612
+    assert searches == {"automorphisms": len(gs), "actions": len(pairs)}
+    for _, _, G, H, perms, _ in captured:
+        assert isinstance(perms, np.ndarray) and perms.shape == (H.order, G.order)
 
 
 def test_report_invariant_enforced():
