@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .core import (
     BraceForgeError,
     DocumentSyntaxError,
@@ -24,8 +26,9 @@ from .docio import BraceDocument, format_int_row, parse_documents, parse_int_gri
 from .corpus import holomorph_enumerate, standard_corpus
 from .ideals import (
     DEFAULT_IDEAL_CAP,
+    _ideal_lists,
     as_ideal,
-    enumerate_ideals,
+    ideal_masks,
     is_semiprime,
     quotient,
     semiprime_verdicts,
@@ -80,11 +83,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    for brace in _load_braces(args.file):
-        ideals = enumerate_ideals(brace)
-        print(f"ideals {brace.name or '<unnamed>'} order={brace.order} count={len(ideals)}")
-        for ideal in ideals:
-            print(fmt_members(ideal.members))
+    """All documents' ideals are listed by one ``_ideal_lists`` call, as
+    ``semiprime`` classifies them: the braces before the first one over
+    the ideal cap are printed, then that one raises ``SizeCapExceeded``."""
+    braces = _load_braces(args.file)
+    stop = next((i for i, b in enumerate(braces) if b.order > DEFAULT_IDEAL_CAP), len(braces))
+    for brace, masks in zip(braces, _ideal_lists(braces[:stop])):
+        print(f"ideals {brace.name or '<unnamed>'} order={brace.order} count={len(masks)}")
+        for mask in masks:
+            print(fmt_members(np.flatnonzero(mask)))
+    if stop < len(braces):
+        ideal_masks(braces[stop])   # raises SizeCapExceeded
     return 0
 
 

@@ -283,16 +283,36 @@ def ideal_masks(brace: FiniteSkewBrace) -> np.ndarray:
     size, the one holding the first label where they differ has the
     smaller sorted tuple.
 
-    This is a batch of one of ``_batch_ideals``, which lists the ideals
-    of many braces of one order at once (``semiprime_verdicts``): each row
-    carries its brace's index, which is the sort's first key.  The
-    principal ideals are closed in full, since all of them are summed.
+    This is the stack of one of ``_stack_ideals``, whose ``_batch_ideals``
+    lists the ideals of many braces of one order at once: each row carries
+    its brace's index, which is the sort's first key.  The principal
+    ideals are closed in full, since all of them are summed.  The stacked
+    lists are read by ``_ideal_lists`` (the CLI ``ideals`` command and
+    the Gs of a lemma31 batch) and by the lemma31 bases; exhaustive
+    ``semiprime_verdicts`` reads ``_batch_ideals`` itself.
     """
-    _check_ideal_cap(brace.order)
-    batch = _Tables([brace])
-    _, masks = _batch_ideals(batch, _principal_masks(batch, False))
+    return _stack_ideals(_Tables([brace]))[0]
+
+
+def _stack_ideals(batch: _Tables) -> list[np.ndarray]:
+    """``ideal_masks`` of each brace of the stack, in stack order, as
+    read-only views of one mask matrix: one closing ``_principal_masks``
+    pass and one ``_batch_ideals`` call, whose rows are cut where their
+    owner changes (every brace has the ideal {0}, so none is empty)."""
+    _check_ideal_cap(batch.n)
+    owner, masks = _batch_ideals(batch, _principal_masks(batch, False))
     masks.setflags(write=False)
-    return masks
+    return np.split(masks, np.searchsorted(owner, np.arange(1, len(batch))))
+
+
+def _ideal_lists(braces: list[FiniteSkewBrace]) -> list[np.ndarray]:
+    """``ideal_masks`` of every brace, in input order, from one
+    ``_stack_ideals`` call per index list of ``_batches``."""
+    lists: list[np.ndarray] = [None] * len(braces)
+    for index in _batches([brace.order for brace in braces]):
+        for i, masks in zip(index, _stack_ideals(_Tables([braces[i] for i in index]))):
+            lists[i] = masks
+    return lists
 
 
 def _batch_ideals(batch: _Tables, principal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,11 +323,13 @@ def _batch_ideals(batch: _Tables, principal: np.ndarray) -> tuple[np.ndarray, np
     Pass t sums the principal ideal P_t of each brace's t-th
     representative r_t with that brace's ideals found so far.  A brace with
     fewer representatives takes r_t = 0 after its last one: every ideal
-    holds 0, so none of its rows is summed.  Each brace's principal labels
-    fill one row of a table padded with 0, and add[c, 0] = c is already in
+    holds 0, so none of its rows is summed.  Each principal ideal's labels
+    fill one row of a table padded with 0 (a brace past its last
+    representative reads a row of 0s), and add[c, 0] = c is already in
     the row being summed, so pass t gathers add[b * n + c, labels[b]] for
     every brace b and label c once, and a member c of a row of brace b
-    takes row b * n + c of that gather.
+    takes row b * n + c of that gather.  Every row is within its sum, so
+    the sum's labels outside the row are their exclusive or.
 
     No sum is listed twice, so no deduplication is needed.  Let K be the
     list before pass t, the sums of subsets of P_1..P_{t-1}, and keep a sum
@@ -328,8 +350,10 @@ def _batch_ideals(batch: _Tables, principal: np.ndarray) -> tuple[np.ndarray, np
     rank[owner, reps] = step
     rep_at = np.zeros((steps, B), dtype=np.int64)
     rep_at[step, owner] = reps
-    labels_at = np.zeros((steps, B, n), dtype=np.int64)
-    labels_at[step, owner] = np.sort(np.where(principal, np.arange(n), 0), axis=1)
+    at = np.full((steps, B), reps.size)                           # row of P_t's labels, else of 0s
+    at[step, owner] = np.arange(reps.size)
+    labels = np.zeros((reps.size + 1, n), dtype=np.int64)
+    labels[:-1] = np.sort(np.where(principal, np.arange(n), 0), axis=1)
     width = np.zeros((steps, B), dtype=np.int64)                  # |P_t| of each brace
     width[step, owner] = principal.sum(axis=1)
     row = np.arange(B)[:, None, None] * n + np.arange(n)[:, None]    # b * n + c
@@ -337,14 +361,14 @@ def _batch_ideals(batch: _Tables, principal: np.ndarray) -> tuple[np.ndarray, np
     known = np.zeros((B, n), dtype=bool)
     known[:, 0] = True
     for t in range(steps):
-        labels = labels_at[t][:, None, n - width[t].max():]       # members last, 0 before them
-        sum_rows = add[row, labels].reshape(B * n, -1)
+        members = labels[at[t]][:, None, n - width[t].max():]     # members last, 0 before them
+        sum_rows = add[row, members].reshape(B * n, -1)
         miss = ~known[np.arange(known_owner.size), rep_at[t][known_owner]]
         grow_owner, grow = known_owner[miss], known[miss]
-        rows, cols = np.nonzero(grow)
+        rows, cols = np.divmod(np.flatnonzero(grow), n)
         sums = np.zeros_like(grow)
-        sums[rows[:, None], sum_rows[grow_owner[rows] * n + cols]] = True
-        keep = ~(sums & ~grow & (rank[grow_owner] < t)).any(axis=1)
+        sums.reshape(-1)[(rows * n)[:, None] + sum_rows[grow_owner[rows] * n + cols]] = True
+        keep = ~((sums ^ grow) & (rank < t)[grow_owner]).any(axis=1)
         known_owner = np.concatenate([known_owner, grow_owner[keep]])
         known = np.concatenate([known, sums[keep]])
     order = np.lexsort(np.vstack([~known[:, ::-1].T, known.sum(axis=1), known_owner]))
@@ -548,7 +572,8 @@ def _principal_masks(batch: _Tables, abort: bool,
 
 def _batches(orders: list[int], keys: list | None = None):
     """The one plan of ``_Tables`` stacks (``semiprime_verdicts``,
-    ``_vanishing_ideals``, ``products._action_stacks``): the index lists of
+    ``_vanishing_ideals``, ``_ideal_lists``, ``products._action_stacks``
+    and the lemma31 bases): the index lists of
     the items of one order orders[i] and key keys[i], in order of first
     appearance, cut by ``_row_blocks`` at about ``_BLOCK_ENTRIES`` add and
     circ entries, and one item per stack above ``DEFAULT_IDEAL_CAP``, so no

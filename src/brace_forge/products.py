@@ -244,7 +244,10 @@ class WreathContext:
 
 def wreath_base(G: FiniteSkewBrace, H: FiniteSkewBrace) -> tuple[FiniteSkewBrace, WreathContext]:
     """The direct power brace of functions H -> G under pointwise
-    operations, plus its codec: the ``_brace`` of ``_stacked_power([G], |H|)``."""
+    operations, plus its codec: the ``_brace`` of ``_stacked_power([G], |H|)``.
+    Of the sweeps, only lemma32's base case (and thm33's stand-in) and
+    ``wreath`` build a base this way; the lemma31 bases and the lemma32
+    lifts are read from ``_stacked_power`` stacks."""
     base = _brace(_stacked_power([G], H.order), f"({G.name}^{H.order})")
     return base, WreathContext(G.order, H.order)
 

@@ -52,13 +52,15 @@ from .ideals import (
     DEFAULT_IDEAL_CAP,
     _Tables,
     _batch_witnesses,
+    _batches,
     _failed_rules,
+    _ideal_lists,
+    _stack_ideals,
     _vanishing_ideals,
-    ideal_masks,
     is_ideal,
     semiprime_verdicts,
 )
-from .products import _stacked_power, wreath, wreath_base
+from .products import WreathContext, _dense, _stacked_power, wreath, wreath_base
 
 __all__ = [
     "Counterexample",
@@ -75,6 +77,7 @@ __all__ = [
 
 DEFAULT_SIGMA_BUDGET = 64
 DEFAULT_CORPUS_MAX = 8
+_LEMMA31_STACK = 6      # lemma31 bases per stack: 8 cost 0.8 MB more peak RSS, for no speed
 STATEMENTS = ("lemma31", "lemma32", "cor28", "thm33", "q34")
 
 
@@ -324,17 +327,32 @@ def _lemma31_case(case_id: str, G: FiniteSkewBrace, positions: int, digits: np.n
 
 
 def _batch_lemma31(args: list[tuple]) -> list[CaseResult]:
-    """The lemma31 cases (case id, G, H) of a run.  G's ideal masks are
-    made once per run of cases with one G, and a base's digits and ideal
-    masks once per |H| within it, as the base depends on G and |H| only."""
-    results = []
-    for G, cases in itertools.groupby(args, key=lambda arg: arg[1]):
-        g_masks, bases = ideal_masks(G), {}
-        for case_id, _, H in cases:
-            if H.order not in bases:
-                W, ctx = wreath_base(G, H)
-                bases[H.order] = ctx.digit_matrix(), ideal_masks(W)
-            results.append(_lemma31_case(case_id, G, H.order, *bases[H.order], g_masks))
+    """The lemma31 cases (case id, G, H) of a run.  The ideal masks of its
+    distinct Gs come from one ``_ideal_lists`` call.  A base depends on G
+    and |H| only, and the distinct bases are listed stack by stack: one
+    ``_stack_ideals`` call on the ``_stacked_power`` of each index list of
+    ``_batches`` keyed by |H|, read dense, cut to ``_LEMMA31_STACK``
+    bases.  A base with |H| = 1 is G, whose masks it reuses.  Each
+    stack's cases run before the next stack is built, so no stack's masks
+    outlive it."""
+    gs = list({id(G): G for _, G, _ in args}.values())
+    g_masks = dict(zip(map(id, gs), _ideal_lists(gs)))
+    cases: dict[tuple[int, int], list[int]] = {}         # (id(G), |H|) -> its cases
+    for i, (_, G, H) in enumerate(args):
+        cases.setdefault((id(G), H.order), []).append(i)
+    bases = [(args[index[0]][1], positions) for (_, positions), index in cases.items()]
+    results: list[CaseResult | None] = [None] * len(args)
+    for index in _batches([G.order ** m for G, m in bases], [m for _, m in bases]):
+        G, positions = bases[index[0]]
+        digits = WreathContext(G.order, positions).digit_matrix()
+        for i0 in range(0, len(index), _LEMMA31_STACK):
+            stack = [bases[i][0] for i in index[i0:i0 + _LEMMA31_STACK]]
+            lists = ([g_masks[id(G)] for G in stack] if positions == 1
+                     else _stack_ideals(_dense(_stacked_power(stack, positions))))
+            for G, masks in zip(stack, lists):
+                for i in cases[id(G), positions]:
+                    results[i] = _lemma31_case(args[i][0], G, positions, digits, masks,
+                                               g_masks[id(G)])
     return results
 
 

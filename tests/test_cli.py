@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,38 @@ def test_ideals(r4_file, capsys):
     assert main(["ideals", r4_file]) == 0
     out = capsys.readouterr().out
     assert out == "ideals R4 order=4 count=3\n{0}\n{0,2}\n{0,1,2,3}\n"
+
+
+def test_ideals_lists_documents_in_order(tmp_path, R4, T2, monkeypatch, capsys):
+    # documents of mixed orders: one stack per order, printed in document order
+    from brace_forge import enumerate_ideals, ideals, standard_corpus
+    braces = [R4, T2, *standard_corpus(8)[5:12], R4]
+    path = tmp_path / "mixed.doc"
+    path.write_text("".join(map(serialize_document, braces)))
+    want = "".join(f"ideals {b.name} order={b.order} count={len(enumerate_ideals(b))}\n"
+                   + "".join(f"{{{','.join(map(str, i.sorted()))}}}\n" for i in enumerate_ideals(b))
+                   for b in braces)
+    stacks, real = [], ideals._stack_ideals
+
+    def spy(stack):
+        stacks.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(ideals, "_stack_ideals", spy)
+    assert main(["ideals", str(path)]) == 0
+    assert capsys.readouterr().out == want
+    assert sorted(stacks) == sorted(Counter(b.order for b in braces).values())
+
+
+def test_ideals_prints_the_braces_before_the_cap(tmp_path, R4, capsys):
+    from brace_forge import group_brace
+    path = tmp_path / "capped.doc"
+    big = group_brace("c130", "trivial")
+    path.write_text(serialize_document(R4) + serialize_document(big) + serialize_document(R4))
+    assert main(["ideals", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "ideals R4 order=4 count=3\n{0}\n{0,2}\n{0,1,2,3}\n"
+    assert "exceeds the ideal enumeration cap 128" in captured.err
 
 
 def test_ideals_rejects_invalid_brace(tmp_path, capsys):

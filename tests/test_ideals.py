@@ -539,6 +539,20 @@ def test_semiprime_verdicts_match_one_brace_at_a_time(mixed_braces, monkeypatch,
             assert np.array_equal(rows, ideals.ideal_masks(brace)), brace.name
 
 
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_ideal_lists_match_ideal_masks(mixed_braces, monkeypatch, one_row_blocks):
+    # each brace's rows of its stack, in input order, read-only; with
+    # one-row blocks every brace is a stack of its own
+    want = [ideals.ideal_masks(brace) for brace in mixed_braces]
+    if one_row_blocks:
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    got = ideals._ideal_lists(mixed_braces)
+    assert len(got) == len(mixed_braces)
+    for brace, rows, masks in zip(mixed_braces, got, want):
+        assert np.array_equal(rows, masks), brace.name
+        assert not rows.flags.writeable, brace.name
+
+
 @pytest.fixture(scope="module")
 def scan_cases(batch_braces, A5at, A5at_square):
     # batch_braces, then A5at^2 and A5at x| A5at under its first 8 actions,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import os
@@ -203,28 +204,36 @@ class TestLemma31:
     @staticmethod
     def _inject(monkeypatch, G, H, *member_sets):
         """Append member masks to the ideal masks of the base of G and H
-        that the lemma31 batch reads."""
+        that the lemma31 batch reads from its stacked lists; returns the
+        list of stack sizes the base was found in."""
         W = wreath_base(G, H)[0]
-        real = verify.ideal_masks
+        real, found = verify._stack_ideals, []
 
-        def masks(brace):
-            if brace != W:
-                return real(brace)
-            bad = np.zeros((len(member_sets), W.order), dtype=bool)
-            for row, members in zip(bad, member_sets):
-                row[list(members)] = True
-            return np.vstack([real(brace), bad])
+        def lists(stack):
+            out, n = real(stack), stack.n
+            for b in range(len(stack) if n == W.order else 0):
+                rows = slice(b * n, (b + 1) * n)
+                if np.array_equal(stack.add[rows], W.add) and \
+                        np.array_equal(stack.circ[rows], W.circ):
+                    bad = np.zeros((len(member_sets), n), dtype=bool)
+                    for row, members in zip(bad, member_sets):
+                        row[list(members)] = True
+                    out[b] = np.vstack([out[b], bad])
+                    found.append(len(stack))
+            return out
 
-        monkeypatch.setattr(verify, "ideal_masks", masks)
+        monkeypatch.setattr(verify, "_stack_ideals", lists)
+        return found
 
     def test_miss_names_the_is_ideal_rule(self, monkeypatch, R4, T2):
         # a base "ideal" whose first projection {0,1} is no ideal of R4
         digits = wreath_base(R4, T2)[1].digit_matrix()
         w = int(np.flatnonzero((digits == [1, 0]).all(axis=1))[0])
-        self._inject(monkeypatch, R4, T2, [0, w])
+        found = self._inject(monkeypatch, R4, T2, [0, w])
         result = verify._dispatch(("lemma31", "lemma31:R4:T2", R4, T2))
         ok, rule = is_ideal(R4, [0, 1])
         assert not ok
+        assert found == [1]
         assert not result.ok
         assert result.info == f"ideal={{0,{w}}} h=0 fails {rule}"
         assert result.witness == (0, 1)
@@ -235,12 +244,28 @@ class TestLemma31:
         digits = wreath_base(R4, T2)[1].digit_matrix()
         u = int(np.flatnonzero((digits == [0, 1]).all(axis=1))[0])
         w = int(np.flatnonzero((digits == [1, 0]).all(axis=1))[0])
-        self._inject(monkeypatch, R4, T2, [0, u], [0, w])
+        found = self._inject(monkeypatch, R4, T2, [0, u], [0, w])
         result = verify._dispatch(("lemma31", "lemma31:R4:T2", R4, T2))
         _, rule = is_ideal(R4, [0, 1])
+        assert found == [1]
         assert not result.ok
         assert result.info == f"ideal={{0,{u}}} h=1 fails {rule}"
         assert result.witness == (0, 1)
+
+    def test_injected_rows_reach_only_their_case_in_a_stack(self, monkeypatch, corpus8, R4, T2):
+        # R4's base stacked with the bases of the other order-4 Gs: the
+        # injected rows fail R4's case alone, as they do in a batch of one
+        digits = wreath_base(R4, T2)[1].digit_matrix()
+        w = int(np.flatnonzero((digits == [1, 0]).all(axis=1))[0])
+        found = self._inject(monkeypatch, R4, T2, [0, w])
+        gs, c1 = [G for G in corpus8 if G.order == 4], next(B for B in corpus8 if B.order == 1)
+        args = [(f"lemma31:{G.name}:{H.name}", G, H) for G in gs for H in (T2, c1)]
+        got = verify._BATCH_FUNCS["lemma31"](args)
+        assert found == [len(gs)] and len(gs) > 2
+        assert [r.case_id for r in got if not r.ok] == ["lemma31:R4:T2"]
+        alone = verify._dispatch(("lemma31", "lemma31:R4:T2", R4, T2))
+        index = [case_id for case_id, _, _ in args].index("lemma31:R4:T2")
+        assert got[index] == dataclasses.replace(alone, documents=())    # a batch adds no REPLAY
 
     def test_cases_match_the_projection_loop(self, corpus8):
         named = {b.name: b for b in corpus8}
@@ -250,6 +275,34 @@ class TestLemma31:
             _, g_name, h_name = case.case_id.split(":")
             want = oracles.lemma31_case_loop(named[g_name], named[h_name])
             assert (case.ok, case.info, case.witness) == want, case.case_id
+
+    def test_stacked_lists_match_ideal_masks(self, monkeypatch, corpus8):
+        # every case of the default sweep (631 bases, the order-64 ones in
+        # cut stacks) gets its base's and its G's ideal_masks row for row;
+        # a base with |H| = 1 is not built, its lists are G's
+        seen, built = {}, []
+        real_case, real_power = verify._lemma31_case, verify._stacked_power
+
+        def case(case_id, G, positions, digits, masks, g_masks):
+            seen[G.name, positions] = G, masks, g_masks
+            return real_case(case_id, G, positions, digits, masks, g_masks)
+
+        def power(braces, positions):
+            built.append((len(braces), positions))
+            return real_power(braces, positions)
+
+        monkeypatch.setattr(verify, "_lemma31_case", case)
+        monkeypatch.setattr(verify, "_stacked_power", power)
+        report = verify_lemma31()
+        assert report.attempted == 944 and len(seen) == 631
+        assert sum(n for n, m in built if m == 2 and n == verify._LEMMA31_STACK) >= 256
+        assert all(m > 1 for _, m in built) and sum(n for n, _ in built) == 631 - len(corpus8)
+        hs = {H.order: H for H in corpus8}
+        assert {G.name for G, _, _ in seen.values()} == {G.name for G in corpus8}
+        for (name, positions), (G, masks, g_masks) in seen.items():
+            assert np.array_equal(g_masks, ideals.ideal_masks(G)), name
+            base = wreath_base(G, hs[positions])[0]
+            assert np.array_equal(masks, ideals.ideal_masks(base)), (name, positions)
 
     def test_max_g_filter(self):
         report = verify_lemma31(max_g=2)
@@ -882,29 +935,31 @@ def test_a_seeded_closure_makes_no_orbit_representatives(monkeypatch, A5at_squar
 def test_no_case_state_outlives_its_batch(monkeypatch):
     # a sweep run twice in one process does the same work both times, and
     # a case run alone after a full sweep builds its base and masks anew
-    counts = Counter()
+    work = []
 
-    def counting(name):
-        real = getattr(verify, name)
+    def recording(module, name, record):
+        real = getattr(module, name)
 
         def call(*args):
-            counts[name] += 1
+            work.append((name, *record(*args)))
             return real(*args)
-        return call
+        monkeypatch.setattr(module, name, call)
 
-    for name in ("wreath_base", "ideal_masks"):
-        monkeypatch.setattr(verify, name, counting(name))
+    recording(verify, "_stacked_power", lambda braces, positions: (len(braces), positions))
+    for module in (verify, ideals):            # the bases' lists, and the Gs' by _ideal_lists
+        recording(module, "_stack_ideals", lambda stack: (stack.n, len(stack)))
     runs = []
     for _ in range(2):
-        counts.clear()
+        work.clear()
         report = verify_lemma31(base_cap=16)
-        runs.append(dict(counts))
+        runs.append(list(work))
     assert runs[0] == runs[1]
-    assert runs[0]["wreath_base"] > 0
+    assert ("_stacked_power", 6, 2) in runs[0]            # the bases of the six order-4 Gs
     line = next(line for line in _render(report).splitlines() if " lemma31:R4:T2 " in line)
-    counts.clear()
+    work.clear()
     alone = verify_lemma31(base_cap=16, only="lemma31:R4:T2")
-    assert counts == {"wreath_base": 1, "ideal_masks": 2}   # the base, its masks and R4's
+    # R4's masks, then its base, built and listed as stacks of one
+    assert work == [("_stack_ideals", 4, 1), ("_stacked_power", 1, 2), ("_stack_ideals", 16, 1)]
     assert _render(alone).splitlines()[-2] == line
 
 
